@@ -58,7 +58,6 @@ overload-check:
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoin$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinBitap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)

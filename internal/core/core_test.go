@@ -137,3 +137,15 @@ func TestResultAccessors(t *testing.T) {
 		t.Errorf("Summary %q missing auto-n detail", r.Summary())
 	}
 }
+
+// TestParseJoinStrategyRetiredName: the retired bitmap kernel's names
+// still parse, as auto, so jobs journaled and forwarded by older binaries
+// keep working.
+func TestParseJoinStrategyRetiredName(t *testing.T) {
+	for _, name := range []string{"bitap", "bitmap"} {
+		got, err := core.ParseJoinStrategy(name)
+		if err != nil || got != core.JoinAuto {
+			t.Errorf("ParseJoinStrategy(%q) = %v, %v; want auto", name, got, err)
+		}
+	}
+}

@@ -67,10 +67,6 @@ const (
 	// wherever its span cap allows, falling back to the two-pointer scan
 	// beyond it.
 	JoinCum
-	// JoinBitap forces the bit-parallel bitmap join (pil.JoinBitmap)
-	// wherever its span cap allows, falling back to the two-pointer scan
-	// beyond it.
-	JoinBitap
 )
 
 // String implements fmt.Stringer; the names double as the CLI/API values.
@@ -82,15 +78,13 @@ func (s JoinStrategy) String() string {
 		return "twoptr"
 	case JoinCum:
 		return "cum"
-	case JoinBitap:
-		return "bitap"
 	default:
 		return fmt.Sprintf("JoinStrategy(%d)", int(s))
 	}
 }
 
-// ParseJoinStrategy maps a strategy name ("auto", "twoptr", "cum",
-// "bitap") to its JoinStrategy value. The empty string is JoinAuto.
+// ParseJoinStrategy maps a strategy name ("auto", "twoptr", "cum") to
+// its JoinStrategy value. The empty string is JoinAuto.
 func ParseJoinStrategy(name string) (JoinStrategy, error) {
 	switch name {
 	case "", "auto":
@@ -100,16 +94,19 @@ func ParseJoinStrategy(name string) (JoinStrategy, error) {
 	case "cum", "cumulative":
 		return JoinCum, nil
 	case "bitap", "bitmap":
-		return JoinBitap, nil
+		// The bit-parallel bitmap kernel is retired. Journals and cluster
+		// peers from older binaries still name it, and every strategy
+		// gives identical results, so the name maps to auto.
+		return JoinAuto, nil
 	default:
-		return 0, fmt.Errorf("core: unknown join strategy %q (want auto, twoptr, cum, bitap)", name)
+		return 0, fmt.Errorf("core: unknown join strategy %q (want auto, twoptr, cum)", name)
 	}
 }
 
 // MarshalJSON renders the strategy by name, so journaled and forwarded
 // Params stay readable and stable across enum reordering.
 func (s JoinStrategy) MarshalJSON() ([]byte, error) {
-	if s < JoinAuto || s > JoinBitap {
+	if s < JoinAuto || s > JoinCum {
 		return nil, fmt.Errorf("core: cannot marshal %v", s)
 	}
 	return json.Marshal(s.String())
@@ -166,8 +163,8 @@ type Params struct {
 	// whose pruning keeps candidate sets small.
 	CandidateBudget int64
 
-	// MemoryBudget caps the bytes of PIL memory (arena slabs, cumulative
-	// tables, bitmap planes) one mining run may retain before it aborts
+	// MemoryBudget caps the bytes of PIL memory (arena slabs and
+	// cumulative tables) one mining run may retain before it aborts
 	// with a *ResourceExhaustedError carrying the completed levels as a
 	// partial result. Zero means unlimited (memory is still tracked, just
 	// not enforced); the budget is checked between levels and between
@@ -398,7 +395,7 @@ func (p Params) Normalize() (Params, error) {
 	if p.TopK < 0 {
 		return p, fmt.Errorf("core: TopK %d must be >= 0", p.TopK)
 	}
-	if p.Join < JoinAuto || p.Join > JoinBitap {
+	if p.Join < JoinAuto || p.Join > JoinCum {
 		return p, fmt.Errorf("core: unknown join strategy %d", int(p.Join))
 	}
 	return p, nil

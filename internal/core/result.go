@@ -70,14 +70,17 @@ type LevelMetrics struct {
 	// joins (prefix plus suffix list lengths): the offset-window scan
 	// work the support counting physically did.
 	PILEntries int64
-	// JoinTwoPointer, JoinCum and JoinBitap split PILJoins by the
-	// strategy that executed each join (the two-pointer window merge,
-	// the cumulative-support table, the bit-parallel bitmap kernel).
-	// Their sum equals PILJoins; under Params.Join == JoinAuto the split
-	// records what the density/reuse heuristic chose.
+	// JoinTwoPointer and JoinCum split PILJoins by the strategy that
+	// executed each join (the two-pointer window merge, the
+	// cumulative-support table). Their sum equals PILJoins; under
+	// Params.Join == JoinAuto the split records what the density/reuse
+	// heuristic chose.
 	JoinTwoPointer int64
 	JoinCum        int64
-	JoinBitap      int64
+	// JoinBitap is always 0. It counted the joins of the retired
+	// bit-parallel bitmap kernel, and stays so that readers of the JSON
+	// and tools summing the three-way split keep working.
+	JoinBitap int64
 	// CumSpanFallbacks counts joins whose strategy selection favored a
 	// cumulative table (or was forced to one) but whose suffix X span
 	// exceeded the maxCumSpan memory cap in internal/mine, degrading the

@@ -47,14 +47,13 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 // runLevelBench drives one full level of the level-wise miner (candidate
 // generation + work-stealing support counting) b.N times on a fixture
 // seeded at level k.
-func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) levelStats {
+func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) {
 	b.Helper()
 	ctx := context.Background()
-	var st levelStats
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st = levelStats{}
+		var st levelStats
 		cands := r.gen(hat, k)
 		counted := r.countCandidates(ctx, k+1, hat, cands, &st)
 		if r.err != nil {
@@ -64,7 +63,6 @@ func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) levelStats {
 			b.Fatal("no candidates survived")
 		}
 	}
-	return st
 }
 
 // BenchmarkMineLevel measures one level on an imbalanced level-3 DNA hat
@@ -74,27 +72,12 @@ func BenchmarkMineLevel(b *testing.B) {
 	runLevelBench(b, r, hat, 3)
 }
 
-// BenchmarkMineLevelSmallW is the narrow-window (W = M−N+1 = 2) DNA
-// regime at a span past the cumulative table's memory cap: a 1.5 Mbp
-// sequence mined from single symbols, so the level-2 join seeds its
-// tables from the sequence's shared per-symbol occurrence bitmaps. Auto
-// selects the bit-parallel bitmap kernel here; before it existed, the
-// capped cumulative table degraded these joins to the two-pointer scan.
-func BenchmarkMineLevelSmallW(b *testing.B) {
-	r, hat := benchLevelFixture(b, 1_500_000, 1, combinat.Gap{N: 9, M: 10}, core.JoinAuto)
-	st := runLevelBench(b, r, hat, 1)
-	if st.bitap == 0 || st.cumFalls == 0 {
-		b.Fatalf("auto selected bitap for %d joins (%d cum-span fallbacks); the regime must exercise the bitmap kernel",
-			st.bitap, st.cumFalls)
-	}
-}
-
 // BenchmarkJoinStrategies pins each join strategy on a small-window
-// workload where every strategy runs for real (the span fits all the
-// table caps), so the per-kernel costs (and the auto selector's pick)
-// compare directly from one bench run.
+// workload where every strategy runs for real (the span fits the
+// cumulative table's cap), so the per-kernel costs (and the auto
+// selector's pick) compare directly from one bench run.
 func BenchmarkJoinStrategies(b *testing.B) {
-	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum, core.JoinBitap} {
+	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum} {
 		b.Run(join.String(), func(b *testing.B) {
 			r, hat := benchLevelFixture(b, 20000, 1, combinat.Gap{N: 9, M: 10}, join)
 			runLevelBench(b, r, hat, 1)

@@ -37,11 +37,11 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 		{7, 80, combinat.Gap{N: 4, M: 5}, 0.005},
 	}
 	// Every join strategy must reproduce the oracle exactly: the forced
-	// values prove the two-pointer, cumulative-table and bitmap kernels
-	// are interchangeable across all four algorithms and the whole grid,
+	// values prove the two-pointer and cumulative-table kernels are
+	// interchangeable across all four algorithms and the whole grid,
 	// and auto proves the per-list selector never mixes in a wrong
 	// answer whichever kernel it picks.
-	strategies := []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum, core.JoinBitap}
+	strategies := []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum}
 	for _, cfg := range configs {
 		cfg := cfg
 		name := fmt.Sprintf("seed%d_L%d_gap%d-%d", cfg.seed, cfg.length, cfg.g.N, cfg.g.M)
@@ -109,11 +109,10 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 }
 
-// TestDifferentialStartLen1Strategies mines from StartLen 1 — the
-// configuration where the first join level seeds its bitmap tables from
-// the sequence's shared per-symbol occurrence bitmaps instead of
-// scattering each level-1 PIL — and checks every strategy still matches
-// the oracle from length 1 up, with identical patterns across strategies.
+// TestDifferentialStartLen1Strategies mines from StartLen 1, where the
+// first join level joins single-symbol PILs, and checks every strategy
+// still matches the oracle from length 1 up, with identical patterns
+// across strategies.
 func TestDifferentialStartLen1Strategies(t *testing.T) {
 	const maxLen = 4
 	s, err := gen.Uniform(seq.DNA, "startlen1", 160, 21)
@@ -127,7 +126,7 @@ func TestDifferentialStartLen1Strategies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var first []core.Pattern
-	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum, core.JoinBitap} {
+	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum} {
 		p := core.Params{Gap: g, MinSupport: rho, StartLen: 1, MaxLen: maxLen, Join: join, Workers: 2}
 		res, err := mine.MPP(s, p)
 		if err != nil {

@@ -8,7 +8,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/bits"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -173,7 +172,6 @@ type levelStats struct {
 	entries  int64 // PIL entries scanned by those joins
 	twoPtr   int64 // joins executed by each strategy; sum == joins
 	cum      int64
-	bitap    int64
 	cumFalls int64 // joins whose cum selection was capped by maxCumSpan
 	gen      time.Duration
 	count    time.Duration
@@ -195,7 +193,6 @@ func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
 	span.SetAttr("pil_entries", lm.PILEntries)
 	span.SetAttr("join_twoptr", lm.JoinTwoPointer)
 	span.SetAttr("join_cum", lm.JoinCum)
-	span.SetAttr("join_bitap", lm.JoinBitap)
 	span.SetAttr("cum_span_fallbacks", lm.CumSpanFallbacks)
 	span.SetAttr("lambda", lm.Lambda)
 	span.SetAttr("gen_ms", float64(lm.GenElapsed)/float64(time.Millisecond))
@@ -268,7 +265,8 @@ func (r *runner) run(start []pil.CodeList) {
 			break
 		}
 		kept := r.collectLevel(next, int64(len(cands)), counted, st)
-		r.res.Levels[len(r.res.Levels)-1].Elapsed += time.Since(levelStart)
+		// collectLevel timed only itself; the level spans gen, count and collect.
+		r.res.Levels[len(r.res.Levels)-1].Elapsed = time.Since(levelStart)
 		annotateLevelSpan(span, r.res.Levels[len(r.res.Levels)-1])
 		span.End()
 		hat = kept
@@ -369,7 +367,6 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st le
 		PILEntries:       st.entries,
 		JoinTwoPointer:   st.twoPtr,
 		JoinCum:          st.cum,
-		JoinBitap:        st.bitap,
 		CumSpanFallbacks: st.cumFalls,
 		Lambda:           lam,
 		Elapsed:          time.Since(start),
@@ -531,100 +528,47 @@ type groupRun struct {
 
 // joinScratch is one counting worker's cached join state for the suffix
 // run of the group it is processing (indexed by position within the run):
-// the strategy chosen for each list, the cumulative or bit tables built
-// for the lists that warrant one, and whether the choice was capped away
-// from the cumulative table by maxCumSpan.
+// the strategy chosen for each list, the cumulative tables built for the
+// lists that warrant one, and whether the choice was capped away from the
+// cumulative table by maxCumSpan.
 type joinScratch struct {
 	strat  []core.JoinStrategy
 	capped []bool
 	tables []pil.CumTable
-	bits   []pil.BitTable
 }
 
 // maxCumSpan caps a CumTable's X span (8 MiB of int64 per table) so a
 // pathological dense-and-long list cannot balloon worker memory. Lists
-// capped here fall back to the bitmap table or the two-pointer scan, and
-// the capped joins are surfaced as LevelMetrics.CumSpanFallbacks.
+// capped here fall back to the two-pointer scan, and the capped joins are
+// surfaced as LevelMetrics.CumSpanFallbacks.
 const maxCumSpan = 1 << 20
 
-// maxBitapSpan caps a BitTable's X span. Bitmaps cost one bit per
-// position against the cumulative table's int64, so the cap sits 16×
-// higher (3×2 MiB of bitmap per table) while still bounding worker
-// memory on pathological spans.
-const maxBitapSpan = 16 << 20
-
-// maxBitapPlanes bounds the Y bit-planes a BitTable may carry: beyond
-// 2^8 distinct counts per position the per-window popcount loop stops
-// beating the cumulative table's single subtraction.
-const maxBitapPlanes = 8
-
 // joinChoice picks the join strategy for suffix list s, joined by uses
-// groups of candidates under a gap window of winW = M−N+1 positions.
-// forced pins the choice, subject only to the span memory guards (a
-// guarded list degrades to the two-pointer scan, which needs no table).
+// groups of candidates. forced pins the choice, subject only to the span
+// memory guard (a guarded list degrades to the two-pointer scan, which
+// needs no table).
 //
 // Under JoinAuto the cumulative table wins whenever its O(span) build
 // amortizes over the uses joins it serves and the span fits maxCumSpan:
 // per prefix entry it answers the whole window with two loads and a
-// subtraction, which no per-window popcount beats. The bitmap table is
-// the dense-regime fallback when the span cap bites — one bit per
-// position against the table's int64, so it keeps table-style joins
-// viable for another 16× of span before the two-pointer scan takes over.
-// The returned cumCapped flag reports that the amortization favored the
-// cumulative table but maxCumSpan blocked it (the fallback metric),
-// whichever strategy absorbed the degraded join.
-func joinChoice(forced core.JoinStrategy, s pil.List, uses int32, winW int) (strat core.JoinStrategy, cumCapped bool) {
+// subtraction. Sparser lists stay on the two-pointer scan, whose cost
+// tracks the live entries rather than the span. The returned cumCapped
+// flag reports that the cumulative table was chosen (by amortization or
+// by force) but maxCumSpan blocked it, the fallback metric.
+func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.JoinStrategy, cumCapped bool) {
 	span := int(s[len(s)-1].X) - int(s[0].X) + 1
 	switch forced {
 	case core.JoinTwoPointer:
 		return core.JoinTwoPointer, false
-	case core.JoinCum:
-		if span > maxCumSpan {
-			return core.JoinTwoPointer, true
-		}
-		return core.JoinCum, false
-	case core.JoinBitap:
-		if span > maxBitapSpan {
+	case core.JoinAuto:
+		if span > 4*int(uses)*len(s) {
 			return core.JoinTwoPointer, false
 		}
-		return core.JoinBitap, false
 	}
-	cumAmortizes := span <= 4*int(uses)*len(s)
-	cumOK := cumAmortizes && span <= maxCumSpan
-	cumCapped = cumAmortizes && span > maxCumSpan
-	// The bitmap table is considered only where the cumulative table's own
-	// amortization holds: both stream an O(span) build, so on lists sparser
-	// than cum's density gate the two-pointer scan — whose cost tracks the
-	// handful of live entries, not the span — wins outright (measured:
-	// forcing the bitmap onto those lists loses even to the scan).
-	if (cumOK && winW <= 2) || (cumCapped && winW <= pil.MaxBitapWindow && span <= maxBitapSpan) {
-		maxY := int64(1)
-		for _, e := range s {
-			if e.Y > maxY {
-				maxY = e.Y
-			}
-		}
-		planes := bits.Len64(uint64(maxY))
-		switch {
-		case cumCapped && planes <= maxBitapPlanes:
-			// Past maxCumSpan the bitmap is the only table that still
-			// fits: 2.7× over the degraded two-pointer scan on the
-			// 1.5 Mbp narrow-window benchmark.
-			return core.JoinBitap, true
-		case cumOK && planes <= 3:
-			// Both tables amortize. The cumulative table answers any
-			// window with two loads and a subtraction, which the bitmap's
-			// per-plane popcounts only beat on the narrowest windows:
-			// measured on DNA workloads the bitmap wins W ≤ 2 with few
-			// planes (1.3× at one plane, parity at three) and loses
-			// everywhere wider, 2× by five planes at W = 4.
-			return core.JoinBitap, false
-		}
+	if span > maxCumSpan {
+		return core.JoinTwoPointer, true
 	}
-	if cumOK {
-		return core.JoinCum, false
-	}
-	return core.JoinTwoPointer, cumCapped
+	return core.JoinCum, false
 }
 
 // countCandidates computes the PIL and support of every candidate by
@@ -664,32 +608,25 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 		r.arenas[2*w+parity].Reset()
 	}
 	gap := r.p.Gap
-	winW := gap.M - gap.N + 1
 	forced := r.p.Join
-	// Level-1 suffix lists have Y ≡ 1 at exactly their symbol's
-	// occurrence positions, so bit tables at the first join level borrow
-	// the sequence's shared per-symbol bitmaps (built once, read by every
-	// worker) instead of re-scattering each list.
-	seedBits := r.p.StartLen == 1 && level == 2 && !r.wide
 
 	mem, memBudget := r.mem, r.p.MemoryBudget
 
 	var stop, memHit atomic.Bool
 	var nextIdx atomic.Int64
 	var joins, entries atomic.Int64
-	var twoPtrJoins, cumJoins, bitapJoins, cumFalls atomic.Int64
+	var twoPtrJoins, cumJoins, cumFalls atomic.Int64
 	work := func(w int) {
 		arena := &r.arenas[2*w+parity]
 		sc := &r.joinScr[w]
 		curLo, curW := int32(-1), int32(-1)
 		var nJoins, nEntries int64
-		var nTwoPtr, nCum, nBitap, nFalls int64
+		var nTwoPtr, nCum, nFalls int64
 		defer func() {
 			joins.Add(nJoins)
 			entries.Add(nEntries)
 			twoPtrJoins.Add(nTwoPtr)
 			cumJoins.Add(nCum)
-			bitapJoins.Add(nBitap)
 			cumFalls.Add(nFalls)
 		}()
 		for {
@@ -725,24 +662,14 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					for int32(len(sc.tables)) < width {
 						sc.tables = append(sc.tables, pil.CumTable{})
 						sc.tables[len(sc.tables)-1].SetTracker(mem)
-						sc.bits = append(sc.bits, pil.BitTable{})
-						sc.bits[len(sc.bits)-1].SetTracker(mem)
 						sc.strat = append(sc.strat, core.JoinAuto)
 						sc.capped = append(sc.capped, false)
 					}
 					for j := int32(0); j < width; j++ {
 						s := hat[spanLo+j].list
-						sc.strat[j], sc.capped[j] = joinChoice(forced, s, g.uses, winW)
-						switch sc.strat[j] {
-						case core.JoinCum:
+						sc.strat[j], sc.capped[j] = joinChoice(forced, s, g.uses)
+						if sc.strat[j] == core.JoinCum {
 							sc.tables[j].Build(s)
-						case core.JoinBitap:
-							if seedBits {
-								bm := r.s.SymbolBitmaps()[hat[spanLo+j].code]
-								sc.bits[j].BuildBits(bm, 0, r.s.Len()-1, winW)
-							} else {
-								sc.bits[j].Build(s, winW)
-							}
 						}
 					}
 				}
@@ -752,14 +679,10 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					var list pil.List
 					var sup int64
 					j := idx - g.start
-					switch sc.strat[j] {
-					case core.JoinCum:
+					if sc.strat[j] == core.JoinCum {
 						list, sup = pil.JoinCum(arena, prefix, &sc.tables[j], gap)
 						nCum++
-					case core.JoinBitap:
-						list, sup = pil.JoinBitmap(arena, prefix, &sc.bits[j], gap)
-						nBitap++
-					default:
+					} else {
 						list, sup = pil.JoinInto(arena, prefix, suffix, gap)
 						nTwoPtr++
 					}
@@ -791,7 +714,6 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 	st.entries += entries.Load()
 	st.twoPtr += twoPtrJoins.Load()
 	st.cum += cumJoins.Load()
-	st.bitap += bitapJoins.Load()
 	st.cumFalls += cumFalls.Load()
 	if err := ctx.Err(); err != nil {
 		r.err = r.cancelled(level, err)

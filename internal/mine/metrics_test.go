@@ -3,6 +3,7 @@ package mine_test
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"permine/internal/combinat"
 	"permine/internal/core"
@@ -42,9 +43,9 @@ func TestLevelMetricsAccounting(t *testing.T) {
 			if lv.PILJoins != 0 || lv.PILEntries != 0 {
 				t.Errorf("seed level reports %d joins / %d entries, want 0", lv.PILJoins, lv.PILEntries)
 			}
-			if lv.JoinTwoPointer != 0 || lv.JoinCum != 0 || lv.JoinBitap != 0 || lv.CumSpanFallbacks != 0 {
-				t.Errorf("seed level reports strategy counters %d/%d/%d (falls %d), want 0",
-					lv.JoinTwoPointer, lv.JoinCum, lv.JoinBitap, lv.CumSpanFallbacks)
+			if lv.JoinTwoPointer != 0 || lv.JoinCum != 0 || lv.CumSpanFallbacks != 0 {
+				t.Errorf("seed level reports strategy counters %d/%d (falls %d), want 0",
+					lv.JoinTwoPointer, lv.JoinCum, lv.CumSpanFallbacks)
 			}
 			continue
 		}
@@ -54,9 +55,12 @@ func TestLevelMetricsAccounting(t *testing.T) {
 		}
 		// The per-strategy split partitions the joins exactly, and the
 		// span-capped fallbacks are a subset of the two-pointer share.
-		if got := lv.JoinTwoPointer + lv.JoinCum + lv.JoinBitap; got != lv.PILJoins {
-			t.Errorf("level %d: strategy split %d+%d+%d = %d, want PILJoins %d",
-				lv.Level, lv.JoinTwoPointer, lv.JoinCum, lv.JoinBitap, got, lv.PILJoins)
+		if got := lv.JoinTwoPointer + lv.JoinCum; got != lv.PILJoins {
+			t.Errorf("level %d: strategy split %d+%d = %d, want PILJoins %d",
+				lv.Level, lv.JoinTwoPointer, lv.JoinCum, got, lv.PILJoins)
+		}
+		if lv.JoinBitap != 0 {
+			t.Errorf("level %d: JoinBitap = %d, want 0 (the bitmap kernel is retired)", lv.Level, lv.JoinBitap)
 		}
 		if lv.CumSpanFallbacks > lv.JoinTwoPointer {
 			t.Errorf("level %d: %d cum-span fallbacks exceed %d two-pointer joins",
@@ -101,7 +105,7 @@ func TestLevelMetricsParallelMatchesSerial(t *testing.T) {
 		// Strategy selection is per candidate list, not per worker, so the
 		// split (and the span-cap fallback count) must match too.
 		if a.JoinTwoPointer != b.JoinTwoPointer || a.JoinCum != b.JoinCum ||
-			a.JoinBitap != b.JoinBitap || a.CumSpanFallbacks != b.CumSpanFallbacks {
+			a.CumSpanFallbacks != b.CumSpanFallbacks {
 			t.Errorf("level %d strategy counters differ between 1 and 4 workers: %+v vs %+v", a.Level, a, b)
 		}
 	}
@@ -136,5 +140,31 @@ func TestEnumerateLevelMetrics(t *testing.T) {
 		if i > 0 && lv.Kept > 0 && lv.PILJoins == 0 {
 			t.Errorf("level %d: kept %d patterns with no joins recorded", lv.Level, lv.Kept)
 		}
+	}
+}
+
+// TestLevelElapsedWithinRun: a level's Elapsed is its own wall time, so
+// the levels' sum cannot exceed the run's. Emit sleeps, so collecting
+// dominates every level, and a level counting its collect time twice
+// overshoots the run.
+func TestLevelElapsedWithinRun(t *testing.T) {
+	s, err := gen.GenomeLike(400, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slowEmit := &core.MineHooks{Emit: func(string) bool {
+		time.Sleep(20 * time.Microsecond)
+		return true
+	}}
+	res, err := mine.MPP(s, core.Params{Gap: combinat.Gap{N: 2, M: 4}, MinSupport: 0.0005, MaxLen: 6, Hooks: slowEmit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum time.Duration
+	for _, lv := range res.Levels {
+		sum += lv.Elapsed
+	}
+	if sum > res.Elapsed {
+		t.Fatalf("levels' Elapsed sum to %v, more than the run's %v", sum, res.Elapsed)
 	}
 }

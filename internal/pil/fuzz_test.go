@@ -92,69 +92,6 @@ func FuzzJoin(f *testing.F) {
 	})
 }
 
-// FuzzJoinBitap cross-checks the bit-parallel bitmap join against the
-// two-pointer oracle on arbitrary well-formed inputs: identical entries
-// and fused support, heap- and arena-backed, plus the shared-bitmap
-// (BuildBits) construction on the input flattened to unit counts.
-func FuzzJoinBitap(f *testing.F) {
-	f.Add([]byte{4, 0, 3, 1, 1, 2, 1, 1, 2, 3, 1})
-	f.Add([]byte{0, 15, 15})
-	f.Add([]byte{255, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
-	var arena pil.Arena
-	var tab pil.BitTable
-	f.Fuzz(func(t *testing.T, data []byte) {
-		prefix, suffix, g := decodeLists(data)
-		if len(suffix) == 0 {
-			return
-		}
-		want, wantSup := pil.JoinInto(nil, prefix, suffix, g)
-		tab.Build(suffix, g.M-g.N+1)
-		got, sup := pil.JoinBitmap(nil, prefix, &tab, g)
-		if sup != wantSup || len(got) != len(want) {
-			t.Fatalf("bitmap join sup=%d len=%d, oracle sup=%d len=%d", sup, len(got), wantSup, len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("bitmap join entry %d: %v, oracle %v", i, got[i], want[i])
-			}
-		}
-		arena.Reset()
-		viaArena, supArena := pil.JoinBitmap(&arena, prefix, &tab, g)
-		if supArena != sup || len(viaArena) != len(got) {
-			t.Fatalf("arena bitmap join differs: sup %d vs %d, len %d vs %d", supArena, sup, len(viaArena), len(got))
-		}
-		for i := range got {
-			if viaArena[i] != got[i] {
-				t.Fatalf("arena bitmap entry %d: %v vs %v", i, viaArena[i], got[i])
-			}
-		}
-		// Shared-bitmap construction: flatten the suffix to Y ≡ 1 (the
-		// level-1 shape), scatter its occurrence bitmap by hand, and
-		// check BuildBits joins agree with the two-pointer join on the
-		// flattened list.
-		flat := make(pil.List, len(suffix))
-		last := int(suffix[len(suffix)-1].X)
-		occ := make([]uint64, ((last+64)>>6)+1) // +1: BuildBits padding word
-		for i, e := range suffix {
-			flat[i] = pil.Entry{X: e.X, Y: 1}
-			occ[e.X>>6] |= 1 << (uint(e.X) & 63)
-		}
-		wantFlat, wantFlatSup := pil.JoinInto(nil, prefix, flat, g)
-		var shared pil.BitTable
-		shared.BuildBits(occ, 0, last, g.M-g.N+1)
-		gotFlat, flatSup := pil.JoinBitmap(nil, prefix, &shared, g)
-		if flatSup != wantFlatSup || len(gotFlat) != len(wantFlat) {
-			t.Fatalf("shared-bitmap join sup=%d len=%d, oracle sup=%d len=%d",
-				flatSup, len(gotFlat), wantFlatSup, len(wantFlat))
-		}
-		for i := range wantFlat {
-			if gotFlat[i] != wantFlat[i] {
-				t.Fatalf("shared-bitmap entry %d: %v, oracle %v", i, gotFlat[i], wantFlat[i])
-			}
-		}
-	})
-}
-
 // FuzzMerge checks that Merge of two valid PILs is a valid PIL whose
 // support is the sum of the inputs and whose X set is the union.
 func FuzzMerge(f *testing.F) {

@@ -10,7 +10,7 @@ import (
 const EntryBytes = int64(unsafe.Sizeof(Entry{}))
 
 // MemTracker accumulates the bytes retained by PIL structures — arena
-// slabs, cumulative tables, bitmap planes. Charges land on slab/buffer
+// slabs and cumulative tables. Charges land on slab/buffer
 // growth, never per entry, so the join hot path stays allocation- and
 // contention-free: a run that reuses its slabs in steady state performs
 // zero charges.

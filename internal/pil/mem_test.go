@@ -45,8 +45,8 @@ func TestMemTrackerArenaCharges(t *testing.T) {
 	}
 }
 
-// TestMemTrackerTables: CumTable and BitTable charge their retained
-// buffers on growth only, and rebuilds within capacity are free.
+// TestMemTrackerTables: CumTable charges its retained buffer on growth
+// only, and rebuilds within capacity are free.
 func TestMemTrackerTables(t *testing.T) {
 	list := pil.List{{X: 0, Y: 1}, {X: 999, Y: 3}}
 
@@ -62,28 +62,6 @@ func TestMemTrackerTables(t *testing.T) {
 		t.Fatalf("CumTable rebuild recharged: Used = %d, want %d", tr.Used(), want)
 	}
 
-	tr = pil.NewMemTracker(nil)
-	var bt pil.BitTable
-	bt.SetTracker(tr)
-	bt.Build(list, 4)
-	// Span 1000 → 17 words per bitmap; occ + dil, plus 2 Y planes (maxY=3).
-	if want := int64(8 * 17 * 4); tr.Used() != want {
-		t.Fatalf("BitTable charge = %d, want %d", tr.Used(), want)
-	}
-	bt.Build(list, 4)
-	if want := int64(8 * 17 * 4); tr.Used() != want {
-		t.Fatalf("BitTable rebuild recharged: Used = %d, want %d", tr.Used(), want)
-	}
-
-	// BuildBits borrows the occurrence bitmap: only the dilation buffer
-	// may be charged, and here it is already retained.
-	before := tr.Used()
-	occ := make([]uint64, 18)
-	occ[0] = 1
-	bt.BuildBits(occ, 0, 999, 4)
-	if tr.Used() != before {
-		t.Fatalf("BuildBits charged %d for a borrowed bitmap", tr.Used()-before)
-	}
 }
 
 // TestMemTrackerChaining: charges propagate to parents, credits restore

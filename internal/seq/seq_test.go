@@ -2,7 +2,6 @@ package seq_test
 
 import (
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -242,70 +241,5 @@ func TestTopKmers(t *testing.T) {
 	}
 	if got := seq.TopKmers(s, 99, 5); got != nil {
 		t.Error("k>L should yield nil")
-	}
-}
-
-// TestSymbolBitmaps checks the lazily-built per-symbol occurrence
-// bitmaps: bit p of bitmap c is set iff Code(p) == c, every position is
-// covered by exactly one symbol's bitmap, and repeated (including
-// concurrent) calls return the same backing slices.
-func TestSymbolBitmaps(t *testing.T) {
-	s, err := seq.New(seq.DNA, "bm", "ACGTACGGTTACAGTGCATTAGCAACGTTAGCCAGTACGTAGCATGCATGGCATGAC")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maps [4][][]uint64
-	var wg sync.WaitGroup
-	for i := range maps {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			maps[i] = s.SymbolBitmaps()
-		}(i)
-	}
-	wg.Wait()
-	bm := maps[0]
-	for i := 1; i < len(maps); i++ {
-		if len(maps[i]) != len(bm) {
-			t.Fatalf("concurrent call %d returned %d bitmaps, want %d", i, len(maps[i]), len(bm))
-		}
-		for c := range bm {
-			if &maps[i][c][0] != &bm[c][0] {
-				t.Fatalf("concurrent call %d rebuilt bitmap %d", i, c)
-			}
-		}
-	}
-	if len(bm) != seq.DNA.Size() {
-		t.Fatalf("%d bitmaps, want one per symbol (%d)", len(bm), seq.DNA.Size())
-	}
-	wantWords := (s.Len()+63)/64 + 1 // one padding word for pil.BuildBits
-	for c, words := range bm {
-		if len(words) != wantWords {
-			t.Fatalf("bitmap %d has %d words, want %d", c, len(words), wantWords)
-		}
-	}
-	for p := 0; p < s.Len(); p++ {
-		hits := 0
-		for c, words := range bm {
-			if words[p>>6]&(1<<(uint(p)&63)) != 0 {
-				hits++
-				if uint8(c) != s.Code(p) {
-					t.Errorf("position %d set in bitmap %d, but Code = %d", p, c, s.Code(p))
-				}
-			}
-		}
-		if hits != 1 {
-			t.Errorf("position %d covered by %d bitmaps, want exactly 1", p, hits)
-		}
-	}
-	// No stray bits past the sequence end, and the padding word is clear.
-	for c, words := range bm {
-		if pad := words[len(words)-1]; pad != 0 {
-			t.Errorf("bitmap %d padding word = %#x, want 0", c, pad)
-		}
-		lastData := words[len(words)-2]
-		if extra := uint(s.Len()) & 63; extra != 0 && lastData>>extra != 0 {
-			t.Errorf("bitmap %d has bits set past position %d", c, s.Len()-1)
-		}
 	}
 }

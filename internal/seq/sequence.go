@@ -3,7 +3,6 @@ package seq
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Sequence is an immutable character sequence over an Alphabet. It stores
@@ -16,9 +15,6 @@ type Sequence struct {
 	name  string
 	data  string
 	codes []uint8
-
-	bitOnce sync.Once
-	bitmaps [][]uint64
 }
 
 // New validates data against the alphabet and builds a Sequence.
@@ -68,30 +64,6 @@ func (s *Sequence) Codes() []uint8 { return s.codes }
 
 // Data returns the raw character string.
 func (s *Sequence) Data() string { return s.data }
-
-// SymbolBitmaps returns one occurrence bitmap per alphabet symbol: bit
-// p&63 of word p>>6 in bitmap c is set iff Code(p) == c. The bitmaps are
-// built lazily on first call, then shared read-only — concurrent callers
-// are safe, and the caller must not modify the returned words. A level-1
-// PIL has Y ≡ 1 at exactly the symbol's occurrence positions, so these
-// bitmaps seed pil.BitTable via BuildBits without materialising lists.
-// Each bitmap carries one zero padding word past the sequence end, the
-// slack BuildBits requires for its branchless window extract.
-func (s *Sequence) SymbolBitmaps() [][]uint64 {
-	s.bitOnce.Do(func() {
-		nw := ((len(s.codes) + 63) >> 6) + 1
-		flat := make([]uint64, nw*s.alpha.Size())
-		maps := make([][]uint64, s.alpha.Size())
-		for c := range maps {
-			maps[c] = flat[c*nw : (c+1)*nw : (c+1)*nw]
-		}
-		for p, c := range s.codes {
-			maps[c][p>>6] |= 1 << (uint(p) & 63)
-		}
-		s.bitmaps = maps
-	})
-	return s.bitmaps
-}
 
 // Fragment returns the subsequence [start, end) as a new Sequence. The
 // fragment's name records its origin.

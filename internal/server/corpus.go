@@ -460,7 +460,7 @@ func (m *Manager) restoreCorpus(rec store.JobRecord, sum *RestoreSummary) {
 	sum.Requeued++
 	m.noteRecovered(recoveryRequeued, "")
 	m.cfg.Store.AppendState(j.ID(), string(corpus.StateRunning), attempts, time.Now())
-	delay := m.retryDelay(attempts)
+	delay := corpus.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
 	time.AfterFunc(delay, func() {
 		m.mu.Lock()
 		closed := m.closed

@@ -668,6 +668,14 @@ func (m *Manager) runJob(j *Job) {
 	res, err := m.mineJob(runCtx, j, p)
 	elapsed := time.Since(start)
 
+	final, result, note, jobErr := j.outcome(res, err)
+	// A done result enters the cache before the job reads as terminal, so
+	// a client that sees "done" and resubmits at once gets a hit. A cancel
+	// that wins the race below leaves a correct entry behind.
+	if final == JobDone && m.cfg.Cache != nil && !j.State().Terminal() {
+		m.cfg.Cache.Put(j.cacheKey, result)
+	}
+
 	j.mu.Lock()
 	if j.state.Terminal() {
 		// Cancel won the race: the job is already cancelled from the
@@ -678,28 +686,10 @@ func (m *Manager) runJob(j *Job) {
 		return
 	}
 	j.finishedAt = time.Now()
-	var final JobState
-	var exhausted *core.ResourceExhaustedError
-	switch {
-	case err == nil:
-		final, j.result = JobDone, res
-	case res != nil && errors.As(err, &exhausted):
-		// Memory budget abort: a distinct terminal state carrying the
-		// completed-levels partial result, excluded from the cache.
-		final, j.result, j.err = JobResourceExhausted, res, err
-		j.note = fmt.Sprintf("memory budget exhausted at level %d; completed levels only", exhausted.Level)
-	case res != nil && errors.Is(err, core.ErrBudgetExceeded):
-		// The enumeration baseline reports a valid truncated result.
-		final, j.result = JobDone, res
-		j.note = "candidate budget exhausted; completed levels only"
-	case errors.Is(err, context.Canceled):
-		final, j.err = JobCancelled, err
-	case errors.Is(err, context.DeadlineExceeded):
-		final, j.err = JobFailed, fmt.Errorf("job timeout %v exceeded: %w", j.timeout, err)
-	default:
-		final, j.err = JobFailed, err
+	j.state, j.result, j.err = final, result, jobErr
+	if note != "" {
+		j.note = note
 	}
-	j.state = final
 	out := store.Outcome{State: string(final), Note: j.note, FinishedAt: j.finishedAt}
 	if j.result != nil {
 		out.Result, _ = json.Marshal(j.result)
@@ -724,11 +714,32 @@ func (m *Manager) runJob(j *Job) {
 	if m.cfg.Metrics != nil && (final == JobDone || final == JobFailed) {
 		m.cfg.Metrics.ObserveMining(j.algorithm.String(), elapsed)
 	}
-	if final == JobDone && m.cfg.Cache != nil {
-		m.cfg.Cache.Put(j.cacheKey, j.result)
-	}
 	m.publishEnd(j)
 	m.cfg.Logger.Info("job finished", "job", j.id, "state", string(final), "elapsed", elapsed)
+}
+
+// outcome classifies a finished run: the job's terminal state, the result
+// and error it reports, and a note (empty for none).
+func (j *Job) outcome(res *core.Result, err error) (final JobState, result *core.Result, note string, jobErr error) {
+	var exhausted *core.ResourceExhaustedError
+	switch {
+	case err == nil:
+		return JobDone, res, "", nil
+	case res != nil && errors.As(err, &exhausted):
+		// Memory budget abort: a distinct terminal state carrying the
+		// completed-levels partial result, excluded from the cache.
+		return JobResourceExhausted, res,
+			fmt.Sprintf("memory budget exhausted at level %d; completed levels only", exhausted.Level), err
+	case res != nil && errors.Is(err, core.ErrBudgetExceeded):
+		// The enumeration baseline reports a valid truncated result.
+		return JobDone, res, "candidate budget exhausted; completed levels only", nil
+	case errors.Is(err, context.Canceled):
+		return JobCancelled, nil, "", err
+	case errors.Is(err, context.DeadlineExceeded):
+		return JobFailed, nil, "", fmt.Errorf("job timeout %v exceeded: %w", j.timeout, err)
+	default:
+		return JobFailed, nil, "", err
+	}
 }
 
 // runAlgorithm dispatches through the query layer, which handles plain,

@@ -233,9 +233,6 @@ func (m *Metrics) ObserveLevel(lm core.LevelMetrics) {
 	if lm.JoinCum > 0 {
 		m.joins[core.JoinCum.String()] += lm.JoinCum
 	}
-	if lm.JoinBitap > 0 {
-		m.joins[core.JoinBitap.String()] += lm.JoinBitap
-	}
 }
 
 // ObserveMining records one finished mining run's wall-clock latency under
@@ -326,7 +323,7 @@ type MetricsSnapshot struct {
 	Recovery      map[string]int64 `json:"recovery,omitempty"`
 	Requests      map[string]int64 `json:"requests_total"`
 	// JoinStrategies counts PIL joins executed by each join strategy
-	// across all mining runs (keys: "twoptr", "cum", "bitap").
+	// across all mining runs (keys: "twoptr", "cum").
 	JoinStrategies map[string]int64         `json:"join_strategies_total,omitempty"`
 	Latency        map[string]HistogramView `json:"mining_latency_seconds"`
 	// RequestLatency holds per-route request-duration histograms for the

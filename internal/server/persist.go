@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"strings"
 	"time"
 
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/seq"
 	"permine/internal/server/store"
 )
@@ -223,7 +223,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 			sum.Requeued++
 			m.noteRecovered(recoveryRequeued, JobQueued)
 			m.cfg.Store.AppendState(j.id, string(JobQueued), attempts, time.Now())
-			delay := m.retryDelay(attempts)
+			delay := corpus.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
 			m.scheduleRequeue(j, delay)
 			m.cfg.Logger.Info("requeueing interrupted job", "job", j.id,
 				"attempt", attempts, "backoff", delay)
@@ -232,25 +232,11 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 	return sum
 }
 
-// retryDelay is the backoff before re-executing a recovered job:
-// RetryBackoff doubled per prior attempt, capped at one minute, then
-// jittered uniformly into [d/2, d) — a restart with many interrupted jobs
-// spreads their re-executions out instead of retrying in lockstep.
-func (m *Manager) retryDelay(attempts int) time.Duration {
-	d := m.cfg.RetryBackoff
-	for i := 1; i < attempts; i++ {
-		d *= 2
-		if d >= time.Minute {
-			d = time.Minute
-			break
-		}
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rand.Int64N(int64(half)))
-}
+// maxRetryDelay caps the backoff before re-executing a recovered job.
+// corpus.Backoff doubles RetryBackoff per prior attempt up to it, then
+// jitters, so a restart with many interrupted jobs spreads their
+// re-executions out instead of retrying in lockstep.
+const maxRetryDelay = time.Minute
 
 // scheduleRequeue enqueues the job after the delay, retrying while the
 // queue is full and giving up silently once the manager shuts down (the

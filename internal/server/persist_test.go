@@ -226,6 +226,35 @@ func TestManagerRestoreSkipsBadRecords(t *testing.T) {
 	}
 }
 
+// TestManagerRestoreRetiredJoinName: a journaled job whose params name the
+// retired bitmap join ("Join":"bitap", as older binaries wrote them) is
+// restored and re-executed, not skipped.
+func TestManagerRestoreRetiredJoinName(t *testing.T) {
+	m := newTestManager(t, ManagerConfig{Workers: 1, RetryBackoff: time.Millisecond})
+	params, _ := json.Marshal(miningParams())
+	params = append(params[:len(params)-1], `,"Join":"bitap"}`...)
+	rec := store.JobRecord{
+		ID: "j-000001", Algorithm: "MPPm",
+		SeqName: "older-binary", SeqAlphabet: "DNA", SeqSymbols: "ACGT",
+		SeqData: genomeSeq(t, 400, 7).Data(), Params: params,
+		TimeoutMS: 60000, State: "queued", CreatedAt: time.Now(),
+	}
+	sum := m.Restore([]store.JobRecord{rec})
+	if sum.Requeued != 1 || sum.Skipped != 0 {
+		t.Fatalf("restore summary = %+v, want the job requeued", sum)
+	}
+	j, ok := m.Get("j-000001")
+	if !ok {
+		t.Fatal("job not restored")
+	}
+	if v := waitTerminal(t, j); v.State != JobDone || v.Result == nil {
+		t.Fatalf("restored job finished %s (%s), want done", v.State, v.Error)
+	}
+	if j.params.Join != core.JoinAuto {
+		t.Errorf("restored join strategy = %v, want auto", j.params.Join)
+	}
+}
+
 // TestManagerDegradedStoreStillServes: when the journal's disk dies
 // mid-flight the manager keeps accepting and finishing jobs; only
 // durability is lost, and the condition is visible in the store stats.

@@ -63,7 +63,7 @@ func fixedSnapshot() MetricsSnapshot {
 			"other 4xx":             3,
 			"GET /metrics 2xx":      2,
 		},
-		JoinStrategies: map[string]int64{"bitap": 40, "cum": 120, "twoptr": 64},
+		JoinStrategies: map[string]int64{"cum": 120, "twoptr": 64},
 		Latency:        map[string]HistogramView{"MPPm": h},
 		RequestLatency: map[string]HistogramView{
 			"POST /v1/jobs": fixedRequestHistogram(),

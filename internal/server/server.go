@@ -556,8 +556,8 @@ type paramsJSON struct {
 	// patterns containing the motif.
 	TopK  int    `json:"top_k,omitempty"`
 	Motif string `json:"motif,omitempty"`
-	// Join pins the PIL join strategy ("auto", "twoptr", "cum",
-	// "bitap"); empty means auto. Results are identical for every value.
+	// Join pins the PIL join strategy ("auto", "twoptr", "cum"); empty
+	// means auto. Results are identical for every value.
 	Join string `json:"join,omitempty"`
 }
 

@@ -412,3 +412,30 @@ func TestInlineSequenceRoundTrip(t *testing.T) {
 		t.Fatal("Data() round-trip mismatch")
 	}
 }
+
+// TestDoneJobIsCachedHTTP: a client that polls GET /v1/jobs/{id} until
+// done and resubmits at once gets the cached result every time. With a
+// journal, the outcome's fsync used to sit between the job turning done
+// and its result entering the cache, so such a resubmit could re-mine.
+func TestDoneJobIsCachedHTTP(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2, DataDir: t.TempDir()})
+	for i := 0; i < 30; i++ {
+		body := jobBody(t, "mppm", genomeSeq(t, 200, uint64(1000+i)).Data())
+		resp := postJSON(t, ts.URL+"/v1/jobs", body)
+		sub := decode(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: submit status %d, want 202", i, resp.StatusCode)
+		}
+		if final := pollJob(t, ts.URL, sub["id"].(string)); final["state"] != "done" {
+			t.Fatalf("job %d finished %v (%v)", i, final["state"], final["error"])
+		}
+		resp = postJSON(t, ts.URL+"/v1/jobs", body)
+		hit := decode(t, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || hit["cache_hit"] != true {
+			t.Errorf("job %d: resubmit after done got status %d, cache_hit %v; want 200 and a hit",
+				i, resp.StatusCode, hit["cache_hit"])
+		}
+	}
+}

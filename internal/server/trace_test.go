@@ -141,7 +141,9 @@ func TestTraceEndToEnd(t *testing.T) {
 	if n := len(body["spans"].([]any)); n < 5 {
 		t.Errorf("trace endpoint returned %d spans", n)
 	}
-	lresp := doRequest(t, http.MethodGet, ts.URL+"/v1/traces?limit=10")
+	// Every status poll above is a trace of its own, and a slow run (the
+	// race detector) polls dozens of times, so list well past them.
+	lresp := doRequest(t, http.MethodGet, ts.URL+"/v1/traces?limit=1000")
 	lbody := decode(t, lresp.Body)
 	lresp.Body.Close()
 	found := false

@@ -99,11 +99,10 @@ const (
 	JoinAuto       = core.JoinAuto
 	JoinTwoPointer = core.JoinTwoPointer
 	JoinCum        = core.JoinCum
-	JoinBitap      = core.JoinBitap
 )
 
-// ParseJoinStrategy maps a join strategy name ("auto", "twoptr", "cum",
-// "bitap") to its JoinStrategy value.
+// ParseJoinStrategy maps a join strategy name ("auto", "twoptr", "cum")
+// to its JoinStrategy value.
 func ParseJoinStrategy(name string) (JoinStrategy, error) { return core.ParseJoinStrategy(name) }
 
 // Alphabet is a finite ordered symbol set.

@@ -54,7 +54,6 @@ BenchmarkScanK$         500x    .
 BenchmarkSupport$       1000x   .
 BenchmarkEmOrder8$      10x     .
 BenchmarkMineLevel$     100x    ./internal/mine
-BenchmarkMineLevelSmallW$ 20x   ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
 BenchmarkMineE2E$       5x      ./internal/mine
 BenchmarkTopK$          5x      ./internal/query
