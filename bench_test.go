@@ -12,6 +12,7 @@ package permine_test
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"permine"
@@ -211,19 +212,26 @@ func BenchmarkScanK(b *testing.B) {
 	}
 }
 
-// BenchmarkEmOrder8 and BenchmarkEmOrder10 measure the e_m sweep at the
-// two orders the paper uses.
-func BenchmarkEmOrder8(b *testing.B)  { benchEm(b, 8) }
-func BenchmarkEmOrder10(b *testing.B) { benchEm(b, 10) }
+// BenchmarkEmOrder8 and BenchmarkEmOrder10 measure the one-worker e_m
+// sweep at the two orders the paper uses.
+func BenchmarkEmOrder8(b *testing.B)  { benchEm(b, benchGap, 8, 1) }
+func BenchmarkEmOrder10(b *testing.B) { benchEm(b, benchGap, 10, 1) }
 
-func benchEm(b *testing.B, m int) {
+// BenchmarkEmWideGap measures the e_m sweep at gap [9,16] (W = 8, Fig 6's
+// widest), where a sweep that re-adds the whole gap window per position
+// pays most, split over GOMAXPROCS workers: run it at -cpu 1,2.
+func BenchmarkEmWideGap(b *testing.B) {
+	benchEm(b, permine.Gap{N: 9, M: 16}, 8, runtime.GOMAXPROCS(0))
+}
+
+func benchEm(b *testing.B, g permine.Gap, m, workers int) {
 	s, err := permine.GenerateGenomeLike(1000, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		em, err := embound.Em(s, benchGap, m)
+		em, _, err := embound.EmWorkers(s, g, m, workers)
 		if err != nil {
 			b.Fatal(err)
 		}

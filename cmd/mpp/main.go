@@ -47,7 +47,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		algo     = fs.String("algo", "mppm", "algorithm: mpp, mppm, adaptive, enumerate")
 		maxLen   = fs.Int("n", 0, "MPP estimate of the longest frequent pattern length (0 = worst case l1)")
 		emOrder  = fs.Int("m", 8, "MPPm e_m order")
-		workers  = fs.Int("workers", 1, "worker goroutines for candidate counting")
+		workers  = fs.Int("workers", 1, "worker goroutines for candidate counting and the e_m sweep (at most 1024)")
 		join     = fs.String("join", "auto", "PIL join strategy: auto, twoptr, cum (results are identical; forced values are for debugging and benchmarks)")
 		topK     = fs.Int("topk", 0, "mine only the K best patterns by support ratio (0 = all)")
 		motif    = fs.String("motif", "", "targeted mining: keep only patterns containing this character string")

@@ -52,12 +52,17 @@ func TestNormalizeRejects(t *testing.T) {
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, MaxLen: -1},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, EmOrder: -2},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, Workers: -1},
+		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, Workers: core.MaxWorkers + 1},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, CandidateBudget: -1},
 	}
 	for i, p := range bad {
 		if _, err := p.Normalize(); err == nil {
 			t.Errorf("bad params %d accepted: %+v", i, p)
 		}
+	}
+	ok := core.Params{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, Workers: core.MaxWorkers}
+	if _, err := ok.Normalize(); err != nil {
+		t.Errorf("Workers = MaxWorkers rejected: %v", err)
 	}
 }
 

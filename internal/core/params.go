@@ -153,8 +153,9 @@ type Params struct {
 	StartLen int
 
 	// Workers bounds the number of goroutines used for candidate
-	// counting. Zero or one means sequential. Results are deterministic
-	// for any value.
+	// counting and for MPPm's e_m sweep. Zero or one means sequential;
+	// values above MaxWorkers are rejected. Results are deterministic for
+	// any value.
 	Workers int
 
 	// CandidateBudget caps the total number of candidates the
@@ -352,6 +353,12 @@ const (
 	DefaultStartLen        = 3
 	DefaultEmOrder         = 8
 	DefaultCandidateBudget = 4 << 20
+
+	// MaxWorkers caps Params.Workers, which can come from outside the
+	// program (a job's params). Each worker costs a goroutine per level
+	// and two PIL arenas per run whether or not there is a core to run
+	// it, so an unbounded count only burns memory.
+	MaxWorkers = 1024
 )
 
 // Normalize fills defaults and validates; it returns the effective Params.
@@ -377,8 +384,8 @@ func (p Params) Normalize() (Params, error) {
 	if p.EmOrder < 1 {
 		return p, fmt.Errorf("core: EmOrder %d must be >= 1", p.EmOrder)
 	}
-	if p.Workers < 0 {
-		return p, fmt.Errorf("core: Workers %d must be >= 0", p.Workers)
+	if p.Workers < 0 || p.Workers > MaxWorkers {
+		return p, fmt.Errorf("core: Workers %d out of range [0,%d]", p.Workers, MaxWorkers)
 	}
 	if p.Workers == 0 {
 		p.Workers = 1

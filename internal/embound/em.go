@@ -21,26 +21,41 @@ import (
 // spaces fall back to a map.
 const maxArrayCodes = 1 << 24
 
-// Em computes e_m = max over all start offsets r of Kr(s, g, m, r).
-// m must be >= 1; the cost is O(L · W^m), so keep m modest (the paper uses
-// m = 8 and m = 10 with W = 4).
+// Em computes e_m = max over all start offsets r of Kr(s, g, m, r), on
+// the calling goroutine. m must be >= 1. For |Σ|^m <= 2^24 (DNA up to
+// m = 12) and W^m < 2^31 the cost is O(L · Σ_k |cnt_k|), independent of
+// W beyond the list sizes: per position each level subtracts one list,
+// adds one and copies out the next, where cnt_k holds at most
+// min(|Σ|^k, W^(k-1)) entries and far fewer on repetitive data (see
+// dp.go). Larger code spaces merge W sorted lists per level and position.
 func Em(s *seq.Sequence, g combinat.Gap, m int) (int64, error) {
+	em, _, err := EmWorkers(s, g, m, 1)
+	return em, err
+}
+
+// EmWorkers is Em with the dense sweep split into up to workers
+// contiguous chunks that run concurrently (never more than GOMAXPROCS,
+// nor so many that a chunk is shorter than the m·(M+1) positions it must
+// re-read from its right neighbour). Every worker count gives the same
+// e_m. chunks reports how many goroutines the sweep ran on: 1 when it
+// did not split, including the list-merging and per-offset fallbacks.
+func EmWorkers(s *seq.Sequence, g combinat.Gap, m, workers int) (em int64, chunks int, err error) {
 	if m < 1 {
-		return 0, fmt.Errorf("embound: m=%d must be >= 1", m)
+		return 0, 0, fmt.Errorf("embound: m=%d must be >= 1", m)
 	}
 	if err := g.Validate(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	var em int64
+	chunks = 1
 	if float64(m+1)*math.Log2(float64(s.Alphabet().Size())) < 62 {
 		// Suffix-sharing sweep: one right-to-left pass computes every
 		// K_r (see dp.go), far cheaper than per-start DFS on
 		// repetitive data.
-		em = emSweep(s, g, m)
+		em, chunks = emSweep(s, g, m, workers)
 	} else {
 		k, err := newKounter(s, g, m)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		for r := 0; r < s.Len(); r++ {
 			if kr := k.kr(r); kr > em {
@@ -55,7 +70,7 @@ func Em(s *seq.Sequence, g combinat.Gap, m int) (int64, error) {
 		// pattern occurs at all).
 		em = 1
 	}
-	return em, nil
+	return em, chunks, nil
 }
 
 // Kr computes the paper's K_r for the single start offset r (0-based):

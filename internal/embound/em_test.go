@@ -2,6 +2,8 @@ package embound_test
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 
 	"permine/internal/combinat"
@@ -195,6 +197,21 @@ func TestLambdaPrime(t *testing.T) {
 	}
 }
 
+// dfsEm is the reference e_m: the per-start DFS maximum of K_r, with 0
+// degraded to 1 as Em's contract says.
+func dfsEm(t *testing.T, s *seq.Sequence, g combinat.Gap, m int) int64 {
+	t.Helper()
+	var want int64
+	for r := 0; r < s.Len(); r++ {
+		kr, err := embound.Kr(s, g, m, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = max(want, kr)
+	}
+	return max(want, 1)
+}
+
 // TestEmSweepMatchesDFS: the suffix-sharing sweep must equal the naive
 // per-start DFS maximum of K_r on assorted sequences and gaps.
 func TestEmSweepMatchesDFS(t *testing.T) {
@@ -218,25 +235,125 @@ func TestEmSweepMatchesDFS(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var want int64
-				for r := 0; r < s.Len(); r++ {
-					kr, err := embound.Kr(s, g, m, r)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if kr > want {
-						want = kr
-					}
-				}
-				if want == 0 {
-					want = 1 // Em degrades 0 to 1 by contract
-				}
-				if em != want {
+				if want := dfsEm(t, s, g, m); em != want {
 					t.Errorf("%s g=%v m=%d: sweep e_m=%d, DFS max K_r=%d", s.Name(), g, m, em, want)
 				}
 			}
 		}
 	}
+}
+
+// TestEmWorkersMatchesDFS: the split sweep equals the DFS reference for
+// every worker count, on inputs long enough to split into several chunks
+// and on inputs shorter than one chunk's warm-up (down to L = 1).
+// GOMAXPROCS is raised so four workers really run four chunks.
+func TestEmWorkersMatchesDFS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var seqs []*seq.Sequence
+	for i, L := range []int{400, 777, 1500} {
+		s, err := gen.GenomeLike(L, uint64(20+i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, s)
+	}
+	b, err := gen.BacterialLike(1000, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqs = append(seqs, b)
+	for _, L := range []int{1, 2, 7, 30, 60} {
+		s, err := gen.GenomeLike(L, uint64(L))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, s)
+	}
+	for _, s := range seqs {
+		for _, g := range []combinat.Gap{{N: 1, M: 3}, {N: 9, M: 12}, {N: 9, M: 16}} {
+			for m := 1; m <= 4; m++ {
+				want := dfsEm(t, s, g, m)
+				for workers := 1; workers <= 4; workers++ {
+					em, chunks, err := embound.EmWorkers(s, g, m, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if em != want {
+						t.Errorf("L=%d g=%v m=%d workers=%d: e_m=%d, DFS max K_r=%d",
+							s.Len(), g, m, workers, em, want)
+					}
+					wantChunks := max(1, min(workers, s.Len()/(2*m*(g.M+1))))
+					if chunks != wantChunks {
+						t.Errorf("L=%d g=%v m=%d workers=%d: %d chunks, want %d",
+							s.Len(), g, m, workers, chunks, wantChunks)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestEmWorkersPlantedRun pins e_m = W^m to one start p*: a run of A's
+// covering exactly the positions p*+N+1 .. p*+m(M+1) in an A-free
+// background, so only K_p* reaches W^m and its last path ends m(M+1)
+// positions right of p*. Sliding p* over the whole sequence puts it just
+// left of every chunk boundary, where a warm-up one position short
+// would lose that path.
+func TestEmWorkersPlantedRun(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const L, m = 400, 3
+	g := combinat.Gap{N: 1, M: 3}
+	bg, err := gen.Weighted(seq.DNA, "bg", L, []float64{0, 1, 1, 1}, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := int64(math.Pow(float64(g.W()), m))
+	for ps := 0; ps+m*(g.M+1) < L; ps++ {
+		data := []byte(bg.Data())
+		for q := ps + g.N + 1; q <= ps+m*(g.M+1); q++ {
+			data[q] = 'A'
+		}
+		s, err := seq.NewDNA("planted", string(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for workers := 1; workers <= 4; workers++ {
+			if em, _, err := embound.EmWorkers(s, g, m, workers); err != nil || em != want {
+				t.Fatalf("p*=%d workers=%d: e_m=%d (err %v), want W^m=%d", ps, workers, em, err, want)
+			}
+		}
+	}
+}
+
+// TestEmWorkersConcurrent calls the split sweep from several goroutines
+// at once; run it under -race. Each call owns its scratch, so every
+// caller must see the one-worker answer.
+func TestEmWorkersConcurrent(t *testing.T) {
+	s, err := gen.GenomeLike(2000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 9, M: 12}
+	want, err := embound.Em(s, g, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func(workers int) {
+			defer wg.Done()
+			em, _, err := embound.EmWorkers(s, g, 6, workers)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if em != want {
+				t.Errorf("workers=%d: e_m=%d, want %d", workers, em, want)
+			}
+		}(i%3 + 2)
+	}
+	wg.Wait()
 }
 
 // TestEmProteinFallbackPaths exercises the large-code-space paths: the
@@ -254,20 +371,7 @@ func TestEmProteinFallbackPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
-	for r := 0; r < s.Len(); r++ {
-		kr, err := embound.Kr(s, g, 6, r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kr > want {
-			want = kr
-		}
-	}
-	if want == 0 {
-		want = 1
-	}
-	if em != want {
+	if want := dfsEm(t, s, g, 6); em != want {
 		t.Errorf("merge sweep e_m=%d, DFS max K_r=%d", em, want)
 	}
 	if em < 1 || em > int64(math.Pow(float64(g.W()), 6)) {

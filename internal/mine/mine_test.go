@@ -342,25 +342,31 @@ func TestEnumerateBudget(t *testing.T) {
 	}
 }
 
-// TestWorkersDeterminism: multi-worker candidate counting returns the same
-// result as sequential.
+// TestWorkersDeterminism: multi-worker candidate counting, and MPPm's
+// split e_m sweep, return the same result as sequential.
 func TestWorkersDeterminism(t *testing.T) {
 	s, err := gen.BacterialLike(400, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p := core.Params{Gap: combinat.Gap{N: 1, M: 3}, MinSupport: 0.0008, MaxLen: 6}
-	seqRes, err := mine.MPP(s, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Workers = 4
-	parRes, err := mine.MPP(s, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(seqRes.Patterns) != fmt.Sprint(parRes.Patterns) {
-		t.Error("worker pool changed the mining result")
+	for _, algo := range []func(*seq.Sequence, core.Params) (*core.Result, error){mine.MPP, mine.MPPm} {
+		p.Workers = 1
+		seqRes, err := algo(s, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Workers = 4
+		parRes, err := algo(s, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seqRes.Em != parRes.Em || seqRes.N != parRes.N {
+			t.Errorf("%s: workers moved e_m/n: %d/%d vs %d/%d", seqRes.Algorithm, seqRes.Em, seqRes.N, parRes.Em, parRes.N)
+		}
+		if fmt.Sprint(seqRes.Patterns) != fmt.Sprint(parRes.Patterns) {
+			t.Errorf("%s: worker pool changed the mining result", seqRes.Algorithm)
+		}
 	}
 }
 
@@ -410,6 +416,7 @@ func TestParamValidation(t *testing.T) {
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, MaxLen: -2},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, EmOrder: -1},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, Workers: -3},
+		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, Workers: 1 << 20},
 		{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.1, CandidateBudget: -9},
 	}
 	for i, p := range bad {

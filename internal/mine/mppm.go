@@ -6,6 +6,7 @@ import (
 	"permine/internal/combinat"
 	"permine/internal/core"
 	"permine/internal/embound"
+	"permine/internal/obs"
 	"permine/internal/pil"
 	"permine/internal/seq"
 )
@@ -28,7 +29,13 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		return nil, err
 	}
 
-	em, err := embound.Em(s, p.Gap, p.EmOrder)
+	// e_m decides n, so the run's own trace records it.
+	_, emSpan := obs.Start(p.Context(), "mine.em", obs.KV("m", p.EmOrder))
+	em, chunks, err := embound.EmWorkers(s, p.Gap, p.EmOrder, p.Workers)
+	emSpan.SetAttr("e_m", em)
+	emSpan.SetAttr("chunks", chunks)
+	emSpan.RecordError(err)
+	emSpan.End()
 	if err != nil {
 		return nil, err
 	}

@@ -649,7 +649,6 @@ func (m *Manager) runJob(j *Job) {
 	// worker's slab growth feeds one shared high-water mark, and Release
 	// returns the run's retained bytes once the run is over.
 	tracker := m.cfg.Governor.Acquire()
-	defer m.cfg.Governor.Release(tracker)
 	p.Mem = tracker
 	p.Progress = func(lm core.LevelMetrics) {
 		seq := j.addLevel(lm)
@@ -667,6 +666,9 @@ func (m *Manager) runJob(j *Job) {
 	start := time.Now()
 	res, err := m.mineJob(runCtx, j, p)
 	elapsed := time.Since(start)
+	// Release before the job reads as terminal, so a client that sees it
+	// finish and submits again is not shed for this run's bytes.
+	m.cfg.Governor.Release(tracker)
 
 	final, result, note, jobErr := j.outcome(res, err)
 	// A done result enters the cache before the job reads as terminal, so
@@ -698,6 +700,12 @@ func (m *Manager) runJob(j *Job) {
 		out.Error = j.err.Error()
 	}
 	finalErr := j.err
+	// Journal the outcome before the job reads as terminal, so a job a
+	// client saw finish is never requeued by a restart. A Cancel racing
+	// this waits on j.mu and then finds the job finished.
+	_, persistSpan := obs.Start(runCtx, "job.persist", obs.KV("job", j.id))
+	m.cfg.Store.AppendOutcome(j.id, out)
+	persistSpan.End()
 	j.mu.Unlock()
 
 	runSpan.SetAttr("state", string(final))
@@ -706,9 +714,6 @@ func (m *Manager) runJob(j *Job) {
 		runSpan.SetAttr("levels", len(res.Levels))
 	}
 	runSpan.RecordError(finalErr)
-	_, persistSpan := obs.Start(runCtx, "job.persist", obs.KV("job", j.id))
-	m.cfg.Store.AppendOutcome(j.id, out)
-	persistSpan.End()
 	runSpan.End()
 	m.transition(nil, JobRunning, final)
 	if m.cfg.Metrics != nil && (final == JobDone || final == JobFailed) {

@@ -258,6 +258,7 @@ func TestSubmitValidationHTTP(t *testing.T) {
 		{"unknown algorithm", `{"algorithm":"quantum","params":{"gap_min":1,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGT"}}`},
 		{"inverted gap", `{"algorithm":"mpp","params":{"gap_min":5,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGT"}}`},
 		{"support out of range", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":42},"sequence":{"data":"ACGT"}}`},
+		{"too many workers", `{"algorithm":"mppm","params":{"gap_min":1,"gap_max":2,"min_support":0.01,"workers":1048576},"sequence":{"data":"ACGT"}}`},
 		{"missing sequence", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01}}`},
 		{"bad symbols", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGZ"}}`},
 		{"both sequence and fasta", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGT"},"fasta":">x\nACGT"}`},

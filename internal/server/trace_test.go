@@ -75,12 +75,13 @@ func attrValue(sd obs.SpanData, key string) (any, bool) {
 
 // TestTraceEndToEnd submits a job under an explicit X-Request-Id and
 // asserts the whole span chain — http.request → job.submit → job.queue /
-// job.run → job.persist, plus internal/mine's per-level spans with
-// pruning counters — lands in one trace, queryable over the API.
+// job.run → job.persist, plus internal/mine's e_m span and per-level
+// spans with pruning counters — lands in one trace, queryable over the
+// API.
 func TestTraceEndToEnd(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	const reqID = "trace-e2e-0001"
-	jobID, echoed := submitTraced(t, ts.URL, reqID, jobBody(t, "mpp", genomeSeq(t, 400, 7).Data()))
+	jobID, echoed := submitTraced(t, ts.URL, reqID, jobBody(t, "mppm", genomeSeq(t, 400, 7).Data()))
 	if echoed != reqID {
 		t.Fatalf("X-Request-Id echoed %q, want %q", echoed, reqID)
 	}
@@ -93,7 +94,7 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 
 	byName := spansByName(t, srv.Traces(), reqID,
-		[]string{"http.request", "job.submit", "job.queue", "job.run", "job.persist", "mine.level"})
+		[]string{"http.request", "job.submit", "job.queue", "job.run", "job.persist", "mine.em", "mine.level"})
 
 	// Parenting: submit under the request, queue and run under submit,
 	// persist and the mining levels under run.
@@ -110,6 +111,15 @@ func TestTraceEndToEnd(t *testing.T) {
 	}
 	if p := byName["job.persist"][0]; p.ParentID != run.SpanID {
 		t.Errorf("job.persist parent = %q, want job.run %q", p.ParentID, run.SpanID)
+	}
+	em := byName["mine.em"][0]
+	if em.ParentID != run.SpanID {
+		t.Errorf("mine.em parent = %q, want job.run %q", em.ParentID, run.SpanID)
+	}
+	for _, key := range []string{"m", "e_m", "chunks"} {
+		if _, ok := attrValue(em, key); !ok {
+			t.Errorf("mine.em span missing attr %q", key)
+		}
 	}
 	levels := byName["mine.level"]
 	wantLevels := len(final["progress"].([]any))

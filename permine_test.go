@@ -283,6 +283,9 @@ func TestFacadeWrappers(t *testing.T) {
 	if err != nil || em < 1 {
 		t.Errorf("Em = %d, %v", em, err)
 	}
+	if _, err := permine.MPPm(w, permine.Params{Gap: g, MinSupport: 0.01, Workers: 1 << 20}); err == nil {
+		t.Error("MPPm accepted Workers = 1<<20")
+	}
 	res, err := permine.Enumerate(w, permine.Params{Gap: g, MinSupport: 0.01, CandidateBudget: 1 << 18})
 	if err != nil && !strings.Contains(err.Error(), "budget") {
 		t.Fatal(err)

@@ -46,13 +46,15 @@ if [ -n "${BENCH_PATTERN:-}" ] || [ -n "${BENCH_TIME:-}" ]; then
 else
     # Fixed-iteration groups: "pattern  iterations  package". Iteration
     # counts are sized to ~0.1-2s per benchmark on the reference machine.
-    # EmOrder8 only: the m=10 and Ablation variants are too noisy to
-    # regression-gate at these budgets.
+    # EmOrder8 (one worker) and EmWideGap (split over GOMAXPROCS) only:
+    # the m=10 and Ablation variants are too noisy to regression-gate at
+    # these budgets.
     groups='
 BenchmarkPILJoin$       100000x .
 BenchmarkScanK$         500x    .
 BenchmarkSupport$       1000x   .
 BenchmarkEmOrder8$      10x     .
+BenchmarkEmWideGap$     10x     .
 BenchmarkMineLevel$     100x    ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
 BenchmarkMineE2E$       5x      ./internal/mine
