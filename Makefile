@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/seq/
+	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/frame/ ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/seq/
 
 # The full pre-merge gate: build, vet, tests, the race detector over
 # the concurrent packages, a short fuzz pass over the PIL invariants,
@@ -52,15 +52,15 @@ overload-check:
 	sh scripts/overload-check.sh
 
 # Short fuzz pass over the PIL list invariants (Join window semantics,
-# Merge support conservation, arena/heap join equivalence) and the cluster
-# wire-protocol frame decoder. Go allows one -fuzz target per invocation,
-# hence the separate runs.
+# Merge support conservation, arena/heap join equivalence) and the frame
+# codec that WAL replay and the cluster wire protocol share. Go allows one
+# -fuzz target per invocation, hence the separate runs.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/cluster/ -run '^$$' -fuzz 'FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/frame/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime $(FUZZTIME)
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md).
 experiments:

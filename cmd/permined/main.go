@@ -87,7 +87,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		memGlobal    = fs.Int64("mem-global", 0, "process-wide mining memory ceiling in bytes (0 = unlimited); nearing it browns out expensive job classes")
 		brownoutPct  = fs.Int("brownout-pct", 85, "percent of -mem-global at which brownout shedding starts")
 		dataDir      = fs.String("data-dir", "", "journal jobs here and recover them on restart (empty = in-memory only)")
-		compactBytes = fs.Int64("compact-bytes", 4<<20, "journal size triggering snapshot compaction")
+		compactBytes = fs.Int64("compact-bytes", 4<<20, "journal size triggering compaction")
 		retryBudget  = fs.Int("retry-budget", 3, "re-executions allowed for a job interrupted by crashes")
 		retryBackoff = fs.Duration("retry-backoff", 500*time.Millisecond, "delay before a recovered job re-runs (doubles per attempt)")
 		shardTimeout = fs.Duration("shard-timeout", 2*time.Minute, "per-shard deadline for corpus jobs")

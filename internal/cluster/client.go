@@ -11,12 +11,20 @@ import (
 	"time"
 
 	"permine/internal/obs"
+	"permine/internal/retry"
 )
 
 // Peer RPC endpoints, served by every permined node regardless of role.
 const (
 	heartbeatPath = "/v1/cluster/heartbeat"
 	minePath      = "/v1/cluster/mine"
+)
+
+// A mining RPC that fails in transport is retransmitted rpcRetries times,
+// waiting retry.Backoff(rpcBackoff, time.Second, attempt) before each.
+const (
+	rpcRetries = 2
+	rpcBackoff = 50 * time.Millisecond
 )
 
 // RPC errors.
@@ -103,14 +111,14 @@ func (c *Cluster) MineRemote(ctx context.Context, addr string, req MineRequest) 
 	}
 
 	var lastErr error
-	for attempt := 0; attempt <= c.cfg.RPCRetries; attempt++ {
+	for attempt := 0; attempt <= rpcRetries; attempt++ {
 		if attempt > 0 {
-			// Short linear backoff between retransmissions; the shard-level
-			// retry budget owns the long backoffs.
+			// Short backoff between retransmissions; the shard-level retry
+			// budget owns the long backoffs.
 			select {
 			case <-callCtx.Done():
 				return nil, nil, rpcContextError(ctx, peerCtx, callCtx)
-			case <-time.After(time.Duration(attempt) * 50 * time.Millisecond):
+			case <-time.After(retry.Backoff(rpcBackoff, time.Second, attempt)):
 			}
 		}
 		reply, err := c.call(callCtx, addr, minePath, msg, req.Trace())
@@ -149,7 +157,7 @@ func (c *Cluster) MineRemote(ctx context.Context, addr string, req MineRequest) 
 		}
 	}
 	return nil, nil, fmt.Errorf("cluster: mine on %s failed after %d attempts: %w",
-		addr, c.cfg.RPCRetries+1, lastErr)
+		addr, rpcRetries+1, lastErr)
 }
 
 // rpcContextError distinguishes why a call context died: the peer being

@@ -58,25 +58,15 @@ type Config struct {
 	Self string
 	// Peers are the base URLs of the other nodes (e.g. "http://10.0.0.2:7066").
 	Peers []string
-	// Heartbeat is the base probe interval; each probe waits a jittered
-	// interval in [3/4·Heartbeat, 5/4·Heartbeat) so a fleet of
-	// coordinators cannot synchronise into probe storms. Default 1s.
+	// Heartbeat is the base probe interval and the deadline of one probe
+	// RPC; each probe waits a jittered interval in [3/4·Heartbeat,
+	// 5/4·Heartbeat) so a fleet of coordinators cannot synchronise into
+	// probe storms. Default 1s.
 	Heartbeat time.Duration
-	// Timeout bounds one heartbeat RPC. Default: Heartbeat.
-	Timeout time.Duration
 	// SuspectAfter / DeadAfter are the consecutive-failure thresholds for
 	// Alive→Suspect and →Dead. Defaults 2 and 4.
 	SuspectAfter int
 	DeadAfter    int
-	// StealMargin is the load gap (outstanding RPCs + reported queue
-	// depth) at which a placement is diverted from the ring owner to the
-	// least-loaded member. 0 uses the default of 2; negative disables
-	// stealing.
-	StealMargin int
-	// Vnodes per node on the hash ring; 0 uses the default (64).
-	Vnodes int
-	// RPCRetries bounds retransmissions of one mining RPC. Default 2.
-	RPCRetries int
 	// Transport issues the HTTP requests; nil uses http.DefaultTransport
 	// via a plain client.
 	Transport Doer
@@ -96,9 +86,6 @@ func (c Config) withDefaults() Config {
 	if c.Heartbeat <= 0 {
 		c.Heartbeat = time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = c.Heartbeat
-	}
 	if c.SuspectAfter <= 0 {
 		c.SuspectAfter = 2
 	}
@@ -107,12 +94,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DeadAfter < c.SuspectAfter {
 		c.DeadAfter = c.SuspectAfter
-	}
-	if c.StealMargin == 0 {
-		c.StealMargin = 2
-	}
-	if c.RPCRetries <= 0 {
-		c.RPCRetries = 2
 	}
 	if c.Transport == nil {
 		c.Transport = &http.Client{}
@@ -228,7 +209,7 @@ func (c *Cluster) jitteredInterval() time.Duration {
 }
 
 func (c *Cluster) probe(addr string) {
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Timeout)
+	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.Heartbeat)
 	defer cancel()
 	pong, err := c.heartbeat(ctx, addr)
 	select {
@@ -336,7 +317,7 @@ func (c *Cluster) rebuildRingLocked() {
 		}
 	}
 	sort.Strings(members)
-	c.ring = newRing(members, c.cfg.Vnodes)
+	c.ring = newRing(members)
 }
 
 // Ready reports whether the peer set is resolved: every configured peer
@@ -385,10 +366,15 @@ type Placement struct {
 	Stolen bool
 }
 
+// stealMargin is the load gap (outstanding RPCs + reported queue depth +
+// memory-pressure penalty) at which a placement is diverted from the ring
+// owner to the least-loaded member.
+const stealMargin = 2
+
 // Place decides where work identified by key (the sequence content hash,
 // so placement follows the result cache) should run. The ring owner wins
 // unless its load exceeds the least-loaded member's by at least
-// StealMargin, in which case the least-loaded member steals the work.
+// stealMargin, in which case the least-loaded member steals the work.
 // With no alive peers everything runs locally.
 func (c *Cluster) Place(key []byte) Placement {
 	c.mu.Lock()
@@ -396,9 +382,6 @@ func (c *Cluster) Place(key []byte) Placement {
 	owner := c.ring.owner(key)
 	if owner == "" {
 		return Placement{}
-	}
-	if c.cfg.StealMargin < 0 {
-		return c.placementLocked(owner, false)
 	}
 	// Work stealing: compare the owner's load against the least-loaded
 	// ring member.
@@ -408,7 +391,7 @@ func (c *Cluster) Place(key []byte) Placement {
 			best, bestLoad = m, l
 		}
 	}
-	if best != owner && c.loadLocked(owner) >= bestLoad+c.cfg.StealMargin {
+	if best != owner && c.loadLocked(owner) >= bestLoad+stealMargin {
 		return c.placementLocked(best, true)
 	}
 	return c.placementLocked(owner, false)

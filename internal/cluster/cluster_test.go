@@ -252,10 +252,9 @@ func TestPlaceExcludesUnhealthyPeers(t *testing.T) {
 func TestWorkStealing(t *testing.T) {
 	peers := []string{"http://peer-a:1", "http://peer-b:1"}
 	c := New(Config{
-		Self:        "http://self:1",
-		Peers:       peers,
-		StealMargin: 2,
-		Transport:   failDoer(),
+		Self:      "http://self:1",
+		Peers:     peers,
+		Transport: failDoer(),
 	})
 	defer c.Stop()
 	alivePeers(t, c, peers...)
@@ -329,7 +328,7 @@ func TestMineRemoteRetriesTransportErrors(t *testing.T) {
 	})
 	c := New(Config{
 		Self: "http://self:1", Peers: []string{peerAddr},
-		RPCRetries: 2, SuspectAfter: 10, DeadAfter: 20,
+		SuspectAfter: 10, DeadAfter: 20,
 		Transport: doer,
 	})
 	defer c.Stop()
@@ -361,7 +360,7 @@ func TestMineRemoteExhaustsRetryBudget(t *testing.T) {
 	})
 	c := New(Config{
 		Self: "http://self:1", Peers: []string{peerAddr},
-		RPCRetries: 2, SuspectAfter: 10, DeadAfter: 20,
+		SuspectAfter: 10, DeadAfter: 20,
 		Transport: doer,
 	})
 	defer c.Stop()

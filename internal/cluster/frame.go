@@ -7,50 +7,37 @@
 // work of a dead node onto survivors through the corpus engine's existing
 // per-shard retry budget and backoff.
 //
-// Peer RPC rides plain HTTP POSTs whose bodies are length-prefixed
-// CRC32-framed JSON messages — the same framing discipline as the WAL
-// journal, for the same reason: a truncated or corrupted peer response
-// must be detected, never half-decoded. Every remote call is bounded by
-// the caller's context deadline, retried a bounded number of times, and
-// panic-isolated, so a flaky peer degrades the job instead of wedging it.
+// Peer RPC rides plain HTTP POSTs whose bodies are one JSON Message in an
+// internal/frame frame — the codec the WAL journal uses, for the same
+// reason: a truncated or corrupted peer response must be detected, never
+// half-decoded. Every remote call is bounded by the caller's context
+// deadline, retried a bounded number of times with the shared
+// retry.Backoff, and panic-isolated, so a flaky peer degrades the job
+// instead of wedging it.
 package cluster
 
 import (
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
+	"permine/internal/frame"
 	"permine/internal/obs"
 )
 
-// Wire frame layout, mirroring the WAL journal's:
-//
-//	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
-//
-// where the payload is one JSON-encoded Message.
-const (
-	frameHeaderSize = 8
-	// MaxFrameBytes bounds a frame payload; anything longer is treated as
-	// corruption (or hostility), not a message. It matches the server's
-	// default request-body cap so a whole-sequence mine request fits.
-	MaxFrameBytes = 64 << 20
-)
+// MaxFrameBytes bounds a wire message's payload; anything longer is
+// treated as corruption (or hostility), not a message. It matches the
+// server's default request-body cap so a whole-sequence mine request fits.
+const MaxFrameBytes = 64 << 20
 
-// Frame decoding errors.
+// Frame errors: the internal/frame values, so a caller of ReadFrame can
+// match either name.
 var (
-	// ErrFrameTooLarge rejects a frame whose declared length exceeds the
-	// decoder's limit.
-	ErrFrameTooLarge = errors.New("cluster: frame exceeds size limit")
-	// ErrFrameChecksum rejects a frame whose payload fails its CRC.
-	ErrFrameChecksum = errors.New("cluster: frame checksum mismatch")
-	// ErrFrameTruncated rejects a frame shorter than its declared length.
-	ErrFrameTruncated = errors.New("cluster: truncated frame")
-	// ErrFrameEmpty rejects a zero-length frame.
-	ErrFrameEmpty = errors.New("cluster: empty frame")
+	ErrFrameTooLarge  = frame.ErrTooLarge
+	ErrFrameChecksum  = frame.ErrChecksum
+	ErrFrameTruncated = frame.ErrTruncated
+	ErrFrameEmpty     = frame.ErrEmpty
 )
 
 // Message is one wire-protocol message: a type tag plus a JSON body.
@@ -75,61 +62,22 @@ func NewMessage(typ string, v any) (Message, error) {
 	return msg, nil
 }
 
-// EncodeFrame renders the message as one framed payload.
+// EncodeFrame renders the message as one frame.
 func EncodeFrame(msg Message) ([]byte, error) {
 	payload, err := json.Marshal(msg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: marshalling frame: %w", err)
 	}
-	if len(payload) > MaxFrameBytes {
-		return nil, ErrFrameTooLarge
-	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-	return frame, nil
-}
-
-// DecodeFrame decodes one framed message from the front of b, returning
-// the bytes consumed. max bounds the accepted payload length (0 means
-// MaxFrameBytes). The declared length is validated before any allocation,
-// so arbitrary input cannot make the decoder allocate more than b holds.
-func DecodeFrame(b []byte, max int) (Message, int, error) {
-	if max <= 0 {
-		max = MaxFrameBytes
-	}
-	if len(b) < frameHeaderSize {
-		return Message{}, 0, ErrFrameTruncated
-	}
-	n := binary.LittleEndian.Uint32(b[0:4])
-	sum := binary.LittleEndian.Uint32(b[4:8])
-	switch {
-	case n == 0:
-		return Message{}, 0, ErrFrameEmpty
-	case n > uint32(max):
-		return Message{}, 0, ErrFrameTooLarge
-	case len(b)-frameHeaderSize < int(n):
-		return Message{}, 0, ErrFrameTruncated
-	}
-	payload := b[frameHeaderSize : frameHeaderSize+int(n)]
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Message{}, 0, ErrFrameChecksum
-	}
-	var msg Message
-	if err := json.Unmarshal(payload, &msg); err != nil {
-		return Message{}, 0, fmt.Errorf("cluster: decoding frame payload: %w", err)
-	}
-	return msg, frameHeaderSize + int(n), nil
+	return frame.Append(nil, payload, MaxFrameBytes)
 }
 
 // WriteFrame writes the message as one frame.
 func WriteFrame(w io.Writer, msg Message) error {
-	frame, err := EncodeFrame(msg)
+	b, err := EncodeFrame(msg)
 	if err != nil {
 		return err
 	}
-	_, err = w.Write(frame)
+	_, err = w.Write(b)
 	return err
 }
 
@@ -141,27 +89,9 @@ func ReadFrame(r io.Reader, max int) (Message, error) {
 	if max <= 0 {
 		max = MaxFrameBytes
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return Message{}, ErrFrameTruncated
-		}
+	payload, err := frame.Read(r, max)
+	if err != nil {
 		return Message{}, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[0:4])
-	sum := binary.LittleEndian.Uint32(hdr[4:8])
-	switch {
-	case n == 0:
-		return Message{}, ErrFrameEmpty
-	case n > uint32(max):
-		return Message{}, ErrFrameTooLarge
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Message{}, ErrFrameTruncated
-	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		return Message{}, ErrFrameChecksum
 	}
 	var msg Message
 	if err := json.Unmarshal(payload, &msg); err != nil {

@@ -4,28 +4,29 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
+
+	"permine/internal/frame"
 )
+
+// The byte-level codec (every error class, exact consumption, the fuzz
+// target WAL replay and this package share) is tested in internal/frame;
+// these tests pin the Message layer on top of it.
 
 func TestFrameRoundTrip(t *testing.T) {
 	msg, err := NewMessage("ping", Ping{From: "http://a:1"})
 	if err != nil {
 		t.Fatalf("NewMessage: %v", err)
 	}
-	frame, err := EncodeFrame(msg)
+	b, err := EncodeFrame(msg)
 	if err != nil {
 		t.Fatalf("EncodeFrame: %v", err)
 	}
-
-	got, n, err := DecodeFrame(frame, 0)
+	got, err := ReadFrame(bytes.NewReader(b), 0)
 	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
-	}
-	if n != len(frame) {
-		t.Fatalf("DecodeFrame consumed %d bytes, frame is %d", n, len(frame))
+		t.Fatalf("ReadFrame: %v", err)
 	}
 	if got.Type != "ping" || !bytes.Equal(got.Body, msg.Body) {
 		t.Fatalf("round trip mismatch: %+v vs %+v", got, msg)
@@ -35,6 +36,9 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WriteFrame(&buf, msg); err != nil {
 		t.Fatalf("WriteFrame: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), b) {
+		t.Fatal("WriteFrame and EncodeFrame disagree")
 	}
 	got2, err := ReadFrame(&buf, 0)
 	if err != nil {
@@ -47,74 +51,62 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameRejectsCorruption(t *testing.T) {
 	msg, _ := NewMessage("pong", Pong{Node: "n-1", Ready: true, QueueDepth: 3})
-	frame, err := EncodeFrame(msg)
+	b, err := EncodeFrame(msg)
 	if err != nil {
 		t.Fatalf("EncodeFrame: %v", err)
 	}
+	read := func(in []byte, max int) error {
+		_, err := ReadFrame(bytes.NewReader(in), max)
+		return err
+	}
 
 	t.Run("flipped payload byte", func(t *testing.T) {
-		bad := bytes.Clone(frame)
+		bad := bytes.Clone(b)
 		bad[len(bad)-1] ^= 0x40
-		if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrFrameChecksum) {
+		if err := read(bad, 0); !errors.Is(err, ErrFrameChecksum) {
 			t.Fatalf("want ErrFrameChecksum, got %v", err)
-		}
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameChecksum) {
-			t.Fatalf("stream: want ErrFrameChecksum, got %v", err)
 		}
 	})
 
 	t.Run("truncated payload", func(t *testing.T) {
-		bad := frame[:len(frame)-2]
-		if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrFrameTruncated) {
+		if err := read(b[:len(b)-2], 0); !errors.Is(err, ErrFrameTruncated) {
 			t.Fatalf("want ErrFrameTruncated, got %v", err)
-		}
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameTruncated) {
-			t.Fatalf("stream: want ErrFrameTruncated, got %v", err)
 		}
 	})
 
 	t.Run("truncated header", func(t *testing.T) {
-		if _, _, err := DecodeFrame(frame[:5], 0); !errors.Is(err, ErrFrameTruncated) {
+		if err := read(b[:5], 0); !errors.Is(err, ErrFrameTruncated) {
 			t.Fatalf("want ErrFrameTruncated, got %v", err)
-		}
-		if _, err := ReadFrame(bytes.NewReader(frame[:5]), 0); !errors.Is(err, ErrFrameTruncated) {
-			t.Fatalf("stream: want ErrFrameTruncated, got %v", err)
 		}
 	})
 
 	t.Run("oversized declared length", func(t *testing.T) {
-		bad := bytes.Clone(frame)
+		bad := bytes.Clone(b)
 		binary.LittleEndian.PutUint32(bad[0:4], 1<<30)
-		if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrFrameTooLarge) {
+		// The decoder must reject before allocating the payload.
+		if err := read(bad, 0); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("want ErrFrameTooLarge, got %v", err)
-		}
-		// The stream decoder must reject before allocating the payload.
-		if _, err := ReadFrame(bytes.NewReader(bad), 0); !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("stream: want ErrFrameTooLarge, got %v", err)
 		}
 	})
 
 	t.Run("over caller limit", func(t *testing.T) {
-		if _, _, err := DecodeFrame(frame, 4); !errors.Is(err, ErrFrameTooLarge) {
+		if err := read(b, 4); !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("want ErrFrameTooLarge, got %v", err)
 		}
 	})
 
 	t.Run("zero length", func(t *testing.T) {
-		bad := make([]byte, frameHeaderSize)
-		if _, _, err := DecodeFrame(bad, 0); !errors.Is(err, ErrFrameEmpty) {
+		if err := read(make([]byte, frame.HeaderSize), 0); !errors.Is(err, ErrFrameEmpty) {
 			t.Fatalf("want ErrFrameEmpty, got %v", err)
 		}
 	})
 
 	t.Run("non-json payload", func(t *testing.T) {
-		payload := []byte("not json")
-		bad := make([]byte, frameHeaderSize+len(payload))
-		binary.LittleEndian.PutUint32(bad[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(bad[4:8], crc32.ChecksumIEEE(payload))
-		copy(bad[frameHeaderSize:], payload)
-		if _, _, err := DecodeFrame(bad, 0); err == nil ||
-			!strings.Contains(err.Error(), "decoding frame payload") {
+		bad, err := frame.Append(nil, []byte("not json"), MaxFrameBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := read(bad, 0); err == nil || !strings.Contains(err.Error(), "decoding frame payload") {
 			t.Fatalf("want payload decode error, got %v", err)
 		}
 	})
@@ -126,18 +118,20 @@ func TestReadFrameEOF(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameConsumesExactly: ReadFrame takes one message off a stream
+// and leaves the next frame intact.
 func TestDecodeFrameConsumesExactly(t *testing.T) {
 	msg1, _ := NewMessage("ping", Ping{From: "a"})
 	msg2, _ := NewMessage("pong", Pong{Node: "b"})
 	f1, _ := EncodeFrame(msg1)
 	f2, _ := EncodeFrame(msg2)
-	joined := append(bytes.Clone(f1), f2...)
+	r := bytes.NewReader(append(bytes.Clone(f1), f2...))
 
-	got1, n, err := DecodeFrame(joined, 0)
+	got1, err := ReadFrame(r, 0)
 	if err != nil {
 		t.Fatalf("first frame: %v", err)
 	}
-	got2, _, err := DecodeFrame(joined[n:], 0)
+	got2, err := ReadFrame(r, 0)
 	if err != nil {
 		t.Fatalf("second frame: %v", err)
 	}

@@ -6,10 +6,10 @@ import (
 	"sort"
 )
 
-// defaultVnodes is how many virtual points each node contributes to the
-// hash ring. 64 keeps the load split within a few percent of even for
-// small fleets while keeping ring rebuilds (on membership change) cheap.
-const defaultVnodes = 64
+// vnodes is how many virtual points each node contributes to the hash
+// ring. 64 keeps the load split within a few percent of even for small
+// fleets while keeping ring rebuilds (on membership change) cheap.
+const vnodes = 64
 
 // ring is an immutable consistent-hash ring. Placement hashes the key and
 // binary-searches for the first vnode at or after it (wrapping). Because
@@ -25,13 +25,9 @@ type ringPoint struct {
 	node string
 }
 
-// newRing builds a ring over the given node addresses. vnodes <= 0 uses
-// the default. Duplicate addresses are collapsed by construction (their
-// vnode points coincide).
-func newRing(nodes []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
-	}
+// newRing builds a ring over the given node addresses. Duplicate
+// addresses are collapsed by construction (their vnode points coincide).
+func newRing(nodes []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(nodes)*vnodes)}
 	for _, node := range nodes {
 		for i := 0; i < vnodes; i++ {

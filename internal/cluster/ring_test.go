@@ -8,8 +8,8 @@ import (
 
 func TestRingDeterministic(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r1 := newRing(nodes, 0)
-	r2 := newRing([]string{"http://c:1", "http://a:1", "http://b:1"}, 0)
+	r1 := newRing(nodes)
+	r2 := newRing([]string{"http://c:1", "http://a:1", "http://b:1"})
 	for i := 0; i < 200; i++ {
 		key := sha256.Sum256([]byte(fmt.Sprintf("seq-%d", i)))
 		if o1, o2 := r1.owner(key[:]), r2.owner(key[:]); o1 != o2 {
@@ -20,7 +20,7 @@ func TestRingDeterministic(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
-	r := newRing(nodes, 0)
+	r := newRing(nodes)
 	counts := make(map[string]int)
 	const keys = 3000
 	for i := 0; i < keys; i++ {
@@ -40,8 +40,8 @@ func TestRingSpreadsLoad(t *testing.T) {
 // nodes keep their keys, which is what keeps their result caches warm
 // through a membership change.
 func TestRingStableUnderMembershipChange(t *testing.T) {
-	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"}, 0)
-	reduced := newRing([]string{"http://a:1", "http://c:1"}, 0)
+	full := newRing([]string{"http://a:1", "http://b:1", "http://c:1"})
+	reduced := newRing([]string{"http://a:1", "http://c:1"})
 	moved := 0
 	const keys = 2000
 	for i := 0; i < keys; i++ {
@@ -64,10 +64,10 @@ func TestRingStableUnderMembershipChange(t *testing.T) {
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	if o := newRing(nil, 0).owner([]byte("k")); o != "" {
+	if o := newRing(nil).owner([]byte("k")); o != "" {
 		t.Fatalf("empty ring owner = %q, want \"\"", o)
 	}
-	solo := newRing([]string{"http://a:1"}, 0)
+	solo := newRing([]string{"http://a:1"})
 	for i := 0; i < 50; i++ {
 		if o := solo.owner([]byte(fmt.Sprintf("k%d", i))); o != "http://a:1" {
 			t.Fatalf("single-node ring owner = %q", o)

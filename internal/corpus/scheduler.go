@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand/v2"
 	"time"
 
 	"permine/internal/core"
 	"permine/internal/obs"
+	"permine/internal/retry"
 )
 
 // Runner mines one shard. The engine has already applied the shard
@@ -263,7 +263,7 @@ func (e *Engine) attempt(j *Job, s *Shard) {
 		// claim stays bounded even while every shard is retrying.
 		s.state = ShardRetrying
 		s.err = err
-		delay := Backoff(e.cfg.RetryBackoff, e.cfg.MaxBackoff, attempt)
+		delay := retry.Backoff(e.cfg.RetryBackoff, e.cfg.MaxBackoff, attempt)
 		j.mu.Unlock()
 		e.cfg.Logger.Warn("corpus shard retrying",
 			"job", j.id, "shard", s.index, "attempt", attempt, "delay", delay, "err", err)
@@ -401,24 +401,4 @@ func (e *Engine) runShard(j *Job, s *Shard, attempt int) (res *core.Result, err 
 		}
 	}
 	return e.cfg.Run(runCtx, j, s)
-}
-
-// Backoff returns the jittered delay before the retry that follows the
-// given failed attempt (1-based): base·2^(attempt−1) capped at ceiling,
-// then jittered uniformly into [d/2, d) so many failing retries spread out
-// instead of retrying in lockstep. A delay too small to halve is returned
-// as is. The corpus engine and the server's crash recovery share it.
-func Backoff(base, ceiling time.Duration, attempt int) time.Duration {
-	d := base
-	for i := 1; i < attempt && d < ceiling; i++ {
-		d *= 2
-	}
-	if d > ceiling {
-		d = ceiling
-	}
-	half := d / 2
-	if half <= 0 {
-		return d
-	}
-	return half + time.Duration(rand.Int64N(int64(half)))
 }

@@ -13,6 +13,7 @@ import (
 
 	"permine/internal/cluster"
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/obs"
 	"permine/internal/seq"
 	"permine/internal/server/store"
@@ -258,29 +259,11 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		defer stop()
 		ctx, span := startRun(ctx)
 		defer span.End()
-		if m.cfg.ShardDelay > 0 {
-			select {
-			case <-ctx.Done():
-				span.RecordError(ctx.Err())
-				ch <- reply{nil, ctx.Err()}
-				return
-			case <-time.After(m.cfg.ShardDelay):
-			}
-		}
-		p := np
-		p.Ctx = ctx
-		tracker := m.cfg.Governor.Acquire()
-		defer m.cfg.Governor.Release(tracker)
-		p.Mem = tracker
-		start := time.Now()
-		res, err := runAlgorithm(algo, subject, p)
+		res, err := m.mineLocal(ctx, algo, subject, np)
 		if err != nil {
 			span.RecordError(err)
 			ch <- reply{nil, err}
 			return
-		}
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ObserveMining(algo.String(), time.Since(start))
 		}
 		if m.cfg.Cache != nil {
 			m.cfg.Cache.Put(key, res)
@@ -311,32 +294,6 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 	}
 }
 
-// mineRequestFor renders a mining unit into its wire form. Params marshal
-// without their runtime-only fields (Ctx, Progress, Hooks are json:"-"),
-// so the receiver re-normalizes a clean copy. The span carried by ctx
-// (job.run for whole jobs, corpus.shard for shards) becomes the remote
-// side's trace parent, and its trace id — which is also the originating
-// X-Request-Id — rides along so both nodes' logs correlate.
-func mineRequestFor(ctx context.Context, id string, algo core.Algorithm, subject *seq.Sequence, p core.Params) (cluster.MineRequest, error) {
-	params, err := json.Marshal(p)
-	if err != nil {
-		return cluster.MineRequest{}, fmt.Errorf("encoding params: %w", err)
-	}
-	req := cluster.MineRequest{
-		Job:         id,
-		Algorithm:   algo.String(),
-		SeqName:     subject.Name(),
-		SeqAlphabet: subject.Alphabet().Name(),
-		SeqSymbols:  string(subject.Alphabet().Symbols()),
-		SeqData:     subject.Data(),
-		Params:      params,
-	}
-	if sc := obs.FromContext(ctx).Context(); sc.Valid() {
-		req.TraceID, req.ParentSpan = sc.TraceID, sc.SpanID
-	}
-	return req, nil
-}
-
 // mineJob runs one whole job's mining, consulting the cluster ring first.
 // Remote mining failures at the transport level (peer suspect, dead, or
 // flaky) degrade to a local run as long as the job context is live — a
@@ -360,115 +317,96 @@ func (m *Manager) mineJob(ctx context.Context, j *Job, p core.Params) (*core.Res
 			}
 		}
 	}
-	if err := m.shardDelay(ctx); err != nil {
-		return nil, err
-	}
-	return runAlgorithm(j.algorithm, j.seq, p)
+	return m.mineLocal(ctx, j.algorithm, j.seq, p)
 }
 
-// mineJobRemote forwards a whole job to its ring owner, journals the
-// assignment, and replays the remote result's per-level progress through
-// the job's local progress hook so SSE subscribers on this node see the
-// same stream a local run would produce.
+// mineJobRemote forwards a whole job to its ring owner and replays the
+// remote result's per-level progress through the job's progress hook, so
+// SSE subscribers on this node see the same stream a local run would
+// produce. The peer counts the mine in its own metrics.
 func (m *Manager) mineJobRemote(ctx context.Context, j *Job, p core.Params, node string) (*core.Result, error) {
-	c := m.cfg.Cluster
-	req, err := mineRequestFor(ctx, j.id, j.algorithm, j.seq, p)
-	if err != nil {
-		return nil, err
-	}
-	c.NoteForwardedJob()
-	m.cfg.Store.AppendAssign(j.id, store.AssignRecord{Shard: store.WholeJob, Node: node, At: time.Now()})
+	m.cfg.Cluster.NoteForwardedJob()
 	j.mu.Lock()
 	j.forwarded = true
 	j.note = "forwarded to cluster peer " + node
 	j.mu.Unlock()
-
-	raw, spans, err := c.MineRemote(ctx, node, req)
-	m.sinkRemoteSpans(spans)
+	res, err := m.forward(ctx, j.id, store.WholeJob, j.algorithm, j.seq, p, node)
 	if err != nil {
 		return nil, err
 	}
-	var res core.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("decoding remote result: %w", err)
+	for _, lv := range res.Levels {
+		p.Progress(lv)
 	}
-	if p.Progress != nil {
-		for _, lv := range res.Levels {
-			p.Progress(lv)
-		}
-	}
-	if m.cfg.Cache != nil {
-		m.cfg.Cache.Put(j.cacheKey, &res)
-	}
-	return &res, nil
+	return res, nil
 }
 
-// mineShardRemote forwards one corpus shard to node, journaling the
-// assignment first so a coordinator restart knows where the shard was.
-// Errors return to the corpus engine, whose per-shard retry budget and
-// jittered backoff drive the requeue; by the next attempt the health
-// checker has usually excised the dead peer from the ring, so re-placement
-// lands on a survivor.
-func (m *Manager) mineShardRemote(ctx context.Context, j *corpusJobRef, index int, key CacheKey, req cluster.MineRequest, node string, stolen bool) (*core.Result, error) {
+// mineShardRemote forwards one corpus shard to its placement. Errors
+// return to the corpus engine, whose per-shard retry budget and jittered
+// backoff drive the requeue; by the next attempt the health checker has
+// usually excised the dead peer from the ring, so re-placement lands on a
+// survivor.
+func (m *Manager) mineShardRemote(ctx context.Context, j *corpus.Job, s *corpus.Shard, p core.Params, pl cluster.Placement) (*core.Result, error) {
 	c := m.cfg.Cluster
 	c.NoteForwardedShard()
-	if stolen {
+	if pl.Stolen {
 		c.NoteShardStolen()
 	}
-	m.cfg.Store.AppendAssign(j.id, store.AssignRecord{Shard: index, Node: node, At: time.Now()})
+	res, err := m.forward(ctx, j.ID(), s.Index(), j.Algorithm(), s.Seq(), p, pl.Node)
+	var remote *cluster.RemoteError
+	if err != nil && !errors.As(err, &remote) && ctx.Err() == nil && !c.Alive(pl.Node) {
+		// Transport-level failure against a peer health now rules
+		// unplaceable: this shard is headed back to the queue because its
+		// node died under it.
+		c.NoteShardRequeued()
+	}
+	return res, err
+}
 
-	raw, spans, err := c.MineRemote(ctx, node, req)
-	m.sinkRemoteSpans(spans)
+// forward runs one mining unit on a peer and decodes its result. It
+// journals the placement first (shard is the shard index, or
+// store.WholeJob) so a coordinator restart knows where the unit was, and
+// feeds the spans the peer piggybacked on its reply into the span sink
+// (the trace ring), so GET /v1/traces/{id} here returns the assembled
+// cross-node tree.
+//
+// Params travel without their runtime-only fields (Ctx, Progress, Hooks are
+// json:"-"), so the peer re-normalizes a clean copy. The span carried by
+// ctx (job.run for whole jobs, corpus.shard for shards) becomes the peer's
+// trace parent, and its trace id — also the originating X-Request-Id —
+// rides along so both nodes' logs correlate.
+func (m *Manager) forward(ctx context.Context, id string, shard int, algo core.Algorithm, subject *seq.Sequence, p core.Params, node string) (*core.Result, error) {
+	params, err := json.Marshal(p)
 	if err != nil {
-		var remote *cluster.RemoteError
-		if !errors.As(err, &remote) && ctx.Err() == nil && !c.Alive(node) {
-			// Transport-level failure against a peer health now rules
-			// unplaceable: this shard is headed back to the queue because
-			// its node died under it.
-			c.NoteShardRequeued()
+		return nil, fmt.Errorf("encoding params: %w", err)
+	}
+	req := cluster.MineRequest{
+		Job:         id,
+		Algorithm:   algo.String(),
+		SeqName:     subject.Name(),
+		SeqAlphabet: subject.Alphabet().Name(),
+		SeqSymbols:  string(subject.Alphabet().Symbols()),
+		SeqData:     subject.Data(),
+		Params:      params,
+	}
+	if sc := obs.FromContext(ctx).Context(); sc.Valid() {
+		req.TraceID, req.ParentSpan = sc.TraceID, sc.SpanID
+	}
+	m.cfg.Store.AppendAssign(id, store.AssignRecord{Shard: shard, Node: node, At: time.Now()})
+
+	raw, spans, err := m.cfg.Cluster.MineRemote(ctx, node, req)
+	if m.cfg.SpanSink != nil {
+		for _, sd := range spans {
+			m.cfg.SpanSink.ExportSpan(sd)
 		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	var res core.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("decoding remote result: %w", err)
 	}
-	if m.cfg.Cache != nil {
-		m.cfg.Cache.Put(key, &res)
-	}
 	return &res, nil
-}
-
-// corpusJobRef is the slice of corpus.Job state mineShardRemote needs —
-// kept narrow so the call site in runShard stays obvious.
-type corpusJobRef struct {
-	id string
-}
-
-// sinkRemoteSpans feeds spans a peer piggybacked on its reply into the
-// coordinator's span sink (the trace ring), so GET /v1/traces/{id} on the
-// coordinator returns the assembled cross-node tree. The spans arrive
-// already finished, already stamped with the remote node's id.
-func (m *Manager) sinkRemoteSpans(spans []obs.SpanData) {
-	if m.cfg.SpanSink == nil {
-		return
-	}
-	for _, sd := range spans {
-		m.cfg.SpanSink.ExportSpan(sd)
-	}
-}
-
-// shardDelay sleeps the configured debug delay, aborting with the context.
-func (m *Manager) shardDelay(ctx context.Context) error {
-	if m.cfg.ShardDelay <= 0 {
-		return nil
-	}
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-time.After(m.cfg.ShardDelay):
-		return nil
-	}
 }
 
 // isClosed reports whether Shutdown has begun — used by publishEnd to tell

@@ -597,3 +597,80 @@ func TestReadyzStoreDegraded(t *testing.T) {
 		t.Errorf("reasons = %v, want store degraded", body["reasons"])
 	}
 }
+
+// TestClusterMetricsCountEachMineOnce: every mine is counted once, on the
+// node that ran it. A corpus with shards forwarded to a peer plus one whole
+// job forwarded to the same peer must add up, over both nodes, to the PIL
+// joins a standalone node counts for the same work, and to one
+// mining-latency observation per mine.
+func TestClusterMetricsCountEachMineOnce(t *testing.T) {
+	corpustest.CheckLeaks(t)
+
+	const seqLen = 240
+	bSrv, bTS := newTestServer(t, Config{Workers: 2, ClusterRole: "peer"})
+	// The default 1s heartbeat keeps the peer alive (and placeable) for
+	// the whole test even on a loaded machine.
+	aSrv, aTS := newTestServer(t, Config{
+		Workers:      4,
+		ClusterRole:  "coordinator",
+		ClusterPeers: []string{bTS.URL},
+		ClusterSelf:  "http://coordinator.test",
+	})
+	waitReadyz(t, aTS.URL)
+	waitPeersAlive(t, aSrv.clu, bTS.URL)
+
+	owned := pickOwnedSequences(t, aSrv.clu, seqLen, 3, bTS.URL, "")
+	shards := append(append([]*seq.Sequence{}, owned[bTS.URL][:2]...), owned[""][:2]...)
+	fasta := fastaFor(shards)
+	jobData := owned[bTS.URL][2].Data()
+	const mines = 5 // four shards and one job
+
+	// run mines the corpus and then the job through base.
+	run := func(base string) {
+		t.Helper()
+		if c := pollCorpus(t, base, submitCorpusHTTP(t, base, fasta)); c["state"] != "done" {
+			t.Fatalf("corpus on %s finished %v", base, c["state"])
+		}
+		resp := postJSON(t, base+"/v1/jobs", jobBody(t, "mppm", jobData))
+		sub := decode(t, resp.Body)
+		resp.Body.Close()
+		id, _ := sub["id"].(string)
+		if j := pollJob(t, base, id); j["state"] != "done" {
+			t.Fatalf("job on %s finished %v", base, j["state"])
+		}
+	}
+	// counts sums join and latency counts over the given servers.
+	counts := func(srvs ...*Server) (joins, observations int64) {
+		for _, srv := range srvs {
+			snap := srv.metrics.Snapshot(nil)
+			for _, n := range snap.JoinStrategies {
+				joins += n
+			}
+			for _, h := range snap.Latency {
+				observations += h.Count
+			}
+		}
+		return joins, observations
+	}
+
+	refSrv, refTS := newTestServer(t, Config{Workers: 4})
+	run(refTS.URL)
+	wantJoins, refObs := counts(refSrv)
+	if wantJoins == 0 || refObs != mines {
+		t.Fatalf("standalone node: %d joins, %d latency observations; want > 0 and %d", wantJoins, refObs, mines)
+	}
+
+	run(aTS.URL)
+	if st := aSrv.clu.Stats(); st.ForwardedJobs != 1 || st.ForwardedShards < 1 {
+		t.Fatalf("forwarded %d jobs and %d shards, want 1 job and at least 1 shard",
+			st.ForwardedJobs, st.ForwardedShards)
+	}
+	joins, obs := counts(aSrv, bSrv)
+	if joins != wantJoins {
+		aJoins, _ := counts(aSrv)
+		t.Errorf("joins over both nodes = %d (coordinator %d), want the standalone %d", joins, aJoins, wantJoins)
+	}
+	if obs != mines {
+		t.Errorf("latency observations over both nodes = %d, want one per mine (%d)", obs, mines)
+	}
+}

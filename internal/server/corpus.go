@@ -12,9 +12,11 @@ import (
 	"strings"
 	"time"
 
+	"permine/internal/cluster"
 	"permine/internal/core"
 	"permine/internal/corpus"
 	"permine/internal/obs"
+	"permine/internal/retry"
 	"permine/internal/seq"
 	"permine/internal/server/store"
 )
@@ -177,43 +179,25 @@ func (m *Manager) runShard(ctx context.Context, j *corpus.Job, s *corpus.Shard) 
 			return res, nil
 		}
 	}
+	var pl cluster.Placement
 	if c := m.cfg.Cluster; c != nil {
-		pl := c.Place(key.ID.SeqHash[:])
-		if pl.Node != "" {
-			req, err := mineRequestFor(ctx, j.ID(), j.Algorithm(), s.Seq(), p)
-			if err != nil {
-				return nil, err
-			}
-			return m.mineShardRemote(ctx, &corpusJobRef{id: j.ID()}, s.Index(), key, req, pl.Node, pl.Stolen)
+		if pl = c.Place(key.ID.SeqHash[:]); pl.Node == "" {
+			// Local placement still journals the assignment so a restarted
+			// coordinator can tell self-owned checkpoints from orphans.
+			m.cfg.Store.AppendAssign(j.ID(), store.AssignRecord{
+				Shard: s.Index(), Node: c.Self(), At: time.Now(),
+			})
 		}
-		// Local placement still journals the assignment so a restarted
-		// coordinator can tell self-owned checkpoints from orphans.
-		m.cfg.Store.AppendAssign(j.ID(), store.AssignRecord{
-			Shard: s.Index(), Node: c.Self(), At: time.Now(),
-		})
 	}
-	if err := m.shardDelay(ctx); err != nil {
-		return nil, err
+	var res *core.Result
+	var err error
+	if pl.Node != "" {
+		res, err = m.mineShardRemote(ctx, j, s, p, pl)
+	} else {
+		res, err = m.mineLocal(ctx, j.Algorithm(), s.Seq(), p)
 	}
-	p.Ctx = ctx
-	// Each shard charges its own child of the governor, bounded by the
-	// job's per-run budget: one poisoned shard (giant PILs under a wide
-	// gap) exhausts its own budget and degrades the corpus to partial
-	// through the normal failed-shard machinery — it cannot take the
-	// whole fleet's memory down with it.
-	tracker := m.cfg.Governor.Acquire()
-	defer m.cfg.Governor.Release(tracker)
-	p.Mem = tracker
-	start := time.Now()
-	res, err := runAlgorithm(j.Algorithm(), s.Seq(), p)
 	if err != nil {
 		return nil, err
-	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.ObserveMining(j.Algorithm().String(), time.Since(start))
-		for _, lm := range res.Levels {
-			m.cfg.Metrics.ObserveLevel(lm)
-		}
 	}
 	if m.cfg.Cache != nil {
 		m.cfg.Cache.Put(key, res)
@@ -460,7 +444,7 @@ func (m *Manager) restoreCorpus(rec store.JobRecord, sum *RestoreSummary) {
 	sum.Requeued++
 	m.noteRecovered(recoveryRequeued, "")
 	m.cfg.Store.AppendState(j.ID(), string(corpus.StateRunning), attempts, time.Now())
-	delay := corpus.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
+	delay := retry.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
 	time.AfterFunc(delay, func() {
 		m.mu.Lock()
 		closed := m.closed
@@ -622,9 +606,8 @@ func (s *Server) handleCorpusCancel(w http.ResponseWriter, r *http.Request) {
 // handleCorpusEvents implements GET /v1/corpus/{id}/events: per-shard
 // completions ("shard"), scheduled retries ("retry") and the terminal
 // "end" as Server-Sent Events. Shards already terminal when the client
-// connects are replayed from the snapshot; live duplicates are dropped by
-// shard index. A daemon shutdown sends a final "shutdown" event before
-// the stream closes.
+// connects are replayed from the snapshot. A daemon shutdown sends a final
+// "shutdown" event before the stream closes.
 func (s *Server) handleCorpusEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.mgr.GetCorpus(id)
@@ -632,62 +615,21 @@ func (s *Server) handleCorpusEvents(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "corpus %q not found", id)
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
-		return
-	}
-	sub := s.events.Subscribe(id)
-	defer sub.Close()
-	snap := job.Snapshot()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	seen := make(map[int]bool, len(snap.Shards))
-	for _, sv := range snap.Shards {
-		if !sv.State.Terminal() {
-			continue
-		}
-		if writeSSE(w, Event{Type: "shard", Job: id, Seq: sv.Index + 1, Data: sv}) != nil {
-			return
-		}
-		seen[sv.Index] = true
-	}
-	if snap.State.Terminal() {
-		end := snap
-		end.Result, end.Shards = nil, nil
-		writeSSE(w, Event{Type: "end", Job: id, Seq: len(seen), Data: end})
-		fl.Flush()
-		return
-	}
-	fl.Flush()
-
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case ev, open := <-sub.C:
-			if !open {
-				return
-			}
-			if ev.Type == "shard" {
-				idx := ev.Seq - 1
-				if seen[idx] {
-					continue // already replayed from the snapshot
-				}
-				seen[idx] = true
-			}
-			if writeSSE(w, ev) != nil {
-				return
-			}
-			fl.Flush()
-			if ev.Type == "end" || ev.Type == "shutdown" {
-				return
+	s.streamEvents(w, r, id, func() []Event {
+		snap := job.Snapshot()
+		var evs []Event
+		for _, sv := range snap.Shards {
+			if sv.State.Terminal() {
+				evs = append(evs, Event{Type: "shard", Job: id, Seq: sv.Index + 1, Data: sv})
 			}
 		}
-	}
+		if snap.State.Terminal() {
+			end := snap
+			end.Result, end.Shards = nil, nil
+			evs = append(evs, Event{Type: "end", Job: id, Seq: len(evs), Data: end})
+		}
+		return evs
+	})
 }
 
 // tooLarge maps a MaxBytesReader overflow to 413 with the limit in the

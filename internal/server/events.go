@@ -21,6 +21,9 @@ type Event struct {
 	Data any `json:"data"`
 }
 
+// endsStream reports whether the event is the last one of its stream.
+func (ev Event) endsStream() bool { return ev.Type == "end" || ev.Type == "shutdown" }
+
 // subscriberBuffer is each subscriber's channel depth. A subscriber that
 // falls this far behind is dropped (its channel closed) rather than ever
 // blocking the publishing mining goroutine; the client reconnects and

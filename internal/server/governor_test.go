@@ -322,7 +322,6 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 	fs := &storetest.FaultFS{}
 	w, err := store.Open(store.Options{
 		Dir: t.TempDir(), FS: fs, Logger: quietLogger(),
-		WriteRetries: 1, WriteBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -442,7 +442,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 			span.SetAttr("cache_hit", true)
 			span.SetAttr("cache_subsumed", subsumed)
 			m.cfg.Store.AppendSubmit(rec)
-			m.transition(nil, "", JobDone)
+			m.transition("", JobDone)
 			m.cfg.Logger.Info("job cache hit", "job", j.id, "algorithm", algo.String(), "seq_len", s.Len(), "subsumed", subsumed)
 			return j, nil
 		}
@@ -477,7 +477,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 	m.register(j)
 	m.mu.Unlock()
 	m.cfg.Store.AppendSubmit(rec)
-	m.transition(j, "", JobQueued)
+	m.transition("", JobQueued)
 	m.cfg.Logger.Info("job queued", "job", j.id, "algorithm", algo.String(), "seq_len", s.Len())
 	return j, nil
 }
@@ -555,7 +555,7 @@ func (m *Manager) Cancel(id string) (*Job, error) {
 	m.cfg.Store.AppendOutcome(j.id, store.Outcome{
 		State: string(JobCancelled), Error: context.Canceled.Error(), FinishedAt: finishedAt,
 	})
-	m.transition(nil, from, JobCancelled)
+	m.transition(from, JobCancelled)
 	m.publishEnd(j)
 	m.cfg.Logger.Info("job cancelled", "job", id, "was", string(from))
 	return j, nil
@@ -629,7 +629,7 @@ func (m *Manager) runJob(j *Job) {
 	j.mu.Unlock()
 	j.queueSpan.End() // picked up: the queue wait is over
 	m.cfg.Store.AppendState(j.id, string(JobRunning), attempts, startedAt)
-	m.transition(nil, JobQueued, JobRunning)
+	m.transition(JobQueued, JobRunning)
 
 	ctx := j.ctx
 	var cancelTimeout context.CancelFunc
@@ -644,17 +644,8 @@ func (m *Manager) runJob(j *Job) {
 	runCtx, runSpan := m.cfg.Tracer.StartLink(ctx, j.trace, "job.run",
 		obs.KV("job", j.id), obs.KV("algorithm", j.algorithm.String()))
 	p := j.params
-	p.Ctx = runCtx
-	// The per-job tracker chains to the governor's global gauge: every
-	// worker's slab growth feeds one shared high-water mark, and Release
-	// returns the run's retained bytes once the run is over.
-	tracker := m.cfg.Governor.Acquire()
-	p.Mem = tracker
 	p.Progress = func(lm core.LevelMetrics) {
 		seq := j.addLevel(lm)
-		if m.cfg.Metrics != nil {
-			m.cfg.Metrics.ObserveLevel(lm)
-		}
 		if m.cfg.Events != nil {
 			m.cfg.Events.Publish(Event{Type: "level", Job: j.id, Seq: seq, Data: lm})
 		}
@@ -666,9 +657,6 @@ func (m *Manager) runJob(j *Job) {
 	start := time.Now()
 	res, err := m.mineJob(runCtx, j, p)
 	elapsed := time.Since(start)
-	// Release before the job reads as terminal, so a client that sees it
-	// finish and submits again is not shed for this run's bytes.
-	m.cfg.Governor.Release(tracker)
 
 	final, result, note, jobErr := j.outcome(res, err)
 	// A done result enters the cache before the job reads as terminal, so
@@ -715,10 +703,7 @@ func (m *Manager) runJob(j *Job) {
 	}
 	runSpan.RecordError(finalErr)
 	runSpan.End()
-	m.transition(nil, JobRunning, final)
-	if m.cfg.Metrics != nil && (final == JobDone || final == JobFailed) {
-		m.cfg.Metrics.ObserveMining(j.algorithm.String(), elapsed)
-	}
+	m.transition(JobRunning, final)
 	m.publishEnd(j)
 	m.cfg.Logger.Info("job finished", "job", j.id, "state", string(final), "elapsed", elapsed)
 }
@@ -747,15 +732,47 @@ func (j *Job) outcome(res *core.Result, err error) (final JobState, result *core
 	}
 }
 
-// runAlgorithm dispatches through the query layer, which handles plain,
-// top-K and targeted (motif) jobs uniformly.
-func runAlgorithm(algo core.Algorithm, s *seq.Sequence, p core.Params) (*core.Result, error) {
-	return query.Mine(algo, s, p)
+// mineLocal is the one place this node mines: runJob, runShard and
+// MineForPeer all come here, so each mine is counted once, on the node that
+// ran it. It waits out the ShardDelay debug knob, charges the run to its
+// own governor tracker (bounded by the run's memory budget, so one
+// over-budget job or shard exhausts its own budget instead of the node's
+// memory), mines through the query layer (plain, top-K and targeted jobs
+// alike), counts each level's PIL joins as the level completes, and records
+// the run's latency unless it was cancelled. The tracker is released before
+// mineLocal returns, so a client that sees the job finish and resubmits is
+// not shed for this run's bytes.
+func (m *Manager) mineLocal(ctx context.Context, algo core.Algorithm, s *seq.Sequence, p core.Params) (*core.Result, error) {
+	if d := m.cfg.ShardDelay; d > 0 {
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(d):
+		}
+	}
+	tracker := m.cfg.Governor.Acquire()
+	defer m.cfg.Governor.Release(tracker)
+	p.Ctx, p.Mem = ctx, tracker
+	metrics := m.cfg.Metrics
+	if metrics != nil {
+		progress := p.Progress
+		p.Progress = func(lm core.LevelMetrics) {
+			metrics.ObserveLevel(lm)
+			if progress != nil {
+				progress(lm)
+			}
+		}
+	}
+	start := time.Now()
+	res, err := query.Mine(algo, s, p)
+	if metrics != nil && !errors.Is(err, context.Canceled) {
+		metrics.ObserveMining(algo.String(), time.Since(start))
+	}
+	return res, err
 }
 
-// transition forwards a state change to metrics (j reserved for future
-// per-job hooks; may be nil).
-func (m *Manager) transition(_ *Job, from, to JobState) {
+// transition forwards a state change to metrics.
+func (m *Manager) transition(from, to JobState) {
 	if m.cfg.Metrics != nil {
 		m.cfg.Metrics.JobTransition(from, to)
 	}

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"permine/internal/core"
-	"permine/internal/corpus"
+	"permine/internal/retry"
 	"permine/internal/seq"
 	"permine/internal/server/store"
 )
@@ -223,7 +223,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 			sum.Requeued++
 			m.noteRecovered(recoveryRequeued, JobQueued)
 			m.cfg.Store.AppendState(j.id, string(JobQueued), attempts, time.Now())
-			delay := corpus.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
+			delay := retry.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
 			m.scheduleRequeue(j, delay)
 			m.cfg.Logger.Info("requeueing interrupted job", "job", j.id,
 				"attempt", attempts, "backoff", delay)
@@ -233,7 +233,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 }
 
 // maxRetryDelay caps the backoff before re-executing a recovered job.
-// corpus.Backoff doubles RetryBackoff per prior attempt up to it, then
+// retry.Backoff doubles RetryBackoff per prior attempt up to it, then
 // jitters, so a restart with many interrupted jobs spreads their
 // re-executions out instead of retrying in lockstep.
 const maxRetryDelay = time.Minute

@@ -102,7 +102,7 @@ type Config struct {
 	// (interrupted jobs are re-executed). Empty keeps everything in
 	// memory.
 	DataDir string
-	// CompactBytes is the journal size that triggers snapshot compaction
+	// CompactBytes is the journal size that triggers journal compaction
 	// (default 4 MiB).
 	CompactBytes int64
 	// RetryBudget and RetryBackoff bound crash-recovery re-executions
@@ -958,9 +958,7 @@ func writeSSE(w io.Writer, ev Event) error {
 // progress as Server-Sent Events. Levels completed before the client
 // connected are replayed from the job snapshot, then live events stream
 // until the job ends (an "end" event closes the stream) or the client
-// disconnects. Subscribing before snapshotting makes the hand-off
-// lossless; replayed levels arriving again on the live channel are
-// deduplicated by sequence number.
+// disconnects.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	job, ok := s.mgr.Get(id)
@@ -968,6 +966,29 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusNotFound, "job %q not found", id)
 		return
 	}
+	s.streamEvents(w, r, id, func() []Event {
+		snap := job.Snapshot()
+		evs := make([]Event, 0, len(snap.Progress)+1)
+		for i, lm := range snap.Progress {
+			evs = append(evs, Event{Type: "level", Job: id, Seq: i + 1, Data: lm})
+		}
+		if snap.State.Terminal() {
+			end := snap
+			end.Result, end.Progress = nil, nil
+			evs = append(evs, Event{Type: "end", Job: id, Seq: len(snap.Progress), Data: end})
+		}
+		return evs
+	})
+}
+
+// streamEvents is the one replay-then-stream loop behind every SSE
+// endpoint. It subscribes before calling replay, so the hand-off from the
+// snapshot to the live feed is lossless; writes the replayed events; then
+// streams live events until one ends the stream ("end" or "shutdown"),
+// the subscription is dropped (lagging or shutdown; the client reconnects
+// and replays) or the client disconnects. A live event whose type and seq
+// were already replayed is a duplicate and is skipped.
+func (s *Server) streamEvents(w http.ResponseWriter, r *http.Request, id string, replay func() []Event) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		apiError(w, http.StatusInternalServerError, "streaming unsupported by this connection")
@@ -975,49 +996,43 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	sub := s.events.Subscribe(id)
 	defer sub.Close()
-	snap := job.Snapshot()
+	evs := replay()
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	seen := 0
-	for i, lm := range snap.Progress {
-		if writeSSE(w, Event{Type: "level", Job: id, Seq: i + 1, Data: lm}) != nil {
+	type key struct {
+		typ string
+		seq int
+	}
+	replayed := make(map[key]bool, len(evs))
+	for _, ev := range evs {
+		if writeSSE(w, ev) != nil {
 			return
 		}
-		seen = i + 1
-	}
-	if snap.State.Terminal() {
-		end := snap
-		end.Result, end.Progress = nil, nil
-		writeSSE(w, Event{Type: "end", Job: id, Seq: seen, Data: end})
-		fl.Flush()
-		return
+		replayed[key{ev.Type, ev.Seq}] = true
 	}
 	fl.Flush()
+	if n := len(evs); n > 0 && evs[n-1].endsStream() {
+		return
+	}
 
-	ctx := r.Context()
 	for {
 		select {
-		case <-ctx.Done():
+		case <-r.Context().Done():
 			return
 		case ev, open := <-sub.C:
 			if !open {
-				// Dropped for lagging or server shutdown; the client
-				// reconnects and replays.
 				return
 			}
-			if ev.Type == "level" {
-				if ev.Seq <= seen {
-					continue // already replayed from the snapshot
-				}
-				seen = ev.Seq
+			if replayed[key{ev.Type, ev.Seq}] {
+				continue
 			}
 			if writeSSE(w, ev) != nil {
 				return
 			}
 			fl.Flush()
-			if ev.Type == "end" || ev.Type == "shutdown" {
+			if ev.endsStream() {
 				return
 			}
 		}

@@ -1,9 +1,10 @@
 // Package store persists permined mining jobs across daemon restarts.
 //
 // The job manager journals every job transition through a Store. The
-// disk-backed implementation (WAL) is an append-only, CRC32-framed,
-// fsync-on-write journal with snapshot compaction and a torn-tail-tolerant
-// replay; Memory is the no-op default for fully in-memory deployments.
+// disk-backed implementation (WAL) is an append-only, fsync-on-write
+// journal of internal/frame frames with compaction to one frame per
+// retained job and a torn-tail-tolerant replay; Memory is the no-op
+// default for fully in-memory deployments.
 //
 // Stores never fail the serving path: implementations absorb disk errors
 // internally (retrying with backoff, then degrading to memory-only) and

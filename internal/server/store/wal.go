@@ -2,10 +2,8 @@ package store
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"log/slog"
 	"os"
@@ -13,34 +11,42 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"permine/internal/frame"
+	"permine/internal/retry"
 )
 
-// Journal layout: a single append-only file of length-prefixed frames,
-//
-//	uint32 LE payload length | uint32 LE CRC32-IEEE(payload) | payload
-//
-// where the payload is one JSON-encoded event. Replay accepts the longest
-// valid prefix: a torn header, short payload, CRC mismatch or undecodable
-// event ends the scan and the file is truncated back to the last valid
-// frame, so a crash mid-write (or a corrupted tail) costs at most the
-// record being written. Compaction rewrites the journal as a single
-// snapshot event via tmp-file + atomic rename.
+// Journal layout: a single append-only file of internal/frame frames, each
+// payload one JSON-encoded event. Replay accepts the longest valid prefix:
+// a torn header, short payload, CRC mismatch or undecodable event ends the
+// scan and the file is truncated back to the last valid frame, so a crash
+// mid-write (or a corrupted tail) costs at most the record being written.
+// Compaction rewrites the journal as one submit event per retained record
+// via tmp-file + atomic rename.
 const (
 	journalName = "journal.wal"
 	tmpName     = "journal.wal.tmp"
 
-	frameHeaderSize = 8
-	// maxRecordBytes rejects absurd frame lengths during replay; anything
-	// larger than this is treated as corruption, not a record.
+	// maxRecordBytes bounds one frame's payload. Appends refuse larger
+	// events (the store degrades instead), and replay treats a larger
+	// declared length as corruption, not a record.
 	maxRecordBytes = 256 << 20
+
+	// A failed append is retried writeRetries times, waiting
+	// retry.Backoff(writeBackoff, time.Second, attempt) before each, before
+	// the store degrades to memory-only.
+	writeRetries = 3
+	writeBackoff = 10 * time.Millisecond
 )
 
 // Event types. State strings inside events mirror the server package's
 // JobState values; the store only distinguishes terminal from not.
 const (
-	evSubmit      = "submit"
-	evState       = "state"
-	evOutcome     = "outcome"
+	evSubmit  = "submit"
+	evState   = "state"
+	evOutcome = "outcome"
+	// evSnapshot is the single-frame compaction event older binaries
+	// wrote; replay still folds it so their journals restore.
 	evSnapshot    = "snapshot"
 	evShardDone   = "shard_done"
 	evShardFailed = "shard_failed"
@@ -73,19 +79,13 @@ func terminalState(state string) bool {
 type Options struct {
 	// Dir is the data directory holding the journal (required).
 	Dir string
-	// CompactBytes triggers snapshot compaction once the journal exceeds
+	// CompactBytes triggers compaction once the journal exceeds
 	// this many bytes (default 4 MiB).
 	CompactBytes int64
 	// RetainTerminal bounds terminal job records kept across compactions
 	// (default 1024, matching the manager's retention default); the oldest
 	// terminal records are dropped first.
 	RetainTerminal int
-	// WriteRetries is how many times a failed append is retried before the
-	// store degrades to memory-only (default 3).
-	WriteRetries int
-	// WriteBackoff is the delay before the first append retry, doubling per
-	// retry (default 10ms).
-	WriteBackoff time.Duration
 	// FS defaults to the real filesystem; tests inject faults here.
 	FS FS
 	// Logger defaults to slog.Default().
@@ -99,12 +99,6 @@ func (o Options) withDefaults() Options {
 	if o.RetainTerminal <= 0 {
 		o.RetainTerminal = 1024
 	}
-	if o.WriteRetries <= 0 {
-		o.WriteRetries = 3
-	}
-	if o.WriteBackoff <= 0 {
-		o.WriteBackoff = 10 * time.Millisecond
-	}
 	if o.FS == nil {
 		o.FS = OSFS
 	}
@@ -115,7 +109,7 @@ func (o Options) withDefaults() Options {
 }
 
 // WAL is the disk-backed Store: an fsync'd write-ahead journal plus the
-// folded in-memory job state it implies (kept for snapshots/compaction and
+// folded in-memory job state it implies (kept for compaction and
 // recovery hand-off). All methods are safe for concurrent use.
 type WAL struct {
 	opts Options
@@ -179,20 +173,10 @@ func (w *WAL) replay() error {
 	r := bufio.NewReader(w.f)
 	var good int64
 	for {
-		var hdr [frameHeaderSize]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			break // clean EOF or torn header: stop at last good frame
-		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxRecordBytes {
-			break
-		}
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(r, payload); err != nil {
-			break
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
+		// Clean EOF, a torn or corrupt frame, or an undecodable event: stop
+		// at the last good frame.
+		payload, err := frame.Read(r, maxRecordBytes)
+		if err != nil {
 			break
 		}
 		var ev event
@@ -200,7 +184,7 @@ func (w *WAL) replay() error {
 			break
 		}
 		w.applyLocked(ev)
-		good += frameHeaderSize + int64(n)
+		good += frame.HeaderSize + int64(len(payload))
 		w.replayed++
 	}
 	end, err := w.f.Seek(0, io.SeekEnd)
@@ -377,21 +361,18 @@ func (w *WAL) appendLocked(ev event) {
 	if w.f == nil {
 		return // closed or degraded: memory-only
 	}
-	payload, err := json.Marshal(ev)
+	buf, err := appendEvent(nil, ev)
 	if err != nil {
-		// Records are built from plain structs; this cannot happen outside
-		// programmer error, but a journal must never take down the daemon.
-		w.degradeLocked(fmt.Errorf("marshalling event: %w", err))
+		// An event over maxRecordBytes (or, by programmer error, one that
+		// does not marshal) must not reach the journal: replay would stop
+		// at it and drop everything after. A journal must never take down
+		// the daemon either, so the store degrades.
+		w.degradeLocked(err)
 		return
 	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
 
-	backoff := w.opts.WriteBackoff
-	for attempt := 0; ; attempt++ {
-		err = w.writeFrameLocked(frame)
+	for attempt := 1; ; attempt++ {
+		err = w.writeFrameLocked(buf)
 		if err == nil {
 			break
 		}
@@ -402,24 +383,37 @@ func (w *WAL) appendLocked(ev event) {
 			w.degradeLocked(fmt.Errorf("append failed (%v) and rewind failed: %w", err, terr))
 			return
 		}
-		if attempt >= w.opts.WriteRetries {
-			w.degradeLocked(fmt.Errorf("append failed after %d retries: %w", w.opts.WriteRetries, err))
+		if attempt > writeRetries {
+			w.degradeLocked(fmt.Errorf("append failed after %d retries: %w", writeRetries, err))
 			return
 		}
 		w.writeRetries++
-		time.Sleep(backoff)
-		backoff *= 2
+		time.Sleep(retry.Backoff(writeBackoff, time.Second, attempt))
 	}
-	w.size += int64(len(frame))
+	w.size += int64(len(buf))
 	w.appends++
 	if w.size >= w.nextCompact {
 		w.compactLocked()
 	}
 }
 
-// writeFrameLocked appends one frame and syncs it to stable storage.
-func (w *WAL) writeFrameLocked(frame []byte) error {
-	if _, err := w.f.Write(frame); err != nil {
+// appendEvent appends ev to dst as one journal frame.
+func appendEvent(dst []byte, ev event) ([]byte, error) {
+	payload, err := json.Marshal(ev)
+	if err != nil {
+		return dst, fmt.Errorf("marshalling %s event: %w", ev.Type, err)
+	}
+	dst, err = frame.Append(dst, payload, maxRecordBytes)
+	if err != nil {
+		return dst, fmt.Errorf("journaling %d-byte %s event: %w", len(payload), ev.Type, err)
+	}
+	return dst, nil
+}
+
+// writeFrameLocked appends one encoded frame and syncs it to stable
+// storage.
+func (w *WAL) writeFrameLocked(b []byte) error {
+	if _, err := w.f.Write(b); err != nil {
 		return err
 	}
 	if err := w.f.Sync(); err != nil {
@@ -456,31 +450,30 @@ func (w *WAL) degradeLocked(cause error) {
 		"dir", w.opts.Dir, "cause", cause)
 }
 
-// compactLocked rewrites the journal as one snapshot frame (tmp file +
-// atomic rename), pruning the oldest terminal records beyond
-// RetainTerminal. On failure the current journal keeps growing and the
-// next attempt is pushed a full CompactBytes out.
+// compactLocked rewrites the journal as one submit frame per retained
+// record (tmp file + atomic rename, one write and one fsync), pruning the
+// oldest terminal records beyond RetainTerminal. A record carries its whole
+// folded state, so replay restores it through the submit case, and no frame
+// is larger than the biggest record. On failure (including a record that
+// outgrew maxRecordBytes) the current journal, which still replays, keeps
+// growing and the next attempt is pushed a full CompactBytes out.
 func (w *WAL) compactLocked() {
 	w.pruneLocked()
-	snap := event{Type: evSnapshot, At: time.Now(), Jobs: w.snapshotLocked()}
-	payload, err := json.Marshal(snap)
-	if err != nil {
-		w.degradeLocked(fmt.Errorf("marshalling snapshot: %w", err))
-		return
-	}
-	frame := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeaderSize:], payload)
-
 	tmpPath := filepath.Join(w.opts.Dir, tmpName)
 	journalPath := filepath.Join(w.opts.Dir, journalName)
-	err = func() error {
+	var buf []byte
+	err := func() error {
+		for _, rec := range w.snapshotLocked() {
+			var err error
+			if buf, err = appendEvent(buf, event{Type: evSubmit, At: rec.CreatedAt, Job: &rec}); err != nil {
+				return err
+			}
+		}
 		tmp, err := w.opts.FS.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return err
 		}
-		if _, err := tmp.Write(frame); err != nil {
+		if _, err := tmp.Write(buf); err != nil {
 			tmp.Close()
 			return err
 		}
@@ -510,14 +503,14 @@ func (w *WAL) compactLocked() {
 		w.degradeLocked(fmt.Errorf("reopening compacted journal: %w", err))
 		return
 	}
-	if _, err := f.Seek(int64(len(frame)), io.SeekStart); err != nil {
+	if _, err := f.Seek(int64(len(buf)), io.SeekStart); err != nil {
 		w.f = nil
 		f.Close()
 		w.degradeLocked(fmt.Errorf("seeking compacted journal: %w", err))
 		return
 	}
 	w.f = f
-	w.size = int64(len(frame))
+	w.size = int64(len(buf))
 	w.nextCompact = w.size + w.opts.CompactBytes
 	w.compactions++
 	w.opts.Logger.Info("journal compacted", "dir", w.opts.Dir,

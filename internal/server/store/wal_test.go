@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"permine/internal/frame"
 	"permine/internal/server/store"
 	"permine/internal/server/store/storetest"
 )
@@ -22,9 +23,6 @@ func openWAL(t *testing.T, opts store.Options) *store.WAL {
 	t.Helper()
 	if opts.Logger == nil {
 		opts.Logger = quietLogger()
-	}
-	if opts.WriteBackoff == 0 {
-		opts.WriteBackoff = time.Millisecond
 	}
 	w, err := store.Open(opts)
 	if err != nil {
@@ -265,28 +263,105 @@ func TestWALRetention(t *testing.T) {
 	}
 }
 
+// TestWALCompactionFramePerRecord: compaction writes one frame per
+// retained record, so replay folds N records from N frames and no frame
+// grows with the number of jobs retained. (A single snapshot frame holding
+// every record passed the replay size limit once enough large results were
+// retained, and replay then dropped the whole journal.)
+func TestWALCompactionFramePerRecord(t *testing.T) {
+	dir := t.TempDir()
+	// CompactBytes 1 compacts after every append, so the journal on disk
+	// is always in compacted form.
+	w := openWAL(t, store.Options{Dir: dir, CompactBytes: 1})
+	const n = 12
+	for i := 0; i < n; i++ {
+		id := jobID(i)
+		w.AppendSubmit(submitRec(id))
+		w.AppendOutcome(id, store.Outcome{
+			State: "done", Result: json.RawMessage(`{"Patterns":null}`), FinishedAt: time.Now(),
+		})
+	}
+	if st := w.Stats(); st.Compactions != 2*n || st.Degraded {
+		t.Fatalf("stats after %d appends = %+v, want %d compactions", 2*n, st, 2*n)
+	}
+	w.Close()
+
+	w2 := openWAL(t, store.Options{Dir: dir})
+	if st := w2.Stats(); st.ReplayedRecords != n || st.TruncatedBytes != 0 {
+		t.Fatalf("replay stats = %+v, want %d records from %d frames", st, n, n)
+	}
+	recs := w2.Recovered()
+	if len(recs) != n {
+		t.Fatalf("recovered %d records, want %d", len(recs), n)
+	}
+	for i, rec := range recs {
+		if rec.ID != jobID(i) || rec.State != "done" || string(rec.Result) != `{"Patterns":null}` {
+			t.Fatalf("record %d = %s/%s/%s", i, rec.ID, rec.State, rec.Result)
+		}
+	}
+}
+
+// TestWALReplaysLegacySnapshot: a journal compacted by an older binary —
+// one snapshot frame holding every record — still restores, and appends
+// continue after it.
+func TestWALReplaysLegacySnapshot(t *testing.T) {
+	dir := t.TempDir()
+	done, queued := submitRec("j-000001"), submitRec("j-000002")
+	done.State, done.Result = "done", json.RawMessage(`{"Patterns":null}`)
+	payload, err := json.Marshal(map[string]any{
+		"t": "snapshot", "at": time.Now().UTC(), "jobs": []store.JobRecord{done, queued},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := frame.Append(nil, payload, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(journalPath(dir), journal, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	w := openWAL(t, store.Options{Dir: dir})
+	recs := w.Recovered()
+	if len(recs) != 2 || recs[0].ID != "j-000001" || recs[0].State != "done" ||
+		string(recs[0].Result) != `{"Patterns":null}` || recs[1].ID != "j-000002" || recs[1].State != "queued" {
+		t.Fatalf("recovered %+v, want the snapshot's done and queued records", recs)
+	}
+	if st := w.Stats(); st.ReplayedRecords != 1 || st.TruncatedBytes != 0 {
+		t.Errorf("replay stats = %+v, want 1 snapshot frame and no truncation", st)
+	}
+	w.AppendState("j-000002", "running", 1, time.Now())
+	w.Close()
+
+	w2 := openWAL(t, store.Options{Dir: dir})
+	if recs := w2.Recovered(); len(recs) != 2 || recs[1].State != "running" || recs[1].Attempts != 1 {
+		t.Fatalf("after an append on the legacy journal: %+v", recs)
+	}
+}
+
 // jobID renders the manager's id format for the i-th test job.
 func jobID(i int) string { return fmt.Sprintf("j-%06d", i+1) }
 
 // TestWALRetryExhaustion: writes that keep failing (while rewinds succeed)
-// burn the retry budget and then degrade the store.
+// burn the retry budget (3 retries) and then degrade the store.
 func TestWALRetryExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{FailOps: map[int64]bool{}}
-	w := openWAL(t, store.Options{Dir: dir, FS: fs, WriteRetries: 2})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs})
 	w.AppendSubmit(submitRec("j-000001"))
 
 	// Fail every Write of the next append; the interleaved Truncate/Seek
 	// rewinds succeed, so the append exhausts its retries.
 	o := fs.Ops()
-	fs.FailOps[o+1], fs.FailOps[o+3], fs.FailOps[o+5] = true, true, true
+	fs.FailOps[o+1], fs.FailOps[o+3], fs.FailOps[o+5], fs.FailOps[o+7] = true, true, true, true
 	w.AppendSubmit(submitRec("j-000002"))
 	st := w.Stats()
 	if !st.Degraded {
 		t.Fatalf("not degraded after exhausting retries: %+v", st)
 	}
-	if st.WriteRetries != 2 || st.WriteErrors != 3 {
-		t.Errorf("stats = %+v, want 2 retries and 3 write errors", st)
+	if st.WriteRetries != 3 || st.WriteErrors != 4 {
+		t.Errorf("stats = %+v, want 3 retries and 4 write errors", st)
 	}
 }
 
@@ -318,7 +393,7 @@ func TestWALTransientWriteFailure(t *testing.T) {
 func TestWALPersistentFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{}
-	w := openWAL(t, store.Options{Dir: dir, FS: fs, WriteRetries: 2})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs})
 	w.AppendSubmit(submitRec("j-000001"))
 
 	fs.FailFrom = fs.Ops() + 1 // every write-class op fails from here on
