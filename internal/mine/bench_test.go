@@ -50,12 +50,13 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) {
 	b.Helper()
 	ctx := context.Background()
+	thHat := r.thresholds(k + 1).hat
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var st levelStats
 		cands := r.gen(hat, k)
-		counted := r.countCandidates(ctx, k+1, hat, cands, &st)
+		counted := r.countCandidates(ctx, k+1, hat, cands, thHat, &st)
 		if r.err != nil {
 			b.Fatal(r.err)
 		}
@@ -85,16 +86,20 @@ func BenchmarkJoinStrategies(b *testing.B) {
 	}
 }
 
-// BenchmarkMineE2E measures a full MPPm mining run end to end.
+// BenchmarkMineE2E measures a full MPPm mining run end to end. Each run
+// gets its own pil.MemTracker, and the mean of their high-water marks is
+// reported as pil-MB/op: the PIL memory a memory_budget must cover.
 func BenchmarkMineE2E(b *testing.B) {
 	s, err := seqgen.GenomeLike(2000, 7)
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := core.Params{Gap: combinat.Gap{N: 9, M: 12}, MinSupport: 0.00003, EmOrder: 8, Workers: runtime.NumCPU()}
+	var high int64
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
+		p.Mem = pil.NewMemTracker(nil)
 		res, err := MPPm(s, p)
 		if err != nil {
 			b.Fatal(err)
@@ -102,5 +107,7 @@ func BenchmarkMineE2E(b *testing.B) {
 		if len(res.Patterns) == 0 {
 			b.Fatal("no patterns")
 		}
+		high += p.Mem.High()
 	}
+	b.ReportMetric(float64(high)/1e6/float64(b.N), "pil-MB/op")
 }

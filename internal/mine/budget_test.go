@@ -104,6 +104,103 @@ func TestMemoryBudgetMPPmAndAdaptive(t *testing.T) {
 	}
 }
 
+// TestMemoryBudgetHoldsOnlyHat: counting gives a join's output back to
+// its arena as soon as its support misses the level's L̂ threshold, so a
+// run's PIL memory is about two consecutive L̂ levels rather than two
+// whole counted levels. This 100 MiB budget is below what whole levels
+// need here (kept until level i+2, their arenas overran it at level 8,
+// with an unbudgeted high-water near 199 MB), yet the budgeted MPPm must
+// now finish and mine exactly what an unbudgeted one does.
+//
+// The run is then repeated level by level to check that every L̂ handed to
+// gen still holds its lists: a kept entry whose list had been given back
+// would join as empty as a prefix and panic in joinChoice as a suffix.
+func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
+	s, err := seqgen.GenomeLike(1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Gap: combinat.Gap{N: 9, M: 16}, MinSupport: 0.00003, EmOrder: 8, Workers: 2}
+	full, err := MPPm(s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	budgeted := p
+	budgeted.MemoryBudget = 100 << 20
+	got, err := MPPm(s, budgeted)
+	if err != nil {
+		t.Fatalf("MPPm under a %d B budget: %v", budgeted.MemoryBudget, err)
+	}
+	if got.Truncated || len(got.Levels) != len(full.Levels) {
+		t.Fatalf("budgeted run completed %d of %d levels (truncated %v)", len(got.Levels), len(full.Levels), got.Truncated)
+	}
+	samePatterns(t, "budgeted MPPm", got.Patterns, full.Patterns)
+	var pruned int64
+	for i, lm := range got.Levels {
+		want := full.Levels[i]
+		if lm.Candidates != want.Candidates || lm.Frequent != want.Frequent || lm.Kept != want.Kept ||
+			lm.PrunedByLambda != want.PrunedByLambda || lm.ZeroSupport != want.ZeroSupport || lm.PILJoins != want.PILJoins {
+			t.Errorf("level %d diverged from the unbudgeted run:\n got %+v\nwant %+v", lm.Level, lm, want)
+		}
+		pruned += lm.PrunedByLambda
+	}
+	if pruned == 0 {
+		t.Fatal("no counted entry missed its L̂ threshold; nothing was given back")
+	}
+
+	np, err := budgeted.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := combinat.NewCounter(s.Len(), np.Gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := pil.ScanKPacked(s, np.Gap, np.StartLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &runner{s: s, p: np, counter: counter, n: full.N, res: &core.Result{Algorithm: core.AlgoMPPm}}
+	levels := 0
+	r.p.Progress = func(lm core.LevelMetrics) {
+		// collectLevel compacts L̂ in place at the front of the level's
+		// hat buffer and reports the level before the loop hands that
+		// prefix to gen, so these are exactly the entries gen receives.
+		levels++
+		for _, e := range r.hatBuf[lm.Level&1][:lm.Kept] {
+			if len(e.list) == 0 || e.list.Support() != e.sup {
+				t.Errorf("level %d: L̂ entry %d (sup %d) holds a %d-entry list of support %d",
+					lm.Level, e.code, e.sup, len(e.list), e.list.Support())
+				return
+			}
+		}
+	}
+	r.run(start)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if levels != len(full.Levels) {
+		t.Fatalf("level-by-level run reported %d levels, MPPm %d", levels, len(full.Levels))
+	}
+	r.res.SortPatterns()
+	samePatterns(t, "level-by-level run", r.res.Patterns, full.Patterns)
+}
+
+// samePatterns fails t unless got and want, both sorted, hold the same
+// patterns with the same supports.
+func samePatterns(t *testing.T, label string, got, want []core.Pattern) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d patterns, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Chars != want[i].Chars || got[i].Support != want[i].Support {
+			t.Fatalf("%s: pattern %d is %q/%d, want %q/%d", label, i,
+				got[i].Chars, got[i].Support, want[i].Chars, want[i].Support)
+		}
+	}
+}
+
 // TestMemoryBudgetEnumerate: the enumeration baseline charges its
 // retained heap lists and aborts between levels with the typed error.
 func TestMemoryBudgetEnumerate(t *testing.T) {
@@ -119,6 +216,43 @@ func TestMemoryBudgetEnumerate(t *testing.T) {
 	}
 	if res == nil || !res.Truncated || len(res.Levels) == 0 {
 		t.Fatalf("Enumerate partial result = %+v", res)
+	}
+}
+
+// TestEnumerateTrackerHoldsLastLevel: the enumeration baseline charges a
+// level's lists when it builds them and credits the level they replace,
+// so when a run ends its tracker holds exactly the lists of the last
+// level, not the sum of every level it built. The expected bytes come
+// from an independent scan: enumeration prunes nothing, so its last level
+// holds every non-zero-support pattern of that length.
+func TestEnumerateTrackerHoldsLastLevel(t *testing.T) {
+	s, err := seqgen.GenomeLike(300, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 2, M: 4}
+	p := core.Params{Gap: g, MinSupport: 0.001, CandidateBudget: 1 << 16, Mem: pil.NewMemTracker(nil)}
+	res, err := Enumerate(s, p)
+	if !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatalf("Enumerate error = %v, want the candidate budget to stop it", err)
+	}
+	if len(res.Levels) < 3 {
+		t.Fatalf("only %d levels before the budget stopped the run; want several to accumulate", len(res.Levels))
+	}
+	last := res.Levels[len(res.Levels)-1].Level
+	lists, err := pil.ScanK(s, g, last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, l := range lists {
+		want += pil.EntryBytes * int64(len(l))
+	}
+	if got := p.Mem.Used(); got != want {
+		t.Errorf("tracker holds %d B after a run ending at level %d, want that level's %d B", got, last, want)
+	}
+	if p.Mem.High() < want {
+		t.Errorf("high-water %d B is below the last level's %d B", p.Mem.High(), want)
 	}
 }
 

@@ -67,7 +67,9 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	}
 
 	// Enumeration joins on the heap (no arenas), so the memory budget is
-	// charged over the retained per-level lists instead of slab growth.
+	// charged over the retained per-level lists instead of slab growth:
+	// heldBytes is the current level's, credited back once the next level
+	// replaces it.
 	mem := p.Mem
 	if mem == nil {
 		mem = pil.NewMemTracker(nil)
@@ -87,14 +89,14 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	}
 	nonzero := make(map[string]pil.List, len(start3))
 	sups := make(map[string]int64, len(start3))
-	var seedBytes int64
+	var heldBytes int64
 	for _, cl := range start3 {
 		chars := s.Alphabet().DecodePacked(cl.Code, i)
 		nonzero[chars] = cl.List
 		sups[chars] = cl.Sup
-		seedBytes += pil.EntryBytes * int64(len(cl.List))
+		heldBytes += pil.EntryBytes * int64(len(cl.List))
 	}
-	mem.Charge(seedBytes)
+	mem.Charge(heldBytes)
 	r := &runner{s: s, p: p, counter: counter, n: counter.L2(), res: res}
 	recordEnumLevel(r, i, sigmaPow(i), nonzero, sups, levelStats{})
 
@@ -155,7 +157,11 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		for _, list := range nextPILs {
 			levelBytes += pil.EntryBytes * int64(len(list))
 		}
+		// Both levels are live until nonzero is replaced below, so charge
+		// the new one before crediting the old: the high-water sees both.
 		mem.Charge(levelBytes)
+		mem.Charge(-heldBytes)
+		heldBytes = levelBytes
 		recordEnumLevel(r, next, sigmaPow(next), nextPILs, nextSups, st)
 		res.Levels[len(res.Levels)-1].Elapsed += time.Since(levelStart)
 		nonzero = nextPILs

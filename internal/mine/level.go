@@ -226,7 +226,7 @@ func (r *runner) run(start []pil.CodeList) {
 	}
 
 	_, seedSpan := obs.Start(ctx, "mine.level")
-	hat = r.collectLevel(i, candCount, hat, levelStats{})
+	hat = r.collectLevel(i, candCount, hat, r.thresholds(i), levelStats{})
 	annotateLevelSpan(seedSpan, r.res.Levels[len(r.res.Levels)-1])
 	seedSpan.End()
 
@@ -252,11 +252,12 @@ func (r *runner) run(start []pil.CodeList) {
 		}
 		lctx, span := obs.Start(ctx, "mine.level")
 		levelStart := time.Now()
+		th := r.thresholds(next)
 		var st levelStats
 		cands := r.gen(hat, i)
 		st.gen = time.Since(levelStart)
 		countStart := time.Now()
-		counted := r.countCandidates(lctx, next, hat, cands, &st)
+		counted := r.countCandidates(lctx, next, hat, cands, th.hat, &st)
 		st.count = time.Since(countStart)
 		if r.err != nil {
 			span.SetAttr("level", next)
@@ -264,7 +265,7 @@ func (r *runner) run(start []pil.CodeList) {
 			span.End()
 			break
 		}
-		kept := r.collectLevel(next, int64(len(cands)), counted, st)
+		kept := r.collectLevel(next, int64(len(cands)), counted, th, st)
 		// collectLevel timed only itself; the level spans gen, count and collect.
 		r.res.Levels[len(r.res.Levels)-1].Elapsed = time.Since(levelStart)
 		annotateLevelSpan(span, r.res.Levels[len(r.res.Levels)-1])
@@ -294,27 +295,43 @@ func (r *runner) widen(hat []hatEntry, k int) {
 	r.wide = true
 }
 
-// collectLevel applies the Li / L̂i thresholds to the counted entries of
-// level i, records metrics and frequent patterns, and returns L̂i
-// (compacted in place) for candidate generation. entries holds only
-// non-zero-support candidates in pattern order; the gap to candidates is
-// the level's zero-support count.
-//
-// Query hooks (Params.Hooks) thread the interactive layer in here: the
-// effective ρs is sampled once per level (so a top-K heap's rising K-th
-// ratio tightens both thresholds for whole levels at a time, pruning
-// candidate subtrees against the current K-th support, not the user's
-// floor), Emit/OnFrequent filter and observe emitted patterns, and
-// KeepCandidate drops hat entries whose descendants are known useless
-// (counted in PrunedByLambda). Plain runs (nil hooks) keep the
-// no-decode fast path for infrequent entries.
-func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st levelStats) []hatEntry {
-	start := time.Now()
-	alpha := r.s.Alphabet()
+// levelThresholds are one level's support cut-offs: freq admits a pattern
+// to Li, hat to L̂i. λ ≤ 1, so hat ≤ freq.
+type levelThresholds struct {
+	nl   float64 // N_i
+	lam  float64 // λ(n, n−i)
+	freq float64 // ρs·N_i
+	hat  float64 // λ·ρs·N_i
+}
+
+// thresholds samples the effective ρs once for level i. run passes the
+// result to both countCandidates and collectLevel, so the lists counting
+// gives back are exactly the entries collectLevel does not keep. A top-K
+// heap's rising K-th ratio thus tightens both thresholds for whole levels
+// at a time, pruning candidate subtrees against the current K-th support,
+// not the user's floor.
+func (r *runner) thresholds(i int) levelThresholds {
 	nl := r.counter.NlFloat(i)
 	lam := r.lambda(i)
-	thFreq := r.p.EffectiveMinSupport() * nl
-	thHat := lam * thFreq
+	freq := r.p.EffectiveMinSupport() * nl
+	return levelThresholds{nl: nl, lam: lam, freq: freq, hat: lam * freq}
+}
+
+// collectLevel applies the Li / L̂i thresholds th to the counted entries
+// of level i, records metrics and frequent patterns, and returns L̂i
+// (compacted in place) for candidate generation. entries holds only
+// non-zero-support candidates in pattern order; the gap to candidates is
+// the level's zero-support count. An entry below th.hat may carry a nil
+// list (countCandidates gave it back); only its support is read.
+//
+// Query hooks (Params.Hooks) thread the interactive layer in here:
+// Emit/OnFrequent filter and observe emitted patterns, and KeepCandidate
+// drops hat entries whose descendants are known useless (counted in
+// PrunedByLambda). Plain runs (nil hooks) keep the no-decode fast path
+// for infrequent entries.
+func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th levelThresholds, st levelStats) []hatEntry {
+	start := time.Now()
+	alpha := r.s.Alphabet()
 	hooks := r.p.Hooks
 
 	kept := entries[:0]
@@ -322,7 +339,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st le
 	for _, e := range entries {
 		chars := e.chars
 		haveChars := r.wide
-		if core.Meets(e.sup, thFreq) {
+		if core.Meets(e.sup, th.freq) {
 			frequent++
 			if !haveChars {
 				chars = alpha.DecodePacked(e.code, i)
@@ -332,7 +349,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st le
 				p := core.Pattern{
 					Chars:   chars,
 					Support: e.sup,
-					Ratio:   float64(e.sup) / nl,
+					Ratio:   float64(e.sup) / th.nl,
 				}
 				r.res.Patterns = append(r.res.Patterns, p)
 				if hooks != nil && hooks.OnFrequent != nil {
@@ -340,7 +357,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st le
 				}
 			}
 		}
-		if core.Meets(e.sup, thHat) {
+		if core.Meets(e.sup, th.hat) {
 			if hooks != nil && hooks.KeepCandidate != nil {
 				if !haveChars {
 					chars = alpha.DecodePacked(e.code, i)
@@ -368,7 +385,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, st le
 		JoinTwoPointer:   st.twoPtr,
 		JoinCum:          st.cum,
 		CumSpanFallbacks: st.cumFalls,
-		Lambda:           lam,
+		Lambda:           th.lam,
 		Elapsed:          time.Since(start),
 		GenElapsed:       st.gen,
 		CountElapsed:     st.count,
@@ -586,7 +603,10 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.Jo
 //
 // Join outputs land in the claiming worker's arena for the level's
 // parity; every arena of that parity holds only lists dead since two
-// levels ago and is reset here before counting starts. Workers carry
+// levels ago and is reset here before counting starts. An output whose
+// support misses thHat, the level's L̂ threshold, is given back to the
+// arena at once: gen never joins it, and its entry keeps only its support,
+// so each arena holds just the lists of L̂. Workers carry
 // pprof labels (permine_phase/permine_level) so CPU profiles taken via
 // -pprof-addr attribute time to mining phases.
 //
@@ -594,7 +614,7 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.Jo
 // context is checked every batch (in every worker); on cancellation
 // counting stops early, r.err is set to a typed core.CancelledError and
 // nil is returned — partial counts are never reported as results.
-func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, st *levelStats) []hatEntry {
+func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, thHat float64, st *levelStats) []hatEntry {
 	n := len(cands)
 	r.joined = sliceFor(r.joined, n)
 	joined := r.joined
@@ -688,6 +708,10 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					}
 					if sc.capped[j] {
 						nFalls++
+					}
+					if !core.Meets(sup, thHat) {
+						arena.GiveBack(list)
+						list = nil
 					}
 					joined[idx] = countedList{list: list, sup: sup}
 					nJoins++

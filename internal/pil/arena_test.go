@@ -50,6 +50,79 @@ func TestArenaReserveCommit(t *testing.T) {
 	}
 }
 
+// TestArenaGiveBack: giving back the last committed list frees exactly
+// its space — the next Reserve starts where that list started — and every
+// list committed before it keeps its values, also when the given-back
+// list opened a new slab.
+func TestArenaGiveBack(t *testing.T) {
+	var a pil.Arena
+	fill := func(n int, tag int64) pil.List {
+		l := a.Reserve(n)
+		for j := 0; j < n; j++ {
+			l = append(l, pil.Entry{X: int32(j), Y: tag})
+		}
+		a.Commit(len(l))
+		return l
+	}
+	check := func(l pil.List, tag int64) {
+		t.Helper()
+		for j, e := range l {
+			if e.X != int32(j) || e.Y != tag {
+				t.Fatalf("list %d entry %d corrupted: %+v", tag, j, e)
+			}
+		}
+	}
+	first := fill(100, 1)
+	dropped := fill(50, 2)
+	a.GiveBack(dropped)
+	reused := a.Reserve(50)
+	if &reused[:1][0] != &dropped[0] {
+		t.Fatal("Reserve after GiveBack did not reuse the given-back space")
+	}
+	reused = append(reused, pil.Entry{X: 0, Y: 3})
+	a.Commit(len(reused))
+	check(first, 1)
+	check(reused, 3)
+
+	// A list that does not fit the current slab opens the next one; giving
+	// it back must leave the lists of the slab before it intact.
+	capBefore := a.Cap()
+	spill := fill(40_000, 4)
+	a.GiveBack(spill)
+	again := fill(40_000, 5)
+	if &again[0] != &spill[0] {
+		t.Fatal("Reserve after GiveBack of a slab-opening list did not reuse its slab")
+	}
+	check(first, 1)
+	check(reused, 3)
+	check(again, 5)
+	if grown := a.Cap() - capBefore; grown != 40_000 {
+		t.Errorf("arena grew by %d entries for one 40000-entry list given back and reserved again", grown)
+	}
+
+	// Empty lists (a join with no output) give back nothing.
+	a.GiveBack(nil)
+	check(again, 5)
+}
+
+// TestArenaGiveBackRejectsOlderList: only the last committed list can be
+// given back; an older one would free space a live list still uses.
+func TestArenaGiveBackRejectsOlderList(t *testing.T) {
+	var a pil.Arena
+	older := a.Reserve(4)
+	older = append(older, pil.Entry{X: 1, Y: 1})
+	a.Commit(len(older))
+	last := a.Reserve(4)
+	last = append(last, pil.Entry{X: 2, Y: 2})
+	a.Commit(len(last))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("GiveBack of an older list did not panic")
+		}
+	}()
+	a.GiveBack(older)
+}
+
 // TestArenaLargeReserve: a reservation bigger than one slab still works
 // and later small reservations do not overlap it.
 func TestArenaLargeReserve(t *testing.T) {

@@ -38,7 +38,9 @@ func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 // FuzzJoin checks the Join invariants on arbitrary well-formed inputs:
 // the output is a valid List, every emitted X comes from the prefix, the
 // fused support equals the list sum, and the arena-backed and
-// cumulative-table joins are identical to the heap-backed one.
+// cumulative-table joins are identical to the heap-backed one — also
+// when, as in the miner, several joins share one arena and every other
+// output is given back.
 func FuzzJoin(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 1, 1, 2, 1, 1, 2, 3, 1})
 	f.Add([]byte{0, 15, 15})
@@ -74,6 +76,43 @@ func FuzzJoin(f *testing.F) {
 		for i := range got {
 			if viaArena[i] != got[i] {
 				t.Fatalf("arena join entry %d: %v vs %v", i, viaArena[i], got[i])
+			}
+		}
+		// The miner's use: several joins into one arena, alternately kept
+		// and given back. Every kept list must still equal its heap join
+		// after later joins have reused the given-back space.
+		arena.Reset()
+		phase := 0 // which of the alternating joins are kept
+		if len(data) > 0 {
+			phase = int(data[0])
+		}
+		pairs := [][2]pil.List{{prefix, suffix}, {suffix, prefix}, {prefix, prefix}, {suffix, suffix}}
+		var kept, heap []pil.List
+		for k := 0; k < 2*len(pairs); k++ {
+			pr, sf := pairs[k%len(pairs)][0], pairs[k%len(pairs)][1]
+			var out pil.List
+			if k < len(pairs) || len(sf) == 0 {
+				out, _ = pil.JoinInto(&arena, pr, sf, g)
+			} else {
+				var tab pil.CumTable
+				tab.Build(sf)
+				out, _ = pil.JoinCum(&arena, pr, &tab, g)
+			}
+			if (k+phase)%2 == 1 {
+				arena.GiveBack(out)
+				continue
+			}
+			kept = append(kept, out)
+			heap = append(heap, pil.Join(pr, sf, g))
+		}
+		for k := range kept {
+			if len(kept[k]) != len(heap[k]) {
+				t.Fatalf("kept arena list %d has %d entries, heap join %d", k, len(kept[k]), len(heap[k]))
+			}
+			for i := range heap[k] {
+				if kept[k][i] != heap[k][i] {
+					t.Fatalf("kept arena list %d entry %d: %v vs heap %v", k, i, kept[k][i], heap[k][i])
+				}
 			}
 		}
 		if len(suffix) > 0 {
