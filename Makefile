@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short vet race check cover bench bench-baseline bench-check slo-check overload-check fuzz-short experiments verify examples clean
+.PHONY: all build test test-short vet race check cover bench bench-baseline bench-check slo-check overload-check fuzz-short e2e-smoke experiments verify examples clean
 
 all: build test
 
@@ -24,8 +24,8 @@ race:
 
 # The full pre-merge gate: build, vet, tests, the race detector over
 # the concurrent packages, a short fuzz pass over the PIL invariants,
-# and the benchmark regression check.
-check: build vet test race fuzz-short bench-check
+# the end-to-end harness's own tests, and the benchmark regression check.
+check: build vet test race fuzz-short e2e-smoke bench-check
 
 cover:
 	$(GO) test -cover ./...
@@ -61,6 +61,13 @@ fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frame/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime $(FUZZTIME)
+
+# The end-to-end benchmark is a module of its own (benchmarks/e2e), so
+# the root's `go test ./...` skips it. Its tests build the harness against
+# the miner's current API and mine every workload at -quick scale,
+# checking each output against the reference mine.
+e2e-smoke:
+	cd benchmarks/e2e && $(GO) test ./...
 
 # Regenerate every table and figure of the paper (EXPERIMENTS.md).
 experiments:

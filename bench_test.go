@@ -192,7 +192,7 @@ func BenchmarkPILJoin(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		if got, sup := pil.JoinInto(&arena, p1, p2, benchGap); len(got) == 0 || sup == 0 {
+		if got, sup, _ := pil.JoinInto(&arena, p1, p2, 0, 0, benchGap); len(got) == 0 || sup == 0 {
 			b.Fatal("join vanished")
 		}
 	}

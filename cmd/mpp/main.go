@@ -173,12 +173,12 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout, res.Summary())
 		if *verbose {
-			fmt.Fprintf(stdout, "%-6s %-12s %-10s %-10s %-9s %-9s %-9s %-12s\n",
-				"level", "candidates", "frequent", "kept", "pruned", "zerosup", "lambda", "elapsed")
+			fmt.Fprintf(stdout, "%-6s %-12s %-10s %-10s %-9s %-9s %-10s %-9s %-12s\n",
+				"level", "candidates", "frequent", "kept", "pruned", "zerosup", "abandoned", "lambda", "elapsed")
 			for _, lv := range res.Levels {
-				fmt.Fprintf(stdout, "%-6d %-12d %-10d %-10d %-9d %-9d %-9.4f %-12v\n",
+				fmt.Fprintf(stdout, "%-6d %-12d %-10d %-10d %-9d %-9d %-10d %-9.4f %-12v\n",
 					lv.Level, lv.Candidates, lv.Frequent, lv.Kept, lv.PrunedByLambda,
-					lv.ZeroSupport, lv.Lambda, lv.Elapsed.Round(time.Microsecond))
+					lv.ZeroSupport, lv.Abandoned, lv.Lambda, lv.Elapsed.Round(time.Microsecond))
 			}
 		}
 		limit := *maxPrint

@@ -154,7 +154,7 @@ func TestRunLevelMetricsDump(t *testing.T) {
 		t.Fatalf("dump = %+v", d)
 	}
 	for _, lv := range d.Levels {
-		if lv.ZeroSupport+lv.PrunedByLambda+lv.Kept != lv.Candidates {
+		if lv.ZeroSupport+lv.PrunedByLambda+lv.Abandoned+lv.Kept != lv.Candidates {
 			t.Errorf("level %d: candidate accounting broken in dump: %+v", lv.Level, lv)
 		}
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -151,6 +152,70 @@ func TestParseJoinStrategyRetiredName(t *testing.T) {
 		got, err := core.ParseJoinStrategy(name)
 		if err != nil || got != core.JoinAuto {
 			t.Errorf("ParseJoinStrategy(%q) = %v, %v; want auto", name, got, err)
+		}
+	}
+}
+
+// TestSupportCut: the cut is the smallest support Meets accepts, so the
+// integer comparison sup >= cut agrees with Meets on every support near
+// it — below 2^53, where supports convert to float64 exactly, and above
+// it, where neighbouring supports share one float64 — and a threshold no
+// int64 support meets saturates at math.MaxInt64.
+func TestSupportCut(t *testing.T) {
+	cases := []struct {
+		threshold float64
+		want      int64 // 0: only the agreement with Meets is checked
+	}{
+		{math.Inf(-1), 1},
+		{-3, 1},
+		{0, 1},
+		{0.5, 1},
+		{1, 1},
+		{2, 2},
+		{3.5, 4},
+		{1e6, 1e6},
+		{1 << 53, 0},
+		{1<<53 - 3, 0},
+		{1<<53 + 2, 0},
+		{1<<53 + 6, 0},
+		// (1 − 1e−12) scales these to exactly 2^53 + 12 and 2^53 + 14,
+		// where float64 spacing is 2. 2^53 + 11 ties to the even mantissa
+		// of 2^53 + 12 and so meets it; 2^53 + 13 ties down to 2^53 + 12.
+		{1<<53 + 9020, 1<<53 + 11},
+		{1<<53 + 9022, 1<<53 + 14},
+		{1e15 + 0.5, 999_999_999_999_001},
+		{4e18, 0},
+		{1 << 63, 0},
+		{1e19, math.MaxInt64},
+		{math.MaxFloat64, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{math.NaN(), math.MaxInt64},
+	}
+	for _, tc := range cases {
+		cut := core.SupportCut(tc.threshold)
+		if cut < 1 {
+			t.Errorf("SupportCut(%v) = %d, want at least 1", tc.threshold, cut)
+		}
+		if tc.want != 0 && cut != tc.want {
+			t.Errorf("SupportCut(%v) = %d, want %d", tc.threshold, cut, tc.want)
+		}
+		if cut == math.MaxInt64 {
+			// Saturated: no support meets the threshold.
+			for _, s := range []int64{0, 1, 1 << 53, 4e18, math.MaxInt64 - 1, math.MaxInt64} {
+				if core.Meets(s, tc.threshold) {
+					t.Errorf("SupportCut(%v) saturated, but Meets(%d) holds", tc.threshold, s)
+				}
+			}
+			continue
+		}
+		for d := int64(-4); d <= 4; d++ {
+			s := cut + d
+			if s < 0 {
+				continue
+			}
+			if got, want := s >= cut, core.Meets(s, tc.threshold); got != want {
+				t.Errorf("threshold %v, cut %d: sup %d >= cut is %v, Meets says %v", tc.threshold, cut, s, got, want)
+			}
 		}
 	}
 }

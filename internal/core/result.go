@@ -56,19 +56,29 @@ type LevelMetrics struct {
 	// Kept is |L̂i|: candidates meeting λ(n,n−i)·ρs·Ni and carried into
 	// candidate generation for the next level.
 	Kept int64
-	// PrunedByLambda counts candidates whose support was non-zero but fell
-	// below λ(n,n−i)·ρs·Ni, so the λ pruning of Theorem 1 dropped them
-	// from L̂i. Candidates == ZeroSupport + PrunedByLambda + Kept.
+	// PrunedByLambda counts candidates whose PIL join finished with a
+	// non-zero support below λ(n,n−i)·ρs·Ni, so the λ pruning of Theorem 1
+	// dropped them from L̂i, plus those a query hook's KeepCandidate
+	// dropped. Candidates == ZeroSupport + PrunedByLambda + Abandoned +
+	// Kept.
 	PrunedByLambda int64
-	// ZeroSupport counts generated candidates whose PIL join produced no
-	// offset sequence at all (dead on arrival, no threshold needed).
+	// ZeroSupport counts generated candidates whose PIL join finished and
+	// produced no offset sequence at all (dead on arrival, no threshold
+	// needed).
 	ZeroSupport int64
+	// Abandoned counts candidates whose PIL join stopped early because
+	// its support provably stayed below L̂i's threshold: the suffix
+	// support left to read, times the gap width W, could no longer close
+	// the distance. Their supports are unknown, so they are in neither
+	// ZeroSupport nor PrunedByLambda; none could have been kept or
+	// frequent.
+	Abandoned int64
 	// PILJoins is the number of PIL merge joins performed to count this
 	// level's candidates (0 for the direct-scan seed level).
 	PILJoins int64
-	// PILEntries is the total number of PIL entries scanned by those
-	// joins (prefix plus suffix list lengths): the offset-window scan
-	// work the support counting physically did.
+	// PILEntries is the PIL entries those joins read: the prefix entries
+	// each join visited before it finished or stopped (a finished join
+	// visits its whole prefix), plus its suffix list's length.
 	PILEntries int64
 	// JoinTwoPointer and JoinCum split PILJoins by the strategy that
 	// executed each join (the two-pointer window merge, the

@@ -50,13 +50,13 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) {
 	b.Helper()
 	ctx := context.Background()
-	thHat := r.thresholds(k + 1).hat
+	cut := r.thresholds(k + 1).cut
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var st levelStats
 		cands := r.gen(hat, k)
-		counted := r.countCandidates(ctx, k+1, hat, cands, thHat, &st)
+		counted := r.countCandidates(ctx, k+1, hat, cands, cut, &st)
 		if r.err != nil {
 			b.Fatal(r.err)
 		}

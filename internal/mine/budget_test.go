@@ -1,6 +1,7 @@
 package mine
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -104,17 +105,18 @@ func TestMemoryBudgetMPPmAndAdaptive(t *testing.T) {
 	}
 }
 
-// TestMemoryBudgetHoldsOnlyHat: counting gives a join's output back to
-// its arena as soon as its support misses the level's L̂ threshold, so a
-// run's PIL memory is about two consecutive L̂ levels rather than two
-// whole counted levels. This 100 MiB budget is below what whole levels
-// need here (kept until level i+2, their arenas overran it at level 8,
-// with an unbudgeted high-water near 199 MB), yet the budgeted MPPm must
-// now finish and mine exactly what an unbudgeted one does.
+// TestMemoryBudgetHoldsOnlyHat: a join commits its output to its arena
+// only when its support reaches the level's L̂ cut, so a run's PIL memory
+// is about two consecutive L̂ levels rather than two whole counted levels.
+// This 100 MiB budget is below what whole levels need here (kept until
+// level i+2, their arenas overran it at level 8, with an unbudgeted
+// high-water near 199 MB), yet the budgeted MPPm must finish and mine
+// exactly what an unbudgeted one does.
 //
 // The run is then repeated level by level to check that every L̂ handed to
-// gen still holds its lists: a kept entry whose list had been given back
-// would join as empty as a prefix and panic in joinChoice as a suffix.
+// gen still holds its lists: a kept entry whose join had not committed
+// its list would join as empty as a prefix and panic in joinChoice as a
+// suffix.
 func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 	s, err := seqgen.GenomeLike(1000, 7)
 	if err != nil {
@@ -135,17 +137,18 @@ func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 		t.Fatalf("budgeted run completed %d of %d levels (truncated %v)", len(got.Levels), len(full.Levels), got.Truncated)
 	}
 	samePatterns(t, "budgeted MPPm", got.Patterns, full.Patterns)
-	var pruned int64
+	var missed int64
 	for i, lm := range got.Levels {
 		want := full.Levels[i]
 		if lm.Candidates != want.Candidates || lm.Frequent != want.Frequent || lm.Kept != want.Kept ||
-			lm.PrunedByLambda != want.PrunedByLambda || lm.ZeroSupport != want.ZeroSupport || lm.PILJoins != want.PILJoins {
+			lm.PrunedByLambda != want.PrunedByLambda || lm.ZeroSupport != want.ZeroSupport ||
+			lm.Abandoned != want.Abandoned || lm.PILJoins != want.PILJoins {
 			t.Errorf("level %d diverged from the unbudgeted run:\n got %+v\nwant %+v", lm.Level, lm, want)
 		}
-		pruned += lm.PrunedByLambda
+		missed += lm.PrunedByLambda + lm.Abandoned
 	}
-	if pruned == 0 {
-		t.Fatal("no counted entry missed its L̂ threshold; nothing was given back")
+	if missed == 0 {
+		t.Fatal("no join missed its level's L̂ cut; nothing was left out of the arenas")
 	}
 
 	np, err := budgeted.Normalize()
@@ -184,6 +187,175 @@ func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 	}
 	r.res.SortPatterns()
 	samePatterns(t, "level-by-level run", r.res.Patterns, full.Patterns)
+}
+
+// TestAbandonedJoinsMissTheCut drives the paper's regime (1 kb, gap
+// [9,12], ρs 0.003%, m = 8, 2 workers) level by level and re-joins the
+// parents of every candidate with the unbounded pil.Join: a join that
+// stopped must have a full support below its level's L̂ cut, a finished
+// one must report the full support, and a list is committed exactly when
+// that support reaches the cut. The level's PILEntries must be the prefix
+// entries each join visited plus its suffix length, and the mined result
+// must still equal MPPm's.
+func TestAbandonedJoinsMissTheCut(t *testing.T) {
+	s, err := seqgen.GenomeLike(1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Gap: combinat.Gap{N: 9, M: 12}, MinSupport: 0.00003, EmOrder: 8, Workers: 2}
+	want, err := MPPm(s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	np, err := p.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := combinat.NewCounter(s.Len(), np.Gap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start, err := pil.ScanKPacked(s, np.Gap, np.StartLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &runner{s: s, p: np, counter: counter, n: want.N, res: &core.Result{Algorithm: core.AlgoMPPm}}
+	r.arenas = make([]pil.Arena, 2*r.workers())
+	r.initMem()
+	i := np.StartLen
+	var hat []hatEntry
+	for _, cl := range start {
+		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})
+	}
+	hat = r.collectLevel(i, 64, hat, r.thresholds(i), levelStats{})
+	var abandoned int64
+	for len(hat) > 0 && counter.Nl(i+1).Sign() != 0 {
+		next := i + 1
+		th := r.thresholds(next)
+		var st levelStats
+		cands := r.gen(hat, i)
+		counted := r.countCandidates(context.Background(), next, hat, cands, th.cut, &st)
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		var stopped, entries int64
+		for idx, c := range cands {
+			prefix, suffix := hat[c.prefix].list, hat[c.suffix].list
+			full := pil.Join(prefix, suffix, np.Gap)
+			fullSup := full.Support()
+			_, _, visited := pil.JoinInto(nil, prefix, suffix, hat[c.suffix].sup, th.cut, np.Gap)
+			entries += int64(visited + len(suffix))
+			got := r.joined[idx]
+			if (got.sup < 0) != (visited < len(prefix)) {
+				t.Fatalf("level %d: join of %d reported stopped %v, a two-pointer rerun joined %d of %d entries",
+					next, c.code, got.sup < 0, visited, len(prefix))
+			}
+			switch {
+			case got.sup < 0:
+				stopped++
+				if fullSup >= th.cut {
+					t.Fatalf("level %d: join of %d stopped, but its full support %d reaches the cut %d",
+						next, c.code, fullSup, th.cut)
+				}
+			case got.sup != fullSup:
+				t.Fatalf("level %d: join of %d finished with support %d, full support %d", next, c.code, got.sup, fullSup)
+			case (got.list != nil) != (fullSup >= th.cut):
+				t.Fatalf("level %d: join of %d (support %d, cut %d) committed a list: %v",
+					next, c.code, fullSup, th.cut, got.list != nil)
+			}
+		}
+		if stopped != st.abandoned || entries != st.entries {
+			t.Fatalf("level %d: %d joins stopped and %d entries read, levelStats counts %d and %d",
+				next, stopped, entries, st.abandoned, st.entries)
+		}
+		abandoned += stopped
+		hat = r.collectLevel(next, int64(len(cands)), counted, th, st)
+		i = next
+	}
+	if abandoned == 0 {
+		t.Fatal("no join was abandoned in the paper's regime")
+	}
+	if len(r.res.Levels) != len(want.Levels) {
+		t.Fatalf("level-by-level run recorded %d levels, MPPm %d", len(r.res.Levels), len(want.Levels))
+	}
+	for k, lm := range r.res.Levels {
+		w := want.Levels[k]
+		if lm.Candidates != w.Candidates || lm.Kept != w.Kept || lm.Abandoned != w.Abandoned || lm.PILEntries != w.PILEntries {
+			t.Errorf("level %d diverged from MPPm:\n got %+v\nwant %+v", lm.Level, lm, w)
+		}
+	}
+	r.res.SortPatterns()
+	samePatterns(t, "level-by-level run", r.res.Patterns, want.Patterns)
+}
+
+// TestSeedListsCharged: the scanned start-level lists count against the
+// run's tracker until level StartLen+1 is counted, or until the run ends.
+// First L̂3 is empty, so the seed level is the run's last: no arena ever
+// grows, the high-water is exactly the seed lists, and nothing stays
+// charged.
+func TestSeedListsCharged(t *testing.T) {
+	s, err := seqgen.GenomeLike(1000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 9, M: 12}
+	p := core.Params{Gap: g, MinSupport: 0.5, Mem: pil.NewMemTracker(nil)}
+	res, err := MPP(s, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Levels) != 1 || res.Levels[0].Kept != 0 {
+		t.Fatalf("levels %+v; want only the seed level, with an empty L̂", res.Levels)
+	}
+	start, err := pil.ScanKPacked(s, g, core.DefaultStartLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want int64
+	for _, cl := range start {
+		want += pil.EntryBytes * int64(len(cl.List))
+	}
+	if want == 0 {
+		t.Fatal("empty seed level")
+	}
+	if p.Mem.High() != want || p.Mem.Used() != 0 {
+		t.Errorf("tracker high %d B, used %d B; want high = the seed lists' %d B, used 0", p.Mem.High(), p.Mem.Used(), want)
+	}
+
+	// In a run that goes on, the seed lists are credited once level 4 is
+	// counted: from then on the tracker holds exactly the arena slabs
+	// (two-pointer joins build no cumulative tables).
+	np, err := core.Params{Gap: g, MinSupport: 0.00003, MaxLen: 6, Join: core.JoinTwoPointer}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	counter, err := combinat.NewCounter(s.Len(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &runner{s: s, p: np, counter: counter, n: 6, res: &core.Result{Algorithm: core.AlgoMPP}}
+	levels := 0
+	r.p.Progress = func(lm core.LevelMetrics) {
+		levels++
+		var slabs int64
+		for i := range r.arenas {
+			slabs += pil.EntryBytes * int64(r.arenas[i].Cap())
+		}
+		wantUsed := slabs
+		if lm.Level == np.StartLen {
+			wantUsed += want
+		}
+		if got := r.mem.Used(); got != wantUsed {
+			t.Errorf("level %d: tracker holds %d B, want %d B (arena slabs %d B)", lm.Level, got, wantUsed, slabs)
+		}
+	}
+	r.run(start)
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if levels < 3 {
+		t.Fatalf("the run reported %d levels; want several", levels)
+	}
 }
 
 // samePatterns fails t unless got and want, both sorted, hold the same

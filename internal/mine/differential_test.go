@@ -42,6 +42,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	// and auto proves the per-list selector never mixes in a wrong
 	// answer whichever kernel it picks.
 	strategies := []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum}
+	var abandoned int64 // over the grid: the stop must have run
 	for _, cfg := range configs {
 		cfg := cfg
 		name := fmt.Sprintf("seed%d_L%d_gap%d-%d", cfg.seed, cfg.length, cfg.g.N, cfg.g.M)
@@ -54,6 +55,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var firstLevels []core.LevelMetrics
 			for _, join := range strategies {
 				base := core.Params{Gap: cfg.g, MinSupport: cfg.rho, Join: join}
 				tag := func(label string) string { return label + " (join=" + join.String() + ") vs oracle" }
@@ -65,6 +67,16 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 					t.Fatal(err)
 				}
 				comparePatterns(t, tag("MPP"), mpp.Patterns, want, 3, maxLen)
+				// Both kernels stop a join at the same prefix entry, so every
+				// level counter is strategy independent.
+				if firstLevels == nil {
+					firstLevels = mpp.Levels
+					for _, lm := range mpp.Levels {
+						abandoned += lm.Abandoned
+					}
+				} else {
+					sameLevelCounters(t, "MPP (join="+join.String()+")", mpp.Levels, firstLevels)
+				}
 
 				p = base
 				p.EmOrder = 6
@@ -106,6 +118,27 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 				comparePatterns(t, tag("enumerate"), enum.Patterns, want, 3, maxLen)
 			}
 		})
+	}
+	if abandoned == 0 {
+		t.Error("no MPP join was abandoned across the grid; the strategy check saw no stops")
+	}
+}
+
+// sameLevelCounters fails t unless two runs' levels agree on every
+// counter that does not depend on the join strategy: all but the strategy
+// split, its span fallbacks and the timings.
+func sameLevelCounters(t *testing.T, label string, got, want []core.LevelMetrics) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d levels, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		a, b := got[i], want[i]
+		if a.Level != b.Level || a.Candidates != b.Candidates || a.Frequent != b.Frequent || a.Kept != b.Kept ||
+			a.PrunedByLambda != b.PrunedByLambda || a.ZeroSupport != b.ZeroSupport || a.Abandoned != b.Abandoned ||
+			a.PILJoins != b.PILJoins || a.PILEntries != b.PILEntries {
+			t.Errorf("%s level %d counters differ:\n got %+v\nwant %+v", label, b.Level, a, b)
+		}
 	}
 }
 

@@ -145,7 +145,7 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 				cand := p1 + string(s.Alphabet().Symbol(c))
 				st.joins++
 				st.entries += int64(len(nonzero[p1]) + len(sufList))
-				list, sup := pil.JoinInto(nil, nonzero[p1], sufList, p.Gap)
+				list, sup, _ := pil.JoinInto(nil, nonzero[p1], sufList, 0, 0, p.Gap)
 				if len(list) > 0 {
 					nextPILs[cand] = list
 					nextSups[cand] = sup

@@ -86,7 +86,9 @@ type candidate struct {
 	suffix int32
 }
 
-// countedList is the join output for one candidate.
+// countedList is the join output for one candidate: its support, or −1
+// when the join stopped below the level's L̂ cut, and its list, nil unless
+// the support reached that cut.
 type countedList struct {
 	list pil.List
 	sup  int64
@@ -168,13 +170,14 @@ func (r *runner) lambda(i int) float64 {
 // levelStats accumulates the physical counting work of one level, feeding
 // the telemetry fields of core.LevelMetrics.
 type levelStats struct {
-	joins    int64 // PIL merge joins performed
-	entries  int64 // PIL entries scanned by those joins
-	twoPtr   int64 // joins executed by each strategy; sum == joins
-	cum      int64
-	cumFalls int64 // joins whose cum selection was capped by maxCumSpan
-	gen      time.Duration
-	count    time.Duration
+	joins     int64 // PIL merge joins performed
+	entries   int64 // prefix entries those joins visited plus their suffix lengths
+	abandoned int64 // joins stopped by the L̂ bound, support unknown
+	twoPtr    int64 // joins executed by each strategy; sum == joins
+	cum       int64
+	cumFalls  int64 // joins whose cum selection was capped by maxCumSpan
+	gen       time.Duration
+	count     time.Duration
 }
 
 // annotateLevelSpan attaches one level's metrics to its tracing span so a
@@ -189,6 +192,7 @@ func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
 	span.SetAttr("kept", lm.Kept)
 	span.SetAttr("pruned_by_lambda", lm.PrunedByLambda)
 	span.SetAttr("zero_support", lm.ZeroSupport)
+	span.SetAttr("abandoned", lm.Abandoned)
 	span.SetAttr("pil_joins", lm.PILJoins)
 	span.SetAttr("pil_entries", lm.PILEntries)
 	span.SetAttr("join_twoptr", lm.JoinTwoPointer)
@@ -224,6 +228,15 @@ func (r *runner) run(start []pil.CodeList) {
 	if i > alpha.MaxPackedLen() { // StartLen beyond capacity: widen the seed
 		r.widen(hat, i)
 	}
+	// The scanned seed lists are read until level StartLen+1 is counted:
+	// charge them like arena slabs, and credit them then, or when a run
+	// that never gets there ends.
+	var seedBytes int64
+	for _, cl := range start {
+		seedBytes += pil.EntryBytes * int64(len(cl.List))
+	}
+	r.mem.Charge(seedBytes)
+	defer func() { r.mem.Charge(-seedBytes) }()
 
 	_, seedSpan := obs.Start(ctx, "mine.level")
 	hat = r.collectLevel(i, candCount, hat, r.thresholds(i), levelStats{})
@@ -257,8 +270,12 @@ func (r *runner) run(start []pil.CodeList) {
 		cands := r.gen(hat, i)
 		st.gen = time.Since(levelStart)
 		countStart := time.Now()
-		counted := r.countCandidates(lctx, next, hat, cands, th.hat, &st)
+		counted := r.countCandidates(lctx, next, hat, cands, th.cut, &st)
 		st.count = time.Since(countStart)
+		if i == r.p.StartLen {
+			r.mem.Charge(-seedBytes)
+			seedBytes = 0
+		}
 		if r.err != nil {
 			span.SetAttr("level", next)
 			span.RecordError(r.err)
@@ -296,17 +313,19 @@ func (r *runner) widen(hat []hatEntry, k int) {
 }
 
 // levelThresholds are one level's support cut-offs: freq admits a pattern
-// to Li, hat to L̂i. λ ≤ 1, so hat ≤ freq.
+// to Li, and a support of at least cut admits it to L̂i — cut is
+// core.SupportCut of λ·ρs·N_i, the integer form of core.Meets. λ ≤ 1, so
+// every pattern meeting freq also reaches cut.
 type levelThresholds struct {
 	nl   float64 // N_i
 	lam  float64 // λ(n, n−i)
 	freq float64 // ρs·N_i
-	hat  float64 // λ·ρs·N_i
+	cut  int64   // smallest support in L̂i
 }
 
 // thresholds samples the effective ρs once for level i. run passes the
-// result to both countCandidates and collectLevel, so the lists counting
-// gives back are exactly the entries collectLevel does not keep. A top-K
+// result to both countCandidates and collectLevel, so the joins that
+// commit their lists are exactly the entries collectLevel keeps. A top-K
 // heap's rising K-th ratio thus tightens both thresholds for whole levels
 // at a time, pruning candidate subtrees against the current K-th support,
 // not the user's floor.
@@ -314,15 +333,16 @@ func (r *runner) thresholds(i int) levelThresholds {
 	nl := r.counter.NlFloat(i)
 	lam := r.lambda(i)
 	freq := r.p.EffectiveMinSupport() * nl
-	return levelThresholds{nl: nl, lam: lam, freq: freq, hat: lam * freq}
+	return levelThresholds{nl: nl, lam: lam, freq: freq, cut: core.SupportCut(lam * freq)}
 }
 
 // collectLevel applies the Li / L̂i thresholds th to the counted entries
 // of level i, records metrics and frequent patterns, and returns L̂i
-// (compacted in place) for candidate generation. entries holds only
-// non-zero-support candidates in pattern order; the gap to candidates is
-// the level's zero-support count. An entry below th.hat may carry a nil
-// list (countCandidates gave it back); only its support is read.
+// (compacted in place) for candidate generation. entries holds the
+// candidates whose joins finished with a non-zero support, in pattern
+// order; the rest of candidates are the level's zero-support and
+// abandoned joins (st.abandoned). An entry below th.cut carries a nil
+// list (its join committed nothing); only its support is read.
 //
 // Query hooks (Params.Hooks) thread the interactive layer in here:
 // Emit/OnFrequent filter and observe emitted patterns, and KeepCandidate
@@ -357,7 +377,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 				}
 			}
 		}
-		if core.Meets(e.sup, th.hat) {
+		if e.sup >= th.cut {
 			if hooks != nil && hooks.KeepCandidate != nil {
 				if !haveChars {
 					chars = alpha.DecodePacked(e.code, i)
@@ -369,7 +389,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 			kept = append(kept, e)
 		}
 	}
-	zero := candidates - int64(len(entries))
+	zero := candidates - int64(len(entries)) - st.abandoned
 	if zero < 0 {
 		zero = 0 // analytic candidate counts can saturate below the entry count
 	}
@@ -380,6 +400,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 		Kept:             int64(len(kept)),
 		PrunedByLambda:   int64(len(entries)) - int64(len(kept)),
 		ZeroSupport:      zero,
+		Abandoned:        st.abandoned,
 		PILJoins:         st.joins,
 		PILEntries:       st.entries,
 		JoinTwoPointer:   st.twoPtr,
@@ -603,18 +624,21 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.Jo
 //
 // Join outputs land in the claiming worker's arena for the level's
 // parity; every arena of that parity holds only lists dead since two
-// levels ago and is reset here before counting starts. An output whose
-// support misses thHat, the level's L̂ threshold, is given back to the
-// arena at once: gen never joins it, and its entry keeps only its support,
-// so each arena holds just the lists of L̂. Workers carry
-// pprof labels (permine_phase/permine_level) so CPU profiles taken via
-// -pprof-addr attribute time to mining phases.
+// levels ago and is reset here before counting starts. Both kernels take
+// cut, the level's L̂ cut: a join commits its output only when its
+// support reaches cut, so each arena holds just the lists of L̂ (gen
+// never joins the others), and a join stops as soon as its support
+// provably stays below cut. A stopped join is counted in st.abandoned and
+// yields no entry, since its support is unknown; it could not have been
+// kept, nor frequent (λ ≤ 1). Workers carry pprof labels
+// (permine_phase/permine_level) so CPU profiles taken via -pprof-addr
+// attribute time to mining phases.
 //
-// Entries with zero support are dropped; order follows cands. The
+// Zero-support and stopped joins yield no entry; order follows cands. The
 // context is checked every batch (in every worker); on cancellation
 // counting stops early, r.err is set to a typed core.CancelledError and
 // nil is returned — partial counts are never reported as results.
-func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, thHat float64, st *levelStats) []hatEntry {
+func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, cut int64, st *levelStats) []hatEntry {
 	n := len(cands)
 	r.joined = sliceFor(r.joined, n)
 	joined := r.joined
@@ -634,17 +658,18 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 
 	var stop, memHit atomic.Bool
 	var nextIdx atomic.Int64
-	var joins, entries atomic.Int64
+	var joins, entries, abandoned atomic.Int64
 	var twoPtrJoins, cumJoins, cumFalls atomic.Int64
 	work := func(w int) {
 		arena := &r.arenas[2*w+parity]
 		sc := &r.joinScr[w]
 		curLo, curW := int32(-1), int32(-1)
-		var nJoins, nEntries int64
+		var nJoins, nEntries, nAbandoned int64
 		var nTwoPtr, nCum, nFalls int64
 		defer func() {
 			joins.Add(nJoins)
 			entries.Add(nEntries)
+			abandoned.Add(nAbandoned)
 			twoPtrJoins.Add(nTwoPtr)
 			cumJoins.Add(nCum)
 			cumFalls.Add(nFalls)
@@ -695,27 +720,28 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 				}
 				prefix := hat[g.prefix].list
 				for idx := g.start; idx < g.end; idx++ {
-					suffix := hat[cands[idx].suffix].list
+					suffix := &hat[cands[idx].suffix]
 					var list pil.List
 					var sup int64
+					var visited int
 					j := idx - g.start
 					if sc.strat[j] == core.JoinCum {
-						list, sup = pil.JoinCum(arena, prefix, &sc.tables[j], gap)
+						list, sup, visited = pil.JoinCum(arena, prefix, &sc.tables[j], cut, gap)
 						nCum++
 					} else {
-						list, sup = pil.JoinInto(arena, prefix, suffix, gap)
+						list, sup, visited = pil.JoinInto(arena, prefix, suffix.list, suffix.sup, cut, gap)
 						nTwoPtr++
 					}
 					if sc.capped[j] {
 						nFalls++
 					}
-					if !core.Meets(sup, thHat) {
-						arena.GiveBack(list)
-						list = nil
+					if visited < len(prefix) {
+						nAbandoned++
+						sup = -1 // stopped: unknown, and below cut
 					}
 					joined[idx] = countedList{list: list, sup: sup}
 					nJoins++
-					nEntries += int64(len(prefix) + len(suffix))
+					nEntries += int64(visited + len(suffix.list))
 				}
 			}
 		}
@@ -736,6 +762,7 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 	}
 	st.joins += joins.Load()
 	st.entries += entries.Load()
+	st.abandoned += abandoned.Load()
 	st.twoPtr += twoPtrJoins.Load()
 	st.cum += cumJoins.Load()
 	st.cumFalls += cumFalls.Load()

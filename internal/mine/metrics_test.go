@@ -13,8 +13,9 @@ import (
 
 // TestLevelMetricsAccounting checks the per-level telemetry invariants on
 // a real MPP run: every generated candidate is accounted for exactly once
-// (zero-support + λ-pruned + kept), the physical join counters match the
-// candidate counts, and the λ factor stays in its theoretical range.
+// (zero-support + λ-pruned + abandoned + kept), the physical join counters
+// match the candidate counts, and the λ factor stays in its theoretical
+// range.
 func TestLevelMetricsAccounting(t *testing.T) {
 	s, err := gen.GenomeLike(400, 7)
 	if err != nil {
@@ -27,11 +28,13 @@ func TestLevelMetricsAccounting(t *testing.T) {
 	if len(res.Levels) < 2 {
 		t.Fatalf("only %d levels; the regime should mine several", len(res.Levels))
 	}
+	var abandoned int64
 	for i, lv := range res.Levels {
-		if got := lv.ZeroSupport + lv.PrunedByLambda + lv.Kept; got != lv.Candidates {
-			t.Errorf("level %d: zero(%d) + pruned(%d) + kept(%d) = %d, want candidates %d",
-				lv.Level, lv.ZeroSupport, lv.PrunedByLambda, lv.Kept, got, lv.Candidates)
+		if got := lv.ZeroSupport + lv.PrunedByLambda + lv.Abandoned + lv.Kept; got != lv.Candidates {
+			t.Errorf("level %d: zero(%d) + pruned(%d) + abandoned(%d) + kept(%d) = %d, want candidates %d",
+				lv.Level, lv.ZeroSupport, lv.PrunedByLambda, lv.Abandoned, lv.Kept, got, lv.Candidates)
 		}
+		abandoned += lv.Abandoned
 		if lv.Frequent > lv.Kept {
 			t.Errorf("level %d: frequent %d > kept %d (L̂i must contain Li)", lv.Level, lv.Frequent, lv.Kept)
 		}
@@ -40,8 +43,9 @@ func TestLevelMetricsAccounting(t *testing.T) {
 		}
 		if i == 0 {
 			// The seed level is built by direct scan, not PIL joins.
-			if lv.PILJoins != 0 || lv.PILEntries != 0 {
-				t.Errorf("seed level reports %d joins / %d entries, want 0", lv.PILJoins, lv.PILEntries)
+			if lv.PILJoins != 0 || lv.PILEntries != 0 || lv.Abandoned != 0 {
+				t.Errorf("seed level reports %d joins / %d entries / %d abandoned, want 0",
+					lv.PILJoins, lv.PILEntries, lv.Abandoned)
 			}
 			if lv.JoinTwoPointer != 0 || lv.JoinCum != 0 || lv.CumSpanFallbacks != 0 {
 				t.Errorf("seed level reports strategy counters %d/%d (falls %d), want 0",
@@ -73,6 +77,9 @@ func TestLevelMetricsAccounting(t *testing.T) {
 			t.Errorf("level %d: negative phase timing gen=%v count=%v", lv.Level, lv.GenElapsed, lv.CountElapsed)
 		}
 	}
+	if abandoned == 0 {
+		t.Error("no join was abandoned; the regime should stop some below L̂")
+	}
 }
 
 // TestLevelMetricsParallelMatchesSerial checks the atomically-accumulated
@@ -98,7 +105,7 @@ func TestLevelMetricsParallelMatchesSerial(t *testing.T) {
 	}
 	for i := range serial.Levels {
 		a, b := serial.Levels[i], parallel.Levels[i]
-		if a.PILJoins != b.PILJoins || a.PILEntries != b.PILEntries ||
+		if a.PILJoins != b.PILJoins || a.PILEntries != b.PILEntries || a.Abandoned != b.Abandoned ||
 			a.PrunedByLambda != b.PrunedByLambda || a.ZeroSupport != b.ZeroSupport {
 			t.Errorf("level %d counters differ between 1 and 4 workers: %+v vs %+v", a.Level, a, b)
 		}

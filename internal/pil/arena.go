@@ -7,14 +7,14 @@ package pil
 // The miner owns two arenas per counting worker and recycles them
 // double-buffered across levels — level i's output lists are read while
 // level i+1 is being built, so the slabs of level i−1 (already dead) are
-// what level i+1 reuses. A join output the next level will not join is
-// given back at once (GiveBack), so an arena holds only the lists that
-// level joins. An Arena is not safe for concurrent use; each goroutine
-// must own its own.
+// what level i+1 reuses. A join commits its output only when its support
+// reaches the level's L̂ cut, so an arena holds only the lists the next
+// level joins; the space a missed join reserved goes to the next Reserve.
+// An Arena is not safe for concurrent use; each goroutine must own its
+// own.
 //
 // Entries handed out by Reserve stay valid until the Reset after next —
-// callers must not retain lists across two Resets of their arena — or
-// until they are handed back with GiveBack.
+// callers must not retain lists across two Resets of their arena.
 type Arena struct {
 	slabs [][]Entry
 	cur   int // index of the slab currently being filled
@@ -71,22 +71,6 @@ func (a *Arena) Reserve(n int) List {
 // entry, usually fewer); the remainder is reused by the next Reserve.
 func (a *Arena) Commit(n int) {
 	a.used += n
-}
-
-// GiveBack undoes the last Commit: l, the list that Commit kept, returns
-// to the arena and the next Reserve reuses its space. Lists committed
-// before l are untouched. The miner gives back a join's output as soon as
-// its support shows the list will never be joined again. l must be the
-// most recent list committed to a since its last Reset; anything else is
-// a caller bug and panics.
-func (a *Arena) GiveBack(l List) {
-	if len(l) == 0 {
-		return
-	}
-	if a.used < len(l) || &a.slabs[a.cur][a.used-len(l)] != &l[0] {
-		panic("pil: Arena.GiveBack of a list other than the last committed")
-	}
-	a.used -= len(l)
 }
 
 // Reset recycles every slab for reuse without releasing memory. Lists

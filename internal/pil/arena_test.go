@@ -50,79 +50,6 @@ func TestArenaReserveCommit(t *testing.T) {
 	}
 }
 
-// TestArenaGiveBack: giving back the last committed list frees exactly
-// its space — the next Reserve starts where that list started — and every
-// list committed before it keeps its values, also when the given-back
-// list opened a new slab.
-func TestArenaGiveBack(t *testing.T) {
-	var a pil.Arena
-	fill := func(n int, tag int64) pil.List {
-		l := a.Reserve(n)
-		for j := 0; j < n; j++ {
-			l = append(l, pil.Entry{X: int32(j), Y: tag})
-		}
-		a.Commit(len(l))
-		return l
-	}
-	check := func(l pil.List, tag int64) {
-		t.Helper()
-		for j, e := range l {
-			if e.X != int32(j) || e.Y != tag {
-				t.Fatalf("list %d entry %d corrupted: %+v", tag, j, e)
-			}
-		}
-	}
-	first := fill(100, 1)
-	dropped := fill(50, 2)
-	a.GiveBack(dropped)
-	reused := a.Reserve(50)
-	if &reused[:1][0] != &dropped[0] {
-		t.Fatal("Reserve after GiveBack did not reuse the given-back space")
-	}
-	reused = append(reused, pil.Entry{X: 0, Y: 3})
-	a.Commit(len(reused))
-	check(first, 1)
-	check(reused, 3)
-
-	// A list that does not fit the current slab opens the next one; giving
-	// it back must leave the lists of the slab before it intact.
-	capBefore := a.Cap()
-	spill := fill(40_000, 4)
-	a.GiveBack(spill)
-	again := fill(40_000, 5)
-	if &again[0] != &spill[0] {
-		t.Fatal("Reserve after GiveBack of a slab-opening list did not reuse its slab")
-	}
-	check(first, 1)
-	check(reused, 3)
-	check(again, 5)
-	if grown := a.Cap() - capBefore; grown != 40_000 {
-		t.Errorf("arena grew by %d entries for one 40000-entry list given back and reserved again", grown)
-	}
-
-	// Empty lists (a join with no output) give back nothing.
-	a.GiveBack(nil)
-	check(again, 5)
-}
-
-// TestArenaGiveBackRejectsOlderList: only the last committed list can be
-// given back; an older one would free space a live list still uses.
-func TestArenaGiveBackRejectsOlderList(t *testing.T) {
-	var a pil.Arena
-	older := a.Reserve(4)
-	older = append(older, pil.Entry{X: 1, Y: 1})
-	a.Commit(len(older))
-	last := a.Reserve(4)
-	last = append(last, pil.Entry{X: 2, Y: 2})
-	a.Commit(len(last))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GiveBack of an older list did not panic")
-		}
-	}()
-	a.GiveBack(older)
-}
-
 // TestArenaLargeReserve: a reservation bigger than one slab still works
 // and later small reservations do not overlap it.
 func TestArenaLargeReserve(t *testing.T) {
@@ -152,11 +79,11 @@ func TestJoinIntoArenaZeroAlloc(t *testing.T) {
 		suffix = append(suffix, pil.Entry{X: int32(2*i + 1), Y: 2})
 	}
 	var a pil.Arena
-	pil.JoinInto(&a, prefix, suffix, g) // warm the slabs
+	pil.JoinInto(&a, prefix, suffix, 0, 0, g) // warm the slabs
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Reset()
 		for i := 0; i < 8; i++ {
-			list, sup := pil.JoinInto(&a, prefix, suffix, g)
+			list, sup, _ := pil.JoinInto(&a, prefix, suffix, 0, 0, g)
 			if len(list) == 0 || sup == 0 {
 				t.Fatal("join unexpectedly empty")
 			}
@@ -173,7 +100,7 @@ func TestJoinIntoSupportMatches(t *testing.T) {
 	prefix := pil.List{{X: 0, Y: 2}, {X: 3, Y: 1}, {X: 7, Y: 5}}
 	suffix := pil.List{{X: 1, Y: 1}, {X: 4, Y: 3}, {X: 8, Y: 2}, {X: 12, Y: 4}}
 	for _, g := range []combinat.Gap{{N: 0, M: 0}, {N: 0, M: 3}, {N: 2, M: 6}, {N: 5, M: 20}} {
-		list, sup := pil.JoinInto(nil, prefix, suffix, g)
+		list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
 		if err := list.Validate(); err != nil {
 			t.Fatalf("g=%v: %v", g, err)
 		}
@@ -193,14 +120,74 @@ func TestJoinTailOverflow(t *testing.T) {
 	prefix := pil.List{{X: lastX, Y: 1}}
 	suffix := pil.List{{X: lastX + 1, Y: 7}}
 	g := combinat.Gap{N: 0, M: math.MaxInt32}
-	list, sup := pil.JoinInto(nil, prefix, suffix, g)
+	list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
 	if sup != 7 || len(list) != 1 || list[0] != (pil.Entry{X: lastX, Y: 7}) {
 		t.Fatalf("JoinInto near tail with huge M = %v (sup %d), want [{%d 7}]", list, sup, lastX)
 	}
 	// The same shape with the suffix just outside the window must stay
 	// empty: the fix must not over-widen the window either.
 	gTight := combinat.Gap{N: 2, M: math.MaxInt32}
-	if list, sup := pil.JoinInto(nil, prefix, suffix, gTight); sup != 0 || len(list) != 0 {
+	if list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, gTight); sup != 0 || len(list) != 0 {
 		t.Fatalf("suffix below minX joined anyway: %v (sup %d)", list, sup)
+	}
+	// W = 2^31 here: the stop test must neither overflow nor misfire.
+	if list, sup, n := pil.JoinInto(nil, prefix, suffix, 7, 7, g); sup != 7 || n != 1 || len(list) != 1 {
+		t.Fatalf("cut 7 with huge W: %v (sup %d, n %d), want the full join kept", list, sup, n)
+	}
+	if list, sup, n := pil.JoinInto(nil, prefix, suffix, 7, 8, g); list != nil || sup != 7 || n != 1 {
+		t.Fatalf("cut 8 with huge W: %v (sup %d, n %d), want a finished join below the cut", list, sup, n)
+	}
+}
+
+// TestJoinStopsAtBound pins the stop rule on a hand-sized join: gap
+// [0,1], so W = 2 and prefix entry x reads suffix X in [x+1, x+2].
+func TestJoinStopsAtBound(t *testing.T) {
+	g := combinat.Gap{N: 0, M: 1}
+	prefix := pil.List{{X: 0, Y: 1}, {X: 10, Y: 1}, {X: 20, Y: 1}, {X: 30, Y: 1}}
+	suffix := pil.List{{X: 1, Y: 3}, {X: 12, Y: 1}, {X: 21, Y: 1}, {X: 31, Y: 1}}
+	sufSup := suffix.Support() // 6; the full join is 3+1+1+1 = 6
+	var tab pil.CumTable
+	tab.Build(suffix)
+	cases := []struct {
+		cut   int64
+		n     int   // prefix entries joined; 4 = finished
+		sup   int64 // support when finished
+		kept  bool
+		label string
+	}{
+		{0, 4, 6, true, "cut 0 never stops"},
+		{6, 4, 6, true, "the full support meets the cut"},
+		// Entry 0: rest 6, 0 + 2·6 >= 7 → join (sup 3). Entry 1: rest 3,
+		// 3 + 2·3 >= 7 → join (4). Entry 2: rest 2, 4 + 2·2 >= 7 → join
+		// (5). Entry 3: rest 1, 5 + 2·1 = 7 → join (6); 6 < 7 at the end.
+		{7, 4, 6, false, "finishes below the cut"},
+		// Entry 2: 4 + 2·2 = 8 < 9 → stop with two entries joined.
+		{9, 2, 0, false, "stops at entry 2"},
+		// Entry 0: 0 + 2·6 = 12 < 13 → stop before joining anything.
+		{13, 0, 0, false, "stops at entry 0"},
+	}
+	var a pil.Arena
+	for _, tc := range cases {
+		for _, kernel := range []string{"twoptr", "cum"} {
+			a.Reset()
+			start := &a.Reserve(1)[:1][0]
+			var out pil.List
+			var sup int64
+			var n int
+			if kernel == "cum" {
+				out, sup, n = pil.JoinCum(&a, prefix, &tab, tc.cut, g)
+			} else {
+				out, sup, n = pil.JoinInto(&a, prefix, suffix, sufSup, tc.cut, g)
+			}
+			if n != tc.n || (n == len(prefix) && sup != tc.sup) || (out != nil) != tc.kept {
+				t.Errorf("%s, %s: n %d sup %d kept %v; want n %d sup %d kept %v",
+					tc.label, kernel, n, sup, out != nil, tc.n, tc.sup, tc.kept)
+			}
+			// Only a kept output takes arena space; a dropped one leaves
+			// its reservation to the next Reserve.
+			if next := &a.Reserve(1)[:1][0]; (next != start) != tc.kept {
+				t.Errorf("%s, %s: kept %v, but the next Reserve moved %v", tc.label, kernel, tc.kept, next != start)
+			}
+		}
 	}
 }

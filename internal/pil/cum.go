@@ -47,23 +47,52 @@ func (t *CumTable) Build(s List) {
 	t.cum = cum
 }
 
-// JoinCum computes the same join as JoinInto(a, prefix, suffix, g) with t
-// built over suffix: identical entries, identical support. Window bounds
-// are computed in int for the same overflow reason as JoinInto.
-func JoinCum(a *Arena, prefix List, t *CumTable, g combinat.Gap) (List, int64) {
+// JoinCum computes the same join as JoinInto(a, prefix, suffix, sufSup,
+// cut, g) with t built over suffix: identical entries, identical support,
+// and the same stop at the same prefix entry, since the table's last
+// cell is the suffix's support and each prefix entry's rest — the
+// support at or after its window start — is one load away. It has
+// JoinInto's shape: a bounded loop while sup is below cut, then the
+// plain loop. Window bounds are computed in int for the same overflow
+// reason as JoinInto.
+func JoinCum(a *Arena, prefix List, t *CumTable, cut int64, g combinat.Gap) (List, int64, int) {
 	if len(prefix) == 0 || len(t.cum) == 0 {
-		return nil, 0
+		return nil, 0, len(prefix)
 	}
-	var out List
-	if a != nil {
-		out = a.Reserve(len(prefix))
-	} else {
-		out = make(List, 0, len(prefix))
-	}
+	out := reserve(a, len(prefix))
 	base, last := t.base, t.last
 	cum := t.cum
 	var sup int64
-	for _, e := range prefix {
+	k := 0
+	if cut > 0 {
+		total := cum[len(cum)-1]
+		width := int64(g.M-g.N) + 1
+		limit := (cut - 1) / width
+		for ; k < len(prefix) && sup < cut; k++ {
+			x := int(prefix[k].X)
+			minX, maxX := x+g.N+1, x+g.M+1
+			// passed is the support before the window, y its count.
+			var passed, y int64
+			switch {
+			case minX > last:
+				passed = total
+			case maxX >= base:
+				if lo := minX - base - 1; lo >= 0 {
+					passed = cum[lo]
+				}
+				y = cum[min(maxX-base, len(cum)-1)] - passed
+			}
+			if total-passed <= limit {
+				return nil, sup, k
+			}
+			if y > 0 {
+				out = append(out, Entry{X: prefix[k].X, Y: y})
+				sup += y
+				limit = (cut - sup - 1) / width
+			}
+		}
+	}
+	for _, e := range prefix[k:] {
 		minX := int(e.X) + g.N + 1
 		if minX > last {
 			break // prefix X ascending: every later window starts past the list
@@ -85,8 +114,5 @@ func JoinCum(a *Arena, prefix List, t *CumTable, g combinat.Gap) (List, int64) {
 			sup += window
 		}
 	}
-	if a != nil {
-		a.Commit(len(out))
-	}
-	return out, sup
+	return commit(a, out, sup, cut), sup, len(prefix)
 }

@@ -47,9 +47,9 @@ func TestJoinCumMatchesJoinInto(t *testing.T) {
 		for rep := 0; rep < 4; rep++ {
 			prefix := randList(&rng, tc.n, tc.stride, 6)
 			suffix := randList(&rng, tc.n, tc.stride, 6)
-			want, wantSup := pil.JoinInto(nil, prefix, suffix, tc.g)
+			want, wantSup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, tc.g)
 			tab.Build(suffix) // reuses the backing array across cases
-			got, sup := pil.JoinCum(nil, prefix, &tab, tc.g)
+			got, sup, _ := pil.JoinCum(nil, prefix, &tab, 0, tc.g)
 			if sup != wantSup || len(got) != len(want) {
 				t.Fatalf("case %d rep %d: cum join sup=%d len=%d, want sup=%d len=%d",
 					ci, rep, sup, len(got), wantSup, len(want))
@@ -60,7 +60,7 @@ func TestJoinCumMatchesJoinInto(t *testing.T) {
 				}
 			}
 			arena.Reset()
-			gotA, supA := pil.JoinCum(&arena, prefix, &tab, tc.g)
+			gotA, supA, _ := pil.JoinCum(&arena, prefix, &tab, 0, tc.g)
 			if supA != wantSup || len(gotA) != len(want) {
 				t.Fatalf("case %d rep %d: arena cum join sup=%d len=%d, want sup=%d len=%d",
 					ci, rep, supA, len(gotA), wantSup, len(want))
@@ -77,8 +77,8 @@ func TestJoinCumWindowPastList(t *testing.T) {
 	tab.Build(suffix)
 	prefix := pil.List{{X: 0, Y: 1}, {X: 99, Y: 1}, {X: 100, Y: 1}, {X: 500, Y: 1}}
 	g := combinat.Gap{N: 0, M: 1}
-	got, sup := pil.JoinCum(nil, prefix, &tab, g)
-	want, wantSup := pil.JoinInto(nil, prefix, suffix, g)
+	got, sup, _ := pil.JoinCum(nil, prefix, &tab, 0, g)
+	want, wantSup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
 	if sup != wantSup || len(got) != len(want) {
 		t.Fatalf("cum join sup=%d len=%d, want sup=%d len=%d", sup, len(got), wantSup, len(want))
 	}

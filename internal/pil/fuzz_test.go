@@ -35,20 +35,47 @@ func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 	return build(rows[:split]), build(rows[split:]), g
 }
 
+// cutFrom picks a join's support cut from one fuzz byte: 0, 1, the
+// join's full support, one above it, or a fraction of it.
+func cutFrom(b byte, full int64) int64 {
+	switch b % 5 {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return full
+	case 3:
+		return full + 1
+	}
+	return int64(b) * (full + 2) / 256
+}
+
 // FuzzJoin checks the Join invariants on arbitrary well-formed inputs:
 // the output is a valid List, every emitted X comes from the prefix, the
 // fused support equals the list sum, and the arena-backed and
-// cumulative-table joins are identical to the heap-backed one — also
-// when, as in the miner, several joins share one arena and every other
-// output is given back.
+// cumulative-table joins are identical to the heap-backed one.
+//
+// Its cut leg runs several joins, as the miner does, into one arena with
+// cuts taken from the fuzz bytes. A join that stops must have a full
+// (unbounded) support below its cut; one that finishes reports the full
+// support; only outputs reaching the cut are committed, each equal to its
+// heap join also after later joins reused the space of missed ones; and
+// the two-pointer and cumulative-table kernels stop at the same entry.
+// The bound holds for any two lists, not only a pattern's parents, so
+// every decoded pair is a valid input.
 func FuzzJoin(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 1, 1, 2, 1, 1, 2, 3, 1})
 	f.Add([]byte{0, 15, 15})
 	f.Add([]byte{255, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
+	f.Add([]byte{13, 2, 1, 0, 4, 1, 4, 0, 4, 7, 1, 0, 2, 1, 3, 6, 4, 0, 1})
 	var arena pil.Arena
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prefix, suffix, g := decodeLists(data)
-		got, sup := pil.JoinInto(nil, prefix, suffix, g)
+		got, sup, n := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
+		if n != len(prefix) {
+			t.Fatalf("cut-0 join stopped after %d of %d prefix entries", n, len(prefix))
+		}
 		if err := got.Validate(); err != nil {
 			t.Fatalf("invalid join output: %v", err)
 		}
@@ -69,66 +96,104 @@ func FuzzJoin(f *testing.F) {
 			}
 		}
 		arena.Reset()
-		viaArena, supArena := pil.JoinInto(&arena, prefix, suffix, g)
-		if supArena != sup || len(viaArena) != len(got) {
-			t.Fatalf("arena join differs: sup %d vs %d, len %d vs %d", supArena, sup, len(viaArena), len(got))
-		}
-		for i := range got {
-			if viaArena[i] != got[i] {
-				t.Fatalf("arena join entry %d: %v vs %v", i, viaArena[i], got[i])
-			}
-		}
-		// The miner's use: several joins into one arena, alternately kept
-		// and given back. Every kept list must still equal its heap join
-		// after later joins have reused the given-back space.
-		arena.Reset()
-		phase := 0 // which of the alternating joins are kept
-		if len(data) > 0 {
-			phase = int(data[0])
-		}
-		pairs := [][2]pil.List{{prefix, suffix}, {suffix, prefix}, {prefix, prefix}, {suffix, suffix}}
-		var kept, heap []pil.List
-		for k := 0; k < 2*len(pairs); k++ {
-			pr, sf := pairs[k%len(pairs)][0], pairs[k%len(pairs)][1]
-			var out pil.List
-			if k < len(pairs) || len(sf) == 0 {
-				out, _ = pil.JoinInto(&arena, pr, sf, g)
-			} else {
-				var tab pil.CumTable
-				tab.Build(sf)
-				out, _ = pil.JoinCum(&arena, pr, &tab, g)
-			}
-			if (k+phase)%2 == 1 {
-				arena.GiveBack(out)
-				continue
-			}
-			kept = append(kept, out)
-			heap = append(heap, pil.Join(pr, sf, g))
-		}
-		for k := range kept {
-			if len(kept[k]) != len(heap[k]) {
-				t.Fatalf("kept arena list %d has %d entries, heap join %d", k, len(kept[k]), len(heap[k]))
-			}
-			for i := range heap[k] {
-				if kept[k][i] != heap[k][i] {
-					t.Fatalf("kept arena list %d entry %d: %v vs heap %v", k, i, kept[k][i], heap[k][i])
-				}
-			}
+		viaArena, supArena, _ := pil.JoinInto(&arena, prefix, suffix, sufTotal, 0, g)
+		sameList(t, "arena join", viaArena, got)
+		if supArena != sup {
+			t.Fatalf("arena join support %d, heap %d", supArena, sup)
 		}
 		if len(suffix) > 0 {
 			var tab pil.CumTable
 			tab.Build(suffix)
-			viaCum, supCum := pil.JoinCum(nil, prefix, &tab, g)
-			if supCum != sup || len(viaCum) != len(got) {
-				t.Fatalf("cum join differs: sup %d vs %d, len %d vs %d", supCum, sup, len(viaCum), len(got))
-			}
-			for i := range got {
-				if viaCum[i] != got[i] {
-					t.Fatalf("cum join entry %d: %v vs %v", i, viaCum[i], got[i])
-				}
+			viaCum, supCum, _ := pil.JoinCum(nil, prefix, &tab, 0, g)
+			sameList(t, "cum join", viaCum, got)
+			if supCum != sup {
+				t.Fatalf("cum join support %d, heap %d", supCum, sup)
 			}
 		}
+
+		// The cut leg: the first round commits two-pointer outputs to the
+		// arena, the second cumulative-table ones; each join also runs
+		// heap-backed under the other kernel, which must agree.
+		arena.Reset()
+		pairs := [][2]pil.List{{prefix, suffix}, {suffix, prefix}, {prefix, prefix}, {suffix, suffix}}
+		var kept, heap []pil.List
+		for k := 0; k < 2*len(pairs); k++ {
+			pr, sf := pairs[k%len(pairs)][0], pairs[k%len(pairs)][1]
+			full := pil.Join(pr, sf, g)
+			fullSup := full.Support()
+			cut := int64(0)
+			if len(data) > 0 {
+				cut = cutFrom(data[(3*k+1)%len(data)], fullSup)
+			}
+			var tab pil.CumTable
+			if len(sf) > 0 {
+				tab.Build(sf)
+			}
+			twoA, cumA := &arena, (*pil.Arena)(nil)
+			if k >= len(pairs) {
+				twoA, cumA = nil, &arena
+			}
+			out, jsup, jn := pil.JoinInto(twoA, pr, sf, sf.Support(), cut, g)
+			checkCut(t, "twoptr", pr, full, cut, out, jsup, jn)
+			if len(sf) > 0 {
+				cOut, cSup, cN := pil.JoinCum(cumA, pr, &tab, cut, g)
+				checkCut(t, "cum", pr, full, cut, cOut, cSup, cN)
+				if cN != jn || (cOut != nil) != (out != nil) {
+					t.Fatalf("join %d, cut %d: cum joined %d entries (kept %v), twoptr %d (kept %v)",
+						k, cut, cN, cOut != nil, jn, out != nil)
+				}
+				if cumA != nil {
+					out = cOut
+				}
+			} else if cumA != nil {
+				continue
+			}
+			if out != nil {
+				kept = append(kept, out)
+				heap = append(heap, full)
+			}
+		}
+		for k := range kept {
+			sameList(t, "kept arena list", kept[k], heap[k])
+		}
 	})
+}
+
+// checkCut checks one bounded join of pr against its unbounded result
+// full: a stop means the full support misses cut, a finished join
+// reports the full support, and an output is returned only when it
+// reaches cut, equal to full.
+func checkCut(t *testing.T, kernel string, pr, full pil.List, cut int64, out pil.List, sup int64, n int) {
+	t.Helper()
+	fullSup := full.Support()
+	switch {
+	case n < 0 || n > len(pr):
+		t.Fatalf("%s: joined %d of %d prefix entries", kernel, n, len(pr))
+	case n < len(pr):
+		if cut == 0 || fullSup >= cut || out != nil {
+			t.Fatalf("%s: stopped after %d of %d entries at cut %d, but the full support is %d (output kept %v)",
+				kernel, n, len(pr), cut, fullSup, out != nil)
+		}
+	case sup != fullSup:
+		t.Fatalf("%s: finished with support %d, full support %d", kernel, sup, fullSup)
+	case fullSup < cut && out != nil:
+		t.Fatalf("%s: support %d below cut %d, yet the output was kept", kernel, sup, cut)
+	case fullSup >= cut:
+		sameList(t, kernel+" join at cut", out, full)
+	}
+}
+
+// sameList fails t unless got and want hold the same entries.
+func sameList(t *testing.T, label string, got, want pil.List) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s has %d entries, heap join %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s entry %d: %v vs heap %v", label, i, got[i], want[i])
+		}
+	}
 }
 
 // FuzzMerge checks that Merge of two valid PILs is a valid PIL whose
@@ -171,7 +236,7 @@ func FuzzJoinOracle(f *testing.F) {
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prefix, suffix, g := decodeLists(data)
-		got, _ := pil.JoinInto(nil, prefix, suffix, g)
+		got := pil.Join(prefix, suffix, g)
 		want := map[int32]int64{}
 		for _, p := range prefix {
 			for _, s := range suffix {

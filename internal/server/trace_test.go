@@ -130,7 +130,7 @@ func TestTraceEndToEnd(t *testing.T) {
 		if lv.ParentID != run.SpanID {
 			t.Errorf("mine.level parent = %q, want job.run %q", lv.ParentID, run.SpanID)
 		}
-		for _, key := range []string{"level", "candidates", "pruned_by_lambda", "zero_support", "lambda"} {
+		for _, key := range []string{"level", "candidates", "pruned_by_lambda", "zero_support", "abandoned", "lambda"} {
 			if _, ok := attrValue(lv, key); !ok {
 				t.Errorf("mine.level span missing attr %q", key)
 			}
