@@ -139,9 +139,9 @@ type Result struct {
 	// Elapsed is the total wall-clock time of the run, including any
 	// e_m measurement.
 	Elapsed time.Duration
-	// Truncated is set by the enumeration baseline when the candidate
-	// budget stopped the run early (results are complete only up to the
-	// last finished level).
+	// Truncated is set when a budget stopped the run early: the
+	// enumeration baseline's candidate budget, or any miner's memory
+	// budget (results are complete only up to the last finished level).
 	Truncated bool
 }
 

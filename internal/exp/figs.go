@@ -3,6 +3,7 @@ package exp
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"permine/internal/combinat"
 	"permine/internal/core"
@@ -84,13 +85,20 @@ type SweepRow struct {
 	Patterns   int
 }
 
+// fig6Runs is how many times RunFig6 times each W; a row reports the
+// fastest run. Figure 6's claim compares wall times, and at quick scale
+// one MPPm takes about 0.1–0.2 s, close to a shared VM's noise.
+const fig6Runs = 3
+
 // RunFig6 varies the gap flexibility W from 4 to 8 with N fixed at 9
-// (gap requirement [9, W+8]), MPPm with m = 8, ρs = 0.003%.
+// (gap requirement [9, W+8]), MPPm with m = 8, ρs = 0.003%. The quick
+// sweep keeps both ends: at L = 500, W = 4 picks a larger n than W = 6
+// and counts more candidates, so the two run only about 20% apart.
 func RunFig6(c Config) ([]SweepRow, error) {
 	c = c.withDefaults()
 	ws := []int{4, 5, 6, 7, 8}
 	if c.Quick {
-		ws = []int{4, 5, 6}
+		ws = []int{4, 6, 8}
 	}
 	rows := make([]SweepRow, 0, len(ws))
 	for _, wFlex := range ws {
@@ -100,9 +108,16 @@ func RunFig6(c Config) ([]SweepRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, elapsed, err := runMPPm(s, cc)
-		if err != nil {
-			return nil, fmt.Errorf("fig6 W=%d: %w", wFlex, err)
+		var res *core.Result
+		var elapsed time.Duration
+		for run := 0; run < fig6Runs; run++ {
+			r, t, err := runMPPm(s, cc)
+			if err != nil {
+				return nil, fmt.Errorf("fig6 W=%d: %w", wFlex, err)
+			}
+			if run == 0 || t < elapsed {
+				res, elapsed = r, t
+			}
 		}
 		rows = append(rows, SweepRow{
 			X: wFlex, Seconds: elapsed.Seconds(), Candidates: totalCandidates(res),

@@ -75,7 +75,8 @@ func Verify(cfg Config) ([]Claim, error) {
 		"%d (n=%d) -> %d (n=%d)", rows5[0].Candidates, rows5[0].N,
 		rows5[len(rows5)-1].Candidates, rows5[len(rows5)-1].N)
 
-	// Figure 6: runtime grows with the gap flexibility W.
+	// Figure 6: runtime grows with the gap flexibility W (each W's
+	// fastest of fig6Runs timed runs).
 	rows6, err := RunFig6(cfg)
 	if err != nil {
 		return nil, err

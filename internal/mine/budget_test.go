@@ -391,19 +391,25 @@ func TestMemoryBudgetEnumerate(t *testing.T) {
 	}
 }
 
-// TestEnumerateTrackerHoldsLastLevel: the enumeration baseline charges a
-// level's lists when it builds them and credits the level they replace,
-// so when a run ends its tracker holds exactly the lists of the last
-// level, not the sum of every level it built. The expected bytes come
-// from an independent scan: enumeration prunes nothing, so its last level
-// holds every non-zero-support pattern of that length.
+// TestEnumerateTrackerHoldsLastLevel: the enumeration baseline runs on
+// the shared level loop, so its tracker holds what MPP's does. After every
+// level it holds exactly the arena slabs (two-pointer joins build no
+// cumulative tables), plus the scanned seed lists until level StartLen+1
+// is counted; after the run, exactly the slabs — never the sum of every
+// level built. The run is repeated white-box, and Enumerate's own tracker
+// must end where the watched run's does. The list bytes come from
+// independent scans (enumeration prunes nothing, so level i holds every
+// non-zero-support pattern of length i): the slabs of the last level's
+// parity must hold that level's lists, and the high-water both of the
+// last two levels' lists, which were live together while the last level
+// was counted.
 func TestEnumerateTrackerHoldsLastLevel(t *testing.T) {
 	s, err := seqgen.GenomeLike(300, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := combinat.Gap{N: 2, M: 4}
-	p := core.Params{Gap: g, MinSupport: 0.001, CandidateBudget: 1 << 16, Mem: pil.NewMemTracker(nil)}
+	p := core.Params{Gap: g, MinSupport: 0.001, CandidateBudget: 1 << 16, Join: core.JoinTwoPointer, Mem: pil.NewMemTracker(nil)}
 	res, err := Enumerate(s, p)
 	if !errors.Is(err, core.ErrBudgetExceeded) {
 		t.Fatalf("Enumerate error = %v, want the candidate budget to stop it", err)
@@ -411,20 +417,75 @@ func TestEnumerateTrackerHoldsLastLevel(t *testing.T) {
 	if len(res.Levels) < 3 {
 		t.Fatalf("only %d levels before the budget stopped the run; want several to accumulate", len(res.Levels))
 	}
-	last := res.Levels[len(res.Levels)-1].Level
-	lists, err := pil.ScanK(s, g, last)
+
+	np, err := p.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
-	for _, l := range lists {
-		want += pil.EntryBytes * int64(len(l))
+	np.Mem = nil // the watched run keeps its own tracker
+	counter, err := combinat.NewCounter(s.Len(), g)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := p.Mem.Used(); got != want {
-		t.Errorf("tracker holds %d B after a run ending at level %d, want that level's %d B", got, last, want)
+	start, err := pil.ScanKPacked(s, g, np.StartLen)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if p.Mem.High() < want {
-		t.Errorf("high-water %d B is below the last level's %d B", p.Mem.High(), want)
+	var seedBytes int64
+	for _, cl := range start {
+		seedBytes += pil.EntryBytes * int64(len(cl.List))
+	}
+	r := &runner{s: s, p: np, counter: counter, n: counter.L2(), res: &core.Result{Algorithm: core.AlgoEnumerate}, exhaustive: true}
+	// slabs sums the arena slabs of one level parity, or of both when
+	// parity < 0; arena i serves the levels of parity i&1.
+	slabs := func(parity int) int64 {
+		var b int64
+		for i := range r.arenas {
+			if parity < 0 || i&1 == parity {
+				b += pil.EntryBytes * int64(r.arenas[i].Cap())
+			}
+		}
+		return b
+	}
+	r.p.Progress = func(lm core.LevelMetrics) {
+		want := slabs(-1)
+		if lm.Level == np.StartLen {
+			want += seedBytes
+		}
+		if got := r.mem.Used(); got != want {
+			t.Errorf("level %d: tracker holds %d B, want %d B (arena slabs %d B)", lm.Level, got, want, slabs(-1))
+		}
+	}
+	r.run(start)
+	if !errors.Is(r.err, core.ErrBudgetExceeded) || len(r.res.Levels) != len(res.Levels) {
+		t.Fatalf("watched run: %d levels, error %v; Enumerate: %d levels", len(r.res.Levels), r.err, len(res.Levels))
+	}
+	if got, want := r.mem.Used(), slabs(-1); got != want {
+		t.Errorf("tracker holds %d B after the run, want the arena slabs' %d B", got, want)
+	}
+	if p.Mem.Used() != r.mem.Used() || p.Mem.High() != r.mem.High() {
+		t.Errorf("Enumerate's tracker ended at %d B (high %d B), the watched run's at %d B (high %d B)",
+			p.Mem.Used(), p.Mem.High(), r.mem.Used(), r.mem.High())
+	}
+
+	listBytes := func(k int) int64 {
+		lists, err := pil.ScanK(s, g, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b int64
+		for _, l := range lists {
+			b += pil.EntryBytes * int64(len(l))
+		}
+		return b
+	}
+	last := res.Levels[len(res.Levels)-1].Level
+	lastBytes, prevBytes := listBytes(last), listBytes(last-1)
+	if got := slabs(last & 1); got < lastBytes {
+		t.Errorf("level %d's arena slabs hold %d B, below that level's %d B of lists", last, got, lastBytes)
+	}
+	if high := p.Mem.High(); high < lastBytes+prevBytes {
+		t.Errorf("high-water %d B is below levels %d and %d's %d + %d B of lists", high, last-1, last, prevBytes, lastBytes)
 	}
 }
 

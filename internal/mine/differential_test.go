@@ -55,7 +55,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var firstLevels []core.LevelMetrics
+			var firstLevels, firstEnum []core.LevelMetrics
 			for _, join := range strategies {
 				base := core.Params{Gap: cfg.g, MinSupport: cfg.rho, Join: join}
 				tag := func(label string) string { return label + " (join=" + join.String() + ") vs oracle" }
@@ -116,6 +116,11 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 					t.Fatalf("enumerate budget too small: stopped at level %d", last)
 				}
 				comparePatterns(t, tag("enumerate"), enum.Patterns, want, 3, maxLen)
+				if firstEnum == nil {
+					firstEnum = enum.Levels
+				} else {
+					sameLevelCounters(t, "enumerate (join="+join.String()+")", enum.Levels, firstEnum)
+				}
 			}
 		})
 	}
@@ -188,7 +193,9 @@ func TestDifferentialStartLen1Strategies(t *testing.T) {
 // [0,0], making the block's substrings the only frequent patterns; the
 // mined set is checked level by level against a quadratic substring
 // counter for lengths 3 through 20 — spanning the packed-to-wide
-// transition at length 10.
+// transition at length 10. The enumeration baseline must find the same
+// patterns; some of the alphabet's symbols are bytes above 0x7f, which
+// must stay single characters in its patterns.
 func TestWidePathCrossesPackedCapacity(t *testing.T) {
 	symbols := make([]byte, 100)
 	for i := range symbols {
@@ -232,6 +239,13 @@ func TestWidePathCrossesPackedCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	enum, err := mine.Enumerate(s, core.Params{Gap: g, MinSupport: rho, Workers: 4})
+	if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatal(err)
+	}
+	if last := enum.Levels[len(enum.Levels)-1].Level; last < 20 {
+		t.Fatalf("enumeration stopped at level %d, before the block's length", last)
+	}
 
 	// Quadratic reference: with gap [0,0] a pattern's support is its
 	// count as a contiguous substring.
@@ -251,6 +265,7 @@ func TestWidePathCrossesPackedCapacity(t *testing.T) {
 			t.Fatalf("length %d: reference found no frequent substrings; fixture broken", l)
 		}
 		comparePatterns(t, fmt.Sprintf("wide l=%d", l), res.Patterns, want, l, l)
+		comparePatterns(t, fmt.Sprintf("wide enumerate l=%d", l), enum.Patterns, want, l, l)
 	}
 	maxMined := 0
 	for _, p := range res.Patterns {

@@ -8,6 +8,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -22,7 +23,8 @@ import (
 	"permine/internal/seq"
 )
 
-// runner drives one level-wise mining pass shared by MPP and MPPm.
+// runner drives one level-wise mining pass shared by MPP, MPPm and
+// Enumerate.
 //
 // The level kernel is allocation-free in steady state: patterns travel as
 // packed uint64 codes (decoded to characters only when a frequent pattern
@@ -37,6 +39,12 @@ type runner struct {
 	n       int // effective longest-pattern estimate (clamped to l1)
 	res     *core.Result
 	err     error // set when a level is aborted (e.g. overflow guard)
+
+	// exhaustive is Enumerate's mode, read once per level and never inside
+	// gen, countCandidates or collectLevel: L̂i is every counted pattern
+	// (thresholds), a level is charged all |Σ|^i candidates, and
+	// Params.CandidateBudget stops the run between levels.
+	exhaustive bool
 
 	// wide is set once the pattern length exceeds the alphabet's packed-
 	// code capacity (seq.Alphabet.MaxPackedLen); beyond it hat entries are
@@ -116,10 +124,6 @@ func (r *runner) checkOverflow(level int) error {
 // groups with unusually large PILs; the context is checked once per
 // batch, bounding cancellation latency well below one level.
 const stealBatch = 16
-
-// cancelBatch is the candidate stride between context checks in the
-// sequential enumeration baseline.
-const cancelBatch = 256
 
 // cancelled wraps a context error observed at the given level into the
 // typed core.CancelledError for this run's algorithm.
@@ -216,10 +220,10 @@ func (r *runner) run(start []pil.CodeList) {
 
 	// Level StartLen: every |Σ|^StartLen combination is a candidate
 	// (built by direct scan, so the candidate count is analytic).
-	candCount := int64(1)
-	for k := 0; k < i; k++ {
-		candCount *= alphaN
-	}
+	candCount := sigmaPow(alpha.Size(), i)
+	// work is the exhaustive mode's CandidateBudget charge: the seed scan,
+	// which Enumerate checked before scanning, then |L̂i|·|Σ| per level.
+	work := candCount
 	hat := r.hatBuf[i&1][:0]
 	for _, cl := range start {
 		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})
@@ -252,6 +256,14 @@ func (r *runner) run(start []pil.CodeList) {
 			r.err = r.cancelled(next, err)
 			break
 		}
+		if r.exhaustive {
+			joins := int64(len(hat)) * alphaN
+			if work > r.p.CandidateBudget-joins {
+				r.err = budgetStop(next)
+				break
+			}
+			work += joins
+		}
 		if err := r.checkOverflow(next); err != nil {
 			r.err = err
 			break
@@ -282,7 +294,11 @@ func (r *runner) run(start []pil.CodeList) {
 			span.End()
 			break
 		}
-		kept := r.collectLevel(next, int64(len(cands)), counted, th, st)
+		charge := int64(len(cands))
+		if r.exhaustive {
+			charge = sigmaPow(alpha.Size(), next)
+		}
+		kept := r.collectLevel(next, charge, counted, th, st)
 		// collectLevel timed only itself; the level spans gen, count and collect.
 		r.res.Levels[len(r.res.Levels)-1].Elapsed = time.Since(levelStart)
 		annotateLevelSpan(span, r.res.Levels[len(r.res.Levels)-1])
@@ -290,6 +306,25 @@ func (r *runner) run(start []pil.CodeList) {
 		hat = kept
 		i = next
 	}
+}
+
+// sigmaPow returns |Σ|^i, saturated to math.MaxInt64: the candidate
+// count of a level at which every pattern is a candidate.
+func sigmaPow(sigma, i int) int64 {
+	pow := int64(1)
+	for ; i > 0; i-- {
+		if pow > math.MaxInt64/int64(sigma) {
+			return math.MaxInt64
+		}
+		pow *= int64(sigma)
+	}
+	return pow
+}
+
+// budgetStop is the error of an enumeration run whose CandidateBudget
+// would be exceeded by counting the given level.
+func budgetStop(level int) error {
+	return fmt.Errorf("mine: enumeration stopped at level %d: %w", level, core.ErrBudgetExceeded)
 }
 
 // workers returns the effective counting worker count (>= 1).
@@ -314,8 +349,8 @@ func (r *runner) widen(hat []hatEntry, k int) {
 
 // levelThresholds are one level's support cut-offs: freq admits a pattern
 // to Li, and a support of at least cut admits it to L̂i — cut is
-// core.SupportCut of λ·ρs·N_i, the integer form of core.Meets. λ ≤ 1, so
-// every pattern meeting freq also reaches cut.
+// core.SupportCut of λ·ρs·N_i, the integer form of core.Meets, or 0 in
+// exhaustive mode. λ ≤ 1, so every pattern meeting freq also reaches cut.
 type levelThresholds struct {
 	nl   float64 // N_i
 	lam  float64 // λ(n, n−i)
@@ -329,10 +364,17 @@ type levelThresholds struct {
 // heap's rising K-th ratio thus tightens both thresholds for whole levels
 // at a time, pruning candidate subtrees against the current K-th support,
 // not the user's floor.
+//
+// In exhaustive mode λ is 0 and so is cut, which the join kernels read as
+// "never stop, keep every output": L̂i is every counted pattern of
+// non-zero support, and no join is abandoned.
 func (r *runner) thresholds(i int) levelThresholds {
 	nl := r.counter.NlFloat(i)
-	lam := r.lambda(i)
 	freq := r.p.EffectiveMinSupport() * nl
+	if r.exhaustive {
+		return levelThresholds{nl: nl, freq: freq}
+	}
+	lam := r.lambda(i)
 	return levelThresholds{nl: nl, lam: lam, freq: freq, cut: core.SupportCut(lam * freq)}
 }
 

@@ -2,6 +2,8 @@ package mine_test
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,6 +11,8 @@ import (
 	"permine/internal/core"
 	"permine/internal/gen"
 	"permine/internal/mine"
+	"permine/internal/pil"
+	"permine/internal/seq"
 )
 
 // TestLevelMetricsAccounting checks the per-level telemetry invariants on
@@ -119,7 +123,8 @@ func TestLevelMetricsParallelMatchesSerial(t *testing.T) {
 }
 
 // TestEnumerateLevelMetrics checks the baseline's accounting: no λ
-// pruning ever, and the analytic |Σ|^i charge splits into kept + zero.
+// pruning ever, the analytic |Σ|^i charge splits into kept + zero, and
+// the per-strategy split partitions the joins, as MPP's does.
 func TestEnumerateLevelMetrics(t *testing.T) {
 	s, err := gen.GenomeLike(300, 13)
 	if err != nil {
@@ -147,6 +152,111 @@ func TestEnumerateLevelMetrics(t *testing.T) {
 		if i > 0 && lv.Kept > 0 && lv.PILJoins == 0 {
 			t.Errorf("level %d: kept %d patterns with no joins recorded", lv.Level, lv.Kept)
 		}
+		if got := lv.JoinTwoPointer + lv.JoinCum; got != lv.PILJoins {
+			t.Errorf("level %d: strategy split %d+%d = %d, want PILJoins %d",
+				lv.Level, lv.JoinTwoPointer, lv.JoinCum, got, lv.PILJoins)
+		}
+	}
+}
+
+// TestEnumerateTable3Counters recomputes every level counter of the
+// enumeration baseline without the miner. Enumeration prunes nothing, so
+// an independent pil.ScanK of each length fixes the level: L̂i is every
+// pattern the scan finds, the joins are the pairs (P, c) of a non-zero P
+// of length i−1 whose suffix(P)·c is non-zero too, each reading both
+// parents' lists, and the frequent patterns are the scanned ones whose
+// support meets ρs·Ni. The run must stop where its charge, |Σ|^StartLen
+// plus |L̂i|·|Σ| per counted level, would first pass CandidateBudget.
+func TestEnumerateTable3Counters(t *testing.T) {
+	dna, err := gen.GenomeLike(300, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	protein, err := gen.ProteinRepeat(300, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uniform, err := gen.Uniform(seq.DNA, "startlen1", 160, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		s    *seq.Sequence
+		p    core.Params
+	}{
+		{"dna", dna, core.Params{Gap: combinat.Gap{N: 2, M: 4}, MinSupport: 0.0005, CandidateBudget: 1 << 16}},
+		// On 20 letters |Σ|^i far exceeds the joins (64,000,000
+		// candidates at level 6, about 61k joins).
+		{"protein", protein, core.Params{Gap: combinat.Gap{N: 1, M: 3}, MinSupport: 0.001, CandidateBudget: 1 << 20}},
+		{"startlen1", uniform, core.Params{Gap: combinat.Gap{N: 1, M: 2}, MinSupport: 0.01, StartLen: 1, CandidateBudget: 200_000}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, runErr := mine.Enumerate(c.s, c.p)
+			if !errors.Is(runErr, core.ErrBudgetExceeded) || res == nil || !res.Truncated {
+				t.Fatalf("Enumerate error = %v; want the candidate budget to stop it with a truncated result", runErr)
+			}
+			np, err := c.p.Normalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			counter := combinat.MustCounter(c.s.Len(), np.Gap)
+			symbols := c.s.Alphabet().Symbols()
+			sigma := int64(len(symbols))
+			candidates := int64(1)
+			for k := 0; k < np.StartLen; k++ {
+				candidates *= sigma
+			}
+			work := candidates // the seed scan's charge
+			var prev map[string]pil.List
+			var frequentSet []core.Pattern
+			for idx, lv := range res.Levels {
+				i := np.StartLen + idx
+				scan, err := pil.ScanK(c.s, np.Gap, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var joins, entries int64
+				for chars, list := range prev {
+					for _, sym := range symbols {
+						if suffix, ok := prev[chars[1:]+string([]byte{sym})]; ok {
+							joins++
+							entries += int64(len(list) + len(suffix))
+						}
+					}
+				}
+				th := np.MinSupport * counter.NlFloat(i)
+				var frequent int64
+				for chars, list := range scan {
+					if sup := list.Support(); core.Meets(sup, th) {
+						frequent++
+						frequentSet = append(frequentSet, core.Pattern{Chars: chars, Support: sup})
+					}
+				}
+				kept := int64(len(scan))
+				if lv.Level != i || lv.Candidates != candidates || lv.Kept != kept || lv.ZeroSupport != candidates-kept ||
+					lv.Frequent != frequent || lv.PILJoins != joins || lv.PILEntries != entries ||
+					lv.Lambda != 0 || lv.PrunedByLambda != 0 || lv.Abandoned != 0 {
+					t.Errorf("level %d: got %+v\nwant Candidates %d, Kept %d, ZeroSupport %d, Frequent %d, PILJoins %d, PILEntries %d, the rest 0",
+						i, lv, candidates, kept, candidates-kept, frequent, joins, entries)
+				}
+				if idx > 0 {
+					work += int64(len(prev)) * sigma
+				}
+				prev = scan
+				candidates *= sigma
+			}
+			if work > np.CandidateBudget || work+int64(len(prev))*sigma <= np.CandidateBudget {
+				t.Errorf("the run stopped with %d of its %d budget charged and %d more joins to go",
+					work, np.CandidateBudget, int64(len(prev))*sigma)
+			}
+			last := res.Levels[len(res.Levels)-1].Level
+			if want := fmt.Sprintf("mine: enumeration stopped at level %d: ", last+1); !strings.HasPrefix(runErr.Error(), want) {
+				t.Errorf("error %q, want it to start %q", runErr, want)
+			}
+			comparePatterns(t, c.name, res.Patterns, frequentSet, np.StartLen, last)
+		})
 	}
 }
 

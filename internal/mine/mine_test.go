@@ -343,23 +343,28 @@ func TestEnumerateBudget(t *testing.T) {
 }
 
 // TestWorkersDeterminism: multi-worker candidate counting, and MPPm's
-// split e_m sweep, return the same result as sequential.
+// split e_m sweep, return the same result and level counters as
+// sequential; so does the enumeration baseline, stopped by its candidate
+// budget.
 func TestWorkersDeterminism(t *testing.T) {
 	s, err := gen.BacterialLike(400, 77)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := core.Params{Gap: combinat.Gap{N: 1, M: 3}, MinSupport: 0.0008, MaxLen: 6}
-	for _, algo := range []func(*seq.Sequence, core.Params) (*core.Result, error){mine.MPP, mine.MPPm} {
+	p := core.Params{Gap: combinat.Gap{N: 1, M: 3}, MinSupport: 0.0008, MaxLen: 6, CandidateBudget: 1 << 18}
+	for _, algo := range []func(*seq.Sequence, core.Params) (*core.Result, error){mine.MPP, mine.MPPm, mine.Enumerate} {
 		p.Workers = 1
-		seqRes, err := algo(s, p)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seqRes, seqErr := algo(s, p)
 		p.Workers = 4
-		parRes, err := algo(s, p)
-		if err != nil {
-			t.Fatal(err)
+		parRes, parErr := algo(s, p)
+		for _, err := range []error{seqErr, parErr} {
+			if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+				t.Fatal(err)
+			}
+		}
+		if fmt.Sprint(seqErr) != fmt.Sprint(parErr) || seqRes.Truncated != parRes.Truncated {
+			t.Errorf("%s: workers changed the outcome: %v (truncated %v) vs %v (truncated %v)",
+				seqRes.Algorithm, seqErr, seqRes.Truncated, parErr, parRes.Truncated)
 		}
 		if seqRes.Em != parRes.Em || seqRes.N != parRes.N {
 			t.Errorf("%s: workers moved e_m/n: %d/%d vs %d/%d", seqRes.Algorithm, seqRes.Em, seqRes.N, parRes.Em, parRes.N)
@@ -367,6 +372,7 @@ func TestWorkersDeterminism(t *testing.T) {
 		if fmt.Sprint(seqRes.Patterns) != fmt.Sprint(parRes.Patterns) {
 			t.Errorf("%s: worker pool changed the mining result", seqRes.Algorithm)
 		}
+		sameLevelCounters(t, seqRes.Algorithm.String()+" with 4 workers", parRes.Levels, seqRes.Levels)
 	}
 }
 
@@ -499,6 +505,31 @@ func TestOverflowGuard(t *testing.T) {
 	_, err = mine.MPP(s, core.Params{Gap: combinat.Gap{N: 0, M: 99}, MinSupport: 0})
 	if err == nil || !strings.Contains(err.Error(), "overflow") {
 		t.Fatalf("err = %v, want overflow guard", err)
+	}
+}
+
+// TestEnumerateOverflowGuard: the enumeration baseline refuses a level
+// whose supports could overflow int64, with MPP's error and no result.
+// Over a two-letter alphabet, 200 A's under gap [0,199] give A^l the
+// support C(200, l) and every other pattern support 0: N12 = C(200, 12)
+// ≈ 6.1e18 passes the guard's 4e18, and A^13's support, ≈ 8.8e19, does
+// not fit int64 at all.
+func TestEnumerateOverflowGuard(t *testing.T) {
+	s, err := seq.New(seq.MustAlphabet("ab", "AB"), "a200", strings.Repeat("A", 200))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Gap: combinat.Gap{N: 0, M: 199}, MinSupport: 0.5}
+	_, mppErr := mine.MPP(s, p)
+	if mppErr == nil || !strings.Contains(mppErr.Error(), "overflow") {
+		t.Fatalf("MPP error = %v, want the overflow guard", mppErr)
+	}
+	res, err := mine.Enumerate(s, p)
+	if res != nil {
+		t.Errorf("Enumerate returned a result past the overflow guard: %d levels, truncated %v", len(res.Levels), res.Truncated)
+	}
+	if err == nil || err.Error() != mppErr.Error() {
+		t.Errorf("Enumerate error = %v, want MPP's %q", err, mppErr)
 	}
 }
 

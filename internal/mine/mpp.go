@@ -51,26 +51,20 @@ func MPP(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		return nil, err
 	}
 	r.run(start3)
-	if r.err != nil {
-		return finishLevelRun(res, start, r.err)
-	}
-
-	res.SortPatterns()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return finishLevelRun(res, start, r.err)
 }
 
-// finishLevelRun maps a level-loop abort to its return shape: a memory
-// budget abort ships the completed levels as a sorted partial result
-// (Truncated = true) alongside the typed error — the same contract as the
-// enumeration baseline's candidate budget — while every other abort
-// (cancellation, overflow guard) returns no result at all.
+// finishLevelRun maps the end of a level-loop run to its return shape. A
+// finished run (err == nil) and a budget stop — the memory budget's
+// *core.ResourceExhaustedError or the enumeration baseline's
+// core.ErrBudgetExceeded — ship the completed levels as a sorted result,
+// Truncated on a stop, alongside err; every other abort (cancellation,
+// overflow guard) returns no result at all.
 func finishLevelRun(res *core.Result, start time.Time, err error) (*core.Result, error) {
-	var re *core.ResourceExhaustedError
-	if !errors.As(err, &re) {
+	if err != nil && !errors.Is(err, core.ErrMemoryExceeded) && !errors.Is(err, core.ErrBudgetExceeded) {
 		return nil, err
 	}
-	res.Truncated = true
+	res.Truncated = err != nil
 	res.SortPatterns()
 	res.Elapsed = time.Since(start)
 	return res, err

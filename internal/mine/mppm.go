@@ -58,13 +58,7 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	}
 	r := &runner{s: s, p: p, counter: counter, n: n, res: res}
 	r.run(start3)
-	if r.err != nil {
-		return finishLevelRun(res, start, r.err)
-	}
-
-	res.SortPatterns()
-	res.Elapsed = time.Since(start)
-	return res, nil
+	return finishLevelRun(res, start, r.err)
 }
 
 // estimateN implements MPPm's automatic choice of n: for every

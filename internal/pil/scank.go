@@ -277,8 +277,7 @@ func ScanKPacked(s *seq.Sequence, g combinat.Gap, k int) ([]CodeList, error) {
 }
 
 // ScanK is ScanKPacked with the patterns decoded to character strings;
-// callers outside the mining hot path (the enumeration baseline, tests)
-// use it for readability.
+// callers outside the mining hot path (tests) use it for readability.
 func ScanK(s *seq.Sequence, g combinat.Gap, k int) (map[string]List, error) {
 	packed, err := ScanKPacked(s, g, k)
 	if err != nil {

@@ -47,14 +47,17 @@ else
     # Fixed-iteration groups: "pattern  iterations  package". Iteration
     # counts are sized to ~0.1-2s per benchmark on the reference machine.
     # EmOrder8 (one worker) and EmWideGap (split over GOMAXPROCS) only:
-    # the m=10 and Ablation variants are too noisy to regression-gate at
-    # these budgets.
+    # the m=10 variant is too noisy to regression-gate at these budgets.
+    # AblationNoPrune is the only tracked run of the enumeration baseline
+    # (the level loop's exhaustive mode), which no end-to-end workload
+    # runs; the other Ablation benchmarks are too noisy to gate.
     groups='
 BenchmarkPILJoin$       100000x .
 BenchmarkScanK$         500x    .
 BenchmarkSupport$       1000x   .
 BenchmarkEmOrder8$      10x     .
 BenchmarkEmWideGap$     10x     .
+BenchmarkAblationNoPrune$ 2x    .
 BenchmarkMineLevel$     100x    ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
 BenchmarkMineE2E$       5x      ./internal/mine
