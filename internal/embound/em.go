@@ -96,7 +96,8 @@ func Kr(s *seq.Sequence, g combinat.Gap, m, r int) (int64, error) {
 
 // kounter carries the scratch state for K_r computation: either a dense
 // epoch-stamped table over all |Σ|^(m+1) packed pattern codes, or a map
-// when the code space is too large.
+// keyed by the pattern's characters when the code space is too large (a
+// packed code would wrap past 2^64 and merge patterns).
 type kounter struct {
 	s     *seq.Sequence
 	g     combinat.Gap
@@ -104,7 +105,8 @@ type kounter struct {
 	size  uint64 // alphabet size
 	dense []denseCell
 	epoch uint32
-	table map[uint64]int64
+	table map[string]int64
+	chars []byte // walkMap's pattern so far
 	best  int64
 }
 
@@ -120,7 +122,8 @@ func newKounter(s *seq.Sequence, g combinat.Gap, m int) (*kounter, error) {
 	if space <= maxArrayCodes {
 		k.dense = make([]denseCell, int(space))
 	} else {
-		k.table = make(map[uint64]int64)
+		k.table = make(map[string]int64)
+		k.chars = make([]byte, m+1)
 	}
 	return k, nil
 }
@@ -135,7 +138,7 @@ func (k *kounter) kr(r int) int64 {
 		k.walkDense(r, 0, uint64(0))
 	} else {
 		clear(k.table)
-		k.walkMap(r, 0, uint64(0))
+		k.walkMap(r, 0)
 	}
 	return k.best
 }
@@ -164,9 +167,10 @@ func (k *kounter) walkDense(pos, depth int, key uint64) {
 	}
 }
 
-func (k *kounter) walkMap(pos, depth int, key uint64) {
-	key = key*k.size + uint64(k.s.Code(pos))
+func (k *kounter) walkMap(pos, depth int) {
+	k.chars[depth] = k.s.At(pos)
 	if depth == k.m {
+		key := string(k.chars)
 		k.table[key]++
 		if n := k.table[key]; n > k.best {
 			k.best = n
@@ -179,7 +183,7 @@ func (k *kounter) walkMap(pos, depth int, key uint64) {
 		hi = k.s.Len() - 1
 	}
 	for next := lo; next <= hi; next++ {
-		k.walkMap(next, depth+1, key)
+		k.walkMap(next, depth+1)
 	}
 }
 

@@ -2,7 +2,9 @@ package embound_test
 
 import (
 	"math"
+	"math/big"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -140,32 +142,81 @@ func TestKrBruteForce(t *testing.T) {
 	g := combinat.Gap{N: 1, M: 3}
 	m := 3
 	for r := 0; r < s.Len(); r += 7 {
-		counts := map[string]int64{}
-		var best int64
-		var walk func(pos, depth int, acc []byte)
-		walk = func(pos, depth int, acc []byte) {
-			acc = append(acc, s.At(pos))
-			if depth == m {
-				counts[string(acc)]++
-				if counts[string(acc)] > best {
-					best = counts[string(acc)]
-				}
-				return
-			}
-			for next := pos + g.N + 1; next <= pos+g.M+1 && next < s.Len(); next++ {
-				walk(next, depth+1, acc)
-			}
-		}
-		if r+combinat.MinSpan(m+1, g) <= s.Len() {
-			walk(r, 0, nil)
-		}
 		got, err := embound.Kr(s, g, m, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got != best {
-			t.Errorf("K_r(r=%d) = %d, brute force %d", r, got, best)
+		if want := stringKr(s, g, m, r); got != want {
+			t.Errorf("K_r(r=%d) = %d, brute force %d", r, got, want)
 		}
+	}
+}
+
+// stringKr is K_r by brute force: every length-(m+1) offset sequence from
+// r, its pattern counted under a string key.
+func stringKr(s *seq.Sequence, g combinat.Gap, m, r int) int64 {
+	if r+combinat.MinSpan(m+1, g) > s.Len() {
+		return 0
+	}
+	counts := map[string]int64{}
+	var best int64
+	var walk func(pos, depth int, acc []byte)
+	walk = func(pos, depth int, acc []byte) {
+		acc = append(acc, s.At(pos))
+		if depth == m {
+			counts[string(acc)]++
+			best = max(best, counts[string(acc)])
+			return
+		}
+		for next := pos + g.N + 1; next <= pos+g.M+1 && next < s.Len(); next++ {
+			walk(next, depth+1, acc)
+		}
+	}
+	walk(r, 0, nil)
+	return best
+}
+
+// TestKrPatternCodesPast64Bits: once |Σ|^m passes 2^64 (protein, m = 15),
+// two patterns from one start can have base-|Σ| codes that differ by
+// exactly 2^64. Here, from r = 0 with gap [20,21], the path that steps 22
+// every time spells 'C' and then the 15 base-20 digits of 2^64, while
+// every path that misses those positions spells 'C' and then 15 'A's;
+// the two codes are 20^15 + 2^64 and 20^15. K_0 and e_m (both through the
+// per-offset fallback) must equal a string-keyed count over every start.
+func TestKrPatternCodesPast64Bits(t *testing.T) {
+	digits := []int{11, 5, 3, 11, 19, 17, 0, 7, 11, 14, 4, 13, 19, 0, 16}
+	var two64 big.Int
+	for _, d := range digits {
+		two64.Mul(&two64, big.NewInt(20))
+		two64.Add(&two64, big.NewInt(int64(d)))
+	}
+	if want := new(big.Int).Lsh(big.NewInt(1), 64); two64.Cmp(want) != 0 {
+		t.Fatalf("digits spell %v, not 2^64", &two64)
+	}
+	data := []byte(strings.Repeat("A", 331))
+	data[0] = 'C'
+	for j, d := range digits {
+		data[22*(j+1)] = seq.Protein.Symbol(d)
+	}
+	s, err := seq.New(seq.Protein, "wrap", string(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 20, M: 21}
+	const m = 15
+	var wantEm int64
+	for r := 0; r < s.Len(); r++ {
+		wantEm = max(wantEm, stringKr(s, g, m, r))
+	}
+	want0 := stringKr(s, g, m, 0)
+	if want0 != 16384 || wantEm != 16384 {
+		t.Fatalf("brute force K_0 = %d, e_m = %d; fixture broken, want 16384 each", want0, wantEm)
+	}
+	if got, err := embound.Kr(s, g, m, 0); err != nil || got != want0 {
+		t.Errorf("Kr(r=0) = %d (err %v), brute force %d", got, err, want0)
+	}
+	if got, _, err := embound.EmWorkers(s, g, m, 2); err != nil || got != wantEm {
+		t.Errorf("EmWorkers = %d (err %v), brute force %d", got, err, wantEm)
 	}
 }
 

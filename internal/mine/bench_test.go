@@ -37,11 +37,7 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 	r := &runner{s: s, p: p, counter: counter, n: 10, res: res}
 	r.arenas = make([]pil.Arena, 2*r.workers())
 	r.initMem() // budgeting enabled, as in real runs
-	hat := make([]hatEntry, 0, len(start))
-	for _, cl := range start {
-		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})
-	}
-	return r, hat
+	return r, r.seedHat(start, k)
 }
 
 // runLevelBench drives one full level of the level-wise miner (candidate
@@ -55,7 +51,7 @@ func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var st levelStats
-		cands := r.gen(hat, k)
+		cands := r.gen(hat)
 		counted := r.countCandidates(ctx, k+1, hat, cands, cut, &st)
 		if r.err != nil {
 			b.Fatal(r.err)

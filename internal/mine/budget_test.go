@@ -170,10 +170,10 @@ func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 		// hat buffer and reports the level before the loop hands that
 		// prefix to gen, so these are exactly the entries gen receives.
 		levels++
-		for _, e := range r.hatBuf[lm.Level&1][:lm.Kept] {
+		for j, e := range r.hatBuf[lm.Level&1][:lm.Kept] {
 			if len(e.list) == 0 || e.list.Support() != e.sup {
 				t.Errorf("level %d: L̂ entry %d (sup %d) holds a %d-entry list of support %d",
-					lm.Level, e.code, e.sup, len(e.list), e.list.Support())
+					lm.Level, j, e.sup, len(e.list), e.list.Support())
 				return
 			}
 		}
@@ -223,17 +223,13 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 	r.arenas = make([]pil.Arena, 2*r.workers())
 	r.initMem()
 	i := np.StartLen
-	var hat []hatEntry
-	for _, cl := range start {
-		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})
-	}
-	hat = r.collectLevel(i, 64, hat, r.thresholds(i), levelStats{})
+	hat := r.collectLevel(i, 64, r.seedHat(start, i), r.thresholds(i), levelStats{})
 	var abandoned int64
 	for len(hat) > 0 && counter.Nl(i+1).Sign() != 0 {
 		next := i + 1
 		th := r.thresholds(next)
 		var st levelStats
-		cands := r.gen(hat, i)
+		cands := r.gen(hat)
 		counted := r.countCandidates(context.Background(), next, hat, cands, th.cut, &st)
 		if r.err != nil {
 			t.Fatal(r.err)
@@ -247,21 +243,21 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 			entries += int64(visited + len(suffix))
 			got := r.joined[idx]
 			if (got.sup < 0) != (visited < len(prefix)) {
-				t.Fatalf("level %d: join of %d reported stopped %v, a two-pointer rerun joined %d of %d entries",
-					next, c.code, got.sup < 0, visited, len(prefix))
+				t.Fatalf("level %d: join of %v reported stopped %v, a two-pointer rerun joined %d of %d entries",
+					next, c, got.sup < 0, visited, len(prefix))
 			}
 			switch {
 			case got.sup < 0:
 				stopped++
 				if fullSup >= th.cut {
-					t.Fatalf("level %d: join of %d stopped, but its full support %d reaches the cut %d",
-						next, c.code, fullSup, th.cut)
+					t.Fatalf("level %d: join of %v stopped, but its full support %d reaches the cut %d",
+						next, c, fullSup, th.cut)
 				}
 			case got.sup != fullSup:
-				t.Fatalf("level %d: join of %d finished with support %d, full support %d", next, c.code, got.sup, fullSup)
+				t.Fatalf("level %d: join of %v finished with support %d, full support %d", next, c, got.sup, fullSup)
 			case (got.list != nil) != (fullSup >= th.cut):
-				t.Fatalf("level %d: join of %d (support %d, cut %d) committed a list: %v",
-					next, c.code, fullSup, th.cut, got.list != nil)
+				t.Fatalf("level %d: join of %v (support %d, cut %d) committed a list: %v",
+					next, c, fullSup, th.cut, got.list != nil)
 			}
 		}
 		if stopped != st.abandoned || entries != st.entries {

@@ -3,6 +3,7 @@ package mine_test
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"testing"
 
 	"permine/internal/combinat"
@@ -186,94 +187,128 @@ func TestDifferentialStartLen1Strategies(t *testing.T) {
 	}
 }
 
-// TestWidePathCrossesPackedCapacity mines past the alphabet's packed-code
-// capacity (a 100-symbol alphabet fits only 9 characters in a uint64), so
-// the miner must switch to its wide character-keyed path mid-run. The
-// subject plants a 20-symbol block ten times among random filler with gap
-// [0,0], making the block's substrings the only frequent patterns; the
-// mined set is checked level by level against a quadratic substring
-// counter for lengths 3 through 20 — spanning the packed-to-wide
-// transition at length 10. The enumeration baseline must find the same
-// patterns; some of the alphabet's symbols are bytes above 0x7f, which
-// must stay single characters in its patterns.
-func TestWidePathCrossesPackedCapacity(t *testing.T) {
+// TestPatternsLongerThanUint64Codes mines patterns longer than the
+// longest length k whose |Σ|^k base-|Σ| codes fit a uint64 (the packed
+// codes the start level is scanned with): 9 for a 100-symbol alphabet and
+// 31 for DNA. Each subject plants a fixed block among random filler with
+// gap [0,0], so a pattern's support is its count as a contiguous
+// substring, and the mined set is checked against a quadratic substring
+// counter at every length the miner reaches:
+//   - a 20-symbol block over 100 symbols, planted 10 times, each copy
+//     followed by 40 random symbols. Some symbols are bytes above 0x7f,
+//     which must stay single characters in the patterns. The enumeration
+//     baseline must find the same patterns.
+//   - a 40-base DNA block planted 12 times, each copy followed by 30
+//     random bases (L = 840), mined with MPP up to length 45.
+func TestPatternsLongerThanUint64Codes(t *testing.T) {
 	symbols := make([]byte, 100)
 	for i := range symbols {
 		symbols[i] = byte(0x21 + i)
 	}
-	alpha, err := seq.NewAlphabet("wide100", string(symbols))
+	wide, err := seq.NewAlphabet("wide100", string(symbols))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := alpha.MaxPackedLen(); got != 9 {
-		t.Fatalf("MaxPackedLen = %d, want 9 (100^9 < 2^64 <= 100^10)", got)
+	cases := []struct {
+		alpha              *seq.Alphabet
+		packedLen          int // longest k with |Σ|^k < 2^64
+		block, copies, gap int
+		rho                float64
+		maxLen             int
+		enumerate          bool
+	}{
+		{alpha: wide, packedLen: 9, block: 20, copies: 10, gap: 40, rho: 0.015, maxLen: 24, enumerate: true},
+		{alpha: seq.DNA, packedLen: 31, block: 40, copies: 12, gap: 30, rho: 0.01, maxLen: 45},
 	}
-
-	// Deterministic xorshift filler; the planted block repeats verbatim.
-	rng := uint64(0x9E3779B97F4A7C15)
-	next := func(n int) int {
-		rng ^= rng << 13
-		rng ^= rng >> 7
-		rng ^= rng << 17
-		return int(rng % uint64(n))
-	}
-	block := make([]byte, 20)
-	for i := range block {
-		block[i] = symbols[next(100)]
-	}
-	var data []byte
-	for rep := 0; rep < 10; rep++ {
-		data = append(data, block...)
-		for i := 0; i < 40; i++ {
-			data = append(data, symbols[next(100)])
+	for _, tc := range cases {
+		name := tc.alpha.Name()
+		if got := uint64Len(tc.alpha.Size()); got != tc.packedLen {
+			t.Fatalf("%s: %d^k < 2^64 up to k = %d, want %d", name, tc.alpha.Size(), got, tc.packedLen)
 		}
-	}
-	s, err := seq.New(alpha, "wide", string(data))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	g := combinat.Gap{N: 0, M: 0}
-	const rho = 0.015
-	res, err := mine.MPP(s, core.Params{Gap: g, MinSupport: rho, MaxLen: 24, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	enum, err := mine.Enumerate(s, core.Params{Gap: g, MinSupport: rho, Workers: 4})
-	if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
-		t.Fatal(err)
-	}
-	if last := enum.Levels[len(enum.Levels)-1].Level; last < 20 {
-		t.Fatalf("enumeration stopped at level %d, before the block's length", last)
-	}
-
-	// Quadratic reference: with gap [0,0] a pattern's support is its
-	// count as a contiguous substring.
-	for l := 3; l <= 20; l++ {
-		counts := map[string]int64{}
-		for x := 0; x+l <= len(data); x++ {
-			counts[string(data[x:x+l])]++
+		// Deterministic xorshift filler; the planted block repeats verbatim.
+		rng := uint64(0x9E3779B97F4A7C15)
+		sym := func() byte {
+			rng ^= rng << 13
+			rng ^= rng >> 7
+			rng ^= rng << 17
+			return tc.alpha.Symbol(int(rng % uint64(tc.alpha.Size())))
 		}
-		nl := float64(len(data) - l + 1)
-		var want []core.Pattern
-		for chars, sup := range counts {
-			if float64(sup) >= rho*nl*(1-1e-12) {
-				want = append(want, core.Pattern{Chars: chars, Support: sup})
+		block := make([]byte, tc.block)
+		for i := range block {
+			block[i] = sym()
+		}
+		var data []byte
+		for rep := 0; rep < tc.copies; rep++ {
+			data = append(data, block...)
+			for i := 0; i < tc.gap; i++ {
+				data = append(data, sym())
 			}
 		}
-		if l <= 20 && len(want) == 0 {
-			t.Fatalf("length %d: reference found no frequent substrings; fixture broken", l)
+		s, err := seq.New(tc.alpha, name, string(data))
+		if err != nil {
+			t.Fatal(err)
 		}
-		comparePatterns(t, fmt.Sprintf("wide l=%d", l), res.Patterns, want, l, l)
-		comparePatterns(t, fmt.Sprintf("wide enumerate l=%d", l), enum.Patterns, want, l, l)
-	}
-	maxMined := 0
-	for _, p := range res.Patterns {
-		if len(p.Chars) > maxMined {
-			maxMined = len(p.Chars)
+
+		g := combinat.Gap{N: 0, M: 0}
+		res, err := mine.MPP(s, core.Params{Gap: g, MinSupport: tc.rho, MaxLen: tc.maxLen, Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var enum *core.Result
+		if tc.enumerate {
+			enum, err = mine.Enumerate(s, core.Params{Gap: g, MinSupport: tc.rho, Workers: 4})
+			if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+				t.Fatal(err)
+			}
+			if last := enum.Levels[len(enum.Levels)-1].Level; last < tc.block {
+				t.Fatalf("%s: enumeration stopped at level %d, before the block's length", name, last)
+			}
+		}
+
+		// Quadratic reference: with gap [0,0] a pattern's support is its
+		// count as a contiguous substring.
+		last := res.Levels[len(res.Levels)-1].Level
+		for l := 3; l <= last; l++ {
+			counts := map[string]int64{}
+			for x := 0; x+l <= len(data); x++ {
+				counts[string(data[x:x+l])]++
+			}
+			nl := float64(len(data) - l + 1)
+			var want []core.Pattern
+			for chars, sup := range counts {
+				if float64(sup) >= tc.rho*nl*(1-1e-12) {
+					want = append(want, core.Pattern{Chars: chars, Support: sup})
+				}
+			}
+			if l <= tc.block && len(want) == 0 {
+				t.Fatalf("%s length %d: reference found no frequent substrings; fixture broken", name, l)
+			}
+			comparePatterns(t, fmt.Sprintf("%s l=%d", name, l), res.Patterns, want, l, l)
+			if enum != nil {
+				comparePatterns(t, fmt.Sprintf("%s enumerate l=%d", name, l), enum.Patterns, want, l, l)
+			}
+		}
+		if last < tc.block {
+			t.Fatalf("%s: MPP stopped at level %d, before the block's length %d", name, last, tc.block)
+		}
+		maxMined := 0
+		for _, p := range res.Patterns {
+			maxMined = max(maxMined, len(p.Chars))
+		}
+		if maxMined <= tc.packedLen {
+			t.Fatalf("%s: longest mined pattern %d is no longer than %d", name, maxMined, tc.packedLen)
 		}
 	}
-	if maxMined <= alpha.MaxPackedLen() {
-		t.Fatalf("longest mined pattern %d never crossed packed capacity %d", maxMined, alpha.MaxPackedLen())
+}
+
+// uint64Len returns the longest k with sigma^k < 2^64.
+func uint64Len(sigma int) int {
+	k := 0
+	for v := uint64(1); ; k++ {
+		hi, lo := bits.Mul64(v, uint64(sigma))
+		if hi != 0 {
+			return k
+		}
+		v = lo
 	}
 }

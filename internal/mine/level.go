@@ -5,7 +5,6 @@
 package mine
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -26,12 +25,13 @@ import (
 // runner drives one level-wise mining pass shared by MPP, MPPm and
 // Enumerate.
 //
-// The level kernel is allocation-free in steady state: patterns travel as
-// packed uint64 codes (decoded to characters only when a frequent pattern
-// is emitted), candidate generation is a linear merge over code-sorted
-// slices, and every join output is carved from per-worker pil.Arena slabs
-// recycled double-buffered across levels. The scratch slices below are
-// reused from level to level for the same reason.
+// The level kernel is allocation-free in steady state: a pattern is keyed
+// by its two parents in the previous level's hat (hatEntry), so candidate
+// generation is integer counting passes at every length; a level's
+// characters sit in one byte buffer, read only to emit patterns and call
+// the query hooks; and every join output is carved from per-worker
+// pil.Arena slabs recycled double-buffered across levels. The scratch
+// slices below are reused from level to level for the same reason.
 type runner struct {
 	s       *seq.Sequence
 	p       core.Params
@@ -46,11 +46,6 @@ type runner struct {
 	// Params.CandidateBudget stops the run between levels.
 	exhaustive bool
 
-	// wide is set once the pattern length exceeds the alphabet's packed-
-	// code capacity (seq.Alphabet.MaxPackedLen); beyond it hat entries are
-	// keyed by explicit character strings instead of uint64 codes.
-	wide bool
-
 	arenas  []pil.Arena   // two per worker: arenas[2*w+parity(level)]
 	joinScr []joinScratch // one per worker: cached suffix-run join state
 
@@ -60,36 +55,37 @@ type runner struct {
 	mem    *pil.MemTracker
 	ownMem pil.MemTracker
 
-	// Per-level scratch, reused across levels.
-	hatBuf    [2][]hatEntry // double-buffered hat storage
-	cands     []candidate
-	joined    []countedList
-	groups    []groupRun
-	spans     [][2]int32
-	spanStart []int32
-	order     []int32
-	prefU     []uint64 // packed prefix/suffix keys of the current hat
-	sufU      []uint64
-	prefS     []string // character prefix/suffix keys (wide levels)
-	sufS      []string
+	// Per-level scratch, reused across levels. hatBuf and chars are
+	// double-buffered by level parity: level i's entries and characters
+	// are read while level i+1's are written.
+	hatBuf [2][]hatEntry
+	chars  [2][]byte // level i's characters, i bytes per hat entry
+	cands  []candidate
+	joined []countedList
+	groups []groupRun
+	runs   []int32 // gen: hat indices by prefix key
+	uses   []int32 // gen: groups by suffix key
+	at     []int32 // gen: next group slot by suffix key
 }
 
-// hatEntry is one pattern of L̂i: its identity (packed code, or chars on
-// wide levels), its PIL and its support. A level's hat is sorted by
-// pattern (ascending code, or ascending chars when wide).
+// hatEntry is one counted pattern P of level i, and after collectLevel
+// one pattern of L̂i: its generation keys, its PIL and its support. pre
+// and suf stand for P's (i−1)-prefix and (i−1)-suffix: they are the
+// indices in L̂(i−1) of the parents P1 and P2 that P was joined from, so
+// Gen's test suffix(P1) == prefix(P2) is P1.suf == P2.pre. The seed
+// level ranks its prefixes and suffixes instead (seedHat). A level's hat
+// is in pattern order, so pre ascends. P's characters are bytes
+// [j·i, (j+1)·i) of the level's character buffer, j being P's index.
 type hatEntry struct {
-	code  uint64
-	chars string // set only on wide levels
-	list  pil.List
-	sup   int64
+	pre, suf int32
+	list     pil.List
+	sup      int64
 }
 
-// candidate is a level-(i+1) candidate pattern: its parents P1 = prefix
-// and P2 = suffix as indices into the current hat, plus its packed code
-// (unused on wide levels, where the chars are derived from the parents
-// only for candidates that survive counting).
+// candidate is a level-(i+1) candidate P1·c: its parents P1 = prefix and
+// P2 = suffix as indices into the current hat, c being P2's last
+// character. Once counted, the two indices are the entry's pre and suf.
 type candidate struct {
-	code   uint64
 	prefix int32
 	suffix int32
 }
@@ -224,14 +220,7 @@ func (r *runner) run(start []pil.CodeList) {
 	// work is the exhaustive mode's CandidateBudget charge: the seed scan,
 	// which Enumerate checked before scanning, then |L̂i|·|Σ| per level.
 	work := candCount
-	hat := r.hatBuf[i&1][:0]
-	for _, cl := range start {
-		hat = append(hat, hatEntry{code: cl.Code, list: cl.List, sup: cl.Sup})
-	}
-	r.hatBuf[i&1] = hat
-	if i > alpha.MaxPackedLen() { // StartLen beyond capacity: widen the seed
-		r.widen(hat, i)
-	}
+	hat := r.seedHat(start, i)
 	// The scanned seed lists are read until level StartLen+1 is counted:
 	// charge them like arena slabs, and credit them then, or when a run
 	// that never gets there ends.
@@ -272,14 +261,11 @@ func (r *runner) run(start []pil.CodeList) {
 			r.err = err
 			break
 		}
-		if !r.wide && next > alpha.MaxPackedLen() {
-			r.widen(hat, i)
-		}
 		lctx, span := obs.Start(ctx, "mine.level")
 		levelStart := time.Now()
 		th := r.thresholds(next)
 		var st levelStats
-		cands := r.gen(hat, i)
+		cands := r.gen(hat)
 		st.gen = time.Since(levelStart)
 		countStart := time.Now()
 		counted := r.countCandidates(lctx, next, hat, cands, th.cut, &st)
@@ -335,26 +321,50 @@ func (r *runner) workers() int {
 	return r.p.Workers
 }
 
-// widen decodes the packed codes of a length-k hat into character strings
-// and switches the runner to the wide (string-keyed) path: the next level
-// would not fit a uint64 code. Character order equals code order, so the
-// hat stays sorted under its new keys.
-func (r *runner) widen(hat []hatEntry, k int) {
+// seedHat turns the start level's code-sorted scan into hat entries, the
+// only place the level loop reads packed codes. A length-k pattern's pre
+// is the dense rank of its prefix code/|Σ| among the seed's distinct
+// prefixes, and its suf the rank of its suffix code mod |Σ|^(k−1) there,
+// or one past the last rank (matching no pre) when no seed pattern starts
+// with that suffix. |Σ|^k fits a uint64 for every k that pil.ScanKPacked
+// accepts. Each pattern's characters are decoded into the level's buffer.
+func (r *runner) seedHat(start []pil.CodeList, k int) []hatEntry {
 	alpha := r.s.Alphabet()
-	for j := range hat {
-		hat[j].chars = alpha.DecodePacked(hat[j].code, k)
+	sigma := uint64(alpha.Size())
+	powKm1 := uint64(1)
+	for j := 1; j < k; j++ {
+		powKm1 *= sigma
 	}
-	r.wide = true
+	var prefixes []uint64 // distinct prefix codes, ascending
+	hat := r.hatBuf[k&1][:0]
+	chars := r.chars[k&1][:0]
+	for _, cl := range start {
+		if pre := cl.Code / sigma; len(prefixes) == 0 || prefixes[len(prefixes)-1] != pre {
+			prefixes = append(prefixes, pre)
+		}
+		hat = append(hat, hatEntry{pre: int32(len(prefixes) - 1), list: cl.List, sup: cl.Sup})
+		chars = append(chars, alpha.DecodePacked(cl.Code, k)...)
+	}
+	for j, cl := range start {
+		rank, found := slices.BinarySearch(prefixes, cl.Code%powKm1)
+		if !found {
+			rank = len(prefixes)
+		}
+		hat[j].suf = int32(rank)
+	}
+	r.hatBuf[k&1], r.chars[k&1] = hat, chars
+	return hat
 }
 
-// levelThresholds are one level's support cut-offs: freq admits a pattern
-// to Li, and a support of at least cut admits it to L̂i — cut is
-// core.SupportCut of λ·ρs·N_i, the integer form of core.Meets, or 0 in
-// exhaustive mode. λ ≤ 1, so every pattern meeting freq also reaches cut.
+// levelThresholds are one level's support cut-offs, as integers: a
+// support of at least freq admits a pattern to Li, and one of at least cut
+// admits it to L̂i. Each is core.SupportCut of its threshold, ρs·N_i and
+// λ·ρs·N_i, the integer form of core.Meets; cut is 0 in exhaustive mode.
+// λ ≤ 1, so every pattern reaching freq also reaches cut.
 type levelThresholds struct {
 	nl   float64 // N_i
 	lam  float64 // λ(n, n−i)
-	freq float64 // ρs·N_i
+	freq int64   // smallest support in Li
 	cut  int64   // smallest support in L̂i
 }
 
@@ -371,45 +381,44 @@ type levelThresholds struct {
 func (r *runner) thresholds(i int) levelThresholds {
 	nl := r.counter.NlFloat(i)
 	freq := r.p.EffectiveMinSupport() * nl
-	if r.exhaustive {
-		return levelThresholds{nl: nl, freq: freq}
+	th := levelThresholds{nl: nl, freq: core.SupportCut(freq)}
+	if !r.exhaustive {
+		th.lam = r.lambda(i)
+		th.cut = core.SupportCut(th.lam * freq)
 	}
-	lam := r.lambda(i)
-	return levelThresholds{nl: nl, lam: lam, freq: freq, cut: core.SupportCut(lam * freq)}
+	return th
 }
 
 // collectLevel applies the Li / L̂i thresholds th to the counted entries
 // of level i, records metrics and frequent patterns, and returns L̂i
-// (compacted in place) for candidate generation. entries holds the
-// candidates whose joins finished with a non-zero support, in pattern
-// order; the rest of candidates are the level's zero-support and
-// abandoned joins (st.abandoned). An entry below th.cut carries a nil
-// list (its join committed nothing); only its support is read.
+// (compacted in place, with the level's characters) for candidate
+// generation. entries holds the candidates whose joins finished with a
+// non-zero support, in pattern order; the rest of candidates are the
+// level's zero-support and abandoned joins (st.abandoned). An entry below
+// th.cut carries a nil list (its join committed nothing); only its
+// support is read.
 //
 // Query hooks (Params.Hooks) thread the interactive layer in here:
 // Emit/OnFrequent filter and observe emitted patterns, and KeepCandidate
 // drops hat entries whose descendants are known useless (counted in
-// PrunedByLambda). Plain runs (nil hooks) keep the no-decode fast path
-// for infrequent entries.
+// PrunedByLambda). A pattern's characters become a string only when it
+// is emitted or offered to KeepCandidate.
 func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th levelThresholds, st levelStats) []hatEntry {
 	start := time.Now()
-	alpha := r.s.Alphabet()
 	hooks := r.p.Hooks
+	chars := r.chars[i&1]
 
 	kept := entries[:0]
 	var frequent int64
-	for _, e := range entries {
-		chars := e.chars
-		haveChars := r.wide
-		if core.Meets(e.sup, th.freq) {
+	for j, e := range entries {
+		pat := chars[j*i : (j+1)*i]
+		var str string // pat as a string once needed; patterns are never empty
+		if e.sup >= th.freq {
 			frequent++
-			if !haveChars {
-				chars = alpha.DecodePacked(e.code, i)
-				haveChars = true
-			}
-			if hooks == nil || hooks.Emit == nil || hooks.Emit(chars) {
+			str = string(pat)
+			if hooks == nil || hooks.Emit == nil || hooks.Emit(str) {
 				p := core.Pattern{
-					Chars:   chars,
+					Chars:   str,
 					Support: e.sup,
 					Ratio:   float64(e.sup) / th.nl,
 				}
@@ -421,16 +430,18 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 		}
 		if e.sup >= th.cut {
 			if hooks != nil && hooks.KeepCandidate != nil {
-				if !haveChars {
-					chars = alpha.DecodePacked(e.code, i)
+				if str == "" {
+					str = string(pat)
 				}
-				if !hooks.KeepCandidate(chars) {
+				if !hooks.KeepCandidate(str) {
 					continue
 				}
 			}
+			copy(chars[len(kept)*i:], pat)
 			kept = append(kept, e)
 		}
 	}
+	r.chars[i&1] = chars[:len(kept)*i]
 	zero := candidates - int64(len(entries)) - st.abandoned
 	if zero < 0 {
 		zero = 0 // analytic candidate counts can saturate below the entry count
@@ -459,93 +470,63 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 }
 
 // gen implements Gen(L̂i): join every P1, P2 in L̂i with
-// suffix(P1) == prefix(P2) into the candidate P1[0] + P2. The hat is
-// sorted by pattern, so entries sharing a (k−1)-prefix form contiguous
-// runs; genSpans matches every P1's suffix against those runs with one
-// integer sort and a linear merge — no maps, no string sorts — and the
-// emission loop below yields candidates already in pattern order (the
-// candidate P1·c inherits P1's rank, then the extension symbol's).
-func (r *runner) gen(hat []hatEntry, k int) []candidate {
-	n := len(hat)
-	r.spans = sliceFor(r.spans, n)
-	r.order = sliceFor(r.order, n)
-	if r.wide {
-		r.prefS = sliceFor(r.prefS, n)
-		r.sufS = sliceFor(r.sufS, n)
-		for j, e := range hat {
-			r.prefS[j] = e.chars[:k-1]
-			r.sufS[j] = e.chars[1:]
-		}
-		genSpans(r.prefS, r.sufS, r.order, r.spans)
-	} else {
-		sigma := uint64(r.s.Alphabet().Size())
-		powKm1 := uint64(1)
-		for j := 1; j < k; j++ {
-			powKm1 *= sigma
-		}
-		r.prefU = sliceFor(r.prefU, n)
-		r.sufU = sliceFor(r.sufU, n)
-		for j, e := range hat {
-			r.prefU[j] = e.code / sigma
-			r.sufU[j] = e.code % powKm1
-		}
-		genSpans(r.prefU, r.sufU, r.order, r.spans)
+// suffix(P1) == prefix(P2), that is P1.suf == P2.pre, into the candidate
+// P1·c, c being P2's last character. The hat is in pattern order, so pre
+// ascends and the entries sharing a prefix key form one run: a counting
+// pass over pre finds every run, and each P1 joins the run of its suf.
+// Candidates come out prefix-major over the hat, which is pattern order
+// (P1·c inherits P1's rank, then c's).
+func (r *runner) gen(hat []hatEntry) []candidate {
+	keys := 0 // every pre and suf is below keys
+	for _, e := range hat {
+		keys = max(keys, int(e.pre)+1, int(e.suf)+1)
+	}
+	// runs[v] .. runs[v+1] are the hat indices whose pre is v.
+	runs := sliceFor(r.runs, keys+1)
+	clear(runs)
+	for _, e := range hat {
+		runs[e.pre+1]++
+	}
+	for v := 1; v <= keys; v++ {
+		runs[v] += runs[v-1]
 	}
 
-	sigma := uint64(r.s.Alphabet().Size())
+	// Counting order: the counting loop walks the prefix groups by P1's
+	// suffix key, not by P1. All groups sharing a suffix key join against
+	// the same run of suffix PILs, so visiting them back to back keeps
+	// that run cache-hot instead of re-fetching it from memory once per
+	// extension symbol. A counting pass over suf buckets the groups, and
+	// a bucket's size is the uses count of each of its groups:
+	// countCandidates reads it to decide whether building a pil.CumTable
+	// for those PILs pays for itself.
+	uses := sliceFor(r.uses, keys)
+	clear(uses)
+	for _, e := range hat {
+		if runs[e.suf] < runs[e.suf+1] {
+			uses[e.suf]++
+		}
+	}
+	at := sliceFor(r.at, keys)
+	var nGroups int32
+	for v, u := range uses {
+		at[v] = nGroups
+		nGroups += u
+	}
+	groups := sliceFor(r.groups, int(nGroups))
 	cands := r.cands[:0]
-	for i1 := range hat {
-		lo, hi := r.spans[i1][0], r.spans[i1][1]
+	for i1, e := range hat {
+		lo, hi := runs[e.suf], runs[e.suf+1]
+		if lo == hi {
+			continue
+		}
+		first := int32(len(cands))
+		groups[at[e.suf]] = groupRun{prefix: int32(i1), start: first, end: first + hi - lo, uses: uses[e.suf]}
+		at[e.suf]++
 		for j := lo; j < hi; j++ {
-			c := candidate{prefix: int32(i1), suffix: j}
-			if !r.wide {
-				c.code = hat[i1].code*sigma + hat[j].code%sigma
-			}
-			cands = append(cands, c)
+			cands = append(cands, candidate{prefix: int32(i1), suffix: j})
 		}
 	}
-	r.cands = cands
-
-	// Counting order: candidates are stored in pattern order (prefix-major
-	// over the hat), but the counting loop walks groups sorted by the
-	// prefix's *suffix key* — r.order, a by-product of the span merge. All
-	// groups sharing a suffix key join against the same contiguous run of
-	// suffix PILs, so visiting them back to back keeps that run cache-hot
-	// instead of re-fetching it from memory once per extension symbol.
-	groups := r.groups[:0]
-	candStart := int32(0)
-	r.spanStart = sliceFor(r.spanStart, n)
-	for i1 := range hat {
-		r.spanStart[i1] = candStart
-		candStart += r.spans[i1][1] - r.spans[i1][0]
-	}
-	// uses counts the groups sharing each suffix run: r.order puts equal
-	// suffix keys back to back, and distinct keys have disjoint prefix
-	// runs, so runs of an identical span in this walk are exactly the
-	// groups that will join against the same suffix PILs. countCandidates
-	// uses the count to decide whether building a pil.CumTable for those
-	// PILs pays for itself.
-	curSpan := [2]int32{-1, -1}
-	runStart := 0
-	flush := func(end int) {
-		for j := runStart; j < end; j++ {
-			groups[j].uses = int32(end - runStart)
-		}
-	}
-	for _, i1 := range r.order {
-		lo, hi := r.spans[i1][0], r.spans[i1][1]
-		if hi > lo {
-			if sp := (r.spans[i1]); sp != curSpan {
-				flush(len(groups))
-				runStart = len(groups)
-				curSpan = sp
-			}
-			s := r.spanStart[i1]
-			groups = append(groups, groupRun{prefix: i1, start: s, end: s + (hi - lo)})
-		}
-	}
-	flush(len(groups))
-	r.groups = groups
+	r.runs, r.uses, r.at, r.cands, r.groups = runs, uses, at, cands, groups
 	return cands
 }
 
@@ -555,44 +536,6 @@ func sliceFor[T any](buf []T, n int) []T {
 		return make([]T, n)
 	}
 	return buf[:n]
-}
-
-// genSpans computes, for every hat index i, the contiguous run [lo, hi)
-// of hat indices whose (k−1)-prefix key equals i's (k−1)-suffix key —
-// i.e. the set of P2 parents joinable after P1 = hat[i]. prefixes is
-// ascending (the hat is pattern-sorted); suffixes is matched against it
-// by sorting the index vector order and merging, O(n log n) integer or
-// string-slice work with no hashing.
-func genSpans[K cmp.Ordered](prefixes, suffixes []K, order []int32, spans [][2]int32) {
-	n := len(prefixes)
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(a, b int32) int {
-		if c := cmp.Compare(suffixes[a], suffixes[b]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	oi := 0
-	for gi := 0; gi < n; {
-		ge := gi + 1
-		for ge < n && prefixes[ge] == prefixes[gi] {
-			ge++
-		}
-		for oi < n && suffixes[order[oi]] < prefixes[gi] {
-			spans[order[oi]] = [2]int32{0, 0}
-			oi++
-		}
-		for oi < n && suffixes[order[oi]] == prefixes[gi] {
-			spans[order[oi]] = [2]int32{int32(gi), int32(ge)}
-			oi++
-		}
-		gi = ge
-	}
-	for ; oi < n; oi++ {
-		spans[order[oi]] = [2]int32{0, 0}
-	}
 }
 
 // groupRun is one prefix group of the candidate list: cands[start:end)
@@ -676,10 +619,13 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.Jo
 // (permine_phase/permine_level) so CPU profiles taken via -pprof-addr
 // attribute time to mining phases.
 //
-// Zero-support and stopped joins yield no entry; order follows cands. The
-// context is checked every batch (in every worker); on cancellation
-// counting stops early, r.err is set to a typed core.CancelledError and
-// nil is returned — partial counts are never reported as results.
+// Zero-support and stopped joins yield no entry. The others become the
+// level's entries in cands order, each keyed by its parents (pre, suf =
+// prefix, suffix), and their characters, P1's followed by P2's last, go
+// to the level's character buffer. The context is checked every batch
+// (in every worker); on cancellation counting stops early, r.err is set
+// to a typed core.CancelledError and nil is returned — partial counts are
+// never reported as results.
 func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, cut int64, st *levelStats) []hatEntry {
 	n := len(cands)
 	r.joined = sliceFor(r.joined, n)
@@ -818,17 +764,19 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 		r.err = r.exhausted(level)
 		return nil
 	}
+	k := level - 1 // the hat's pattern length
+	prev := r.chars[k&1]
 	out := r.hatBuf[level&1][:0]
+	chars := r.chars[level&1][:0]
 	for idx, c := range cands {
 		if joined[idx].sup <= 0 {
 			continue
 		}
-		e := hatEntry{code: c.code, list: joined[idx].list, sup: joined[idx].sup}
-		if r.wide {
-			e.chars = hat[c.prefix].chars[:1] + hat[c.suffix].chars
-		}
-		out = append(out, e)
+		out = append(out, hatEntry{pre: c.prefix, suf: c.suffix, list: joined[idx].list, sup: joined[idx].sup})
+		p1 := int(c.prefix) * k
+		chars = append(chars, prev[p1:p1+k]...)
+		chars = append(chars, prev[(int(c.suffix)+1)*k-1])
 	}
-	r.hatBuf[level&1] = out
+	r.hatBuf[level&1], r.chars[level&1] = out, chars
 	return out
 }

@@ -53,26 +53,39 @@ func comparePatterns(t *testing.T, label string, got, want []core.Pattern, minLe
 }
 
 // TestMPPAgainstOracle: MPP with n = maxLen must find exactly the frequent
-// patterns of lengths 3..n that full enumeration finds.
+// patterns of lengths 3..n that full enumeration finds. The second subject
+// holds its only T at the end, so the start level has patterns whose
+// 2-suffix ("AT", "GT") starts no length-3 pattern: they must join nothing.
 func TestMPPAgainstOracle(t *testing.T) {
-	s, err := gen.BacterialLike(300, 5)
+	bacterial, err := gen.BacterialLike(300, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := combinat.Gap{N: 2, M: 4}
-	rho := 0.002
-	maxLen := 5
-	want, err := oracle.FrequentPatterns(s, g, rho, 3, maxLen)
+	lastT, err := seq.NewDNA("lastT", "AAGAGAGT")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := mine.MPP(s, core.Params{Gap: g, MinSupport: rho, MaxLen: maxLen})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comparePatterns(t, "MPP vs oracle", res.Patterns, want, 3, maxLen)
-	if len(want) == 0 {
-		t.Fatal("oracle found no frequent patterns; test is vacuous, adjust rho")
+	const maxLen = 5
+	for _, tc := range []struct {
+		s   *seq.Sequence
+		g   combinat.Gap
+		rho float64
+	}{
+		{bacterial, combinat.Gap{N: 2, M: 4}, 0.002},
+		{lastT, combinat.Gap{N: 0, M: 1}, 1e-9},
+	} {
+		want, err := oracle.FrequentPatterns(tc.s, tc.g, tc.rho, 3, maxLen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := mine.MPP(tc.s, core.Params{Gap: tc.g, MinSupport: tc.rho, MaxLen: maxLen})
+		if err != nil {
+			t.Fatal(err)
+		}
+		comparePatterns(t, "MPP vs oracle on "+tc.s.Name(), res.Patterns, want, 3, maxLen)
+		if len(want) == 0 {
+			t.Fatalf("%s: oracle found no frequent patterns; test is vacuous, adjust rho", tc.s.Name())
+		}
 	}
 }
 

@@ -126,22 +126,6 @@ func (a *Alphabet) Encode(s string) ([]uint8, error) {
 	return out, nil
 }
 
-// MaxPackedLen returns the longest pattern length k whose base-σ packed
-// code (see PackedCode/DecodePacked) is guaranteed to fit a uint64, i.e.
-// the largest k with σ^k < 2^64. For DNA this is 31 characters, for the
-// protein alphabet 14; the miner falls back to explicit character keys
-// beyond it.
-func (a *Alphabet) MaxPackedLen() int {
-	sigma := uint64(len(a.symbols))
-	k := 0
-	v := uint64(1)
-	for v <= (^uint64(0))/sigma {
-		v *= sigma
-		k++
-	}
-	return k
-}
-
 // DecodePacked converts the base-σ packed code of a length-k pattern back
 // into its character string: code = Σ symbolCode(i)·σ^(k−1−i). Packed
 // codes are only unique among patterns of equal length (leading 'A's are

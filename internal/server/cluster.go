@@ -258,17 +258,18 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		stop := context.AfterFunc(rctx, cancel)
 		defer stop()
 		ctx, span := startRun(ctx)
-		defer span.End()
 		res, err := m.mineLocal(ctx, algo, subject, np)
 		if err != nil {
-			span.RecordError(err)
-			ch <- reply{nil, err}
-			return
-		}
-		if m.cfg.Cache != nil {
+			res = nil
+		} else if m.cfg.Cache != nil {
 			m.cfg.Cache.Put(key, res)
 		}
-		ch <- reply{res, nil}
+		// End job.run before replying: the handler ships the collected
+		// spans as soon as it has the reply, and without job.run its
+		// mine.level spans would arrive with no parent.
+		span.RecordError(err)
+		span.End()
+		ch <- reply{res, err}
 	}
 
 	m.mu.Lock()
