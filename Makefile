@@ -52,13 +52,12 @@ overload-check:
 	sh scripts/overload-check.sh
 
 # Short fuzz pass over the PIL list invariants (Join window semantics,
-# Merge support conservation, arena/heap join equivalence) and the frame
-# codec that WAL replay and the cluster wire protocol share. Go allows one
-# -fuzz target per invocation, hence the separate runs.
+# arena/heap join equivalence) and the frame codec that WAL replay and
+# the cluster wire protocol share. Go allows one -fuzz target per
+# invocation, hence the separate runs.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoin$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzMerge$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frame/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime $(FUZZTIME)
 

@@ -198,7 +198,10 @@ func BenchmarkPILJoin(b *testing.B) {
 	}
 }
 
-// BenchmarkScanK measures the level-3 seeding scan.
+// BenchmarkScanK measures the direct length-3 scan, the paper's way to
+// seed level 3. The miners build that level by joins from the length-1
+// lists instead (BenchmarkSeed in internal/mine); the scan is their
+// reference.
 func BenchmarkScanK(b *testing.B) {
 	s, err := permine.GenerateGenomeLike(1000, 1)
 	if err != nil {
@@ -334,7 +337,8 @@ func BenchmarkAblationAdaptive(b *testing.B) {
 }
 
 // BenchmarkAblationScan3 contrasts seeding level 3 by direct scan (the
-// paper's choice) against building it from level-1/level-2 joins.
+// paper's choice) against building it from level-1/level-2 joins, as the
+// miners do.
 func BenchmarkAblationScan3(b *testing.B) {
 	s, err := permine.GenerateGenomeLike(1000, 1)
 	if err != nil {
@@ -349,7 +353,7 @@ func BenchmarkAblationScan3(b *testing.B) {
 	})
 	b.Run("join123", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			singles := pil.Singles(s)
+			singles := pil.Singles(nil, s)
 			alpha := s.Alphabet()
 			twos := make(map[string]pil.List)
 			for a := 0; a < alpha.Size(); a++ {

@@ -80,7 +80,7 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		cacheSubsume = fs.Bool("cache-subsumption", true, "serve jobs by filtering cached results mined at other thresholds")
 		retain       = fs.Int("retain", 1024, "finished jobs kept queryable")
 		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "default per-job deadline")
-		maxTimeout   = fs.Duration("max-timeout", 0, "ceiling for client-supplied timeouts (0 = job-timeout)")
+		maxTimeout   = fs.Duration("max-timeout", 0, "ceiling for client-supplied timeouts (0 = job-timeout; none when job-timeout is negative)")
 		syncLen      = fs.Int("max-sync-len", 1<<20, "longest sequence /v1/query accepts synchronously")
 		maxBody      = fs.Int64("max-body-bytes", 64<<20, "request body size limit in bytes (oversized bodies get 413)")
 		memBudget    = fs.Int64("mem-budget", 0, "default per-job mining memory budget in bytes (0 = unlimited); over-budget jobs end resource_exhausted with partial results")

@@ -29,15 +29,9 @@ func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.Jo
 	if err != nil {
 		b.Fatal(err)
 	}
-	start, err := pil.ScanKPacked(s, g, k)
-	if err != nil {
-		b.Fatal(err)
-	}
 	res := &core.Result{Algorithm: core.AlgoMPP, Params: p, SeqLen: s.Len(), N: 10}
 	r := &runner{s: s, p: p, counter: counter, n: 10, res: res}
-	r.arenas = make([]pil.Arena, 2*r.workers())
-	r.initMem() // budgeting enabled, as in real runs
-	return r, r.seedHat(start, k)
+	return r, r.seed() // budgeting enabled, as in real runs
 }
 
 // runLevelBench drives one full level of the level-wise miner (candidate
@@ -79,6 +73,33 @@ func BenchmarkJoinStrategies(b *testing.B) {
 			r, hat := benchLevelFixture(b, 20000, 1, combinat.Gap{N: 9, M: 10}, join)
 			runLevelBench(b, r, hat, 1)
 		})
+	}
+}
+
+// BenchmarkSeed builds the start level as the miners do, on a fresh
+// runner each time: levels 1 to 3 by joins from the length-1 lists
+// (GenomeLike 1 kb, gap [9,12], 2 workers).
+func BenchmarkSeed(b *testing.B) {
+	s, err := seqgen.GenomeLike(1000, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := combinat.Gap{N: 9, M: 12}
+	p, err := core.Params{Gap: g, MinSupport: 0.00003, Workers: 2}.Normalize()
+	if err != nil {
+		b.Fatal(err)
+	}
+	counter, err := combinat.NewCounter(s.Len(), g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r := &runner{s: s, p: p, counter: counter, res: &core.Result{Algorithm: core.AlgoMPP}}
+		if len(r.seed()) == 0 {
+			b.Fatal("empty start level")
+		}
 	}
 }
 

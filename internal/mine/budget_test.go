@@ -159,10 +159,6 @@ func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, err := pil.ScanKPacked(s, np.Gap, np.StartLen)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := &runner{s: s, p: np, counter: counter, n: full.N, res: &core.Result{Algorithm: core.AlgoMPPm}}
 	levels := 0
 	r.p.Progress = func(lm core.LevelMetrics) {
@@ -178,7 +174,7 @@ func TestMemoryBudgetHoldsOnlyHat(t *testing.T) {
 			}
 		}
 	}
-	r.run(start)
+	r.run(r.seed())
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
@@ -215,15 +211,9 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, err := pil.ScanKPacked(s, np.Gap, np.StartLen)
-	if err != nil {
-		t.Fatal(err)
-	}
 	r := &runner{s: s, p: np, counter: counter, n: want.N, res: &core.Result{Algorithm: core.AlgoMPPm}}
-	r.arenas = make([]pil.Arena, 2*r.workers())
-	r.initMem()
 	i := np.StartLen
-	hat := r.collectLevel(i, 64, r.seedHat(start, i), r.thresholds(i), levelStats{})
+	hat := r.collectLevel(i, 64, r.seed(), r.thresholds(i), levelStats{})
 	var abandoned int64
 	for len(hat) > 0 && counter.Nl(i+1).Sign() != 0 {
 		next := i + 1
@@ -284,74 +274,91 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 	samePatterns(t, "level-by-level run", r.res.Patterns, want.Patterns)
 }
 
-// TestSeedListsCharged: the scanned start-level lists count against the
-// run's tracker until level StartLen+1 is counted, or until the run ends.
-// First L̂3 is empty, so the seed level is the run's last: no arena ever
-// grows, the high-water is exactly the seed lists, and nothing stays
-// charged.
+// TestSeedListsCharged: the seed's lists are arena slabs, charged to the
+// run's tracker as they grow, so after every level the tracker holds
+// exactly the arena slabs (two-pointer joins build no cumulative tables),
+// the start level included. First L̂3 is empty, so the start level is the
+// run's last: the slabs of its parity must hold at least its lists, as an
+// independent scan builds them, and a seed-only MPP run's tracker must end
+// where the watched run's does, at its high-water (slabs only grow). That
+// run keeps the default join choice, which would take a cumulative table
+// for the seed's dense lists: the seed must build none. Then a run that
+// goes on is watched level by level.
 func TestSeedListsCharged(t *testing.T) {
 	s, err := seqgen.GenomeLike(1000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := combinat.Gap{N: 9, M: 12}
-	p := core.Params{Gap: g, MinSupport: 0.5, Mem: pil.NewMemTracker(nil)}
-	res, err := MPP(s, p)
+	counter, err := combinat.NewCounter(s.Len(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// watch runs MPP white-box, with its own tracker, and checks after
+	// every level that the tracker holds exactly the arena slabs.
+	watch := func(p core.Params, n int) *runner {
+		np, err := p.Normalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		np.Mem = nil
+		r := &runner{s: s, p: np, counter: counter, n: n, res: &core.Result{Algorithm: core.AlgoMPP}}
+		r.p.Progress = func(lm core.LevelMetrics) {
+			if got, want := r.mem.Used(), slabBytes(r, -1); got != want {
+				t.Errorf("level %d: tracker holds %d B, want the arena slabs' %d B", lm.Level, got, want)
+			}
+		}
+		r.run(r.seed())
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		return r
+	}
+
+	seedOnly := core.Params{Gap: g, MinSupport: 0.5, Mem: pil.NewMemTracker(nil)}
+	res, err := MPP(s, seedOnly)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Levels) != 1 || res.Levels[0].Kept != 0 {
 		t.Fatalf("levels %+v; want only the seed level, with an empty L̂", res.Levels)
 	}
+	r := watch(seedOnly, res.N)
 	start, err := pil.ScanKPacked(s, g, core.DefaultStartLen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want int64
+	var lists int64
 	for _, cl := range start {
-		want += pil.EntryBytes * int64(len(cl.List))
+		lists += pil.EntryBytes * int64(len(cl.List))
 	}
-	if want == 0 {
+	if lists == 0 {
 		t.Fatal("empty seed level")
 	}
-	if p.Mem.High() != want || p.Mem.Used() != 0 {
-		t.Errorf("tracker high %d B, used %d B; want high = the seed lists' %d B, used 0", p.Mem.High(), p.Mem.Used(), want)
+	if got := slabBytes(r, core.DefaultStartLen&1); got < lists {
+		t.Errorf("the start level's arena slabs hold %d B, below its %d B of lists", got, lists)
+	}
+	if used := r.mem.Used(); seedOnly.Mem.Used() != used || seedOnly.Mem.High() != used {
+		t.Errorf("MPP's tracker holds %d B (high %d B), want the watched run's %d B of slabs",
+			seedOnly.Mem.Used(), seedOnly.Mem.High(), used)
 	}
 
-	// In a run that goes on, the seed lists are credited once level 4 is
-	// counted: from then on the tracker holds exactly the arena slabs
-	// (two-pointer joins build no cumulative tables).
-	np, err := core.Params{Gap: g, MinSupport: 0.00003, MaxLen: 6, Join: core.JoinTwoPointer}.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	counter, err := combinat.NewCounter(s.Len(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &runner{s: s, p: np, counter: counter, n: 6, res: &core.Result{Algorithm: core.AlgoMPP}}
-	levels := 0
-	r.p.Progress = func(lm core.LevelMetrics) {
-		levels++
-		var slabs int64
-		for i := range r.arenas {
-			slabs += pil.EntryBytes * int64(r.arenas[i].Cap())
-		}
-		wantUsed := slabs
-		if lm.Level == np.StartLen {
-			wantUsed += want
-		}
-		if got := r.mem.Used(); got != wantUsed {
-			t.Errorf("level %d: tracker holds %d B, want %d B (arena slabs %d B)", lm.Level, got, wantUsed, slabs)
-		}
-	}
-	r.run(start)
-	if r.err != nil {
-		t.Fatal(r.err)
-	}
-	if levels < 3 {
+	goesOn := watch(core.Params{Gap: g, MinSupport: 0.00003, MaxLen: 6, Join: core.JoinTwoPointer}, 6)
+	if levels := len(goesOn.res.Levels); levels < 3 {
 		t.Fatalf("the run reported %d levels; want several", levels)
 	}
+}
+
+// slabBytes sums the runner's arena slabs of one level parity, or of both
+// when parity < 0; arena i serves the levels of parity i&1.
+func slabBytes(r *runner, parity int) int64 {
+	var b int64
+	for i := range r.arenas {
+		if parity < 0 || i&1 == parity {
+			b += pil.EntryBytes * int64(r.arenas[i].Cap())
+		}
+	}
+	return b
 }
 
 // samePatterns fails t unless got and want, both sorted, hold the same
@@ -389,11 +396,11 @@ func TestMemoryBudgetEnumerate(t *testing.T) {
 
 // TestEnumerateTrackerHoldsLastLevel: the enumeration baseline runs on
 // the shared level loop, so its tracker holds what MPP's does. After every
-// level it holds exactly the arena slabs (two-pointer joins build no
-// cumulative tables), plus the scanned seed lists until level StartLen+1
-// is counted; after the run, exactly the slabs — never the sum of every
-// level built. The run is repeated white-box, and Enumerate's own tracker
-// must end where the watched run's does. The list bytes come from
+// level, the start level included, it holds exactly the arena slabs
+// (two-pointer joins build no cumulative tables); after the run, exactly
+// the slabs — never the sum of every level built. The run is repeated
+// white-box, and Enumerate's own tracker must end where the watched run's
+// does. The list bytes come from
 // independent scans (enumeration prunes nothing, so level i holds every
 // non-zero-support pattern of length i): the slabs of the last level's
 // parity must hold that level's lists, and the high-water both of the
@@ -423,40 +430,17 @@ func TestEnumerateTrackerHoldsLastLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	start, err := pil.ScanKPacked(s, g, np.StartLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seedBytes int64
-	for _, cl := range start {
-		seedBytes += pil.EntryBytes * int64(len(cl.List))
-	}
 	r := &runner{s: s, p: np, counter: counter, n: counter.L2(), res: &core.Result{Algorithm: core.AlgoEnumerate}, exhaustive: true}
-	// slabs sums the arena slabs of one level parity, or of both when
-	// parity < 0; arena i serves the levels of parity i&1.
-	slabs := func(parity int) int64 {
-		var b int64
-		for i := range r.arenas {
-			if parity < 0 || i&1 == parity {
-				b += pil.EntryBytes * int64(r.arenas[i].Cap())
-			}
-		}
-		return b
-	}
 	r.p.Progress = func(lm core.LevelMetrics) {
-		want := slabs(-1)
-		if lm.Level == np.StartLen {
-			want += seedBytes
-		}
-		if got := r.mem.Used(); got != want {
-			t.Errorf("level %d: tracker holds %d B, want %d B (arena slabs %d B)", lm.Level, got, want, slabs(-1))
+		if got, want := r.mem.Used(), slabBytes(r, -1); got != want {
+			t.Errorf("level %d: tracker holds %d B, want the arena slabs' %d B", lm.Level, got, want)
 		}
 	}
-	r.run(start)
+	r.run(r.seed())
 	if !errors.Is(r.err, core.ErrBudgetExceeded) || len(r.res.Levels) != len(res.Levels) {
 		t.Fatalf("watched run: %d levels, error %v; Enumerate: %d levels", len(r.res.Levels), r.err, len(res.Levels))
 	}
-	if got, want := r.mem.Used(), slabs(-1); got != want {
+	if got, want := r.mem.Used(), slabBytes(r, -1); got != want {
 		t.Errorf("tracker holds %d B after the run, want the arena slabs' %d B", got, want)
 	}
 	if p.Mem.Used() != r.mem.Used() || p.Mem.High() != r.mem.High() {
@@ -477,7 +461,7 @@ func TestEnumerateTrackerHoldsLastLevel(t *testing.T) {
 	}
 	last := res.Levels[len(res.Levels)-1].Level
 	lastBytes, prevBytes := listBytes(last), listBytes(last-1)
-	if got := slabs(last & 1); got < lastBytes {
+	if got := slabBytes(r, last&1); got < lastBytes {
 		t.Errorf("level %d's arena slabs hold %d B, below that level's %d B of lists", last, got, lastBytes)
 	}
 	if high := p.Mem.High(); high < lastBytes+prevBytes {

@@ -3,6 +3,7 @@ package mine_test
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 
 	"permine/internal/combinat"
@@ -101,6 +102,46 @@ func TestMPPCancelStopsWithinOneLevel(t *testing.T) {
 	}
 	if len(full.Levels) <= 1 {
 		t.Fatalf("control run finished in %d levels; test sequence too shallow to exercise cancellation", len(full.Levels))
+	}
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled after its
+// first n calls, so a test can cancel at a chosen check.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCancelWhileSeeding: the start level is built by the loop's own
+// counting, which checks the context, so a cancellation observed there
+// reports the seed level being counted, before any level completes.
+func TestCancelWhileSeeding(t *testing.T) {
+	s := cancelSeq(t)
+	for name, run := range map[string]func(*seq.Sequence, core.Params) (*core.Result, error){
+		"MPP":  mine.MPP,
+		"MPPm": mine.MPPm,
+	} {
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.n.Store(1) // the entry check passes; the seed's first count sees the cancellation
+		p := cancelParams(ctx)
+		p.Progress = func(lm core.LevelMetrics) {
+			t.Errorf("%s: level %d completed after the cancellation", name, lm.Level)
+		}
+		res, err := run(s, p)
+		var ce *core.CancelledError
+		if res != nil || !errors.As(err, &ce) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: result %v, error %v; want no result and a *core.CancelledError", name, res, err)
+		}
+		if ce.Level < 2 || ce.Level > core.DefaultStartLen {
+			t.Errorf("%s: cancelled at level %d, want a seed level (2 to %d)", name, ce.Level, core.DefaultStartLen)
+		}
 	}
 }
 

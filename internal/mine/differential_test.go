@@ -14,7 +14,7 @@ import (
 	"permine/internal/seq"
 )
 
-// TestDifferentialAllAlgorithms cross-checks the packed-code/arena mining
+// TestDifferentialAllAlgorithms cross-checks the arena-backed mining
 // pipeline against the naive enumeration oracle over a grid of random
 // sequences and gap requirements: every algorithm must report exactly the
 // oracle's frequent set (chars and supports) within its completeness
@@ -189,8 +189,7 @@ func TestDifferentialStartLen1Strategies(t *testing.T) {
 
 // TestPatternsLongerThanUint64Codes mines patterns longer than the
 // longest length k whose |Σ|^k base-|Σ| codes fit a uint64 (the packed
-// codes the start level is scanned with): 9 for a 100-symbol alphabet and
-// 31 for DNA. Each subject plants a fixed block among random filler with
+// codes of pil.ScanKPacked): 9 for a 100-symbol alphabet and 31 for DNA. Each subject plants a fixed block among random filler with
 // gap [0,0], so a pattern's support is its count as a contiguous
 // substring, and the mined set is checked against a quadratic substring
 // counter at every length the miner reaches:

@@ -5,7 +5,6 @@ import (
 
 	"permine/internal/combinat"
 	"permine/internal/core"
-	"permine/internal/pil"
 	"permine/internal/seq"
 )
 
@@ -23,7 +22,7 @@ import (
 //
 // The run stops with Result.Truncated = true (and a wrapped
 // core.ErrBudgetExceeded) when the cumulative physical counting work
-// (the |Σ|^StartLen seed scan plus |L̂i|·|Σ| joins per level) would exceed
+// (|Σ|^StartLen for the seed, plus |L̂i|·|Σ| joins per level) would exceed
 // Params.CandidateBudget; completed levels remain valid.
 func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	p, err := params.Normalize()
@@ -49,11 +48,7 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 	if sigmaPow(s.Alphabet().Size(), p.StartLen) > p.CandidateBudget {
 		return finishLevelRun(res, start, budgetStop(p.StartLen))
 	}
-	start3, err := pil.ScanKPacked(s, p.Gap, p.StartLen)
-	if err != nil {
-		return nil, err
-	}
 	r := &runner{s: s, p: p, counter: counter, n: counter.L2(), res: res, exhaustive: true}
-	r.run(start3)
+	r.run(r.seed())
 	return finishLevelRun(res, start, r.err)
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/pprof"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -72,10 +71,11 @@ type runner struct {
 // one pattern of L̂i: its generation keys, its PIL and its support. pre
 // and suf stand for P's (i−1)-prefix and (i−1)-suffix: they are the
 // indices in L̂(i−1) of the parents P1 and P2 that P was joined from, so
-// Gen's test suffix(P1) == prefix(P2) is P1.suf == P2.pre. The seed
-// level ranks its prefixes and suffixes instead (seedHat). A level's hat
-// is in pattern order, so pre ascends. P's characters are bytes
-// [j·i, (j+1)·i) of the level's character buffer, j being P's index.
+// Gen's test suffix(P1) == prefix(P2) is P1.suf == P2.pre. Both parents
+// of a length-1 pattern are the empty pattern, so level 1 has pre = suf
+// = 0 throughout (seed). A level's hat is in pattern order, so pre
+// ascends. P's characters are bytes [j·i, (j+1)·i) of the level's
+// character buffer, j being P's index.
 type hatEntry struct {
 	pre, suf int32
 	list     pil.List
@@ -203,33 +203,24 @@ func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
 	span.SetAttr("count_ms", float64(lm.CountElapsed)/float64(time.Millisecond))
 }
 
-// run executes the level loop starting from the given start-level PILs
-// (code-sorted, zero-support patterns absent). It fills r.res.Patterns
-// and r.res.Levels.
-func (r *runner) run(start []pil.CodeList) {
+// run executes the level loop from hat, the start level's counted
+// entries as seed built them, and fills r.res.Patterns and r.res.Levels.
+// It does nothing when the seed was cancelled (r.err set).
+func (r *runner) run(hat []hatEntry) {
+	if r.err != nil {
+		return
+	}
 	ctx := r.p.Context()
 	i := r.p.StartLen
 	alpha := r.s.Alphabet()
 	alphaN := int64(alpha.Size())
-	r.arenas = make([]pil.Arena, 2*r.workers())
-	r.initMem()
 
-	// Level StartLen: every |Σ|^StartLen combination is a candidate
-	// (built by direct scan, so the candidate count is analytic).
+	// Level StartLen: every |Σ|^StartLen combination is a candidate, as in
+	// the paper's direct scan, so the candidate count is analytic.
 	candCount := sigmaPow(alpha.Size(), i)
-	// work is the exhaustive mode's CandidateBudget charge: the seed scan,
-	// which Enumerate checked before scanning, then |L̂i|·|Σ| per level.
+	// work is the exhaustive mode's CandidateBudget charge: the seed,
+	// which Enumerate checked before building it, then |L̂i|·|Σ| per level.
 	work := candCount
-	hat := r.seedHat(start, i)
-	// The scanned seed lists are read until level StartLen+1 is counted:
-	// charge them like arena slabs, and credit them then, or when a run
-	// that never gets there ends.
-	var seedBytes int64
-	for _, cl := range start {
-		seedBytes += pil.EntryBytes * int64(len(cl.List))
-	}
-	r.mem.Charge(seedBytes)
-	defer func() { r.mem.Charge(-seedBytes) }()
 
 	_, seedSpan := obs.Start(ctx, "mine.level")
 	hat = r.collectLevel(i, candCount, hat, r.thresholds(i), levelStats{})
@@ -270,10 +261,6 @@ func (r *runner) run(start []pil.CodeList) {
 		countStart := time.Now()
 		counted := r.countCandidates(lctx, next, hat, cands, th.cut, &st)
 		st.count = time.Since(countStart)
-		if i == r.p.StartLen {
-			r.mem.Charge(-seedBytes)
-			seedBytes = 0
-		}
 		if r.err != nil {
 			span.SetAttr("level", next)
 			span.RecordError(r.err)
@@ -321,38 +308,41 @@ func (r *runner) workers() int {
 	return r.p.Workers
 }
 
-// seedHat turns the start level's code-sorted scan into hat entries, the
-// only place the level loop reads packed codes. A length-k pattern's pre
-// is the dense rank of its prefix code/|Σ| among the seed's distinct
-// prefixes, and its suf the rank of its suffix code mod |Σ|^(k−1) there,
-// or one past the last rank (matching no pre) when no seed pattern starts
-// with that suffix. |Σ|^k fits a uint64 for every k that pil.ScanKPacked
-// accepts. Each pattern's characters are decoded into the level's buffer.
-func (r *runner) seedHat(start []pil.CodeList, k int) []hatEntry {
+// seed builds the start level, of length StartLen, with the loop's own
+// gen and countCandidates, and returns its counted entries. Level 1 is the
+// length-1 lists (pil.Singles), one entry per symbol that occurs, in
+// symbol-code order; every entry has pre = suf = 0, so gen joins every
+// pair. Each level up to StartLen is counted with cut 0, which keeps every
+// non-zero pattern, so the start level holds exactly the lists, supports
+// and order of the paper's direct scan (pil.ScanKPacked). The levels below
+// StartLen are not collected: they record no metrics and call no hooks.
+// The memory budget is first checked at level StartLen+1, so the seed is
+// built whole, and its joins are all two-pointer (countCandidates). Each
+// level passes the overflow guard first, as every later level does. On
+// overflow or cancellation r.err is set and nil is returned.
+func (r *runner) seed() []hatEntry {
+	r.arenas = make([]pil.Arena, 2*r.workers())
+	r.initMem()
 	alpha := r.s.Alphabet()
-	sigma := uint64(alpha.Size())
-	powKm1 := uint64(1)
-	for j := 1; j < k; j++ {
-		powKm1 *= sigma
-	}
-	var prefixes []uint64 // distinct prefix codes, ascending
-	hat := r.hatBuf[k&1][:0]
-	chars := r.chars[k&1][:0]
-	for _, cl := range start {
-		if pre := cl.Code / sigma; len(prefixes) == 0 || prefixes[len(prefixes)-1] != pre {
-			prefixes = append(prefixes, pre)
+	hat, chars := r.hatBuf[1][:0], r.chars[1][:0]
+	// Level 1's lists go to an arena of its parity, which the count of
+	// level 3 resets once they are dead.
+	for c, l := range pil.Singles(&r.arenas[1], r.s) {
+		if len(l) > 0 {
+			hat = append(hat, hatEntry{list: l, sup: int64(len(l))})
+			chars = append(chars, alpha.Symbol(c))
 		}
-		hat = append(hat, hatEntry{pre: int32(len(prefixes) - 1), list: cl.List, sup: cl.Sup})
-		chars = append(chars, alpha.DecodePacked(cl.Code, k)...)
 	}
-	for j, cl := range start {
-		rank, found := slices.BinarySearch(prefixes, cl.Code%powKm1)
-		if !found {
-			rank = len(prefixes)
+	r.hatBuf[1], r.chars[1] = hat, chars
+	ctx := r.p.Context()
+	for i := 2; i <= r.p.StartLen && len(hat) > 0; i++ {
+		if err := r.checkOverflow(i); err != nil {
+			r.err = err
+			return nil
 		}
-		hat[j].suf = int32(rank)
+		var st levelStats
+		hat = r.countCandidates(ctx, i, hat, r.gen(hat), 0, &st)
 	}
-	r.hatBuf[k&1], r.chars[k&1] = hat, chars
 	return hat
 }
 
@@ -643,6 +633,14 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 	forced := r.p.Join
 
 	mem, memBudget := r.mem, r.p.MemoryBudget
+	if level <= r.p.StartLen {
+		// The seed is built whole, as the paper's scan built it, and
+		// without cumulative tables: a table stays charged for the rest
+		// of the run, and the seed's dense lists would take one for
+		// nearly every suffix list. Its strategy counters are never
+		// reported.
+		memBudget, forced = 0, core.JoinTwoPointer
+	}
 
 	var stop, memHit atomic.Bool
 	var nextIdx atomic.Int64

@@ -46,7 +46,8 @@ func TestLevelMetricsAccounting(t *testing.T) {
 			t.Errorf("level %d: λ = %v outside (0, 1]", lv.Level, lv.Lambda)
 		}
 		if i == 0 {
-			// The seed level is built by direct scan, not PIL joins.
+			// The seed level's joins are not reported: its counters stay
+			// those of the paper's direct scan.
 			if lv.PILJoins != 0 || lv.PILEntries != 0 || lv.Abandoned != 0 {
 				t.Errorf("seed level reports %d joins / %d entries / %d abandoned, want 0",
 					lv.PILJoins, lv.PILEntries, lv.Abandoned)
@@ -208,7 +209,7 @@ func TestEnumerateTable3Counters(t *testing.T) {
 			for k := 0; k < np.StartLen; k++ {
 				candidates *= sigma
 			}
-			work := candidates // the seed scan's charge
+			work := candidates // the seed's charge
 			var prev map[string]pil.List
 			var frequentSet []core.Pattern
 			for idx, lv := range res.Levels {

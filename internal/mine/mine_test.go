@@ -526,7 +526,9 @@ func TestOverflowGuard(t *testing.T) {
 // Over a two-letter alphabet, 200 A's under gap [0,199] give A^l the
 // support C(200, l) and every other pattern support 0: N12 = C(200, 12)
 // ≈ 6.1e18 passes the guard's 4e18, and A^13's support, ≈ 8.8e19, does
-// not fit int64 at all.
+// not fit int64 at all. From StartLen 13 the guard fires while the start
+// level is built, before any wrapped support reaches a result, for every
+// miner.
 func TestEnumerateOverflowGuard(t *testing.T) {
 	s, err := seq.New(seq.MustAlphabet("ab", "AB"), "a200", strings.Repeat("A", 200))
 	if err != nil {
@@ -534,8 +536,8 @@ func TestEnumerateOverflowGuard(t *testing.T) {
 	}
 	p := core.Params{Gap: combinat.Gap{N: 0, M: 199}, MinSupport: 0.5}
 	_, mppErr := mine.MPP(s, p)
-	if mppErr == nil || !strings.Contains(mppErr.Error(), "overflow") {
-		t.Fatalf("MPP error = %v, want the overflow guard", mppErr)
+	if mppErr == nil || !strings.Contains(mppErr.Error(), "N12 exceeds") {
+		t.Fatalf("MPP error = %v, want the overflow guard at level 12", mppErr)
 	}
 	res, err := mine.Enumerate(s, p)
 	if res != nil {
@@ -543,6 +545,20 @@ func TestEnumerateOverflowGuard(t *testing.T) {
 	}
 	if err == nil || err.Error() != mppErr.Error() {
 		t.Errorf("Enumerate error = %v, want MPP's %q", err, mppErr)
+	}
+
+	p.StartLen, p.EmOrder = 13, 2
+	for _, m := range []struct {
+		name string
+		mine func(*seq.Sequence, core.Params) (*core.Result, error)
+	}{{"MPP", mine.MPP}, {"MPPm", mine.MPPm}, {"Enumerate", mine.Enumerate}} {
+		res, err := m.mine(s, p)
+		if res != nil {
+			t.Errorf("%s from StartLen 13 returned a result past the overflow guard: %d patterns", m.name, len(res.Patterns))
+		}
+		if err == nil || err.Error() != mppErr.Error() {
+			t.Errorf("%s from StartLen 13: error = %v, want %q", m.name, err, mppErr)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"permine/internal/combinat"
 	"permine/internal/core"
-	"permine/internal/pil"
 	"permine/internal/seq"
 )
 
@@ -45,12 +44,7 @@ func MPP(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		N:         n,
 	}
 	r := &runner{s: s, p: p, counter: counter, n: n, res: res}
-
-	start3, err := pil.ScanKPacked(s, p.Gap, p.StartLen)
-	if err != nil {
-		return nil, err
-	}
-	r.run(start3)
+	r.run(r.seed())
 	return finishLevelRun(res, start, r.err)
 }
 

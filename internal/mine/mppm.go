@@ -7,7 +7,6 @@ import (
 	"permine/internal/core"
 	"permine/internal/embound"
 	"permine/internal/obs"
-	"permine/internal/pil"
 	"permine/internal/seq"
 )
 
@@ -40,24 +39,20 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		return nil, err
 	}
 
-	start3, err := pil.ScanKPacked(s, p.Gap, p.StartLen)
-	if err != nil {
-		return nil, err
-	}
-	n := estimateN(counter, p, start3, em)
-
 	res := &core.Result{
 		Algorithm: core.AlgoMPPm,
 		Params:    p,
 		SeqName:   s.Name(),
 		SeqLen:    s.Len(),
-		N:         n,
 		AutoN:     true,
 		Em:        em,
 		EmOrder:   p.EmOrder,
 	}
-	r := &runner{s: s, p: p, counter: counter, n: n, res: res}
-	r.run(start3)
+	r := &runner{s: s, p: p, counter: counter, res: res}
+	hat := r.seed()
+	r.n = estimateN(counter, p, hat, em)
+	res.N = r.n
+	r.run(hat)
 	return finishLevelRun(res, start, r.err)
 }
 
@@ -66,12 +61,10 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 // length-StartLen pattern has support at least
 // λ'(k, k−StartLen) · ρs · N_StartLen (Theorem 2 applied to the pattern's
 // StartLen-character prefix). n is the largest k passing the test.
-func estimateN(counter *combinat.Counter, p core.Params, start []pil.CodeList, em int64) int {
+func estimateN(counter *combinat.Counter, p core.Params, start []hatEntry, em int64) int {
 	var maxSup int64
-	for _, cl := range start {
-		if cl.Sup > maxSup {
-			maxSup = cl.Sup
-		}
+	for _, e := range start {
+		maxSup = max(maxSup, e.sup)
 	}
 	k0 := p.StartLen
 	n := k0

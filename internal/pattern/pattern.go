@@ -221,7 +221,7 @@ func PIL(s *seq.Sequence, p *Pattern) (pil.List, error) {
 	if err := p.Validate(s.Alphabet()); err != nil {
 		return nil, err
 	}
-	singles := pil.Singles(s)
+	singles := pil.Singles(nil, s)
 	codes, _ := s.Alphabet().Encode(p.Chars)
 	list := singles[codes[len(codes)-1]]
 	for i := len(codes) - 2; i >= 0; i-- {

@@ -11,7 +11,7 @@ import (
 // decodeLists turns fuzzer bytes into two valid PILs plus a gap: 1-byte
 // split, 2 gap bytes, then (xDelta, y) byte pairs. Deltas keep X strictly
 // increasing and Y positive, so every decoded input satisfies the List
-// invariants and the fuzz targets check Join/Merge preserve them.
+// invariants and the fuzz targets check Join preserves them.
 func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 	if len(data) < 3 {
 		return nil, nil, combinat.Gap{}
@@ -194,38 +194,6 @@ func sameList(t *testing.T, label string, got, want pil.List) {
 			t.Fatalf("%s entry %d: %v vs heap %v", label, i, got[i], want[i])
 		}
 	}
-}
-
-// FuzzMerge checks that Merge of two valid PILs is a valid PIL whose
-// support is the sum of the inputs and whose X set is the union.
-func FuzzMerge(f *testing.F) {
-	f.Add([]byte{4, 0, 0, 1, 1, 2, 1, 1, 2, 3, 1})
-	f.Add([]byte{6, 0, 0, 0, 1, 0, 1, 0, 1, 0, 1})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b, _ := decodeLists(data)
-		m := pil.Merge(a, b)
-		if err := m.Validate(); err != nil {
-			t.Fatalf("invalid merge output: %v", err)
-		}
-		if m.Support() != a.Support()+b.Support() {
-			t.Fatalf("merge support %d != %d + %d", m.Support(), a.Support(), b.Support())
-		}
-		want := map[int32]int64{}
-		for _, e := range a {
-			want[e.X] += e.Y
-		}
-		for _, e := range b {
-			want[e.X] += e.Y
-		}
-		if len(m) != len(want) {
-			t.Fatalf("merge has %d entries, want %d", len(m), len(want))
-		}
-		for _, e := range m {
-			if want[e.X] != e.Y {
-				t.Fatalf("x=%d: y=%d, want %d", e.X, e.Y, want[e.X])
-			}
-		}
-	})
 }
 
 // FuzzJoinOracle cross-checks JoinInto against a quadratic reference join

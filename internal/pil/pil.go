@@ -174,30 +174,6 @@ func commit(a *Arena, out List, sup, cut int64) List {
 	return out
 }
 
-// Merge sums two PILs of the same pattern computed over disjoint inputs
-// (used by the sharded scanners). Entries with equal X are combined.
-func Merge(a, b List) List {
-	out := make(List, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i].X < b[j].X:
-			out = append(out, a[i])
-			i++
-		case a[i].X > b[j].X:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, Entry{X: a[i].X, Y: a[i].Y + b[j].Y})
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
-}
-
 // FromPairs builds a List from unordered (x, y) pairs, combining duplicate
 // positions; a convenience for tests.
 func FromPairs(pairs map[int32]int64) List {

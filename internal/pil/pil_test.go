@@ -1,7 +1,6 @@
 package pil_test
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -138,22 +137,6 @@ func TestListValidate(t *testing.T) {
 	}
 	if err := (pil.List{{X: 5, Y: 1}, {X: 2, Y: 1}}).Validate(); err == nil {
 		t.Error("unsorted list accepted")
-	}
-}
-
-func TestMerge(t *testing.T) {
-	a := pil.List{{X: 0, Y: 1}, {X: 2, Y: 3}}
-	b := pil.List{{X: 1, Y: 5}, {X: 2, Y: 2}, {X: 7, Y: 1}}
-	m := pil.Merge(a, b)
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.Support() != a.Support()+b.Support() {
-		t.Errorf("merged support %d, want %d", m.Support(), a.Support()+b.Support())
-	}
-	want := pil.List{{X: 0, Y: 1}, {X: 1, Y: 5}, {X: 2, Y: 5}, {X: 7, Y: 1}}
-	if fmt.Sprint(m) != fmt.Sprint(want) {
-		t.Errorf("merge = %v, want %v", m, want)
 	}
 }
 
@@ -302,7 +285,7 @@ func TestJoinFoldDirections(t *testing.T) {
 	}
 	g := combinat.Gap{N: 2, M: 4}
 	pat := "ATAAT"
-	singles := pil.Singles(s)
+	singles := pil.Singles(nil, s)
 	codes, err := s.Alphabet().Encode(pat)
 	if err != nil {
 		t.Fatal(err)

@@ -1,17 +1,32 @@
 package pil
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"permine/internal/combinat"
 	"permine/internal/seq"
 )
 
 // Singles builds the length-1 PILs of every alphabet symbol occurring in s:
-// result[code] lists each position of the symbol with count 1.
-func Singles(s *seq.Sequence) []List {
+// result[code] lists each position of the symbol with count 1, and is nil
+// for a symbol that does not occur. The lists are reserved from a, or from
+// the heap when a is nil.
+func Singles(a *Arena, s *seq.Sequence) []List {
 	out := make([]List, s.Alphabet().Size())
+	counts := make([]int, len(out))
+	for _, code := range s.Codes() {
+		counts[code]++
+	}
+	for code, n := range counts {
+		if n > 0 {
+			out[code] = reserve(a, n)
+			if a != nil {
+				a.Commit(n)
+			}
+		}
+	}
 	for i, code := range s.Codes() {
 		out[code] = append(out[code], Entry{X: int32(i), Y: 1})
 	}
@@ -28,99 +43,13 @@ type CodeList struct {
 	List List
 }
 
-// scratchLinearMax is the scratch size up to which the per-start
-// pattern-count scratch is searched linearly; one start exceeding it
-// switches the scan to the open-addressed index for the rest of the run
-// (large scratches come from large W^(k-1), a property of the run, not of
-// one start).
-const scratchLinearMax = 32
-
-// scratchIdx is a small open-addressed hash table mapping packed pattern
-// codes to scratch slots. Per-start clearing is O(1) via generation tags.
-type scratchIdx struct {
-	keys []uint64
-	vals []int32
-	gens []uint32
-	gen  uint32
-	mask uint32
-	n    int
-}
-
-func newScratchIdx(size int) *scratchIdx {
-	n := 128
-	for n < 2*size {
-		n <<= 1
-	}
-	return &scratchIdx{
-		keys: make([]uint64, n),
-		vals: make([]int32, n),
-		gens: make([]uint32, n),
-		gen:  1,
-		mask: uint32(n - 1),
-	}
-}
-
-func (t *scratchIdx) reset() {
-	t.gen++
-	t.n = 0
-	if t.gen == 0 { // generation counter wrapped: do one real clear
-		clear(t.gens)
-		t.gen = 1
-	}
-}
-
-// slot probes for key, returning its table slot and whether it is live.
-func (t *scratchIdx) slot(key uint64) (uint32, bool) {
-	h := uint32(key*0x9E3779B97F4A7C15>>33) & t.mask
-	for {
-		if t.gens[h] != t.gen {
-			return h, false
-		}
-		if t.keys[h] == key {
-			return h, true
-		}
-		h = (h + 1) & t.mask
-	}
-}
-
-func (t *scratchIdx) put(h uint32, key uint64, val int32) {
-	t.keys[h] = key
-	t.vals[h] = val
-	t.gens[h] = t.gen
-	t.n++
-	if t.n*2 > len(t.keys) {
-		t.grow()
-	}
-}
-
-func (t *scratchIdx) grow() {
-	old := *t
-	n := len(old.keys) * 2
-	t.keys = make([]uint64, n)
-	t.vals = make([]int32, n)
-	t.gens = make([]uint32, n)
-	t.mask = uint32(n - 1)
-	for i, g := range old.gens {
-		if g == old.gen {
-			h, _ := t.slot(old.keys[i])
-			t.keys[h] = old.keys[i]
-			t.vals[h] = old.vals[i]
-			t.gens[h] = t.gen
-		}
-	}
-}
-
 // ScanKPacked builds the PILs of every length-k pattern with non-zero
-// support by direct scanning, for small k (the miner uses k = 3 to seed
-// level 3, per the paper's observation that length-1/2 patterns are
-// uninteresting). Patterns are keyed by base-σ packed code; the result is
-// sorted by ascending code.
-//
-// Cost is O(L · W^(k-1)). The per-start counts are deduplicated through a
-// small scratch (linear below scratchLinearMax entries, open-addressed
-// above), and every output list is a sub-slice of one shared backing
-// array, so the scan performs O(1) allocations beyond the flat entry
-// buffer's amortised growth.
+// support by scanning the sequence directly, as the paper seeds its level
+// 3 (Figure 3): from every start x it walks each offset sequence
+// [x, c2, ..., ck] the gap admits and counts them per pattern. The miners
+// build every level by joins instead; this scan is their independent
+// reference. Patterns are keyed by base-σ packed code; the result is
+// sorted by ascending code. Cost O(L · W^(k-1)).
 func ScanKPacked(s *seq.Sequence, g combinat.Gap, k int) ([]CodeList, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("pil: scan length %d must be >= 1", k)
@@ -129,155 +58,47 @@ func ScanKPacked(s *seq.Sequence, g combinat.Gap, k int) ([]CodeList, error) {
 		return nil, err
 	}
 	alpha := s.Alphabet()
-	sigmaK := pow(alpha.Size(), k)
-	if k > 8 && sigmaK > 1<<26 {
+	if k > 8 && pow(alpha.Size(), k) > 1<<26 {
 		return nil, fmt.Errorf("pil: direct scan of length-%d patterns over %d symbols is too large; use the miner's level-wise joins", k, alpha.Size())
 	}
 	codes := s.Codes()
-	size := alpha.Size()
+	sigma := uint64(alpha.Size())
 
-	// Pattern codes are interned to dense ids: through a flat table when
-	// the code space is small, through a map otherwise.
-	var idTab []int32
-	var idMap map[uint64]int32
-	if sigmaK <= 1<<16 {
-		idTab = make([]int32, sigmaK)
-		for i := range idTab {
-			idTab[i] = -1
-		}
-	} else {
-		idMap = make(map[uint64]int32)
-	}
-	var keys []uint64  // id -> packed code, in first-seen order
-	var counts []int32 // id -> number of starts contributing an entry
-	idOf := func(key uint64) int32 {
-		if idTab != nil {
-			if id := idTab[key]; id >= 0 {
-				return id
-			}
-			id := int32(len(keys))
-			idTab[key] = id
-			keys = append(keys, key)
-			counts = append(counts, 0)
-			return id
-		}
-		if id, ok := idMap[key]; ok {
-			return id
-		}
-		id := int32(len(keys))
-		idMap[key] = id
-		keys = append(keys, key)
-		counts = append(counts, 0)
-		return id
-	}
-
-	// For each start x we count, per packed pattern code, the number of
-	// offset sequences starting at x; counts are collected in a small
-	// scratch (at most W^(k-1) distinct patterns per start), then flushed
-	// as flat (id, entry) rows in global x order.
-	type acc struct {
-		key uint64
-		n   int64
-	}
-	type flatRow struct {
-		id int32
-		x  int32
-		n  int64
-	}
-	scratch := make([]acc, 0, scratchLinearMax)
-	var idx *scratchIdx
-	var flat []flatRow
-
-	var walk func(pos int, depth int, key uint64)
-	walk = func(pos int, depth int, key uint64) {
-		key = key*uint64(size) + uint64(codes[pos])
-		if depth == k {
-			if idx != nil {
-				if h, ok := idx.slot(key); ok {
-					scratch[idx.vals[h]].n++
-				} else {
-					idx.put(h, key, int32(len(scratch)))
-					scratch = append(scratch, acc{key: key, n: 1})
-				}
-				return
-			}
-			for i := range scratch {
-				if scratch[i].key == key {
-					scratch[i].n++
-					return
-				}
-			}
-			scratch = append(scratch, acc{key: key, n: 1})
-			if len(scratch) > scratchLinearMax {
-				idx = newScratchIdx(2 * len(scratch))
-				for i := range scratch {
-					h, _ := idx.slot(scratch[i].key)
-					idx.put(h, scratch[i].key, int32(i))
-				}
+	// Each offset sequence from start x adds 1 to its pattern's entry at
+	// x, which is the list's last entry once x's first one is appended.
+	lists := make(map[uint64]List)
+	var x int32
+	var walk func(pos, depth int, code uint64)
+	walk = func(pos, depth int, code uint64) {
+		code = code*sigma + uint64(codes[pos])
+		if depth < k {
+			hi := min(pos+g.M+1, len(codes)-1)
+			for next := pos + g.N + 1; next <= hi; next++ {
+				walk(next, depth+1, code)
 			}
 			return
 		}
-		lo := pos + g.N + 1
-		hi := pos + g.M + 1
-		if hi >= len(codes) {
-			hi = len(codes) - 1
+		l := lists[code]
+		if n := len(l); n > 0 && l[n-1].X == x {
+			l[n-1].Y++
+		} else {
+			lists[code] = append(l, Entry{X: x, Y: 1})
 		}
-		for next := lo; next <= hi; next++ {
-			walk(next, depth+1, key)
-		}
+	}
+	for ; int(x)+combinat.MinSpan(k, g) <= len(codes); x++ {
+		walk(int(x), 1, 0)
 	}
 
-	for x := 0; x+combinat.MinSpan(k, g) <= len(codes); x++ {
-		scratch = scratch[:0]
-		if idx != nil {
-			idx.reset()
-		}
-		walk(x, 1, 0)
-		for _, a := range scratch {
-			id := idOf(a.key)
-			counts[id]++
-			flat = append(flat, flatRow{id: id, x: int32(x), n: a.n})
-		}
+	var out []CodeList
+	for code, l := range lists {
+		out = append(out, CodeList{Code: code, Sup: l.Support(), List: l})
 	}
-	if len(flat) == 0 {
-		return nil, nil
-	}
-
-	// Lay the per-pattern lists out code-sorted in one backing array. The
-	// flat rows are in ascending x order, so a stable scatter by id keeps
-	// each list sorted.
-	order := make([]int32, len(keys))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.Slice(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
-	offs := make([]int32, len(keys)) // id -> next write position in backing
-	pos := int32(0)
-	for _, id := range order {
-		offs[id] = pos
-		pos += counts[id]
-	}
-	backing := make([]Entry, len(flat))
-	sups := make([]int64, len(keys))
-	for _, row := range flat {
-		backing[offs[row.id]] = Entry{X: row.x, Y: row.n}
-		offs[row.id]++
-		sups[row.id] += row.n
-	}
-	out := make([]CodeList, len(keys))
-	for rank, id := range order {
-		end := offs[id]
-		out[rank] = CodeList{
-			Code: keys[id],
-			Sup:  sups[id],
-			List: backing[end-counts[id] : end : end],
-		}
-	}
+	slices.SortFunc(out, func(a, b CodeList) int { return cmp.Compare(a.Code, b.Code) })
 	return out, nil
 }
 
-// ScanK is ScanKPacked with the patterns decoded to character strings;
-// callers outside the mining hot path (tests) use it for readability.
+// ScanK is ScanKPacked with the patterns decoded to character strings,
+// for tests and benchmarks.
 func ScanK(s *seq.Sequence, g combinat.Gap, k int) (map[string]List, error) {
 	packed, err := ScanKPacked(s, g, k)
 	if err != nil {

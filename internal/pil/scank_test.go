@@ -10,8 +10,8 @@ import (
 	"permine/internal/seq"
 )
 
-// TestScanKPackedSorted: the packed scan returns codes strictly ascending
-// with supports matching the lists.
+// TestScanKPackedSorted: the scan returns codes strictly ascending with
+// supports matching the lists.
 func TestScanKPackedSorted(t *testing.T) {
 	s, err := gen.GenomeLike(500, 11)
 	if err != nil {
@@ -38,10 +38,9 @@ func TestScanKPackedSorted(t *testing.T) {
 	}
 }
 
-// TestScanKLargeScratch drives the per-start scratch past its linear
-// bound (protein alphabet, wide window: up to 400 distinct length-3
-// patterns per start) so the open-addressed index path is exercised, and
-// checks every PIL against the brute-force oracle.
+// TestScanKLargeScratch scans with many distinct patterns per start
+// (protein alphabet, wide window: up to 144 distinct length-3 patterns
+// per start) and checks the PILs against the brute-force oracle.
 func TestScanKLargeScratch(t *testing.T) {
 	s, err := gen.Uniform(seq.Protein, "prot", 150, 99)
 	if err != nil {

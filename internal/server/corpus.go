@@ -556,7 +556,7 @@ func (s *Server) handleCorpusSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "timeout_ms must be >= 0")
 		return
 	}
-	if timeout > s.cfg.MaxTimeout {
+	if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
 	job, err := s.mgr.SubmitCorpus(r.Context(), req.Name, seqs, algo, params, timeout)

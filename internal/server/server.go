@@ -70,7 +70,8 @@ type Config struct {
 	JobTimeout time.Duration
 	Retain     int
 	// MaxTimeout clamps client-supplied per-job timeouts (default: the
-	// effective JobTimeout).
+	// effective JobTimeout). When a negative JobTimeout disables the
+	// default deadline, client timeouts have no ceiling.
 	MaxTimeout time.Duration
 	// CacheSize bounds the result cache in entries (default 128;
 	// negative disables caching).
@@ -774,7 +775,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "timeout_ms must be >= 0")
 		return
 	}
-	if timeout > s.cfg.MaxTimeout {
+	if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
 		timeout = s.cfg.MaxTimeout
 	}
 	job, err := s.mgr.Submit(r.Context(), subject, algo, params, timeout)

@@ -246,6 +246,39 @@ func TestCancelHTTP(t *testing.T) {
 	}
 }
 
+// TestClientTimeoutWithoutDefaultDeadline: a negative JobTimeout disables
+// only the default deadline, so a client's timeout_ms still bounds its
+// job and its corpus job. Every mining run is stretched past those
+// timeouts: the job must fail on its deadline and the corpus end partial,
+// not run to completion.
+func TestClientTimeoutWithoutDefaultDeadline(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, JobTimeout: -1, ShardDelay: 2 * time.Second})
+
+	body := jobBody(t, "mppm", genomeSeq(t, 400, 7).Data())
+	body["timeout_ms"] = 50
+	resp := postJSON(t, ts.URL+"/v1/jobs", body)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job submit status = %d, want 202", resp.StatusCode)
+	}
+	sub := decode(t, resp.Body)
+	resp.Body.Close()
+	if final := pollJob(t, ts.URL, sub["id"].(string)); final["state"] != "failed" {
+		t.Errorf("job with timeout_ms 50 ended %v, want failed on its deadline", final["state"])
+	}
+
+	cbody := corpusBody(t, corpusFASTA(t, 2, 400))
+	cbody["timeout_ms"] = 100
+	resp = postJSON(t, ts.URL+"/v1/corpus", cbody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("corpus submit status = %d, want 202", resp.StatusCode)
+	}
+	sub = decode(t, resp.Body)
+	resp.Body.Close()
+	if final := pollCorpus(t, ts.URL, sub["id"].(string)); final["state"] != "partial" {
+		t.Errorf("corpus with timeout_ms 100 ended %v, want partial on its deadline", final["state"])
+	}
+}
+
 // TestSubmitValidationHTTP: malformed submissions return 400 with a JSON
 // error body.
 func TestSubmitValidationHTTP(t *testing.T) {

@@ -221,7 +221,7 @@ func Support(s *Sequence, pattern string, g Gap) (int64, error) {
 	if len(codes) == 0 {
 		return 0, nil
 	}
-	singles := pil.Singles(s)
+	singles := pil.Singles(nil, s)
 	list := singles[codes[len(codes)-1]]
 	for i := len(codes) - 2; i >= 0; i-- {
 		list = pil.Join(singles[codes[i]], list, g)
