@@ -56,16 +56,17 @@ func (a Algorithm) String() string {
 type JoinStrategy int
 
 const (
-	// JoinAuto picks a strategy per suffix list from the density/reuse
-	// heuristic in internal/mine (the default and the right choice
+	// JoinAuto picks a kernel per suffix list from the density/reuse
+	// heuristic in internal/mine: the dense cumulative table, its compact
+	// layout, or the two-pointer merge (the default and the right choice
 	// outside of debugging and benchmarking).
 	JoinAuto JoinStrategy = iota
 	// JoinTwoPointer forces the sliding-window two-pointer merge
 	// (pil.JoinInto) everywhere.
 	JoinTwoPointer
 	// JoinCum forces the cumulative-support table join (pil.JoinCum)
-	// wherever its span cap allows, falling back to the two-pointer scan
-	// beyond it.
+	// everywhere: the dense layout wherever its span cap allows, the
+	// compact layout beyond it.
 	JoinCum
 )
 

@@ -82,21 +82,27 @@ type LevelMetrics struct {
 	PILEntries int64
 	// JoinTwoPointer and JoinCum split PILJoins by the strategy that
 	// executed each join (the two-pointer window merge, the
-	// cumulative-support table). Their sum equals PILJoins; under
-	// Params.Join == JoinAuto the split records what the density/reuse
-	// heuristic chose.
+	// cumulative-support table in either of its layouts). Their sum
+	// equals PILJoins; under Params.Join == JoinAuto the split records
+	// what the density/reuse heuristic chose.
 	JoinTwoPointer int64
 	JoinCum        int64
+	// CumCompact counts the JoinCum joins that read the table's compact
+	// layout (a rank-indexed bitvector with prefix sums of Y by entry)
+	// rather than its dense one: lists too sparse for a dense table, and
+	// dense choices capped by CumSpanFallbacks' span limit.
+	CumCompact int64
 	// JoinBitap is always 0. It counted the joins of the retired
 	// bit-parallel bitmap kernel, and stays so that readers of the JSON
 	// and tools summing the three-way split keep working.
 	JoinBitap int64
-	// CumSpanFallbacks counts joins whose strategy selection favored a
-	// cumulative table (or was forced to one) but whose suffix X span
-	// exceeded the maxCumSpan memory cap in internal/mine, degrading the
-	// join to a cheaper strategy. A non-zero count flags regimes where
-	// the strategy selector is running capped — the cap used to be
-	// silent, which hid selection regressions.
+	// CumSpanFallbacks counts joins whose strategy selection favored the
+	// dense cumulative table (or was forced to a table) but whose suffix
+	// X span exceeded the maxCumSpan memory cap in internal/mine, so the
+	// join read the compact layout instead; every one is also counted in
+	// CumCompact. A non-zero count flags regimes where the strategy
+	// selector is running capped — the cap used to be silent, which hid
+	// selection regressions.
 	CumSpanFallbacks int64
 	// Lambda is the pruning factor λ(n, n−i) applied at this level.
 	Lambda float64

@@ -11,26 +11,34 @@ import (
 	"permine/internal/pil"
 )
 
-// benchLevelFixture builds the realistic DNA workload the level
-// benchmarks run on: a genome-like sequence (biased composition, so PIL
-// sizes are imbalanced across patterns) seeded at level k under the given
-// gap and join strategy.
-func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.JoinStrategy) (*runner, []hatEntry) {
+// benchRunner builds an MPP runner with n = 10 over the realistic DNA
+// workload the level benchmarks run on: a genome-like sequence (biased
+// composition, so PIL sizes are imbalanced across patterns), mined with
+// p on NumCPU workers.
+func benchRunner(b *testing.B, length int, p core.Params) *runner {
 	b.Helper()
 	s, err := seqgen.GenomeLike(length, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
-	p, err := core.Params{Gap: g, MinSupport: 0, Workers: runtime.NumCPU(), StartLen: k, Join: join}.Normalize()
+	p.Workers = runtime.NumCPU()
+	p, err = p.Normalize()
 	if err != nil {
 		b.Fatal(err)
 	}
-	counter, err := combinat.NewCounter(s.Len(), g)
+	counter, err := combinat.NewCounter(s.Len(), p.Gap)
 	if err != nil {
 		b.Fatal(err)
 	}
 	res := &core.Result{Algorithm: core.AlgoMPP, Params: p, SeqLen: s.Len(), N: 10}
-	r := &runner{s: s, p: p, counter: counter, n: 10, res: res}
+	return &runner{s: s, p: p, counter: counter, n: 10, res: res}
+}
+
+// benchLevelFixture seeds the benchmark runner at level k under the given
+// gap and join strategy, keeping every non-zero pattern.
+func benchLevelFixture(b *testing.B, length, k int, g combinat.Gap, join core.JoinStrategy) (*runner, []hatEntry) {
+	b.Helper()
+	r := benchRunner(b, length, core.Params{Gap: g, MinSupport: 0, StartLen: k, Join: join})
 	return r, r.seed() // budgeting enabled, as in real runs
 }
 
@@ -64,14 +72,50 @@ func BenchmarkMineLevel(b *testing.B) {
 }
 
 // BenchmarkJoinStrategies pins each join strategy on a small-window
-// workload where every strategy runs for real (the span fits the
-// cumulative table's cap), so the per-kernel costs (and the auto
-// selector's pick) compare directly from one bench run.
+// workload where every strategy runs for real (the span fits the dense
+// table's cap), so the per-kernel costs (and the auto selector's pick)
+// compare directly from one bench run. Its lists are dense, so auto and
+// cum read the dense layout; BenchmarkJoinStrategiesSparse covers the
+// compact one.
 func BenchmarkJoinStrategies(b *testing.B) {
 	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum} {
 		b.Run(join.String(), func(b *testing.B) {
 			r, hat := benchLevelFixture(b, 20000, 1, combinat.Gap{N: 9, M: 10}, join)
 			runLevelBench(b, r, hat, 1)
+		})
+	}
+}
+
+// benchPrunedFixture builds the benchmark runner's hat of level k as a
+// mine reaches it: seeded at the default StartLen, then every level
+// counted against its L̂ cut and collected, at support ratio rho.
+func benchPrunedFixture(b *testing.B, length, k int, g combinat.Gap, rho float64, join core.JoinStrategy) (*runner, []hatEntry) {
+	b.Helper()
+	r := benchRunner(b, length, core.Params{Gap: g, MinSupport: rho, Join: join})
+	i := r.p.StartLen
+	hat := r.collectLevel(i, sigmaPow(r.s.Alphabet().Size(), i), r.seed(), r.thresholds(i), levelStats{})
+	for ; i < k; i++ {
+		var st levelStats
+		th := r.thresholds(i + 1)
+		cands := r.gen(hat)
+		counted := r.countCandidates(context.Background(), i+1, hat, cands, th.cut, &st)
+		if r.err != nil {
+			b.Fatal(r.err)
+		}
+		hat = r.collectLevel(i+1, int64(len(cands)), counted, th, st)
+	}
+	return r, hat
+}
+
+// BenchmarkJoinStrategiesSparse counts level 6 of the genome workload's
+// regime (GenomeLike 100 kb, gap [10,12], ρs = 0.006%) against its L̂ cut:
+// long sparse lists, where auto takes the compact table layout for most
+// joins and the dense one for the rest, against the two-pointer merge.
+func BenchmarkJoinStrategiesSparse(b *testing.B) {
+	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer} {
+		b.Run(join.String(), func(b *testing.B) {
+			r, hat := benchPrunedFixture(b, 100_000, 5, combinat.Gap{N: 10, M: 12}, 0.00006, join)
+			runLevelBench(b, r, hat, 5)
 		})
 	}
 }

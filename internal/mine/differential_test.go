@@ -44,6 +44,7 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	// answer whichever kernel it picks.
 	strategies := []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum}
 	var abandoned int64 // over the grid: the stop must have run
+	var compact int64   // over the grid's auto runs: the compact layout must have run
 	for _, cfg := range configs {
 		cfg := cfg
 		name := fmt.Sprintf("seed%d_L%d_gap%d-%d", cfg.seed, cfg.length, cfg.g.N, cfg.g.M)
@@ -68,6 +69,11 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 					t.Fatal(err)
 				}
 				comparePatterns(t, tag("MPP"), mpp.Patterns, want, 3, maxLen)
+				if join == core.JoinAuto {
+					for _, lm := range mpp.Levels {
+						compact += lm.CumCompact
+					}
+				}
 				// Both kernels stop a join at the same prefix entry, so every
 				// level counter is strategy independent.
 				if firstLevels == nil {
@@ -127,6 +133,9 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	}
 	if abandoned == 0 {
 		t.Error("no MPP join was abandoned across the grid; the strategy check saw no stops")
+	}
+	if compact == 0 {
+		t.Error("no auto MPP join read the compact table layout across the grid; the oracle never checked it")
 	}
 }
 

@@ -174,8 +174,9 @@ type levelStats struct {
 	entries   int64 // prefix entries those joins visited plus their suffix lengths
 	abandoned int64 // joins stopped by the L̂ bound, support unknown
 	twoPtr    int64 // joins executed by each strategy; sum == joins
-	cum       int64
-	cumFalls  int64 // joins whose cum selection was capped by maxCumSpan
+	cum       int64 // of either table layout
+	compact   int64 // the cum joins on the compact layout
+	cumFalls  int64 // joins whose dense-table choice was capped by maxCumSpan
 	gen       time.Duration
 	count     time.Duration
 }
@@ -197,6 +198,7 @@ func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
 	span.SetAttr("pil_entries", lm.PILEntries)
 	span.SetAttr("join_twoptr", lm.JoinTwoPointer)
 	span.SetAttr("join_cum", lm.JoinCum)
+	span.SetAttr("cum_compact", lm.CumCompact)
 	span.SetAttr("cum_span_fallbacks", lm.CumSpanFallbacks)
 	span.SetAttr("lambda", lm.Lambda)
 	span.SetAttr("gen_ms", float64(lm.GenElapsed)/float64(time.Millisecond))
@@ -448,6 +450,7 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 		PILEntries:       st.entries,
 		JoinTwoPointer:   st.twoPtr,
 		JoinCum:          st.cum,
+		CumCompact:       st.compact,
 		CumSpanFallbacks: st.cumFalls,
 		Lambda:           th.lam,
 		Elapsed:          time.Since(start),
@@ -541,47 +544,68 @@ type groupRun struct {
 
 // joinScratch is one counting worker's cached join state for the suffix
 // run of the group it is processing (indexed by position within the run):
-// the strategy chosen for each list, the cumulative tables built for the
-// lists that warrant one, and whether the choice was capped away from the
-// cumulative table by maxCumSpan.
+// the kernel chosen for each list, the cumulative tables built for the
+// lists that take one, and whether the choice was capped away from the
+// dense table by maxCumSpan.
 type joinScratch struct {
-	strat  []core.JoinStrategy
+	kern   []joinKernel
 	capped []bool
 	tables []pil.CumTable
 }
 
-// maxCumSpan caps a CumTable's X span (8 MiB of int64 per table) so a
+// joinKernel is the kernel that joins against one suffix list: the
+// two-pointer merge (pil.JoinInto), or pil.JoinCum on a table in the
+// dense or the compact layout. Both table layouts are the cum strategy.
+type joinKernel uint8
+
+const (
+	twoPointer joinKernel = iota
+	denseCum
+	compactCum
+)
+
+// maxCumSpan caps a dense table's X span (8 MiB of int64 per table) so a
 // pathological dense-and-long list cannot balloon worker memory. Lists
-// capped here fall back to the two-pointer scan, and the capped joins are
-// surfaced as LevelMetrics.CumSpanFallbacks.
+// capped here take the compact layout, which needs no cap (pil.CumTable),
+// and the capped joins are surfaced as LevelMetrics.CumSpanFallbacks.
 const maxCumSpan = 1 << 20
 
-// joinChoice picks the join strategy for suffix list s, joined by uses
-// groups of candidates. forced pins the choice, subject only to the span
-// memory guard (a guarded list degrades to the two-pointer scan, which
-// needs no table).
+// compactWordsPerUse is the compact layout's amortization rule: a list
+// takes a compact table when its words, one per 64 span positions, are at
+// most compactWordsPerUse·uses·|S|, so a table is never more than a small
+// multiple of the lists it serves.
+const compactWordsPerUse = 4
+
+// joinChoice picks the join kernel for suffix list s, joined by uses
+// groups of candidates. forced pins the strategy: twoptr takes the
+// two-pointer merge, cum a table whatever the list's density.
 //
-// Under JoinAuto the cumulative table wins whenever its O(span) build
-// amortizes over the uses joins it serves and the span fits maxCumSpan:
-// per prefix entry it answers the whole window with two loads and a
-// subtraction. Sparser lists stay on the two-pointer scan, whose cost
-// tracks the live entries rather than the span. The returned cumCapped
-// flag reports that the cumulative table was chosen (by amortization or
-// by force) but maxCumSpan blocked it, the fallback metric.
-func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.JoinStrategy, cumCapped bool) {
+// Under JoinAuto the dense table wins whenever its O(span) build
+// amortizes over the uses joins it serves, span <= 4·uses·|S|: per
+// prefix entry it answers the whole window with two loads and a
+// subtraction. Sparser lists take the compact layout when its span/64
+// words amortize by the same rule, compactWordsPerUse·uses·|S|: two
+// ranks and two loads per prefix entry, and no walk over the suffix.
+// Only lists sparser still stay on the two-pointer merge, whose cost
+// tracks the live entries rather than the span. A dense choice whose
+// span passes maxCumSpan takes the compact layout instead, and the
+// returned capped flag reports it, the fallback metric.
+func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (kern joinKernel, capped bool) {
+	if forced == core.JoinTwoPointer {
+		return twoPointer, false
+	}
 	span := int(s[len(s)-1].X) - int(s[0].X) + 1
-	switch forced {
-	case core.JoinTwoPointer:
-		return core.JoinTwoPointer, false
-	case core.JoinAuto:
-		if span > 4*int(uses)*len(s) {
-			return core.JoinTwoPointer, false
+	amortized := int(uses) * len(s)
+	if forced == core.JoinAuto && span > 4*amortized {
+		if (span+63)/64 > compactWordsPerUse*amortized {
+			return twoPointer, false
 		}
+		return compactCum, false
 	}
 	if span > maxCumSpan {
-		return core.JoinTwoPointer, true
+		return compactCum, true
 	}
-	return core.JoinCum, false
+	return denseCum, false
 }
 
 // countCandidates computes the PIL and support of every candidate by
@@ -599,7 +623,7 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (strat core.Jo
 //
 // Join outputs land in the claiming worker's arena for the level's
 // parity; every arena of that parity holds only lists dead since two
-// levels ago and is reset here before counting starts. Both kernels take
+// levels ago and is reset here before counting starts. Every kernel takes
 // cut, the level's L̂ cut: a join commits its output only when its
 // support reaches cut, so each arena holds just the lists of L̂ (gen
 // never joins the others), and a join stops as soon as its support
@@ -645,19 +669,20 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 	var stop, memHit atomic.Bool
 	var nextIdx atomic.Int64
 	var joins, entries, abandoned atomic.Int64
-	var twoPtrJoins, cumJoins, cumFalls atomic.Int64
+	var twoPtrJoins, cumJoins, compactJoins, cumFalls atomic.Int64
 	work := func(w int) {
 		arena := &r.arenas[2*w+parity]
 		sc := &r.joinScr[w]
 		curLo, curW := int32(-1), int32(-1)
 		var nJoins, nEntries, nAbandoned int64
-		var nTwoPtr, nCum, nFalls int64
+		var nTwoPtr, nCum, nCompact, nFalls int64
 		defer func() {
 			joins.Add(nJoins)
 			entries.Add(nEntries)
 			abandoned.Add(nAbandoned)
 			twoPtrJoins.Add(nTwoPtr)
 			cumJoins.Add(nCum)
+			compactJoins.Add(nCompact)
 			cumFalls.Add(nFalls)
 		}()
 		for {
@@ -693,14 +718,17 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					for int32(len(sc.tables)) < width {
 						sc.tables = append(sc.tables, pil.CumTable{})
 						sc.tables[len(sc.tables)-1].SetTracker(mem)
-						sc.strat = append(sc.strat, core.JoinAuto)
+						sc.kern = append(sc.kern, twoPointer)
 						sc.capped = append(sc.capped, false)
 					}
 					for j := int32(0); j < width; j++ {
 						s := hat[spanLo+j].list
-						sc.strat[j], sc.capped[j] = joinChoice(forced, s, g.uses)
-						if sc.strat[j] == core.JoinCum {
+						sc.kern[j], sc.capped[j] = joinChoice(forced, s, g.uses)
+						switch sc.kern[j] {
+						case denseCum:
 							sc.tables[j].Build(s)
+						case compactCum:
+							sc.tables[j].BuildCompact(s)
 						}
 					}
 				}
@@ -711,12 +739,15 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					var sup int64
 					var visited int
 					j := idx - g.start
-					if sc.strat[j] == core.JoinCum {
-						list, sup, visited = pil.JoinCum(arena, prefix, &sc.tables[j], cut, gap)
-						nCum++
-					} else {
+					if sc.kern[j] == twoPointer {
 						list, sup, visited = pil.JoinInto(arena, prefix, suffix.list, suffix.sup, cut, gap)
 						nTwoPtr++
+					} else {
+						list, sup, visited = pil.JoinCum(arena, prefix, &sc.tables[j], cut, gap)
+						nCum++
+						if sc.kern[j] == compactCum {
+							nCompact++
+						}
 					}
 					if sc.capped[j] {
 						nFalls++
@@ -751,6 +782,7 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 	st.abandoned += abandoned.Load()
 	st.twoPtr += twoPtrJoins.Load()
 	st.cum += cumJoins.Load()
+	st.compact += compactJoins.Load()
 	st.cumFalls += cumFalls.Load()
 	if err := ctx.Err(); err != nil {
 		r.err = r.cancelled(level, err)

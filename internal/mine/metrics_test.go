@@ -52,9 +52,9 @@ func TestLevelMetricsAccounting(t *testing.T) {
 				t.Errorf("seed level reports %d joins / %d entries / %d abandoned, want 0",
 					lv.PILJoins, lv.PILEntries, lv.Abandoned)
 			}
-			if lv.JoinTwoPointer != 0 || lv.JoinCum != 0 || lv.CumSpanFallbacks != 0 {
-				t.Errorf("seed level reports strategy counters %d/%d (falls %d), want 0",
-					lv.JoinTwoPointer, lv.JoinCum, lv.CumSpanFallbacks)
+			if lv.JoinTwoPointer != 0 || lv.JoinCum != 0 || lv.CumCompact != 0 || lv.CumSpanFallbacks != 0 {
+				t.Errorf("seed level reports strategy counters %d/%d (compact %d, falls %d), want 0",
+					lv.JoinTwoPointer, lv.JoinCum, lv.CumCompact, lv.CumSpanFallbacks)
 			}
 			continue
 		}
@@ -62,8 +62,10 @@ func TestLevelMetricsAccounting(t *testing.T) {
 		if lv.PILJoins != lv.Candidates {
 			t.Errorf("level %d: %d joins for %d candidates", lv.Level, lv.PILJoins, lv.Candidates)
 		}
-		// The per-strategy split partitions the joins exactly, and the
-		// span-capped fallbacks are a subset of the two-pointer share.
+		// The per-strategy split partitions the joins exactly, the
+		// compact-layout joins are a subset of the cum share, and the
+		// span-capped fallbacks, which land in the compact layout, a
+		// subset of those.
 		if got := lv.JoinTwoPointer + lv.JoinCum; got != lv.PILJoins {
 			t.Errorf("level %d: strategy split %d+%d = %d, want PILJoins %d",
 				lv.Level, lv.JoinTwoPointer, lv.JoinCum, got, lv.PILJoins)
@@ -71,9 +73,12 @@ func TestLevelMetricsAccounting(t *testing.T) {
 		if lv.JoinBitap != 0 {
 			t.Errorf("level %d: JoinBitap = %d, want 0 (the bitmap kernel is retired)", lv.Level, lv.JoinBitap)
 		}
-		if lv.CumSpanFallbacks > lv.JoinTwoPointer {
-			t.Errorf("level %d: %d cum-span fallbacks exceed %d two-pointer joins",
-				lv.Level, lv.CumSpanFallbacks, lv.JoinTwoPointer)
+		if lv.CumCompact > lv.JoinCum {
+			t.Errorf("level %d: %d compact-layout joins exceed %d cum joins", lv.Level, lv.CumCompact, lv.JoinCum)
+		}
+		if lv.CumSpanFallbacks > lv.CumCompact {
+			t.Errorf("level %d: %d cum-span fallbacks exceed %d compact-layout joins",
+				lv.Level, lv.CumSpanFallbacks, lv.CumCompact)
 		}
 		if lv.Candidates > 0 && lv.PILEntries == 0 {
 			t.Errorf("level %d: candidates counted but no PIL entries scanned", lv.Level)
@@ -108,18 +113,24 @@ func TestLevelMetricsParallelMatchesSerial(t *testing.T) {
 	if len(serial.Levels) != len(parallel.Levels) {
 		t.Fatalf("level counts differ: %d vs %d", len(serial.Levels), len(parallel.Levels))
 	}
+	var compact int64
 	for i := range serial.Levels {
 		a, b := serial.Levels[i], parallel.Levels[i]
+		compact += a.CumCompact
 		if a.PILJoins != b.PILJoins || a.PILEntries != b.PILEntries || a.Abandoned != b.Abandoned ||
 			a.PrunedByLambda != b.PrunedByLambda || a.ZeroSupport != b.ZeroSupport {
 			t.Errorf("level %d counters differ between 1 and 4 workers: %+v vs %+v", a.Level, a, b)
 		}
 		// Strategy selection is per candidate list, not per worker, so the
-		// split (and the span-cap fallback count) must match too.
-		if a.JoinTwoPointer != b.JoinTwoPointer || a.JoinCum != b.JoinCum ||
+		// split, its compact-layout share and the span-cap fallback count
+		// must match too.
+		if a.JoinTwoPointer != b.JoinTwoPointer || a.JoinCum != b.JoinCum || a.CumCompact != b.CumCompact ||
 			a.CumSpanFallbacks != b.CumSpanFallbacks {
 			t.Errorf("level %d strategy counters differ between 1 and 4 workers: %+v vs %+v", a.Level, a, b)
 		}
+	}
+	if compact == 0 {
+		t.Error("no join read the compact table layout; the comparison does not cover it")
 	}
 }
 

@@ -113,29 +113,48 @@ func TestJoinIntoSupportMatches(t *testing.T) {
 // TestJoinTailOverflow: a prefix occurrence at the last position of a
 // maximal-length sequence joined under a huge M must not wrap the window
 // bound. With int32 window arithmetic, x + M + 1 overflows negative and
-// the join silently returns empty; the int arithmetic in JoinInto keeps
-// the window valid.
+// the join silently returns empty; the int arithmetic in JoinInto and in
+// both layouts of JoinCum keeps the window valid.
 func TestJoinTailOverflow(t *testing.T) {
 	const lastX = math.MaxInt32 - 1 // X = L-1 of a maximal sequence
 	prefix := pil.List{{X: lastX, Y: 1}}
 	suffix := pil.List{{X: lastX + 1, Y: 7}}
+	var dense, compact pil.CumTable
+	dense.Build(suffix)
+	compact.BuildCompact(suffix)
+	kernels := []struct {
+		name string
+		join func(g combinat.Gap, cut int64) (pil.List, int64, int)
+	}{
+		{"twoptr", func(g combinat.Gap, cut int64) (pil.List, int64, int) {
+			return pil.JoinInto(nil, prefix, suffix, 7, cut, g)
+		}},
+		{"cum", func(g combinat.Gap, cut int64) (pil.List, int64, int) {
+			return pil.JoinCum(nil, prefix, &dense, cut, g)
+		}},
+		{"compact", func(g combinat.Gap, cut int64) (pil.List, int64, int) {
+			return pil.JoinCum(nil, prefix, &compact, cut, g)
+		}},
+	}
 	g := combinat.Gap{N: 0, M: math.MaxInt32}
-	list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
-	if sup != 7 || len(list) != 1 || list[0] != (pil.Entry{X: lastX, Y: 7}) {
-		t.Fatalf("JoinInto near tail with huge M = %v (sup %d), want [{%d 7}]", list, sup, lastX)
-	}
-	// The same shape with the suffix just outside the window must stay
-	// empty: the fix must not over-widen the window either.
 	gTight := combinat.Gap{N: 2, M: math.MaxInt32}
-	if list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, gTight); sup != 0 || len(list) != 0 {
-		t.Fatalf("suffix below minX joined anyway: %v (sup %d)", list, sup)
-	}
-	// W = 2^31 here: the stop test must neither overflow nor misfire.
-	if list, sup, n := pil.JoinInto(nil, prefix, suffix, 7, 7, g); sup != 7 || n != 1 || len(list) != 1 {
-		t.Fatalf("cut 7 with huge W: %v (sup %d, n %d), want the full join kept", list, sup, n)
-	}
-	if list, sup, n := pil.JoinInto(nil, prefix, suffix, 7, 8, g); list != nil || sup != 7 || n != 1 {
-		t.Fatalf("cut 8 with huge W: %v (sup %d, n %d), want a finished join below the cut", list, sup, n)
+	for _, k := range kernels {
+		list, sup, _ := k.join(g, 0)
+		if sup != 7 || len(list) != 1 || list[0] != (pil.Entry{X: lastX, Y: 7}) {
+			t.Fatalf("%s near tail with huge M = %v (sup %d), want [{%d 7}]", k.name, list, sup, lastX)
+		}
+		// The same shape with the suffix just outside the window must
+		// stay empty: the fix must not over-widen the window either.
+		if list, sup, _ := k.join(gTight, 0); sup != 0 || len(list) != 0 {
+			t.Fatalf("%s: suffix below minX joined anyway: %v (sup %d)", k.name, list, sup)
+		}
+		// W = 2^31 here: the stop test must neither overflow nor misfire.
+		if list, sup, n := k.join(g, 7); sup != 7 || n != 1 || len(list) != 1 {
+			t.Fatalf("%s: cut 7 with huge W: %v (sup %d, n %d), want the full join kept", k.name, list, sup, n)
+		}
+		if list, sup, n := k.join(g, 8); list != nil || sup != 7 || n != 1 {
+			t.Fatalf("%s: cut 8 with huge W: %v (sup %d, n %d), want a finished join below the cut", k.name, list, sup, n)
+		}
 	}
 }
 
@@ -146,8 +165,9 @@ func TestJoinStopsAtBound(t *testing.T) {
 	prefix := pil.List{{X: 0, Y: 1}, {X: 10, Y: 1}, {X: 20, Y: 1}, {X: 30, Y: 1}}
 	suffix := pil.List{{X: 1, Y: 3}, {X: 12, Y: 1}, {X: 21, Y: 1}, {X: 31, Y: 1}}
 	sufSup := suffix.Support() // 6; the full join is 3+1+1+1 = 6
-	var tab pil.CumTable
-	tab.Build(suffix)
+	var dense, compact pil.CumTable
+	dense.Build(suffix)
+	compact.BuildCompact(suffix)
 	cases := []struct {
 		cut   int64
 		n     int   // prefix entries joined; 4 = finished
@@ -168,15 +188,18 @@ func TestJoinStopsAtBound(t *testing.T) {
 	}
 	var a pil.Arena
 	for _, tc := range cases {
-		for _, kernel := range []string{"twoptr", "cum"} {
+		for _, kernel := range []string{"twoptr", "cum", "compact"} {
 			a.Reset()
 			start := &a.Reserve(1)[:1][0]
 			var out pil.List
 			var sup int64
 			var n int
-			if kernel == "cum" {
-				out, sup, n = pil.JoinCum(&a, prefix, &tab, tc.cut, g)
-			} else {
+			switch kernel {
+			case "cum":
+				out, sup, n = pil.JoinCum(&a, prefix, &dense, tc.cut, g)
+			case "compact":
+				out, sup, n = pil.JoinCum(&a, prefix, &compact, tc.cut, g)
+			default:
 				out, sup, n = pil.JoinInto(&a, prefix, suffix, sufSup, tc.cut, g)
 			}
 			if n != tc.n || (n == len(prefix) && sup != tc.sup) || (out != nil) != tc.kept {

@@ -53,15 +53,16 @@ func cutFrom(b byte, full int64) int64 {
 
 // FuzzJoin checks the Join invariants on arbitrary well-formed inputs:
 // the output is a valid List, every emitted X comes from the prefix, the
-// fused support equals the list sum, and the arena-backed and
-// cumulative-table joins are identical to the heap-backed one.
+// fused support equals the list sum, and the arena-backed join and the
+// cumulative-table joins, on the dense and the compact layout, are
+// identical to the heap-backed one.
 //
 // Its cut leg runs several joins, as the miner does, into one arena with
 // cuts taken from the fuzz bytes. A join that stops must have a full
 // (unbounded) support below its cut; one that finishes reports the full
 // support; only outputs reaching the cut are committed, each equal to its
 // heap join also after later joins reused the space of missed ones; and
-// the two-pointer and cumulative-table kernels stop at the same entry.
+// the two-pointer kernel and both table layouts stop at the same entry.
 // The bound holds for any two lists, not only a pattern's parents, so
 // every decoded pair is a valid input.
 func FuzzJoin(f *testing.F) {
@@ -102,51 +103,55 @@ func FuzzJoin(f *testing.F) {
 			t.Fatalf("arena join support %d, heap %d", supArena, sup)
 		}
 		if len(suffix) > 0 {
-			var tab pil.CumTable
-			tab.Build(suffix)
-			viaCum, supCum, _ := pil.JoinCum(nil, prefix, &tab, 0, g)
-			sameList(t, "cum join", viaCum, got)
-			if supCum != sup {
-				t.Fatalf("cum join support %d, heap %d", supCum, sup)
+			for _, layout := range tableLayouts {
+				tab := layout.build(suffix)
+				viaCum, supCum, _ := pil.JoinCum(nil, prefix, tab, 0, g)
+				sameList(t, layout.name+" join", viaCum, got)
+				if supCum != sup {
+					t.Fatalf("%s join support %d, heap %d", layout.name, supCum, sup)
+				}
 			}
 		}
 
-		// The cut leg: the first round commits two-pointer outputs to the
-		// arena, the second cumulative-table ones; each join also runs
-		// heap-backed under the other kernel, which must agree.
+		// The cut leg: round r commits the outputs of kernel r to the
+		// arena (two-pointer, then each table layout); each join also runs
+		// heap-backed under the other kernels, which must agree.
 		arena.Reset()
 		pairs := [][2]pil.List{{prefix, suffix}, {suffix, prefix}, {prefix, prefix}, {suffix, suffix}}
 		var kept, heap []pil.List
-		for k := 0; k < 2*len(pairs); k++ {
+		for k := 0; k < (1+len(tableLayouts))*len(pairs); k++ {
 			pr, sf := pairs[k%len(pairs)][0], pairs[k%len(pairs)][1]
+			round := k / len(pairs)
+			if round > 0 && len(sf) == 0 {
+				continue // no table over an empty list
+			}
 			full := pil.Join(pr, sf, g)
 			fullSup := full.Support()
 			cut := int64(0)
 			if len(data) > 0 {
 				cut = cutFrom(data[(3*k+1)%len(data)], fullSup)
 			}
-			var tab pil.CumTable
-			if len(sf) > 0 {
-				tab.Build(sf)
+			arenaFor := func(r int) *pil.Arena {
+				if r == round {
+					return &arena
+				}
+				return nil
 			}
-			twoA, cumA := &arena, (*pil.Arena)(nil)
-			if k >= len(pairs) {
-				twoA, cumA = nil, &arena
-			}
-			out, jsup, jn := pil.JoinInto(twoA, pr, sf, sf.Support(), cut, g)
+			out, jsup, jn := pil.JoinInto(arenaFor(0), pr, sf, sf.Support(), cut, g)
 			checkCut(t, "twoptr", pr, full, cut, out, jsup, jn)
 			if len(sf) > 0 {
-				cOut, cSup, cN := pil.JoinCum(cumA, pr, &tab, cut, g)
-				checkCut(t, "cum", pr, full, cut, cOut, cSup, cN)
-				if cN != jn || (cOut != nil) != (out != nil) {
-					t.Fatalf("join %d, cut %d: cum joined %d entries (kept %v), twoptr %d (kept %v)",
-						k, cut, cN, cOut != nil, jn, out != nil)
+				twoOut := out
+				for li, layout := range tableLayouts {
+					cOut, cSup, cN := pil.JoinCum(arenaFor(1+li), pr, layout.build(sf), cut, g)
+					checkCut(t, layout.name, pr, full, cut, cOut, cSup, cN)
+					if cN != jn || (cOut != nil) != (twoOut != nil) {
+						t.Fatalf("join %d, cut %d: %s joined %d entries (kept %v), twoptr %d (kept %v)",
+							k, cut, layout.name, cN, cOut != nil, jn, twoOut != nil)
+					}
+					if round == 1+li {
+						out = cOut
+					}
 				}
-				if cumA != nil {
-					out = cOut
-				}
-			} else if cumA != nil {
-				continue
 			}
 			if out != nil {
 				kept = append(kept, out)
@@ -157,6 +162,16 @@ func FuzzJoin(f *testing.F) {
 			sameList(t, "kept arena list", kept[k], heap[k])
 		}
 	})
+}
+
+// tableLayouts builds a fresh CumTable over a non-empty list in each of
+// its layouts, so FuzzJoin runs JoinCum on both.
+var tableLayouts = []struct {
+	name  string
+	build func(pil.List) *pil.CumTable
+}{
+	{"cum", func(s pil.List) *pil.CumTable { var t pil.CumTable; t.Build(s); return &t }},
+	{"compact", func(s pil.List) *pil.CumTable { var t pil.CumTable; t.BuildCompact(s); return &t }},
 }
 
 // checkCut checks one bounded join of pr against its unbounded result

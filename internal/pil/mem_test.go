@@ -45,8 +45,10 @@ func TestMemTrackerArenaCharges(t *testing.T) {
 	}
 }
 
-// TestMemTrackerTables: CumTable charges its retained buffer on growth
-// only, and rebuilds within capacity are free.
+// TestMemTrackerTables: CumTable charges its retained buffers on growth
+// only, in either layout, and rebuilds within capacity are free. The
+// compact layout is 16 bytes per 64 span positions plus 8 per entry and
+// one more for the prefix sums' leading zero.
 func TestMemTrackerTables(t *testing.T) {
 	list := pil.List{{X: 0, Y: 1}, {X: 999, Y: 3}}
 
@@ -54,14 +56,34 @@ func TestMemTrackerTables(t *testing.T) {
 	var ct pil.CumTable
 	ct.SetTracker(tr)
 	ct.Build(list)
-	if want := int64(8 * 1000); tr.Used() != want {
-		t.Fatalf("CumTable charge = %d, want %d", tr.Used(), want)
+	dense := int64(8 * 1000)
+	if tr.Used() != dense {
+		t.Fatalf("CumTable charge = %d, want %d", tr.Used(), dense)
 	}
 	ct.Build(list)
-	if want := int64(8 * 1000); tr.Used() != want {
-		t.Fatalf("CumTable rebuild recharged: Used = %d, want %d", tr.Used(), want)
+	if tr.Used() != dense {
+		t.Fatalf("CumTable rebuild recharged: Used = %d, want %d", tr.Used(), dense)
 	}
 
+	compact := int64(16*16 + 8*3) // 1000 positions are 16 words; 2 entries
+	ct.BuildCompact(list)
+	if want := dense + compact; tr.Used() != want {
+		t.Fatalf("compact build charge: Used = %d, want %d", tr.Used(), want)
+	}
+	ct.BuildCompact(list)
+	ct.BuildCompact(pil.List{{X: 5, Y: 2}})
+	ct.Build(list)
+	if want := dense + compact; tr.Used() != want {
+		t.Fatalf("rebuilds within capacity recharged: Used = %d, want %d", tr.Used(), want)
+	}
+	// Growth charges only the increment: 1025 positions are 17 words.
+	ct.BuildCompact(pil.List{{X: 0, Y: 1}, {X: 500, Y: 1}, {X: 1024, Y: 1}})
+	if want := dense + compact + 16 + 8; tr.Used() != want {
+		t.Fatalf("compact growth charge: Used = %d, want %d", tr.Used(), want)
+	}
+	if tr.High() != tr.Used() {
+		t.Fatalf("High = %d, want %d", tr.High(), tr.Used())
+	}
 }
 
 // TestMemTrackerChaining: charges propagate to parents, credits restore

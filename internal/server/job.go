@@ -63,6 +63,11 @@ type Job struct {
 	// queueSpan covers the queued→picked-up wait; ended by worker pickup
 	// or cancel, whichever comes first (End is idempotent).
 	queueSpan *obs.Span
+	// accepted is the job as Submit accepted it, snapshotted before a
+	// worker can reach it: the submit response, which must read queued
+	// (or done, for a cache hit) however soon a worker starts the job.
+	// Written once by Submit, then only read.
+	accepted JobView
 
 	mu         sync.Mutex
 	state      JobState
@@ -435,6 +440,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 			}
 			now := time.Now()
 			j.startedAt, j.finishedAt = now, now
+			j.accepted = j.Snapshot()
 			m.register(j)
 			rec := recordForJob(j)
 			m.mu.Unlock()
@@ -463,6 +469,7 @@ func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algori
 	// in between re-runs at most this one job's already-finished work (the
 	// replay ignores out-of-order transitions for unknown jobs).
 	rec := recordForJob(j)
+	j.accepted = j.Snapshot()
 	_, j.queueSpan = obs.Start(sctx, "job.queue", obs.KV("job", j.id))
 	select {
 	case m.queue <- func() { m.runJob(j) }:

@@ -115,6 +115,10 @@ func TestManagerCacheHit(t *testing.T) {
 	if v1.State != JobDone || v1.CacheHit {
 		t.Fatalf("first run: state %s cacheHit %v, want done/false", v1.State, v1.CacheHit)
 	}
+	// The submit response is the job as accepted, whatever it became.
+	if a := j1.accepted; a.State != JobQueued || a.CacheHit || a.Result != nil {
+		t.Fatalf("first run accepted as %s (cacheHit %v, result %v), want queued with no result", a.State, a.CacheHit, a.Result != nil)
+	}
 
 	j2, err := m.Submit(context.Background(), s, core.AlgoMPPm, miningParams(), 0)
 	if err != nil {
@@ -123,6 +127,9 @@ func TestManagerCacheHit(t *testing.T) {
 	v2 := j2.Snapshot() // no waiting: cache hits are terminal at submit
 	if v2.State != JobDone || !v2.CacheHit {
 		t.Fatalf("second run: state %s cacheHit %v, want done/true", v2.State, v2.CacheHit)
+	}
+	if a := j2.accepted; a.State != JobDone || !a.CacheHit || a.Result == nil {
+		t.Fatalf("second run accepted as %s (cacheHit %v, result %v), want done with the cached result", a.State, a.CacheHit, a.Result != nil)
 	}
 	if st := cache.Stats(); st.Hits != 1 {
 		t.Errorf("cache hits = %d, want 1", st.Hits)

@@ -119,7 +119,7 @@ func writePrometheus(w io.Writer, snap MetricsSnapshot) error {
 			float64(snap.Requests[key]))
 	}
 
-	p.Meta("permine_join_strategy_total", "counter", "PIL joins executed, by join strategy.")
+	p.Meta("permine_join_strategy_total", "counter", "PIL joins executed, by join strategy (cum counts both cumulative-table layouts, dense and compact).")
 	for _, strat := range sortedKeys(snap.JoinStrategies) {
 		p.Sample("permine_join_strategy_total",
 			[]obs.Label{{Name: "strategy", Value: strat}}, float64(snap.JoinStrategies[strat]))

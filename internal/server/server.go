@@ -792,11 +792,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	// The response is the job as accepted, not its live state: a free
+	// worker may already be running (or have finished) a fresh job, and
+	// only a cache hit is answered 200 with its result inline.
+	view := job.accepted
 	status := http.StatusAccepted
-	if job.State() == JobDone {
-		status = http.StatusOK // cache hit: result inline
+	if view.CacheHit {
+		status = http.StatusOK
 	}
-	writeJSON(w, status, job.Snapshot())
+	writeJSON(w, status, view)
 }
 
 // handleList implements GET /v1/jobs.

@@ -53,6 +53,9 @@ else
     # AblationNoPrune is the only tracked run of the enumeration baseline
     # (the level loop's exhaustive mode), which no end-to-end workload
     # runs; the other Ablation benchmarks are too noisy to gate.
+    # JoinStrategies counts a level of dense 20 kb lists, where auto takes
+    # the dense cumulative table; JoinStrategiesSparse one of the genome
+    # workload's long sparse lists, where it takes the compact layout.
     groups='
 BenchmarkPILJoin$       100000x .
 BenchmarkSupport$       1000x   .
@@ -62,6 +65,7 @@ BenchmarkAblationNoPrune$ 2x    .
 BenchmarkSeed$          500x    ./internal/mine
 BenchmarkMineLevel$     100x    ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
+BenchmarkJoinStrategiesSparse$ 5x ./internal/mine
 BenchmarkMineE2E$       5x      ./internal/mine
 BenchmarkTopK$          5x      ./internal/query
 BenchmarkCacheFilter$   200x    ./internal/query
