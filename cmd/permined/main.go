@@ -5,31 +5,34 @@
 //
 //	permined -addr :8080 -workers 4 -cache 256 -job-timeout 2m
 //
+// Every job has one lifecycle: POST /v1/jobs submits a job of one
+// sequence, POST /v1/corpus one of a shard per FASTA record, and one
+// engine schedules every shard on the worker pool. A shard's transient
+// failure — a panic, a lapsed per-attempt deadline (-shard-timeout, corpus
+// shards only), a cluster transport error — is retried under
+// -retry-budget with jittered -retry-backoff; any other outcome is final.
+// A corpus whose shards do not all complete degrades to "partial" instead
+// of failing. See README.md ("Corpus mining").
+//
 // With -data-dir set, jobs are journaled to a checksummed write-ahead log
 // and recovered on restart: finished jobs stay queryable, interrupted
-// ones are re-executed under -retry-budget/-retry-backoff, and a failing
-// disk degrades the store to memory-only (visible on /healthz) instead of
-// killing the daemon. See README.md ("Persistence & crash recovery").
+// ones resume from their journaled shards under the same -retry-budget
+// and -retry-backoff, and a failing disk degrades the store to
+// memory-only (visible on /healthz) instead of killing the daemon. See
+// README.md ("Persistence & crash recovery").
 //
-// POST /v1/corpus mines a multi-FASTA collection as per-sequence shards:
-// each shard gets its own deadline (-shard-timeout) and retry budget
-// (-shard-retry-budget, jittered -shard-retry-backoff), a shard that
-// exhausts its budget degrades the job to "partial" instead of failing
-// it, and with -data-dir shard completions are checkpointed so a killed
-// corpus job resumes from the incomplete shards only. See README.md
-// ("Corpus mining").
+// With -cluster-role coordinator and -cluster-peers set, shards are
+// placed across the peer daemons by consistent hash over sequence content
+// (keeping the result cache node-affine), peers are health-checked with
+// jittered heartbeats, and work assigned to a node that dies is requeued
+// onto survivors through the normal retry budget. See README.md
+// ("Clustering").
 //
-// With -cluster-role coordinator and -cluster-peers set, corpus shards
-// and whole jobs are placed across the peer daemons by consistent hash
-// over sequence content (keeping the result cache node-affine), peers are
-// health-checked with jittered heartbeats, and work assigned to a node
-// that dies is requeued onto survivors through the normal per-shard retry
-// budget. See README.md ("Clustering").
-//
-// The daemon drains gracefully on SIGINT/SIGTERM: in-flight jobs are
-// cancelled at the next level boundary and the listener closes once the
-// pool is idle (bounded by -drain-timeout); /readyz turns 503 the moment
-// the drain starts.
+// The daemon drains gracefully on SIGINT/SIGTERM: in-flight work stops at
+// the next level boundary — a /v1/jobs job cancelled, a corpus journaled
+// as still open, so the next boot resumes it — and the listener closes
+// once the pool is idle (bounded by -drain-timeout); /readyz turns 503
+// the moment the drain starts.
 package main
 
 import (
@@ -88,11 +91,9 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		brownoutPct  = fs.Int("brownout-pct", 85, "percent of -mem-global at which brownout shedding starts")
 		dataDir      = fs.String("data-dir", "", "journal jobs here and recover them on restart (empty = in-memory only)")
 		compactBytes = fs.Int64("compact-bytes", 4<<20, "journal size triggering compaction")
-		retryBudget  = fs.Int("retry-budget", 3, "re-executions allowed for a job interrupted by crashes")
-		retryBackoff = fs.Duration("retry-backoff", 500*time.Millisecond, "delay before a recovered job re-runs (doubles per attempt)")
-		shardTimeout = fs.Duration("shard-timeout", 2*time.Minute, "per-shard deadline for corpus jobs")
-		shardBudget  = fs.Int("shard-retry-budget", 3, "mining attempts allowed per corpus shard")
-		shardBackoff = fs.Duration("shard-retry-backoff", 200*time.Millisecond, "base delay before a corpus shard retries (doubles per attempt, jittered)")
+		retryBudget  = fs.Int("retry-budget", 3, "attempts allowed per shard under transient failures, and re-executions per job after crashes")
+		retryBackoff = fs.Duration("retry-backoff", 500*time.Millisecond, "base delay before a shard retries or a recovered job re-runs (doubles per attempt, jittered)")
+		shardTimeout = fs.Duration("shard-timeout", 2*time.Minute, "per-attempt deadline of a corpus shard")
 		maxInflight  = fs.Int("corpus-max-inflight", 0, "corpus shards mined concurrently per job (0 = 2x workers)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
 		clusterRole  = fs.String("cluster-role", "", `cluster mode: "" standalone, "coordinator" places work on peers, "peer" serves forwarded work`)
@@ -149,8 +150,6 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		RetryBudget:         *retryBudget,
 		RetryBackoff:        *retryBackoff,
 		ShardTimeout:        *shardTimeout,
-		ShardRetryBudget:    *shardBudget,
-		ShardRetryBackoff:   *shardBackoff,
 		CorpusMaxInflight:   *maxInflight,
 		TraceSpans:          *traceSpans,
 		TraceSample:         sampleRate,

@@ -431,8 +431,7 @@ func TestCorpusRestartResume(t *testing.T) {
 	}
 	dataDir := t.TempDir()
 	args := []string{"-addr", "127.0.0.1:0", "-workers", "1", "-corpus-max-inflight", "1",
-		"-data-dir", dataDir, "-retry-backoff", "50ms", "-shard-retry-backoff", "50ms",
-		"-drain-timeout", "5s"}
+		"-data-dir", dataDir, "-retry-backoff", "50ms", "-drain-timeout", "5s"}
 
 	body := `{"algorithm":"mppm","params":{"gap_min":2,"gap_max":4,"min_support":0.0005,"max_len":6},` +
 		`"alphabet":"dna","fasta":` + strconv.Quote(corpusFASTA(6, 30000)) + `}`

@@ -40,9 +40,12 @@ var (
 // RemoteError is a genuine mining failure reported by the peer — the RPC
 // itself worked. It must not feed the health state machine and must not
 // trigger a local re-mine (the same input would fail the same way).
+// Exhausted is the peer's MineResponse.Exhausted: set, MineRemote returns
+// the run's completed levels beside the error.
 type RemoteError struct {
-	Node string
-	Msg  string
+	Node      string
+	Msg       string
+	Exhausted json.RawMessage
 }
 
 func (e *RemoteError) Error() string {
@@ -74,11 +77,12 @@ func (c *Cluster) heartbeat(ctx context.Context, addr string) (Pong, error) {
 // MineRemote runs one mining request on a peer and returns the raw
 // core.Result JSON plus any finished remote spans the peer piggybacked on
 // its reply (returned on the RemoteError path too — a failed remote mine
-// still traced). It layers every robustness guarantee the tentpole
-// demands: the peer's death-watch context (an in-flight call against a
-// peer later declared dead aborts immediately), the caller's deadline,
-// bounded retries with backoff for transport errors, panic isolation, and
-// health feedback so a flaky peer is demoted at RPC speed.
+// still traced; a memory-budget stop also returns its result there). It
+// layers every robustness guarantee a remote mine needs: the peer's
+// death-watch context (an in-flight call against a peer later declared
+// dead aborts immediately), the caller's deadline, bounded retries with
+// backoff for transport errors, panic isolation, and health feedback so a
+// flaky peer is demoted at RPC speed.
 func (c *Cluster) MineRemote(ctx context.Context, addr string, req MineRequest) (raw []byte, spans []obs.SpanData, err error) {
 	defer func() {
 		// Panic isolation: a bug in the RPC path must degrade this one
@@ -142,7 +146,7 @@ func (c *Cluster) MineRemote(ctx context.Context, addr string, req MineRequest) 
 				continue
 			}
 			if resp.Error != "" {
-				return nil, resp.Spans, &RemoteError{Node: nodeOr(resp.Node, addr), Msg: resp.Error}
+				return resp.Result, resp.Spans, &RemoteError{Node: nodeOr(resp.Node, addr), Msg: resp.Error, Exhausted: resp.Exhausted}
 			}
 			return resp.Result, resp.Spans, nil
 		case "error":

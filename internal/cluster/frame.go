@@ -149,12 +149,16 @@ func (r MineRequest) Trace() obs.SpanContext {
 }
 
 // MineResponse carries a remote mining outcome: the result JSON
-// (core.Result) on success, or the error string. Spans piggybacks the
-// peer's finished server-side spans so the coordinator can assemble one
+// (core.Result) on success, or the error string. A run its memory budget
+// stopped carries both — the result of its completed levels — and the
+// typed error as Exhausted (core.ResourceExhaustedError JSON), so the
+// coordinator classifies it as a local run. Spans piggybacks the peer's
+// finished server-side spans so the coordinator can assemble one
 // cross-node trace tree without a separate span-shipping channel.
 type MineResponse struct {
-	Node   string          `json:"node"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-	Spans  []obs.SpanData  `json:"spans,omitempty"`
+	Node      string          `json:"node"`
+	Result    json.RawMessage `json:"result,omitempty"`
+	Error     string          `json:"error,omitempty"`
+	Exhausted json.RawMessage `json:"exhausted,omitempty"`
+	Spans     []obs.SpanData  `json:"spans,omitempty"`
 }

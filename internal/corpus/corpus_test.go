@@ -68,13 +68,13 @@ func runToEnd(t *testing.T, cfg corpus.Config, j *corpus.Job) {
 	t.Helper()
 	done := make(chan struct{})
 	userEnd := cfg.Hooks.JobEnd
-	cfg.Hooks.JobEnd = func(j *corpus.Job) {
+	cfg.Hooks.JobEnd = func(ctx context.Context, j *corpus.Job, v corpus.View) {
 		if userEnd != nil {
-			userEnd(j)
+			userEnd(ctx, j, v)
 		}
 		close(done)
 	}
-	corpus.NewEngine(cfg).Start(j)
+	corpus.NewEngine(cfg).Start(j, func(corpus.View) {})
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -223,10 +223,15 @@ func TestTransientRetrySucceeds(t *testing.T) {
 func TestHangHitsDeadlineThenRetries(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	faults := corpustest.NewFaults().Set(0, 1, corpus.FaultHang)
-	j := newTestJob(t, 2)
+	j, err := corpus.NewJob(corpus.Spec{
+		ID: "c-test", Algorithm: core.AlgoMPP, Seqs: testSeqs(t, 2),
+		ShardTimeout: 20 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewJob: %v", err)
+	}
 	runToEnd(t, corpus.Config{
-		Run: fakeRun, Fault: faults, RetryBudget: 2,
-		ShardTimeout: 20 * time.Millisecond, RetryBackoff: time.Millisecond,
+		Run: fakeRun, Fault: faults, RetryBudget: 2, RetryBackoff: time.Millisecond,
 	}, j)
 
 	if got := j.State(); got != corpus.StateDone {
@@ -275,9 +280,9 @@ func TestCancelRevertsInflightShards(t *testing.T) {
 	end := make(chan struct{})
 	e := corpus.NewEngine(corpus.Config{
 		Run: run, MaxInflight: 2,
-		Hooks: corpus.Hooks{JobEnd: func(*corpus.Job) { close(end) }},
+		Hooks: corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
 	})
-	e.Start(j)
+	e.Start(j, func(corpus.View) {})
 	<-started
 	if !e.Cancel(j) {
 		t.Fatal("Cancel returned false for a running job")
@@ -326,9 +331,9 @@ func TestExpireDegradesToPartial(t *testing.T) {
 	end := make(chan struct{})
 	e := corpus.NewEngine(corpus.Config{
 		Run: run, MaxInflight: 1,
-		Hooks: corpus.Hooks{JobEnd: func(*corpus.Job) { close(end) }},
+		Hooks: corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
 	})
-	e.Start(j)
+	e.Start(j, func(corpus.View) {})
 	waitFor(t, func() bool { return j.Snapshot().ShardsDone == 1 }, "first shard done")
 	if !e.Expire(j, time.Millisecond) {
 		t.Fatal("Expire returned false")
@@ -529,4 +534,135 @@ func waitFor(t *testing.T, cond func() bool, what string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for %s", what)
+}
+
+// TestJobEndFollowsShardEnds: a job ends only after every shard's end
+// hook has returned, so its end event and outcome record follow every
+// shard's. Shard 0 settles first and holds its hook while shard 1, the
+// last to settle, finishes; the job's end must still come last.
+func TestJobEndFollowsShardEnds(t *testing.T) {
+	corpustest.CheckLeaks(t)
+	for run := 0; run < 3; run++ {
+		hookEntered := make(chan struct{})
+		var mu sync.Mutex
+		var order []string
+		record := func(s string) {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+		runShard := func(ctx context.Context, jb *corpus.Job, s *corpus.Shard) (*core.Result, error) {
+			if s.Index() == 1 {
+				<-hookEntered // shard 0's end hook is in flight
+			}
+			return fakeRun(ctx, jb, s)
+		}
+		j := newTestJob(t, 2)
+		runToEnd(t, corpus.Config{
+			Run: runShard,
+			Hooks: corpus.Hooks{
+				ShardEnd: func(_ context.Context, _ *corpus.Job, s *corpus.Shard) {
+					if s.Index() == 0 {
+						close(hookEntered)
+						time.Sleep(50 * time.Millisecond)
+					}
+					record(fmt.Sprintf("shard%d", s.Index()))
+				},
+				JobEnd: func(context.Context, *corpus.Job, corpus.View) { record("end") },
+			},
+		}, j)
+		mu.Lock()
+		got := strings.Join(order, " ")
+		mu.Unlock()
+		if len(order) != 3 || order[2] != "end" {
+			t.Fatalf("run %d: hook order [%s], want both shards before the end", run, got)
+		}
+	}
+}
+
+// TestOutcomeRule: one rule classifies every final attempt. A candidate
+// budget keeps the completed levels as done with a note, the memory
+// budget as resource_exhausted, anything else fails; a one-shard job
+// reports its shard's state, error and note, so both endpoints end the
+// same way.
+func TestOutcomeRule(t *testing.T) {
+	truncated := &core.Result{Truncated: true}
+	cases := []struct {
+		name  string
+		res   *core.Result
+		err   error
+		state corpus.ShardState
+		job   corpus.State
+		note  string
+	}{
+		{"done", &core.Result{}, nil, corpus.ShardDone, corpus.StateDone, ""},
+		{"candidate budget", truncated, core.ErrBudgetExceeded, corpus.ShardDone, corpus.StateDone, "candidate budget exhausted"},
+		{"candidate budget from the cache", truncated, nil, corpus.ShardDone, corpus.StateDone, "candidate budget exhausted"},
+		{"memory budget", truncated, &core.ResourceExhaustedError{Level: 4}, corpus.ShardExhausted, corpus.StateResourceExhausted, "memory budget exhausted at level 4"},
+		{"mining error", nil, errors.New("boom"), corpus.ShardFailed, corpus.StateFailed, ""},
+	}
+	for _, tc := range cases {
+		state, note, _ := corpus.Outcome(tc.res, tc.err)
+		if state != tc.state || !strings.Contains(note, tc.note) || (tc.note == "") != (note == "") {
+			t.Errorf("%s: Outcome = %s %q, want %s %q", tc.name, state, note, tc.state, tc.note)
+		}
+		var calls atomic.Int32
+		run := func(context.Context, *corpus.Job, *corpus.Shard) (*core.Result, error) {
+			calls.Add(1)
+			return tc.res, tc.err
+		}
+		j := newTestJob(t, 1)
+		runToEnd(t, corpus.Config{Run: run, RetryBackoff: time.Millisecond}, j)
+		v := j.Snapshot()
+		if v.State != tc.job || v.Note != note || calls.Load() != 1 {
+			t.Errorf("%s: job ended %s %q after %d attempts, want %s %q after 1", tc.name, v.State, v.Note, calls.Load(), tc.job, note)
+		}
+		if tc.err != nil && tc.state != corpus.ShardDone && v.Error != tc.err.Error() {
+			t.Errorf("%s: job error %q, want the shard's %q", tc.name, v.Error, tc.err)
+		}
+	}
+}
+
+// TestStartJournalsFirst: Start hands the accepted job to its caller's
+// journal before any attempt can begin, so no hook of the job — its move
+// to running, a shard's end, its own end — can be journaled ahead of its
+// submit record; a start the full pool refuses writes nothing.
+func TestStartJournalsFirst(t *testing.T) {
+	corpustest.CheckLeaks(t)
+	for run := 0; run < 20; run++ {
+		var mu sync.Mutex
+		var order []string
+		record := func(s string) {
+			mu.Lock()
+			order = append(order, s)
+			mu.Unlock()
+		}
+		end := make(chan struct{})
+		e := corpus.NewEngine(corpus.Config{
+			Run: fakeRun,
+			Hooks: corpus.Hooks{
+				Start:    func(*corpus.Job) { record("start") },
+				ShardEnd: func(context.Context, *corpus.Job, *corpus.Shard) { record("shard") },
+				JobEnd:   func(context.Context, *corpus.Job, corpus.View) { record("end"); close(end) },
+			},
+		})
+		j := newTestJob(t, 2)
+		e.Start(j, func(v corpus.View) {
+			time.Sleep(time.Millisecond) // a journal write, slower than a worker
+			record("submit " + string(v.State))
+		})
+		<-end
+		mu.Lock()
+		got := strings.Join(order, ", ")
+		mu.Unlock()
+		if len(order) != 5 || order[0] != "submit queued" || order[4] != "end" {
+			t.Fatalf("run %d: journal order [%s], want the submit first and the end last", run, got)
+		}
+	}
+	refused := corpus.NewEngine(corpus.Config{Run: fakeRun, Enqueue: func(func()) bool { return false }})
+	j := newTestJob(t, 1)
+	if refused.Start(j, func(corpus.View) { t.Error("a refused start wrote its submit record") }) {
+		t.Fatal("Start on a full pool returned true")
+	}
+	refused.Interrupt(j)
 }

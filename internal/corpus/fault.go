@@ -2,9 +2,8 @@ package corpus
 
 import "errors"
 
-// Fault is one injected shard failure mode, used by tests (and the
-// daemon's -shard-fault debug knob) to drive the retry, panic-isolation
-// and deadline paths deterministically.
+// Fault is one injected shard failure mode, used by tests to drive the
+// retry, panic-isolation and deadline paths deterministically.
 type Fault int
 
 // Fault modes. The engine consults the injector before the shard runner —
@@ -20,7 +19,7 @@ const (
 	// panic isolation.
 	FaultPanic
 	// FaultHang blocks the attempt until its deadline (or the job context)
-	// expires, exercising the per-shard timeout.
+	// expires, exercising the per-attempt timeout.
 	FaultHang
 )
 

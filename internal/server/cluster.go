@@ -100,10 +100,13 @@ func (s *Server) handleClusterHeartbeat(w http.ResponseWriter, r *http.Request) 
 
 // handleClusterMine executes one forwarded mining unit (a corpus shard or a
 // whole job) on behalf of a coordinator. Queue saturation and governor shed
-// map to 429 (+Retry-After) and drain to 503; both read as ErrPeerBusy on
-// the coordinator, which retries elsewhere without dinging this peer's
-// health. Genuine mining failures travel back inside an "error" frame and
-// charge the shard's retry budget on the coordinator, not this node's.
+// map to 429 (+Retry-After), and drain and a transient failure of the run
+// (a panic the barrier caught, a lapsed attempt deadline) to 503; all read
+// as ErrPeerBusy on the coordinator, whose engine retries the shard under
+// its budget without dinging this peer's health. Any other outcome travels
+// back in the result frame — a mining error as its message, a memory-budget
+// stop as its completed levels plus the typed error — and is the shard's
+// outcome on the coordinator, classified as a local run's would be.
 func (s *Server) handleClusterMine(w http.ResponseWriter, r *http.Request) {
 	msg, err := cluster.ReadFrame(r.Body, int(s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -132,17 +135,21 @@ func (s *Server) handleClusterMine(w http.ResponseWriter, r *http.Request) {
 		// and shutdown keep 503 — this node is going away, not busy.
 		s.rejectBusy(w, err)
 		return
-	case errors.Is(err, ErrShuttingDown):
+	case errors.Is(err, ErrShuttingDown), corpus.IsTransient(err):
 		apiError(w, http.StatusServiceUnavailable, "%v", err)
 		return
 	}
 	resp := cluster.MineResponse{Node: s.nodeID, Spans: spans}
+	var exhausted *core.ResourceExhaustedError
+	if errors.As(err, &exhausted) {
+		resp.Exhausted, _ = json.Marshal(exhausted)
+	}
 	if err != nil {
 		resp.Error = err.Error()
-	} else {
-		resp.Result, err = json.Marshal(res)
-		if err != nil {
-			resp.Result = nil
+	}
+	if res != nil {
+		if resp.Result, err = json.Marshal(res); err != nil {
+			resp.Result, resp.Exhausted = nil, nil
 			resp.Error = fmt.Sprintf("encoding result: %v", err)
 		}
 	}
@@ -189,12 +196,14 @@ type RemoteTrace struct {
 	Parent obs.SpanContext
 }
 
-// MineForPeer runs one forwarded mining unit through this node's normal
-// worker pool and result cache, so forwarded shards compete fairly with
-// local jobs and warm the node-affine cache. It blocks until the unit
-// finishes or the peer request's context dies; a dead request context
-// cancels the mining run (coordinator gone — its retry budget owns the
-// shard now, finishing here would be wasted work).
+// MineForPeer runs one forwarded mining unit as a one-shard job of this
+// node's engine: through its worker pool, result cache and panic
+// barrier, so forwarded shards compete fairly with local jobs and warm
+// the node-affine cache. It runs once — retries belong to the
+// coordinator — and blocks until the unit finishes or the peer request's
+// context dies; a dead request context cancels the mining run
+// (coordinator gone — its retry budget owns the shard now, finishing
+// here would be wasted work).
 //
 // When the request carries a valid trace parent, the run happens under a
 // linked job.run span teed into a per-request Collector; the returned
@@ -232,13 +241,10 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		return tracer.StartLink(ctx, remote.Parent, "job.run", attrs...)
 	}
 
-	key := KeyFor(subject, algo, np)
-	if m.cfg.Cache != nil {
-		if res, ok := m.cfg.Cache.Get(key); ok {
-			_, span := startRun(rctx, obs.KV("cache_hit", true))
-			span.End()
-			return res, collected(), nil
-		}
+	if res, _, ok := m.lookup(subject, algo, np); ok {
+		_, span := startRun(rctx, obs.KV("cache_hit", true))
+		span.End()
+		return res, collected(), nil
 	}
 	// Same admission ladder as local submits: a memory-hot peer sheds
 	// forwarded work back to the coordinator (429 → ErrPeerBusy → retried
@@ -246,23 +252,32 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 	if err := m.admit(shedClass(algo)); err != nil {
 		return nil, nil, err
 	}
-
+	j, err := m.newJob(kindPeer, corpus.Spec{
+		ID: remote.Job, Algorithm: algo, Params: np, Seqs: []*seq.Sequence{subject},
+	})
+	if err != nil {
+		return nil, nil, err
+	}
 	type reply struct {
 		res *core.Result
 		err error
 	}
 	ch := make(chan reply, 1)
 	task := func() {
-		ctx, cancel := context.WithCancel(m.baseCtx)
-		defer cancel()
-		stop := context.AfterFunc(rctx, cancel)
+		defer m.engine.Interrupt(j)
+		stop := context.AfterFunc(rctx, func() { m.engine.Interrupt(j) })
 		defer stop()
-		ctx, span := startRun(ctx)
-		res, err := m.mineLocal(ctx, algo, subject, np)
-		if err != nil {
+		ctx, span := startRun(j.Context())
+		res, err := m.engine.RunOnce(ctx, j, j.Shard(0), 1)
+		// What travels back is what the outcome rule makes of the run: a
+		// done result (budget-truncated or not), a memory-budget stop's
+		// completed levels beside its error, or the error alone — a
+		// transient one being the coordinator's to retry.
+		switch state, _, _ := corpus.Outcome(res, err); {
+		case corpus.IsTransient(err), state == corpus.ShardFailed:
 			res = nil
-		} else if m.cfg.Cache != nil {
-			m.cfg.Cache.Put(key, res)
+		case state == corpus.ShardDone:
+			err = nil
 		}
 		// End job.run before replying: the handler ships the collected
 		// spans as soon as it has the reply, and without job.run its
@@ -271,20 +286,16 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		span.End()
 		ch <- reply{res, err}
 	}
-
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, nil, ErrShuttingDown
+	switch {
+	case m.closed.Load():
+		err = ErrShuttingDown
+	case !m.offer(task):
+		err = ErrQueueFull
 	}
-	select {
-	case m.queue <- task:
-		m.mu.Unlock()
-	default:
-		m.mu.Unlock()
-		return nil, nil, ErrQueueFull
+	if err != nil {
+		m.engine.Interrupt(j)
+		return nil, nil, err
 	}
-
 	select {
 	case rep := <-ch:
 		return rep.res, collected(), rep.err
@@ -292,97 +303,47 @@ func (m *Manager) MineForPeer(rctx context.Context, subject *seq.Sequence, algo 
 		// The queued task observes rctx through AfterFunc and aborts on
 		// its own; the buffered channel keeps its send from leaking.
 		return nil, nil, rctx.Err()
+	case <-m.stop:
+		return nil, nil, ErrShuttingDown
 	}
 }
 
-// mineJob runs one whole job's mining, consulting the cluster ring first.
-// Remote mining failures at the transport level (peer suspect, dead, or
-// flaky) degrade to a local run as long as the job context is live — a
-// sick peer costs locality, never the job. Peer-reported mining errors are
-// authoritative: re-running locally would fail identically.
-func (m *Manager) mineJob(ctx context.Context, j *Job, p core.Params) (*core.Result, error) {
-	if c := m.cfg.Cluster; c != nil {
-		if pl := c.Place(j.cacheKey.ID.SeqHash[:]); pl.Node != "" {
-			res, err := m.mineJobRemote(ctx, j, p, pl.Node)
-			var remote *cluster.RemoteError
-			switch {
-			case err == nil:
-				return res, nil
-			case errors.As(err, &remote):
-				return nil, err
-			case ctx.Err() != nil:
-				return nil, ctx.Err()
-			default:
-				m.cfg.Logger.Warn("remote mine failed; degrading to local run",
-					"job", j.id, "node", pl.Node, "err", err)
-			}
-		}
-	}
-	return m.mineLocal(ctx, j.algorithm, j.seq, p)
-}
-
-// mineJobRemote forwards a whole job to its ring owner and replays the
-// remote result's per-level progress through the job's progress hook, so
-// SSE subscribers on this node see the same stream a local run would
-// produce. The peer counts the mine in its own metrics.
-func (m *Manager) mineJobRemote(ctx context.Context, j *Job, p core.Params, node string) (*core.Result, error) {
-	m.cfg.Cluster.NoteForwardedJob()
-	j.mu.Lock()
-	j.forwarded = true
-	j.note = "forwarded to cluster peer " + node
-	j.mu.Unlock()
-	res, err := m.forward(ctx, j.id, store.WholeJob, j.algorithm, j.seq, p, node)
-	if err != nil {
-		return nil, err
-	}
-	for _, lv := range res.Levels {
-		p.Progress(lv)
-	}
-	return res, nil
-}
-
-// mineShardRemote forwards one corpus shard to its placement. Errors
-// return to the corpus engine, whose per-shard retry budget and jittered
-// backoff drive the requeue; by the next attempt the health checker has
-// usually excised the dead peer from the ring, so re-placement lands on a
-// survivor.
-func (m *Manager) mineShardRemote(ctx context.Context, j *corpus.Job, s *corpus.Shard, p core.Params, pl cluster.Placement) (*core.Result, error) {
-	c := m.cfg.Cluster
-	c.NoteForwardedShard()
-	if pl.Stolen {
-		c.NoteShardStolen()
-	}
-	res, err := m.forward(ctx, j.ID(), s.Index(), j.Algorithm(), s.Seq(), p, pl.Node)
-	var remote *cluster.RemoteError
-	if err != nil && !errors.As(err, &remote) && ctx.Err() == nil && !c.Alive(pl.Node) {
-		// Transport-level failure against a peer health now rules
-		// unplaceable: this shard is headed back to the queue because its
-		// node died under it.
-		c.NoteShardRequeued()
-	}
-	return res, err
-}
-
-// forward runs one mining unit on a peer and decodes its result. It
-// journals the placement first (shard is the shard index, or
-// store.WholeJob) so a coordinator restart knows where the unit was, and
-// feeds the spans the peer piggybacked on its reply into the span sink
-// (the trace ring), so GET /v1/traces/{id} here returns the assembled
-// cross-node tree.
+// forward runs one shard on its ring placement and decodes the result,
+// replaying the remote levels through the shard's progress hook so event
+// subscribers here see the stream a local run would produce. It journals
+// the placement first, so a coordinator restart knows where the shard
+// was, and feeds the spans the peer piggybacked on its reply into the
+// span sink (the trace ring), so GET /v1/traces/{id} here returns the
+// assembled cross-node tree. A transport failure or a busy peer is
+// transient — the engine retries the shard, re-placed on whatever
+// membership the health checker has left alive — while a peer-reported
+// mining error or memory-budget stop is the shard's outcome: re-running
+// it would end identically.
 //
 // Params travel without their runtime-only fields (Ctx, Progress, Hooks are
-// json:"-"), so the peer re-normalizes a clean copy. The span carried by
-// ctx (job.run for whole jobs, corpus.shard for shards) becomes the peer's
-// trace parent, and its trace id — also the originating X-Request-Id —
-// rides along so both nodes' logs correlate.
-func (m *Manager) forward(ctx context.Context, id string, shard int, algo core.Algorithm, subject *seq.Sequence, p core.Params, node string) (*core.Result, error) {
+// json:"-"), so the peer re-normalizes a clean copy. The attempt span
+// carried by ctx becomes the peer's trace parent, and its trace id — also
+// the originating X-Request-Id — rides along so both nodes' logs
+// correlate.
+func (m *Manager) forward(ctx context.Context, j *corpus.Job, s *corpus.Shard, p core.Params, pl cluster.Placement) (*core.Result, error) {
+	c := m.cfg.Cluster
+	if isCorpus(j) {
+		c.NoteForwardedShard()
+		if pl.Stolen {
+			c.NoteShardStolen()
+		}
+	} else {
+		c.NoteForwardedJob()
+	}
+	j.SetNote(s, "forwarded to cluster peer "+pl.Node)
 	params, err := json.Marshal(p)
 	if err != nil {
 		return nil, fmt.Errorf("encoding params: %w", err)
 	}
+	subject := s.Seq()
 	req := cluster.MineRequest{
-		Job:         id,
-		Algorithm:   algo.String(),
+		Job:         j.ID(),
+		Algorithm:   j.Algorithm().String(),
 		SeqName:     subject.Name(),
 		SeqAlphabet: subject.Alphabet().Name(),
 		SeqSymbols:  string(subject.Alphabet().Symbols()),
@@ -392,28 +353,41 @@ func (m *Manager) forward(ctx context.Context, id string, shard int, algo core.A
 	if sc := obs.FromContext(ctx).Context(); sc.Valid() {
 		req.TraceID, req.ParentSpan = sc.TraceID, sc.SpanID
 	}
-	m.cfg.Store.AppendAssign(id, store.AssignRecord{Shard: shard, Node: node, At: time.Now()})
+	m.cfg.Store.AppendAssign(j.ID(), store.AssignRecord{Shard: s.Index(), Node: pl.Node, At: time.Now()})
 
-	raw, spans, err := m.cfg.Cluster.MineRemote(ctx, node, req)
+	raw, spans, err := c.MineRemote(ctx, pl.Node, req)
 	if m.cfg.SpanSink != nil {
 		for _, sd := range spans {
 			m.cfg.SpanSink.ExportSpan(sd)
 		}
 	}
-	if err != nil {
+	var remoteErr *cluster.RemoteError
+	switch {
+	case err == nil:
+	case errors.As(err, &remoteErr) && remoteErr.Exhausted != nil && raw != nil:
+		// A memory-budget stop: rebuilt as the typed error a local run
+		// returns, beside its completed levels.
+		exhausted := new(core.ResourceExhaustedError)
+		if jerr := json.Unmarshal(remoteErr.Exhausted, exhausted); jerr != nil {
+			return nil, err
+		}
+		err = exhausted
+	case errors.As(err, &remoteErr), ctx.Err() != nil:
 		return nil, err
+	default:
+		if !c.Alive(pl.Node) {
+			// The shard is headed back to the queue because its node
+			// died under it.
+			c.NoteShardRequeued()
+		}
+		return nil, corpus.Transient(err)
 	}
 	var res core.Result
 	if err := json.Unmarshal(raw, &res); err != nil {
 		return nil, fmt.Errorf("decoding remote result: %w", err)
 	}
-	return &res, nil
-}
-
-// isClosed reports whether Shutdown has begun — used by publishEnd to tell
-// a drain-cancelled forwarded job from an ordinary user cancellation.
-func (m *Manager) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
+	for _, lv := range res.Levels {
+		p.Progress(lv)
+	}
+	return &res, err
 }

@@ -153,8 +153,8 @@ func TestClusterNodeDeathRequeue(t *testing.T) {
 		ClusterHeartbeat:    150 * time.Millisecond,
 		ClusterSuspectAfter: 1,
 		ClusterDeadAfter:    2,
-		ShardRetryBudget:    5,
-		ShardRetryBackoff:   20 * time.Millisecond,
+		RetryBudget:         5,
+		RetryBackoff:        20 * time.Millisecond,
 	})
 	waitReadyz(t, aTS.URL)
 	clu := aSrv.clu
@@ -326,7 +326,7 @@ func TestClusterForwardedJobShutdownEvent(t *testing.T) {
 		if ev.ev.Job != id {
 			t.Fatalf("shutdown event for job %q, want %q", ev.ev.Job, id)
 		}
-		// The publishEnd path carries the cancelled JobView; the generic
+		// The end publisher carries the cancelled JobView; the generic
 		// broadcaster-close event would carry no state.
 		view, _ := ev.ev.Data.(map[string]any)
 		if view["state"] != "cancelled" {

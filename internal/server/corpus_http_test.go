@@ -49,7 +49,7 @@ func pollCorpus(t *testing.T, base, id string) map[string]any {
 		body := decode(t, resp.Body)
 		resp.Body.Close()
 		switch body["state"] {
-		case "done", "partial", "failed", "cancelled":
+		case "done", "partial", "failed", "cancelled", "resource_exhausted":
 			return body
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -173,7 +173,7 @@ func TestCorpusShardPanicPartial(t *testing.T) {
 	faults := corpustest.NewFaults()
 	faults.SetAttempts(1, 3, corpus.FaultPanic)
 	_, ts := newTestServer(t, Config{
-		Workers: 2, ShardRetryBudget: 3, ShardRetryBackoff: time.Millisecond,
+		Workers: 2, RetryBudget: 3, RetryBackoff: time.Millisecond,
 		ShardFault: faults,
 	})
 
@@ -222,7 +222,7 @@ func TestCorpusTransientRetryObservable(t *testing.T) {
 	faults := corpustest.NewFaults()
 	faults.SetAttempts(0, 2, corpus.FaultError) // attempts 1-2 fail, 3 succeeds
 	_, ts := newTestServer(t, Config{
-		Workers: 2, ShardRetryBudget: 3, ShardRetryBackoff: time.Millisecond,
+		Workers: 2, RetryBudget: 3, RetryBackoff: time.Millisecond,
 		ShardFault: faults,
 	})
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/corpus/corpustest"
 )
 
@@ -233,7 +234,7 @@ func TestSSELiveStream(t *testing.T) {
 	levelHit := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	srv.Manager().OnLevel = func(*Job, core.LevelMetrics) {
+	srv.Manager().OnLevel = func(*corpus.Job, core.LevelMetrics) {
 		once.Do(func() {
 			close(levelHit)
 			<-release
@@ -281,7 +282,7 @@ func TestSSELiveStream(t *testing.T) {
 			if err := json.Unmarshal(raw, &view); err != nil {
 				t.Fatalf("end payload: %v", err)
 			}
-			if view.State != JobDone {
+			if view.State != corpus.StateDone {
 				t.Errorf("end event state = %s, want done", view.State)
 			}
 			if view.Result != nil {
@@ -346,7 +347,7 @@ func TestSSEDisconnectDoesNotBlockJob(t *testing.T) {
 	levelHit := make(chan struct{})
 	release := make(chan struct{})
 	var once sync.Once
-	srv.Manager().OnLevel = func(*Job, core.LevelMetrics) {
+	srv.Manager().OnLevel = func(*corpus.Job, core.LevelMetrics) {
 		once.Do(func() {
 			close(levelHit)
 			<-release

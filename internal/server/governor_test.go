@@ -13,6 +13,7 @@ import (
 
 	"permine/internal/combinat"
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/corpus/corpustest"
 	"permine/internal/mine"
 	"permine/internal/seq"
@@ -80,7 +81,7 @@ func TestManagerResourceExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitTerminal(t, j)
-	if v.State != JobResourceExhausted {
+	if v.State != corpus.StateResourceExhausted {
 		t.Fatalf("state = %s (err %q), want resource_exhausted", v.State, v.Error)
 	}
 	if v.Result == nil || !v.Result.Truncated || len(v.Result.Levels) == 0 {
@@ -118,11 +119,11 @@ func TestBudgetAbortIsolatesConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v := waitTerminal(t, jOver); v.State != JobResourceExhausted {
+	if v := waitTerminal(t, jOver); v.State != corpus.StateResourceExhausted {
 		t.Fatalf("over-budget job = %s (err %q), want resource_exhausted", v.State, v.Error)
 	}
 	vIn := waitTerminal(t, jIn)
-	if vIn.State != JobDone {
+	if vIn.State != corpus.StateDone {
 		t.Fatalf("in-budget job = %s (err %q), want done", vIn.State, vIn.Error)
 	}
 	if len(vIn.Result.Patterns) != len(want.Patterns) {
@@ -150,7 +151,7 @@ func TestGovernorAdmissionLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := waitTerminal(t, j); v.State != JobDone {
+	if v := waitTerminal(t, j); v.State != corpus.StateDone {
 		t.Fatalf("warmup job = %s", v.State)
 	}
 
@@ -168,7 +169,7 @@ func TestGovernorAdmissionLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain job in brownout: %v", err)
 	}
-	if v := waitTerminal(t, j2); v.State != JobDone {
+	if v := waitTerminal(t, j2); v.State != corpus.StateDone {
 		t.Fatalf("brownout job = %s (err %q)", v.State, v.Error)
 	}
 
@@ -181,7 +182,7 @@ func TestGovernorAdmissionLadder(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cached submit while saturated: %v", err)
 	}
-	if v := jHit.Snapshot(); v.State != JobDone || !v.CacheHit {
+	if v := jobView(jHit.Snapshot()); v.State != corpus.StateDone || !v.CacheHit {
 		t.Fatalf("cached submit while saturated: state %s cacheHit %v", v.State, v.CacheHit)
 	}
 
@@ -246,7 +247,7 @@ func TestPersistResourceExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := waitTerminal(t, j)
-	if want.State != JobResourceExhausted {
+	if want.State != corpus.StateResourceExhausted {
 		t.Fatalf("job finished %s, want resource_exhausted", want.State)
 	}
 	w1.Close() // freeze the journal as a crash would
@@ -261,8 +262,8 @@ func TestPersistResourceExhausted(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s not restored", j.ID())
 	}
-	v := got.Snapshot()
-	if v.State != JobResourceExhausted || v.Result == nil || !v.Result.Truncated {
+	v := jobView(got.Snapshot())
+	if v.State != corpus.StateResourceExhausted || v.Result == nil || !v.Result.Truncated {
 		t.Fatalf("restored state %s, result %v", v.State, v.Result)
 	}
 	if v.Note == "" {
@@ -274,7 +275,7 @@ func TestPersistResourceExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j2.Snapshot().CacheHit {
+	if jobView(j2.Snapshot()).CacheHit {
 		t.Error("resource_exhausted result was rewarmed into the cache")
 	}
 	waitTerminal(t, j2)
@@ -303,7 +304,7 @@ func TestRaceBudgetAbortVsCancel(t *testing.T) {
 		}()
 		v := waitTerminal(t, j)
 		<-done
-		if v.State != JobCancelled && v.State != JobResourceExhausted {
+		if v.State != corpus.StateCancelled && v.State != corpus.StateResourceExhausted {
 			t.Fatalf("delay %v: terminal state %s, want cancelled or resource_exhausted", delay, v.State)
 		}
 		// The terminal state is final: neither path may overwrite the other.
@@ -354,7 +355,7 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 			for time.Now().Before(deadline) && !j.State().Terminal() {
 				time.Sleep(2 * time.Millisecond)
 			}
-			states[i] = j.Snapshot()
+			states[i] = jobView(j.Snapshot())
 		}(i)
 	}
 	wg.Wait()
@@ -362,7 +363,7 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("submit %d: %v", i, errs[i])
 		}
-		if states[i].State != JobDone {
+		if states[i].State != corpus.StateDone {
 			t.Fatalf("job %d finished %s (err %q), want done despite the dying disk", i, states[i].State, states[i].Error)
 		}
 	}

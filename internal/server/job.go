@@ -2,13 +2,13 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"encoding/json"
 
 	"permine/internal/cluster"
 	"permine/internal/core"
@@ -19,98 +19,26 @@ import (
 	"permine/internal/server/store"
 )
 
-// JobState is the lifecycle state of a mining job.
-type JobState string
-
-// Job lifecycle states. Transitions: queued → running → {done, failed,
-// cancelled, resource_exhausted}; queued → cancelled directly when a job
-// is cancelled before a worker picks it up; queued → done directly on a
-// cache hit.
+// Every job runs on the internal/corpus engine: a /v1/jobs job is a job
+// of one shard, a /v1/corpus job has one shard per FASTA record. A job's
+// kind names the endpoint that submitted it; the two differ only in data
+// (id prefix, span names, default deadline, per-attempt deadline,
+// admission class) and in their views. A peer job is a unit a cluster
+// coordinator forwarded here: mined once, never re-placed, its events and
+// journal left to the coordinator.
 const (
-	JobQueued    JobState = "queued"
-	JobRunning   JobState = "running"
-	JobDone      JobState = "done"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
-	// JobResourceExhausted marks a run aborted by its memory budget: the
-	// result holds the completed levels only (Truncated set), and unlike
-	// done results it is never cached — a bigger budget might finish.
-	JobResourceExhausted JobState = "resource_exhausted"
+	kindJob    = "job"
+	kindCorpus = "corpus"
+	kindPeer   = "peer"
 )
 
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobDone || s == JobFailed || s == JobCancelled || s == JobResourceExhausted
-}
+// isCorpus reports whether the job was submitted to /v1/corpus.
+func isCorpus(j *corpus.Job) bool { return j.Kind() == kindCorpus }
 
-// Job is one submitted mining run. All mutable state is guarded by mu;
-// handlers read through Snapshot.
-type Job struct {
-	id        string
-	algorithm core.Algorithm
-	seq       *seq.Sequence
-	params    core.Params
-	timeout   time.Duration
-	cacheKey  CacheKey
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// trace is the submit span's context: the parent every later span of
-	// this job (queue, run, persist, per-level) links to, across
-	// goroutines. Zero when the submit was not traced.
-	trace obs.SpanContext
-	// queueSpan covers the queued→picked-up wait; ended by worker pickup
-	// or cancel, whichever comes first (End is idempotent).
-	queueSpan *obs.Span
-	// accepted is the job as Submit accepted it, snapshotted before a
-	// worker can reach it: the submit response, which must read queued
-	// (or done, for a cache hit) however soon a worker starts the job.
-	// Written once by Submit, then only read.
-	accepted JobView
-
-	mu         sync.Mutex
-	state      JobState
-	attempts   int // executions consumed by crash-recovery re-runs
-	createdAt  time.Time
-	startedAt  time.Time
-	finishedAt time.Time
-	levels     []core.LevelMetrics
-	result     *core.Result
-	err        error
-	cacheHit   bool
-	// forwarded marks that the run was handed to a cluster peer; the
-	// drain path uses it to emit "shutdown" (not "end") when shutdown
-	// cancels a job this node never mined itself.
-	forwarded bool
-	note      string
-}
-
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
-// State returns the job's current lifecycle state.
-func (j *Job) State() JobState {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// addLevel records one completed mining level (called from the mining
-// goroutine via Params.Progress) and returns the cumulative level count —
-// the event sequence number. The count, not the pattern length, orders
-// events: the adaptive algorithm restarts pattern lengths every round.
-func (j *Job) addLevel(lm core.LevelMetrics) int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.levels = append(j.levels, lm)
-	return len(j.levels)
-}
-
-// JobView is the JSON representation of a job's state at one instant.
+// JobView is the /v1/jobs representation of a job at one instant.
 type JobView struct {
 	ID         string              `json:"id"`
-	State      JobState            `json:"state"`
+	State      corpus.State        `json:"state"`
 	Algorithm  string              `json:"algorithm"`
 	SeqName    string              `json:"sequence_name"`
 	SeqLen     int                 `json:"sequence_len"`
@@ -126,39 +54,24 @@ type JobView struct {
 	TraceID    string              `json:"trace_id,omitempty"`
 }
 
-// Snapshot renders the job for JSON responses. The result is included only
-// for terminal states.
-func (j *Job) Snapshot() JobView {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	v := JobView{
-		ID:        j.id,
-		State:     j.state,
-		Algorithm: j.algorithm.String(),
-		SeqName:   j.seq.Name(),
-		SeqLen:    j.seq.Len(),
-		CacheHit:  j.cacheHit,
-		Attempts:  j.attempts,
-		CreatedAt: j.createdAt,
-		Progress:  append([]core.LevelMetrics(nil), j.levels...),
-		Note:      j.note,
-		TraceID:   j.trace.TraceID,
+// jobView renders a one-shard job for /v1/jobs: its shard's sequence,
+// progress and result (terminal states only), and the shard's note while
+// the job itself has none.
+func jobView(v corpus.View) JobView {
+	u := v.Shards[0]
+	jv := JobView{
+		ID: v.ID, State: v.State, Algorithm: v.Algorithm,
+		SeqName: u.Name, SeqLen: u.SeqLen, CacheHit: u.CacheHit, Attempts: v.Attempts,
+		CreatedAt: v.CreatedAt, StartedAt: v.StartedAt, FinishedAt: v.FinishedAt,
+		Progress: u.Levels, Error: v.Error, Note: v.Note, TraceID: v.TraceID,
 	}
-	if !j.startedAt.IsZero() {
-		t := j.startedAt
-		v.StartedAt = &t
+	if jv.Note == "" {
+		jv.Note = u.Note
 	}
-	if !j.finishedAt.IsZero() {
-		t := j.finishedAt
-		v.FinishedAt = &t
+	if v.State.Terminal() {
+		jv.Result = u.Result
 	}
-	if j.state.Terminal() {
-		v.Result = j.result
-	}
-	if j.err != nil {
-		v.Error = j.err.Error()
-	}
-	return v
+	return jv
 }
 
 // Errors returned by Manager.Submit and Manager.Cancel.
@@ -179,17 +92,18 @@ var (
 type ManagerConfig struct {
 	// Workers is the number of concurrent mining workers (default 2).
 	Workers int
-	// QueueDepth bounds the number of jobs waiting for a worker
-	// (default 64); submits beyond it fail with ErrQueueFull.
+	// QueueDepth bounds the number of shard attempts waiting for a worker
+	// (default 64); a submit whose first shard does not fit fails with
+	// ErrQueueFull.
 	QueueDepth int
-	// JobTimeout is the per-job deadline once running (default 5m;
-	// negative disables the deadline).
+	// JobTimeout is the default deadline of a /v1/jobs job, counted from
+	// its first attempt (default 5m; negative disables the default).
 	JobTimeout time.Duration
 	// Retain bounds how many finished jobs stay queryable (default 1024);
 	// the oldest terminal jobs are evicted first.
 	Retain int
-	// Cache, when non-nil, short-circuits submits whose key hits and
-	// stores successful results.
+	// Cache, when non-nil, answers submits whose key hits and stores
+	// done results.
 	Cache *Cache
 	// Governor enforces the process-wide memory ceiling and the brownout
 	// admission ladder (default: an unlimited governor that only tracks).
@@ -207,27 +121,24 @@ type ManagerConfig struct {
 	// the no-op in-memory store). Submit returns only after the accepted
 	// job is journaled, so an acknowledged job survives a crash.
 	Store store.Store
-	// RetryBudget bounds how many times a job interrupted by a crash is
-	// re-executed across restarts before being failed (default 3).
+	// RetryBudget bounds both a shard's executions under transient
+	// failures and a job's re-executions after crashes (default 3).
 	RetryBudget int
-	// RetryBackoff is the delay before a recovered job's first
-	// re-execution, doubling per prior attempt and jittered into [d/2, d)
-	// (default 500ms).
+	// RetryBackoff is the delay before a shard's first retry or a
+	// recovered job's first re-execution, doubling per attempt and
+	// jittered into [d/2, d) (default 500ms).
 	RetryBackoff time.Duration
-	// ShardTimeout, ShardRetryBudget and ShardRetryBackoff configure the
-	// corpus engine's per-shard deadline and retry policy (see
-	// corpus.Config; defaults 2m / 3 / 200ms).
-	ShardTimeout      time.Duration
-	ShardRetryBudget  int
-	ShardRetryBackoff time.Duration
-	// CorpusMaxInflight bounds how many shards of one corpus job occupy
-	// the worker pool at once (default 2×Workers).
+	// ShardTimeout is the per-attempt deadline of a /v1/corpus shard
+	// (default 2m; negative disables it).
+	ShardTimeout time.Duration
+	// CorpusMaxInflight bounds how many shards of one job occupy the
+	// worker pool at once (default 2×Workers).
 	CorpusMaxInflight int
 	// ShardFault, when non-nil, injects deterministic shard faults into
-	// the corpus engine (tests and the -shard-fault debug knob).
+	// every attempt (tests).
 	ShardFault corpus.Injector
-	// Cluster, when non-nil, places whole jobs and corpus shards across
-	// the peer ring by cache identity; nil keeps every run local.
+	// Cluster, when non-nil, places every shard across the peer ring by
+	// cache identity; nil keeps every run local.
 	Cluster *cluster.Cluster
 	// ShardDelay stretches every local mining run by a fixed sleep (the
 	// -shard-delay debug knob; cluster chaos tests use it to hold shards
@@ -241,8 +152,8 @@ type ManagerConfig struct {
 	// remote-mine replies (the server passes its trace ring), so forwarded
 	// work's spans land in the coordinator's /v1/traces view.
 	SpanSink obs.Exporter
-	// Events, when non-nil, receives per-level progress and terminal
-	// events for SSE streaming.
+	// Events, when non-nil, receives progress and terminal events for SSE
+	// streaming.
 	Events *Broadcaster
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
@@ -273,6 +184,12 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 500 * time.Millisecond
 	}
+	if c.ShardTimeout == 0 {
+		c.ShardTimeout = 2 * time.Minute
+	}
+	if c.CorpusMaxInflight <= 0 {
+		c.CorpusMaxInflight = 2 * c.Workers
+	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
@@ -280,31 +197,31 @@ func (c ManagerConfig) withDefaults() ManagerConfig {
 }
 
 // Manager runs mining jobs asynchronously on a bounded worker pool with
-// cancellation, per-job progress, timeouts, a result cache, and graceful
-// shutdown. The same pool executes single-sequence jobs and the shard
-// attempts of corpus jobs (the queue carries thunks, not jobs).
+// cancellation, per-level progress, timeouts, a result cache, and graceful
+// shutdown. Every shard attempt — of /v1/jobs and /v1/corpus jobs and of
+// units forwarded by a cluster coordinator — is a task on the same pool.
 type Manager struct {
 	cfg        ManagerConfig
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 	queue      chan func()
+	stop       chan struct{} // closed by Shutdown: workers exit
 	wg         sync.WaitGroup
-	corpus     *corpus.Engine
+	engine     *corpus.Engine
 
-	mu           sync.Mutex
-	jobs         map[string]*Job
-	order        []string // creation order, for retention pruning
-	corpusJobs   map[string]*corpus.Job
-	corpusOrder  []string
-	nextID       uint64
-	nextCorpusID uint64
-	closed       bool
+	mu     sync.Mutex
+	jobs   map[string]*corpus.Job
+	order  []string // creation order, for retention pruning
+	nextID uint64
+	// closed is set by Shutdown under mu; hooks read it without mu, which
+	// they must not take while holding a job's lock.
+	closed atomic.Bool
 
 	// OnLevel, when set before any Submit, is invoked after every
-	// completed mining level of every job, from the mining goroutine. It
-	// exists for tests and future progress streaming; it must not block
-	// for long — the worker waits on it.
-	OnLevel func(j *Job, lm core.LevelMetrics)
+	// completed mining level of every shard mined here, from the mining
+	// goroutine. It exists for tests; it must not block for long — the
+	// worker waits on it.
+	OnLevel func(j *corpus.Job, lm core.LevelMetrics)
 }
 
 // NewManager starts a Manager and its worker pool.
@@ -316,27 +233,23 @@ func NewManager(cfg ManagerConfig) *Manager {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		queue:      make(chan func(), cfg.QueueDepth),
-		jobs:       make(map[string]*Job),
-		corpusJobs: make(map[string]*corpus.Job),
+		stop:       make(chan struct{}),
+		jobs:       make(map[string]*corpus.Job),
 	}
-	maxInflight := cfg.CorpusMaxInflight
-	if maxInflight <= 0 {
-		maxInflight = 2 * cfg.Workers
-	}
-	m.corpus = corpus.NewEngine(corpus.Config{
-		ShardTimeout: cfg.ShardTimeout,
-		RetryBudget:  cfg.ShardRetryBudget,
-		RetryBackoff: cfg.ShardRetryBackoff,
-		MaxInflight:  maxInflight,
+	m.engine = corpus.NewEngine(corpus.Config{
+		RetryBudget:  cfg.RetryBudget,
+		RetryBackoff: cfg.RetryBackoff,
+		MaxInflight:  cfg.CorpusMaxInflight,
 		Run:          m.runShard,
-		Enqueue:      m.enqueueShardTask,
+		Enqueue:      m.offer,
 		Fault:        cfg.ShardFault,
 		Tracer:       cfg.Tracer,
 		Logger:       cfg.Logger,
 		Hooks: corpus.Hooks{
+			Start:      m.onStart,
 			ShardEnd:   m.onShardEnd,
 			ShardRetry: m.onShardRetry,
-			JobEnd:     m.onCorpusEnd,
+			JobEnd:     m.onJobEnd,
 		},
 	})
 	for i := 0; i < cfg.Workers; i++ {
@@ -346,13 +259,13 @@ func NewManager(cfg ManagerConfig) *Manager {
 	return m
 }
 
-// QueueDepth reports the number of jobs waiting for a worker.
+// QueueDepth reports the number of shard attempts waiting for a worker.
 func (m *Manager) QueueDepth() int { return len(m.queue) }
 
 // RetryAfterHint estimates when a shed or queue-full submit is worth
-// retrying: one retry backoff per queued job ahead of the client, clamped
-// to [1s, 60s]. The HTTP layer sends it as the Retry-After header on
-// every 429 rejection.
+// retrying: one retry backoff per queued attempt ahead of the client,
+// clamped to [1s, 60s]. The HTTP layer sends it as the Retry-After header
+// on every 429 rejection.
 func (m *Manager) RetryAfterHint() time.Duration {
 	d := time.Duration(m.QueueDepth()+1) * m.cfg.RetryBackoff
 	if d < time.Second {
@@ -367,133 +280,190 @@ func (m *Manager) RetryAfterHint() time.Duration {
 // Governor exposes the memory governor (heartbeats, metrics, tests).
 func (m *Manager) Governor() *Governor { return m.cfg.Governor }
 
-// Submit registers a mining job. On a cache hit the returned job is
-// already done (State JobDone, CacheHit true); otherwise it is queued.
-// timeout <= 0 uses the manager default. When rctx carries a tracing span
-// (the HTTP request span), the job's submit/queue/run spans join its
-// trace; context.Background() is fine otherwise — rctx does not govern
-// the job's lifetime.
-func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algorithm, params core.Params, timeout time.Duration) (*Job, error) {
-	sctx, span := obs.Start(rctx, "job.submit",
-		obs.KV("algorithm", algo.String()), obs.KV("seq_len", s.Len()))
-	defer span.End()
-	if params.MemoryBudget == 0 {
-		params.MemoryBudget = m.cfg.MemBudget
+// submission is what an endpoint's decoder hands the one submit path.
+type submission struct {
+	kind, prefix, span string // endpoint, id prefix, submit span name
+	name               string
+	seqs               []*seq.Sequence
+	algo               core.Algorithm
+	params             core.Params
+	timeout            time.Duration
+	class              string // admission class ("": admitted already)
+}
+
+// Submit registers a /v1/jobs job: one shard over s. On a cache hit the
+// returned job is already done (its shard's CacheHit set); otherwise it
+// is queued. timeout <= 0 uses the manager default. When rctx carries a
+// tracing span (the HTTP request span), the job's submit/queue/run spans
+// join its trace; context.Background() is fine otherwise — rctx does not
+// govern the job's lifetime.
+func (m *Manager) Submit(rctx context.Context, s *seq.Sequence, algo core.Algorithm, params core.Params, timeout time.Duration) (*corpus.Job, error) {
+	if timeout <= 0 {
+		timeout = m.cfg.JobTimeout
 	}
-	np, err := params.Normalize()
+	return m.submit(rctx, submission{
+		kind: kindJob, prefix: "j", span: "job.submit", seqs: []*seq.Sequence{s},
+		algo: algo, params: params, timeout: timeout, class: shedClass(algo),
+	})
+}
+
+// SubmitCorpus registers a /v1/corpus job: one shard per sequence, mined
+// with the same algorithm and parameters, each attempt bounded by the
+// shard timeout. timeout > 0 bounds the whole job; on expiry it ends with
+// the shards that finished in time.
+func (m *Manager) SubmitCorpus(rctx context.Context, name string, seqs []*seq.Sequence, algo core.Algorithm, params core.Params, timeout time.Duration) (*corpus.Job, error) {
+	// A corpus fans out into many shards: the most expensive admission
+	// class is shed before its cache lookups, the first in brownout.
+	if err := m.admit(shedClassCorpus); err != nil {
+		return nil, err
+	}
+	return m.submit(rctx, submission{
+		kind: kindCorpus, prefix: "c", span: "corpus.job", name: name, seqs: seqs,
+		algo: algo, params: params, timeout: timeout,
+	})
+}
+
+// submit is the one submit path: it accepts the job and counts it.
+func (m *Manager) submit(rctx context.Context, sub submission) (*corpus.Job, error) {
+	sctx, span := obs.Start(rctx, sub.span,
+		obs.KV("algorithm", sub.algo.String()), obs.KV("shards", len(sub.seqs)))
+	defer span.End()
+	j, err := m.accept(sctx, sub)
 	if err != nil {
 		span.RecordError(err)
 		return nil, err
 	}
-	if err := query.ValidateMotif(s.Alphabet(), np.Motif); err != nil {
-		span.RecordError(err)
+	span.SetAttr("job", j.ID())
+	v := j.Accepted()
+	m.transition(j, "", v.State)
+	if v.State.Terminal() {
+		span.SetAttr("cache_hit", true)
+	}
+	m.cfg.Logger.Info("job accepted", "job", j.ID(), "state", string(v.State),
+		"algorithm", sub.algo.String(), "shards", len(sub.seqs))
+	return j, nil
+}
+
+// accept validates a submission, looks every shard up in the result
+// cache, and journals and registers the job: done at once when every
+// shard is answered there, else admitted and started. Admission runs
+// after the lookups on purpose: cached-derivable work keeps serving
+// through brownout; only work that would charge new mining memory is
+// shed. The manager lock covers only the id and the registration; the
+// submit record is written from inside Engine.Start, before a worker can
+// touch the job, so it precedes every later record of the job, and a
+// submit the full queue refuses leaves no record.
+func (m *Manager) accept(sctx context.Context, sub submission) (*corpus.Job, error) {
+	if sub.params.MemoryBudget == 0 {
+		sub.params.MemoryBudget = m.cfg.MemBudget
+	}
+	np, err := sub.params.Normalize()
+	if err == nil && len(sub.seqs) > 0 {
+		err = query.ValidateMotif(sub.seqs[0].Alphabet(), np.Motif)
+	}
+	if err != nil {
 		return nil, err
 	}
-	if timeout <= 0 {
-		timeout = m.cfg.JobTimeout
+	answers := make([]*core.Result, len(sub.seqs))
+	notes := make([]string, len(sub.seqs))
+	pending := false
+	for i, s := range sub.seqs {
+		var ok bool
+		if answers[i], notes[i], ok = m.lookup(s, sub.algo, np); !ok {
+			pending = true
+		}
 	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j := &Job{
-		algorithm: algo,
-		seq:       s,
-		params:    np,
-		timeout:   timeout,
-		cacheKey:  KeyFor(s, algo, np),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     JobQueued,
-		createdAt: time.Now(),
-		trace:     span.Context(),
+	if pending && sub.class != "" {
+		if err := m.admit(sub.class); err != nil {
+			return nil, err
+		}
 	}
-
 	m.mu.Lock()
-	if m.closed {
+	if m.closed.Load() {
 		m.mu.Unlock()
-		cancel()
-		span.RecordError(ErrShuttingDown)
 		return nil, ErrShuttingDown
 	}
 	m.nextID++
-	j.id = fmt.Sprintf("j-%06d", m.nextID)
-	span.SetAttr("job", j.id)
-
-	if m.cfg.Cache != nil {
-		// Subsumption derivation: a plain full-mine cached at another
-		// threshold answers this job by filtering when query.FromCached
-		// proves the filtered result identical to a fresh run.
-		var derive func(*core.Result) (*core.Result, bool)
-		if !m.cfg.DisableSubsumption {
-			derive = func(cached *core.Result) (*core.Result, bool) {
-				return query.FromCached(cached, np)
-			}
-		}
-		if res, subsumed, ok := m.cfg.Cache.Lookup(j.cacheKey, derive); ok {
-			j.state = JobDone
-			j.cacheHit = true
-			j.result = res
-			j.levels = append([]core.LevelMetrics(nil), res.Levels...)
-			if subsumed {
-				j.note = "derived from a cached result at another threshold (subsumption)"
-				// Store the derivation under its exact key so the next
-				// identical query hits without re-filtering.
-				m.cfg.Cache.Put(j.cacheKey, res)
-			}
-			now := time.Now()
-			j.startedAt, j.finishedAt = now, now
-			j.accepted = j.Snapshot()
-			m.register(j)
-			rec := recordForJob(j)
-			m.mu.Unlock()
-			cancel()
-			span.SetAttr("cache_hit", true)
-			span.SetAttr("cache_subsumed", subsumed)
-			m.cfg.Store.AppendSubmit(rec)
-			m.transition("", JobDone)
-			m.cfg.Logger.Info("job cache hit", "job", j.id, "algorithm", algo.String(), "seq_len", s.Len(), "subsumed", subsumed)
-			return j, nil
-		}
+	id := fmt.Sprintf("%s-%06d", sub.prefix, m.nextID)
+	m.mu.Unlock()
+	var queue *obs.Span
+	if pending {
+		_, queue = obs.Start(sctx, "job.queue", obs.KV("job", id))
 	}
-
-	// Admission runs after the cache lookup on purpose: cached-derivable
-	// queries keep serving through brownout; only work that would charge
-	// new mining memory is shed.
-	if err := m.admit(shedClass(algo)); err != nil {
-		m.mu.Unlock()
-		cancel()
-		span.RecordError(err)
+	j, err := m.newJob(sub.kind, corpus.Spec{
+		ID: id, Name: sub.name, Algorithm: sub.algo, Params: np, Seqs: sub.seqs,
+		Trace: obs.FromContext(sctx).Context(), Queue: queue, Timeout: sub.timeout,
+	})
+	if err != nil {
+		queue.End()
 		return nil, err
 	}
-
-	// Render the durable record before a worker can touch the job; it is
-	// journaled after the enqueue so ErrQueueFull leaves no trace. A crash
-	// in between re-runs at most this one job's already-finished work (the
-	// replay ignores out-of-order transitions for unknown jobs).
-	rec := recordForJob(j)
-	j.accepted = j.Snapshot()
-	_, j.queueSpan = obs.Start(sctx, "job.queue", obs.KV("job", j.id))
-	select {
-	case m.queue <- func() { m.runJob(j) }:
-	default:
-		m.mu.Unlock()
-		cancel()
-		j.queueSpan.RecordError(ErrQueueFull)
-		j.queueSpan.End()
-		span.RecordError(ErrQueueFull)
+	for i, res := range answers {
+		if res != nil {
+			j.AnswerShard(i, res, notes[i])
+		}
+	}
+	journal := func(v corpus.View) { m.cfg.Store.AppendSubmit(record(j, v)) }
+	if j.Finish() {
+		journal(j.Accepted())
+	} else if !m.engine.Start(j, journal) {
+		m.engine.Interrupt(j)
+		queue.RecordError(ErrQueueFull)
+		queue.End()
 		return nil, ErrQueueFull
 	}
+	m.mu.Lock()
 	m.register(j)
+	closed := m.closed.Load()
 	m.mu.Unlock()
-	m.cfg.Store.AppendSubmit(rec)
-	m.transition("", JobQueued)
-	m.cfg.Logger.Info("job queued", "job", j.id, "algorithm", algo.String(), "seq_len", s.Len())
+	if closed {
+		m.drain(j) // Shutdown began after the id was taken
+	}
 	return j, nil
+}
+
+// newJob builds a job of the given kind under the manager's base
+// context; the kind picks its attempt span and per-attempt deadline.
+func (m *Manager) newJob(kind string, spec corpus.Spec) (*corpus.Job, error) {
+	spec.Kind, spec.Span = kind, "job.run"
+	if kind == kindCorpus {
+		spec.Span, spec.ShardTimeout = "corpus.shard", m.cfg.ShardTimeout
+	}
+	spec.Ctx, spec.Cancel = context.WithCancel(m.baseCtx)
+	j, err := corpus.NewJob(spec)
+	if err != nil {
+		spec.Cancel()
+	}
+	return j, err
+}
+
+// lookup answers one shard from the result cache: an exact hit, or —
+// unless subsumption is off — a plain full mine cached at another
+// threshold that query.FromCached proves identical to a fresh run. A
+// derivation is stored under its exact key so the next identical query
+// hits without re-filtering.
+func (m *Manager) lookup(s *seq.Sequence, algo core.Algorithm, p core.Params) (*core.Result, string, bool) {
+	if m.cfg.Cache == nil {
+		return nil, "", false
+	}
+	var derive func(*core.Result) (*core.Result, bool)
+	if !m.cfg.DisableSubsumption {
+		derive = func(cached *core.Result) (*core.Result, bool) { return query.FromCached(cached, p) }
+	}
+	key := KeyFor(s, algo, p)
+	res, subsumed, ok := m.cfg.Cache.Lookup(key, derive)
+	if !ok || !subsumed {
+		return res, "", ok
+	}
+	m.cfg.Cache.Put(key, res)
+	return res, "derived from a cached result at another threshold (subsumption)", true
 }
 
 // register indexes the job and prunes old terminal jobs beyond the
 // retention bound. Caller holds m.mu.
-func (m *Manager) register(j *Job) {
-	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+func (m *Manager) register(j *corpus.Job) {
+	m.jobs[j.ID()] = j
+	m.order = append(m.order, j.ID())
 	if len(m.jobs) <= m.cfg.Retain {
 		return
 	}
@@ -513,242 +483,118 @@ func (m *Manager) register(j *Job) {
 }
 
 // Get returns the job with the given id.
-func (m *Manager) Get(id string) (*Job, bool) {
+func (m *Manager) Get(id string) (*corpus.Job, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j, ok := m.jobs[id]
 	return j, ok
 }
 
-// Jobs returns snapshots of every retained job, newest first.
-func (m *Manager) Jobs() []JobView {
+// Jobs returns every retained job, newest first.
+func (m *Manager) Jobs() []*corpus.Job {
 	m.mu.Lock()
-	ordered := make([]*Job, 0, len(m.jobs))
+	defer m.mu.Unlock()
+	out := make([]*corpus.Job, 0, len(m.jobs))
 	for i := len(m.order) - 1; i >= 0; i-- {
 		if j, ok := m.jobs[m.order[i]]; ok {
-			ordered = append(ordered, j)
+			out = append(out, j)
 		}
 	}
-	m.mu.Unlock()
-	views := make([]JobView, len(ordered))
-	for i, j := range ordered {
-		views[i] = j.Snapshot()
-	}
-	return views
+	return out
 }
 
-// Cancel cancels a queued or running job. The job flips to cancelled
-// immediately from the caller's point of view; a running worker observes
-// the context at the next level or candidate-batch boundary and its
-// (partial) output is discarded.
-func (m *Manager) Cancel(id string) (*Job, error) {
+// Cancel cancels a queued or running job. The job reads cancelled as
+// soon as its outcome is journaled; running attempts observe the context
+// at the next level or candidate-batch boundary and their output is
+// discarded.
+func (m *Manager) Cancel(id string) (*corpus.Job, error) {
 	j, ok := m.Get(id)
 	if !ok {
 		return nil, ErrJobNotFound
 	}
-	j.mu.Lock()
-	if j.state.Terminal() {
-		j.mu.Unlock()
+	if !m.engine.Cancel(j) {
 		return j, ErrJobFinished
 	}
-	from := j.state
-	j.state = JobCancelled
-	j.finishedAt = time.Now()
-	j.err = context.Canceled
-	finishedAt := j.finishedAt
-	j.mu.Unlock()
-	j.cancel()
-	j.queueSpan.End() // cancelled while queued: the wait is over
-	m.cfg.Store.AppendOutcome(j.id, store.Outcome{
-		State: string(JobCancelled), Error: context.Canceled.Error(), FinishedAt: finishedAt,
-	})
-	m.transition(from, JobCancelled)
-	m.publishEnd(j)
-	m.cfg.Logger.Info("job cancelled", "job", id, "was", string(from))
+	m.cfg.Logger.Info("job cancelled", "job", id)
 	return j, nil
 }
 
-// publishEnd pushes the job's terminal "end" event and closes its event
-// streams. The result is stripped (it can be megabytes; stream clients
-// fetch GET /v1/jobs/{id} for it) and Seq carries the level count so
-// subscribers can tell a complete stream from a truncated one.
-//
-// A cluster-forwarded job cancelled by drain gets "shutdown" instead:
-// this node never mined it, so clients subscribed here must learn the
-// daemon is going away (and should re-poll elsewhere), not that the job
-// reached a real terminal state.
-func (m *Manager) publishEnd(j *Job) {
-	if m.cfg.Events == nil {
-		return
-	}
-	v := j.Snapshot()
-	seq := len(v.Progress)
-	v.Result, v.Progress = nil, nil
-	typ := "end"
-	j.mu.Lock()
-	forwarded := j.forwarded
-	j.mu.Unlock()
-	if forwarded && v.State == JobCancelled && m.isClosed() {
-		typ = "shutdown"
-	}
-	m.cfg.Events.EndJob(Event{Type: typ, Job: j.id, Seq: seq, Data: v})
-}
-
-// worker drains the queue until Shutdown closes it. Tasks are thunks:
-// single-sequence job runs and corpus shard attempts share the pool.
+// worker runs pool tasks — shard attempts of every job — until Shutdown.
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for task := range m.queue {
-		task()
+	for {
+		select {
+		case <-m.stop:
+			return
+		case task := <-m.queue:
+			task()
+		}
 	}
 }
 
-// enqueueShardTask schedules one corpus shard attempt on the worker pool.
-// It never blocks the corpus engine: a full queue retries shortly (shard
-// attempts, unlike submits, must not be rejected — admission control
-// happened at corpus submit), and a closed manager drops the task (the
-// journal still has the corpus job running, so the next boot resumes it).
-func (m *Manager) enqueueShardTask(task func()) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return
-	}
+// offer queues one task without blocking; false means the queue is full.
+func (m *Manager) offer(task func()) bool {
 	select {
 	case m.queue <- task:
-		m.mu.Unlock()
+		return true
 	default:
-		m.mu.Unlock()
-		time.AfterFunc(25*time.Millisecond, func() { m.enqueueShardTask(task) })
+		return false
 	}
 }
 
-// runJob executes one dequeued job to a terminal state.
-func (m *Manager) runJob(j *Job) {
-	j.mu.Lock()
-	if j.state != JobQueued { // cancelled while queued
-		j.mu.Unlock()
-		return
+// runShard is the one runner behind every shard attempt, a forwarded
+// unit's included: it looks the shard up in the result cache (except on
+// a job's first attempt, right after its submit looked), places it on
+// the cluster ring, mines it here or on its peer, and caches a done
+// result before the attempt settles — so a client that sees the job done
+// and resubmits at once gets a hit.
+func (m *Manager) runShard(ctx context.Context, j *corpus.Job, s *corpus.Shard) (*core.Result, error) {
+	p := j.Params()
+	if s.Attempts() > 1 || j.Attempts() > 0 {
+		if res, _, ok := m.lookup(s.Seq(), j.Algorithm(), p); ok {
+			return res, nil
+		}
 	}
-	j.state = JobRunning
-	j.startedAt = time.Now()
-	startedAt, attempts := j.startedAt, j.attempts
-	j.mu.Unlock()
-	j.queueSpan.End() // picked up: the queue wait is over
-	m.cfg.Store.AppendState(j.id, string(JobRunning), attempts, startedAt)
-	m.transition(JobQueued, JobRunning)
-
-	ctx := j.ctx
-	var cancelTimeout context.CancelFunc
-	if j.timeout > 0 {
-		ctx, cancelTimeout = context.WithTimeout(ctx, j.timeout)
-		defer cancelTimeout()
-	}
-	// The run span links to the submit span recorded at Submit time: the
-	// worker goroutine re-joins the submitting request's trace, and the
-	// run context carries the span so internal/mine's per-level spans
-	// nest under it.
-	runCtx, runSpan := m.cfg.Tracer.StartLink(ctx, j.trace, "job.run",
-		obs.KV("job", j.id), obs.KV("algorithm", j.algorithm.String()))
-	p := j.params
 	p.Progress = func(lm core.LevelMetrics) {
-		seq := j.addLevel(lm)
-		if m.cfg.Events != nil {
-			m.cfg.Events.Publish(Event{Type: "level", Job: j.id, Seq: seq, Data: lm})
+		n := j.AddLevel(s, lm)
+		if j.Kind() == kindJob && m.cfg.Events != nil {
+			m.cfg.Events.Publish(Event{Type: "level", Job: j.ID(), Seq: n, Data: lm})
 		}
 		if m.OnLevel != nil {
 			m.OnLevel(j, lm)
 		}
 	}
-
-	start := time.Now()
-	res, err := m.mineJob(runCtx, j, p)
-	elapsed := time.Since(start)
-
-	final, result, note, jobErr := j.outcome(res, err)
-	// A done result enters the cache before the job reads as terminal, so
-	// a client that sees "done" and resubmits at once gets a hit. A cancel
-	// that wins the race below leaves a correct entry behind.
-	if final == JobDone && m.cfg.Cache != nil && !j.State().Terminal() {
-		m.cfg.Cache.Put(j.cacheKey, result)
+	key := KeyFor(s.Seq(), j.Algorithm(), p)
+	var res *core.Result
+	var err error
+	var pl cluster.Placement
+	if c := m.cfg.Cluster; c != nil && j.Kind() != kindPeer {
+		if pl = c.Place(key.ID.SeqHash[:]); pl.Node == "" {
+			// A local placement is journaled too, so a restarted
+			// coordinator can tell self-owned shards from orphans.
+			m.cfg.Store.AppendAssign(j.ID(), store.AssignRecord{Shard: s.Index(), Node: c.Self(), At: time.Now()})
+		}
 	}
-
-	j.mu.Lock()
-	if j.state.Terminal() {
-		// Cancel won the race: the job is already cancelled from the
-		// client's point of view; discard whatever the run produced.
-		j.mu.Unlock()
-		runSpan.RecordError(context.Canceled)
-		runSpan.End()
-		return
+	if pl.Node != "" {
+		res, err = m.forward(ctx, j, s, p, pl)
+	} else {
+		res, err = m.mineLocal(ctx, j.Algorithm(), s.Seq(), p)
 	}
-	j.finishedAt = time.Now()
-	j.state, j.result, j.err = final, result, jobErr
-	if note != "" {
-		j.note = note
+	if state, _, _ := corpus.Outcome(res, err); state == corpus.ShardDone && res != nil && m.cfg.Cache != nil {
+		m.cfg.Cache.Put(key, res)
 	}
-	out := store.Outcome{State: string(final), Note: j.note, FinishedAt: j.finishedAt}
-	if j.result != nil {
-		out.Result, _ = json.Marshal(j.result)
-	}
-	if j.err != nil {
-		out.Error = j.err.Error()
-	}
-	finalErr := j.err
-	// Journal the outcome before the job reads as terminal, so a job a
-	// client saw finish is never requeued by a restart. A Cancel racing
-	// this waits on j.mu and then finds the job finished.
-	_, persistSpan := obs.Start(runCtx, "job.persist", obs.KV("job", j.id))
-	m.cfg.Store.AppendOutcome(j.id, out)
-	persistSpan.End()
-	j.mu.Unlock()
-
-	runSpan.SetAttr("state", string(final))
-	if res != nil {
-		runSpan.SetAttr("patterns", len(res.Patterns))
-		runSpan.SetAttr("levels", len(res.Levels))
-	}
-	runSpan.RecordError(finalErr)
-	runSpan.End()
-	m.transition(JobRunning, final)
-	m.publishEnd(j)
-	m.cfg.Logger.Info("job finished", "job", j.id, "state", string(final), "elapsed", elapsed)
+	return res, err
 }
 
-// outcome classifies a finished run: the job's terminal state, the result
-// and error it reports, and a note (empty for none).
-func (j *Job) outcome(res *core.Result, err error) (final JobState, result *core.Result, note string, jobErr error) {
-	var exhausted *core.ResourceExhaustedError
-	switch {
-	case err == nil:
-		return JobDone, res, "", nil
-	case res != nil && errors.As(err, &exhausted):
-		// Memory budget abort: a distinct terminal state carrying the
-		// completed-levels partial result, excluded from the cache.
-		return JobResourceExhausted, res,
-			fmt.Sprintf("memory budget exhausted at level %d; completed levels only", exhausted.Level), err
-	case res != nil && errors.Is(err, core.ErrBudgetExceeded):
-		// The enumeration baseline reports a valid truncated result.
-		return JobDone, res, "candidate budget exhausted; completed levels only", nil
-	case errors.Is(err, context.Canceled):
-		return JobCancelled, nil, "", err
-	case errors.Is(err, context.DeadlineExceeded):
-		return JobFailed, nil, "", fmt.Errorf("job timeout %v exceeded: %w", j.timeout, err)
-	default:
-		return JobFailed, nil, "", err
-	}
-}
-
-// mineLocal is the one place this node mines: runJob, runShard and
-// MineForPeer all come here, so each mine is counted once, on the node that
-// ran it. It waits out the ShardDelay debug knob, charges the run to its
-// own governor tracker (bounded by the run's memory budget, so one
-// over-budget job or shard exhausts its own budget instead of the node's
-// memory), mines through the query layer (plain, top-K and targeted jobs
-// alike), counts each level's PIL joins as the level completes, and records
-// the run's latency unless it was cancelled. The tracker is released before
-// mineLocal returns, so a client that sees the job finish and resubmits is
-// not shed for this run's bytes.
+// mineLocal is the one place this node mines, so each mine is counted
+// once, on the node that ran it. It waits out the ShardDelay debug knob,
+// charges the run to its own governor tracker (bounded by the run's
+// memory budget, so one over-budget shard exhausts its own budget instead
+// of the node's memory), mines through the query layer (plain, top-K and
+// targeted jobs alike), counts each level's PIL joins as the level
+// completes, and records the run's latency unless it was cancelled. The
+// tracker is released before mineLocal returns, so a client that sees the
+// job finish and resubmits is not shed for this run's bytes.
 func (m *Manager) mineLocal(ctx context.Context, algo core.Algorithm, s *seq.Sequence, p core.Params) (*core.Result, error) {
 	if d := m.cfg.ShardDelay; d > 0 {
 		select {
@@ -778,26 +624,124 @@ func (m *Manager) mineLocal(ctx context.Context, algo core.Algorithm, s *seq.Seq
 	return res, err
 }
 
-// transition forwards a state change to metrics.
-func (m *Manager) transition(from, to JobState) {
+// onStart journals a job's move to running and counts it.
+func (m *Manager) onStart(j *corpus.Job) {
+	m.cfg.Store.AppendState(j.ID(), string(corpus.StateRunning), j.Attempts(), time.Now())
+	m.transition(j, corpus.StateQueued, corpus.StateRunning)
+}
+
+// onShardRetry surfaces one scheduled retry: streamed as a "retry" SSE
+// event, and for a corpus shard counted (with its backoff) in metrics.
+func (m *Manager) onShardRetry(j *corpus.Job, s *corpus.Shard, attempt int, err error, delay time.Duration) {
+	if isCorpus(j) && m.cfg.Metrics != nil {
+		m.cfg.Metrics.CorpusRetry(delay)
+	}
+	m.cfg.Events.Publish(Event{Type: "retry", Job: j.ID(), Seq: s.Index() + 1, Data: map[string]any{
+		"shard":      s.Index(),
+		"attempt":    attempt,
+		"error":      err.Error(),
+		"backoff_ms": delay.Milliseconds(),
+	}})
+}
+
+// onShardEnd checkpoints a corpus shard — the resume point a SIGKILL'd
+// corpus restarts from; the engine holds the job until it returns, so a
+// shard reads done only once checkpointed — counts its outcome and
+// streams it as a "shard" event. A /v1/jobs job's only shard needs none
+// of that: its job's outcome record and end event follow at once.
+func (m *Manager) onShardEnd(_ context.Context, j *corpus.Job, s *corpus.Shard) {
+	if !isCorpus(j) {
+		return
+	}
+	sv := s.View()
+	m.cfg.Store.AppendShard(j.ID(), checkpoint(sv))
 	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.JobTransition(from, to)
+		m.cfg.Metrics.CorpusShard(string(sv.State))
+	}
+	m.cfg.Events.Publish(Event{Type: "shard", Job: j.ID(), Seq: s.Index() + 1, Data: sv})
+}
+
+// onJobEnd is the one end-of-job publisher: it journals the outcome
+// (inside the attempt's span when an attempt ended the job), counts the
+// transition and ends the job's event streams. The engine holds the job
+// until it returns, so a job reads terminal only once its outcome is
+// durable and a restart never requeues a job a client saw finish.
+func (m *Manager) onJobEnd(ctx context.Context, j *corpus.Job, v corpus.View) {
+	out := store.Outcome{State: string(v.State), Note: v.Note, Error: v.Error, Result: resultJSON(j, v)}
+	if v.FinishedAt != nil {
+		out.FinishedAt = *v.FinishedAt
+	}
+	_, span := obs.Start(ctx, "job.persist", obs.KV("job", v.ID))
+	m.cfg.Store.AppendOutcome(v.ID, out)
+	span.End()
+	from := corpus.StateQueued
+	if v.StartedAt != nil {
+		from = corpus.StateRunning
+	}
+	m.transition(j, from, v.State)
+	typ := "end"
+	if v.State == corpus.StateCancelled && m.closed.Load() {
+		typ = "shutdown"
+	}
+	m.cfg.Events.EndJob(endEvent(j, v, typ))
+}
+
+// endEvent renders a job's final event — "end", or "shutdown" for a job
+// the daemon's drain interrupted — in its endpoint's view: the result
+// stripped (it can be megabytes; stream clients fetch it with
+// GET), and Seq the count of progress events before it, so subscribers
+// can tell a complete stream from a truncated one.
+func endEvent(j *corpus.Job, v corpus.View, typ string) Event {
+	if isCorpus(j) {
+		cv := corpusView(v)
+		cv.Result, cv.Shards = nil, nil
+		return Event{Type: typ, Job: v.ID, Seq: v.ShardsDone + v.ShardsFailed, Data: cv}
+	}
+	jv := jobView(v)
+	seq := len(jv.Progress)
+	jv.Result, jv.Progress = nil, nil
+	return Event{Type: typ, Job: v.ID, Seq: seq, Data: jv}
+}
+
+// resultJSON renders a terminal job's result for its outcome record: the
+// merged result of a corpus, the shard's own result of a /v1/jobs job.
+func resultJSON(j *corpus.Job, v corpus.View) json.RawMessage {
+	var res any
+	switch {
+	case !v.State.Terminal():
+		return nil
+	case isCorpus(j):
+		res = v.Merge()
+	case v.Shards[0].Result != nil:
+		res = v.Shards[0].Result
+	default:
+		return nil
+	}
+	b, _ := json.Marshal(res)
+	return b
+}
+
+// transition forwards a state change to the job's metric family.
+func (m *Manager) transition(j *corpus.Job, from, to corpus.State) {
+	if m.cfg.Metrics != nil {
+		m.cfg.Metrics.JobTransition(isCorpus(j), from, to)
 	}
 }
 
-// Shutdown stops accepting jobs, cancels queued and running work, and
-// waits (up to ctx) for workers to drain.
+// Shutdown stops accepting jobs, drains the queued and running ones, and
+// waits (up to ctx) for the workers to finish.
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
-	if m.closed {
+	if m.closed.Swap(true) {
 		m.mu.Unlock()
 		return nil
 	}
-	m.closed = true
-	close(m.queue)
 	m.mu.Unlock()
-
-	m.baseCancel() // cancels every job context
+	for _, j := range m.Jobs() {
+		m.drain(j)
+	}
+	close(m.stop)
+	m.baseCancel()
 	done := make(chan struct{})
 	go func() {
 		m.wg.Wait()
@@ -808,5 +752,17 @@ func (m *Manager) Shutdown(ctx context.Context) error {
 		return nil
 	case <-ctx.Done():
 		return fmt.Errorf("server: shutdown timed out: %w", ctx.Err())
+	}
+}
+
+// drain ends a job's run for the daemon's shutdown, its stream closing
+// with a "shutdown" event. A /v1/jobs job is cancelled, journaled as any
+// cancel is; a corpus is interrupted instead — it stays running, its
+// checkpoints kept, and the next boot resumes it.
+func (m *Manager) drain(j *corpus.Job) {
+	if !isCorpus(j) {
+		m.engine.Cancel(j)
+	} else if v, ok := m.engine.Interrupt(j); ok {
+		m.cfg.Events.EndJob(endEvent(j, v, "shutdown"))
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"permine/internal/combinat"
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/corpus/corpustest"
 	"permine/internal/gen"
 	"permine/internal/mine"
@@ -36,12 +37,12 @@ func genomeSeq(t *testing.T, length int, seed uint64) *seq.Sequence {
 }
 
 // waitTerminal polls until the job reaches a terminal state.
-func waitTerminal(t *testing.T, j *Job) JobView {
+func waitTerminal(t *testing.T, j *corpus.Job) JobView {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
 		if j.State().Terminal() {
-			return j.Snapshot()
+			return jobView(j.Snapshot())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -75,7 +76,7 @@ func TestManagerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := waitTerminal(t, j)
-	if v.State != JobDone {
+	if v.State != corpus.StateDone {
 		t.Fatalf("state = %s (err %q), want done", v.State, v.Error)
 	}
 	if len(v.Progress) == 0 || v.Result == nil {
@@ -112,11 +113,11 @@ func TestManagerCacheHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	v1 := waitTerminal(t, j1)
-	if v1.State != JobDone || v1.CacheHit {
+	if v1.State != corpus.StateDone || v1.CacheHit {
 		t.Fatalf("first run: state %s cacheHit %v, want done/false", v1.State, v1.CacheHit)
 	}
 	// The submit response is the job as accepted, whatever it became.
-	if a := j1.accepted; a.State != JobQueued || a.CacheHit || a.Result != nil {
+	if a := jobView(j1.Accepted()); a.State != corpus.StateQueued || a.CacheHit || a.Result != nil {
 		t.Fatalf("first run accepted as %s (cacheHit %v, result %v), want queued with no result", a.State, a.CacheHit, a.Result != nil)
 	}
 
@@ -124,11 +125,11 @@ func TestManagerCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := j2.Snapshot() // no waiting: cache hits are terminal at submit
-	if v2.State != JobDone || !v2.CacheHit {
+	v2 := jobView(j2.Snapshot()) // no waiting: cache hits are terminal at submit
+	if v2.State != corpus.StateDone || !v2.CacheHit {
 		t.Fatalf("second run: state %s cacheHit %v, want done/true", v2.State, v2.CacheHit)
 	}
-	if a := j2.accepted; a.State != JobDone || !a.CacheHit || a.Result == nil {
+	if a := jobView(j2.Accepted()); a.State != corpus.StateDone || !a.CacheHit || a.Result == nil {
 		t.Fatalf("second run accepted as %s (cacheHit %v, result %v), want done with the cached result", a.State, a.CacheHit, a.Result != nil)
 	}
 	if st := cache.Stats(); st.Hits != 1 {
@@ -147,7 +148,7 @@ func TestManagerCancelRunning(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{Workers: 1})
 	levelHit := make(chan struct{}, 1)
 	release := make(chan struct{})
-	m.OnLevel = func(j *Job, lm core.LevelMetrics) {
+	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
 		select {
 		case levelHit <- struct{}{}:
 		default:
@@ -169,13 +170,13 @@ func TestManagerCancelRunning(t *testing.T) {
 	if _, err := m.Cancel(j.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if got := j.State(); got != JobCancelled {
+	if got := j.State(); got != corpus.StateCancelled {
 		t.Fatalf("state immediately after cancel = %s, want cancelled", got)
 	}
 	close(release)
 
 	v := waitTerminal(t, j)
-	if v.State != JobCancelled || v.Result != nil {
+	if v.State != corpus.StateCancelled || v.Result != nil {
 		t.Fatalf("state %s result %v, want cancelled with no result", v.State, v.Result)
 	}
 	// The worker observed cancellation at the next boundary: at most the
@@ -197,7 +198,7 @@ func TestManagerQueueFull(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{Workers: 1, QueueDepth: 1})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
-	m.OnLevel = func(j *Job, lm core.LevelMetrics) {
+	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -225,7 +226,7 @@ func TestManagerShutdownCancelsWork(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	m := NewManager(ManagerConfig{Workers: 1, Logger: quietLogger()})
 	s := genomeSeq(t, 500, 3)
-	var jobs []*Job
+	var jobs []*corpus.Job
 	for i := 0; i < 4; i++ {
 		j, err := m.Submit(context.Background(), s, core.AlgoMPP, miningParams(), 0)
 		if err != nil {
@@ -293,7 +294,7 @@ func TestManagerConcurrentLoad(t *testing.T) {
 				case 1:
 					m.Cancel(j.ID())
 				default:
-					j.Snapshot()
+					jobView(j.Snapshot())
 					m.Jobs()
 					metrics.Snapshot(cache)
 				}
@@ -303,11 +304,7 @@ func TestManagerConcurrentLoad(t *testing.T) {
 	wg.Wait()
 
 	// Every job must eventually reach a terminal state.
-	for _, v := range m.Jobs() {
-		j, ok := m.Get(v.ID)
-		if !ok {
-			continue
-		}
+	for _, j := range m.Jobs() {
 		waitTerminal(t, j)
 	}
 	snap := metrics.Snapshot(cache)
@@ -359,7 +356,7 @@ func TestManagerCancelQueued(t *testing.T) {
 	m := newTestManager(t, ManagerConfig{Workers: 1})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
-	m.OnLevel = func(j *Job, lm core.LevelMetrics) {
+	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
 		select {
 		case started <- struct{}{}:
 		default:
@@ -380,15 +377,15 @@ func TestManagerCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := j2.State(); got != JobQueued {
+	if got := j2.State(); got != corpus.StateQueued {
 		t.Fatalf("second job state = %s, want queued", got)
 	}
 	if _, err := m.Cancel(j2.ID()); err != nil {
 		t.Fatal(err)
 	}
 	// Terminal at once — nothing to drain, no worker involved.
-	v2 := j2.Snapshot()
-	if v2.State != JobCancelled || v2.Result != nil || v2.StartedAt != nil {
+	v2 := jobView(j2.Snapshot())
+	if v2.State != corpus.StateCancelled || v2.Result != nil || v2.StartedAt != nil {
 		t.Fatalf("cancelled-while-queued job = %+v, want cancelled, never started", v2)
 	}
 	if len(v2.Progress) != 0 {
@@ -398,8 +395,7 @@ func TestManagerCancelQueued(t *testing.T) {
 	// Release the worker: j1 finishes and the freed slot must go to new
 	// work, not to the cancelled job.
 	close(release)
-	m.OnLevel = nil
-	if v1 := waitTerminal(t, j1); v1.State != JobDone {
+	if v1 := waitTerminal(t, j1); v1.State != corpus.StateDone {
 		t.Fatalf("first job finished %s", v1.State)
 	}
 	p3 := miningParams()
@@ -408,10 +404,10 @@ func TestManagerCancelQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v3 := waitTerminal(t, j3); v3.State != JobDone {
+	if v3 := waitTerminal(t, j3); v3.State != corpus.StateDone {
 		t.Fatalf("third job finished %s, want done (slot must be free)", v3.State)
 	}
-	if got := j2.State(); got != JobCancelled {
+	if got := j2.State(); got != corpus.StateCancelled {
 		t.Errorf("cancelled job resurrected to %s", got)
 	}
 }
@@ -437,7 +433,7 @@ func TestManagerCancelRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		wg.Add(1)
-		go func(j *Job) {
+		go func(j *corpus.Job) {
 			defer wg.Done()
 			m.Cancel(j.ID()) // races the worker dequeuing this very job
 			// Poll to terminal without waitTerminal: t.Fatal is not
@@ -450,13 +446,13 @@ func TestManagerCancelRace(t *testing.T) {
 				}
 				time.Sleep(time.Millisecond)
 			}
-			v := j.Snapshot()
+			v := jobView(j.Snapshot())
 			switch v.State {
-			case JobCancelled:
+			case corpus.StateCancelled:
 				if v.Result != nil {
 					t.Errorf("job %s cancelled but has a result", v.ID)
 				}
-			case JobDone:
+			case corpus.StateDone:
 				if v.Result == nil {
 					t.Errorf("job %s done without a result", v.ID)
 				}

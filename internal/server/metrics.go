@@ -143,19 +143,28 @@ func NewMetrics(queueFn func() int) *Metrics {
 	}
 }
 
-// JobTransition moves one job from state `from` (empty for a brand-new
-// job) to state `to`, keeping the by-state gauges and, for terminal
-// states, the cumulative finished counters.
-func (m *Metrics) JobTransition(from, to JobState) {
+// JobTransition moves one job of the /v1/jobs family, or of the
+// /v1/corpus family (inCorpus), from state from (empty for a new job) to
+// state to, keeping the family's by-state gauges and, for terminal
+// states, its cumulative finished counters. A corpus reads running while
+// queued.
+func (m *Metrics) JobTransition(inCorpus bool, from, to corpus.State) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if from != "" {
-		m.jobStates[string(from)]--
+	states, finished := m.jobStates, m.finished
+	if inCorpus {
+		states, finished = m.corpusStates, m.corpusFinished
+		from, to = corpusState(from), corpusState(to)
 	}
-	m.jobStates[string(to)]++
-	switch to {
-	case JobDone, JobFailed, JobCancelled, JobResourceExhausted:
-		m.finished[string(to)]++
+	if from == to {
+		return
+	}
+	if from != "" {
+		states[string(from)]--
+	}
+	states[string(to)]++
+	if to.Terminal() {
+		finished[string(to)]++
 	}
 }
 
@@ -167,44 +176,33 @@ func (m *Metrics) JobShed(class string) {
 	m.shed[class]++
 }
 
-// JobRecovered notes one job reconstructed from the journal at boot: the
-// by-state gauge absorbs it (empty state for records that produced no
-// job) and the recovery outcome ("terminal", "requeued", "retry_exhausted",
-// "skipped") is counted for the snapshot's recovery map.
-func (m *Metrics) JobRecovered(state JobState, outcome string) {
+// JobRecovered notes one job reconstructed from the journal at boot: its
+// family's by-state gauge absorbs it (empty state for records that
+// produced no job) and the recovery outcome ("terminal", "requeued",
+// "retry_exhausted", "skipped") is counted for the snapshot's recovery
+// map.
+func (m *Metrics) JobRecovered(inCorpus bool, state corpus.State, outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if state != "" {
+	switch {
+	case state == "":
+	case inCorpus:
+		m.corpusStates[string(corpusState(state))]++
+	default:
 		m.jobStates[string(state)]++
 	}
 	m.recovery[outcome]++
 }
 
-// CorpusTransition moves one corpus job from state `from` (empty for a
-// brand-new or recovered job) to `to`, keeping the by-state gauges and,
-// for terminal states, cumulative finished counters. States are the
-// corpus package's (running/done/partial/failed/cancelled).
-func (m *Metrics) CorpusTransition(from, to string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if from != "" {
-		m.corpusStates[from]--
-	}
-	m.corpusStates[to]++
-	if to != string(corpus.StateRunning) {
-		m.corpusFinished[to]++
-	}
-}
-
-// CorpusShard counts one shard reaching a terminal outcome ("done" or
-// "failed").
+// CorpusShard counts one corpus shard reaching a terminal outcome
+// ("done", "failed" or "resource_exhausted").
 func (m *Metrics) CorpusShard(outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.corpusShards[outcome]++
 }
 
-// CorpusRetry counts one scheduled shard retry and accumulates its
+// CorpusRetry counts one scheduled corpus shard retry and accumulates its
 // backoff delay, making the backoff-with-jitter policy observable.
 func (m *Metrics) CorpusRetry(backoff time.Duration) {
 	m.mu.Lock()

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"permine/internal/corpus"
 )
 
 // TestHistogramZeroObservations: a histogram that never saw a sample
@@ -79,9 +81,9 @@ func TestMetricsConcurrent(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				m.ObserveMining("mppm", time.Duration(i)*time.Millisecond)
 				m.ObserveRequest("POST /v1/jobs", 202, 3*time.Millisecond)
-				m.JobTransition("", JobQueued)
-				m.JobTransition(JobQueued, JobDone)
-				m.JobRecovered(JobDone, "terminal")
+				m.JobTransition(false, "", corpus.StateQueued)
+				m.JobTransition(false, corpus.StateQueued, corpus.StateDone)
+				m.JobRecovered(false, corpus.StateDone, "terminal")
 			}
 		}()
 	}

@@ -1,15 +1,15 @@
 package server
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 	"time"
 
 	"permine/internal/core"
-	"permine/internal/retry"
+	"permine/internal/corpus"
 	"permine/internal/seq"
 	"permine/internal/server/store"
 )
@@ -19,44 +19,66 @@ import (
 const (
 	recoveryTerminal  = "terminal"        // restored already finished, result queryable
 	recoveryRequeued  = "requeued"        // interrupted job queued for re-execution
-	recoveryExhausted = "retry_exhausted" // interrupted job failed: retry budget spent
+	recoveryExhausted = "retry_exhausted" // interrupted job ended: retry budget spent
 	recoverySkipped   = "skipped"         // record could not be decoded
 )
 
-// recordForJob renders a job's full durable record, result included for
-// terminal states. The caller must have exclusive access to the job's
-// mutable fields (a job not yet enqueued) or hold j.mu.
-func recordForJob(j *Job) store.JobRecord {
-	params, _ := json.Marshal(j.params)
-	kind := ""
-	if j.params.TopK > 0 || j.params.Motif != "" {
-		// Query jobs (top-K / targeted) carry their query fields inside
-		// Params; the kind marks them for observability. Replay treats
-		// them like plain jobs — jobFromRecord round-trips Params.
-		kind = "query"
-	}
+// record renders a job's durable record from its view. A /v1/jobs job
+// records its one sequence and, once terminal, its shard's result; a
+// corpus records the canonical multi-FASTA rendering of every shard (so a
+// restart re-splits into identical shards), a checkpoint of each shard
+// already done, and once terminal its merged result.
+func record(j *corpus.Job, v corpus.View) store.JobRecord {
+	params, _ := json.Marshal(j.Params())
+	seqs := j.Sequences()
 	rec := store.JobRecord{
-		ID:          j.id,
-		Kind:        kind,
-		Algorithm:   j.algorithm.String(),
-		SeqName:     j.seq.Name(),
-		SeqAlphabet: j.seq.Alphabet().Name(),
-		SeqSymbols:  string(j.seq.Alphabet().Symbols()),
-		SeqData:     j.seq.Data(),
+		ID:          v.ID,
+		Algorithm:   v.Algorithm,
+		SeqName:     seqs[0].Name(),
+		SeqAlphabet: seqs[0].Alphabet().Name(),
+		SeqSymbols:  string(seqs[0].Alphabet().Symbols()),
+		SeqData:     seqs[0].Data(),
 		Params:      params,
-		TimeoutMS:   j.timeout.Milliseconds(),
-		State:       string(j.state),
-		Attempts:    j.attempts,
-		CreatedAt:   j.createdAt,
-		StartedAt:   j.startedAt,
-		FinishedAt:  j.finishedAt,
-		Note:        j.note,
+		TimeoutMS:   j.Timeout().Milliseconds(),
+		State:       string(v.State),
+		Attempts:    v.Attempts,
+		CreatedAt:   v.CreatedAt,
+		Result:      resultJSON(j, v),
+		Error:       v.Error,
+		Note:        v.Note,
 	}
-	if j.state.Terminal() && j.result != nil {
-		rec.Result, _ = json.Marshal(j.result)
+	if v.StartedAt != nil {
+		rec.StartedAt = *v.StartedAt
 	}
-	if j.err != nil {
-		rec.Error = j.err.Error()
+	if v.FinishedAt != nil {
+		rec.FinishedAt = *v.FinishedAt
+	}
+	switch {
+	case isCorpus(j):
+		var fasta bytes.Buffer
+		_ = seq.WriteFASTA(&fasta, 0, seqs...)
+		rec.Kind, rec.SeqName, rec.SeqData, rec.ShardCount = kindCorpus, j.Name(), fasta.String(), len(seqs)
+		for _, sv := range v.Shards {
+			if sv.State == corpus.ShardDone {
+				rec.Shards = append(rec.Shards, checkpoint(sv))
+			}
+		}
+	case j.Params().TopK > 0 || j.Params().Motif != "":
+		// Query jobs (top-K / targeted) carry their query fields inside
+		// Params; the kind marks them for observability.
+		rec.Kind = "query"
+	}
+	return rec
+}
+
+// checkpoint renders one terminal shard's journal checkpoint.
+func checkpoint(sv corpus.ShardView) store.ShardRecord {
+	rec := store.ShardRecord{
+		Index: sv.Index, Name: sv.Name, State: string(sv.State),
+		Attempts: sv.Attempts, Error: sv.Error, FinishedAt: sv.FinishedAt,
+	}
+	if sv.Result != nil {
+		rec.Result, _ = json.Marshal(sv.Result)
 	}
 	return rec
 }
@@ -72,13 +94,14 @@ func alphabetFor(name, symbols string) (*seq.Alphabet, error) {
 	return seq.NewAlphabet(name, symbols)
 }
 
-// jobFromRecord reconstructs a Job (including its cache key and a live
-// context rooted at the manager) from its durable record.
-func (m *Manager) jobFromRecord(rec store.JobRecord) (*Job, error) {
-	state := JobState(rec.State)
-	switch state {
-	case JobQueued, JobRunning, JobDone, JobFailed, JobCancelled, JobResourceExhausted:
-	default:
+// jobFromRecord rebuilds a job from its durable record, with a live
+// context rooted at the manager: its shards (a corpus re-split from its
+// canonical FASTA), each journaled checkpoint folded back in so completed
+// shards are not re-mined, and for a terminal job its final state and
+// result.
+func (m *Manager) jobFromRecord(rec store.JobRecord) (*corpus.Job, error) {
+	state := corpus.State(rec.State)
+	if !state.Terminal() && state != corpus.StateQueued && state != corpus.StateRunning {
 		return nil, fmt.Errorf("unknown job state %q", rec.State)
 	}
 	algo, err := core.ParseAlgorithm(strings.ToLower(rec.Algorithm))
@@ -86,10 +109,6 @@ func (m *Manager) jobFromRecord(rec store.JobRecord) (*Job, error) {
 		return nil, err
 	}
 	alpha, err := alphabetFor(rec.SeqAlphabet, rec.SeqSymbols)
-	if err != nil {
-		return nil, err
-	}
-	s, err := seq.New(alpha, rec.SeqName, rec.SeqData)
 	if err != nil {
 		return nil, err
 	}
@@ -101,37 +120,64 @@ func (m *Manager) jobFromRecord(rec store.JobRecord) (*Job, error) {
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := context.WithCancel(m.baseCtx)
-	j := &Job{
-		id:         rec.ID,
-		algorithm:  algo,
-		seq:        s,
-		params:     np,
-		timeout:    time.Duration(rec.TimeoutMS) * time.Millisecond,
-		cacheKey:   KeyFor(s, algo, np),
-		ctx:        ctx,
-		cancel:     cancel,
-		state:      state,
-		attempts:   rec.Attempts,
-		createdAt:  rec.CreatedAt,
-		startedAt:  rec.StartedAt,
-		finishedAt: rec.FinishedAt,
-		note:       rec.Note,
-	}
-	if len(rec.Result) > 0 {
-		var res core.Result
-		if err := json.Unmarshal(rec.Result, &res); err != nil {
-			cancel()
-			return nil, fmt.Errorf("decoding result: %w", err)
+	kind, name := kindJob, ""
+	var seqs []*seq.Sequence
+	if rec.Kind == kindCorpus {
+		kind, name = kindCorpus, rec.SeqName
+		if seqs, err = seq.ReadFASTA(strings.NewReader(rec.SeqData), alpha); err != nil {
+			return nil, fmt.Errorf("re-splitting corpus: %w", err)
 		}
-		j.result = &res
-		j.levels = append([]core.LevelMetrics(nil), res.Levels...)
+		if rec.ShardCount != 0 && len(seqs) != rec.ShardCount {
+			return nil, fmt.Errorf("corpus re-split into %d shards, record says %d", len(seqs), rec.ShardCount)
+		}
+	} else {
+		s, err := seq.New(alpha, rec.SeqName, rec.SeqData)
+		if err != nil {
+			return nil, err
+		}
+		seqs = []*seq.Sequence{s}
 	}
-	if rec.Error != "" {
-		j.err = errors.New(rec.Error)
+	j, err := m.newJob(kind, corpus.Spec{
+		ID: rec.ID, Name: name, Algorithm: algo, Params: np, Seqs: seqs,
+		Timeout:  time.Duration(rec.TimeoutMS) * time.Millisecond,
+		Attempts: rec.Attempts, CreatedAt: rec.CreatedAt,
+	})
+	if err != nil {
+		return nil, err
+	}
+	shards := rec.Shards
+	var merged *corpus.Result
+	if len(rec.Result) > 0 && kind == kindCorpus {
+		merged = new(corpus.Result)
+		err = json.Unmarshal(rec.Result, merged)
+	} else if len(rec.Result) > 0 {
+		// A /v1/jobs record's result is its one shard's.
+		shard := store.ShardRecord{State: string(corpus.ShardDone), Result: rec.Result, FinishedAt: rec.FinishedAt}
+		if state == corpus.StateResourceExhausted {
+			shard.State, shard.Error = string(corpus.ShardExhausted), rec.Error
+		}
+		shards = append(shards, shard)
+	}
+	for _, sh := range shards {
+		if err != nil {
+			break
+		}
+		var res *core.Result
+		if len(sh.Result) > 0 {
+			res = new(core.Result)
+			if err = json.Unmarshal(sh.Result, res); err != nil {
+				err = fmt.Errorf("decoding shard %d result: %w", sh.Index, err)
+				break
+			}
+		}
+		err = j.RestoreShard(sh.Index, corpus.ShardState(sh.State), sh.Attempts, res, sh.Error, sh.FinishedAt)
+	}
+	if err != nil {
+		m.engine.Interrupt(j)
+		return nil, err
 	}
 	if state.Terminal() {
-		cancel() // nothing left to cancel; release the context immediately
+		j.RestoreTerminal(state, merged, rec.Error, rec.Note, rec.StartedAt, rec.FinishedAt)
 	}
 	return j, nil
 }
@@ -145,8 +191,7 @@ type RestoreSummary struct {
 	// are scheduled for re-execution after a per-attempt backoff.
 	Requeued int
 	// Exhausted jobs were interrupted but had spent their retry budget;
-	// they are restored as failed (corpus jobs: partial, keeping the
-	// journaled shards).
+	// they end failed, or partial when journaled shards completed.
 	Exhausted int
 	// Skipped records could not be decoded and were dropped with a warning.
 	Skipped int
@@ -156,10 +201,11 @@ type RestoreSummary struct {
 }
 
 // Restore registers jobs recovered from the store: terminal jobs become
-// queryable again (done results also re-warm the cache), and jobs that
-// were queued or running at crash time are re-executed — each recovery
-// costs one attempt from the retry budget, with exponential backoff
-// between re-executions so a crash-looping job cannot hot-loop the daemon.
+// queryable again (their done shards also re-warm the cache), and jobs
+// that were queued or running at crash time resume — re-mining only
+// their incomplete shards — through the engine's Recover, each restart
+// costing one attempt of the retry budget after a jittered backoff, so a
+// crash-looping job cannot hot-loop the daemon.
 //
 // Restore must run before the first Submit (cmd/permined restores during
 // boot, before serving) so recovered identifiers cannot collide with new
@@ -167,110 +213,88 @@ type RestoreSummary struct {
 func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 	var sum RestoreSummary
 	for _, rec := range records {
-		if rec.Kind == "corpus" {
-			m.restoreCorpus(rec, &sum)
-			continue
-		}
 		j, err := m.jobFromRecord(rec)
 		if err != nil {
 			sum.Skipped++
-			m.noteRecovered(recoverySkipped, "")
+			m.recovered(nil, "", recoverySkipped)
 			m.cfg.Logger.Warn("skipping unrecoverable job record", "job", rec.ID, "err", err)
 			continue
 		}
 		m.mu.Lock()
-		if m.closed {
+		if m.closed.Load() {
 			m.mu.Unlock()
-			j.cancel()
+			m.engine.Interrupt(j)
 			break
 		}
-		if n := idNumber(j.id); n > m.nextID {
-			m.nextID = n
+		if _, n, ok := strings.Cut(j.ID(), "-"); ok {
+			if n, err := strconv.ParseUint(n, 10, 64); err == nil && n > m.nextID {
+				m.nextID = n
+			}
 		}
 		m.register(j)
 		m.mu.Unlock()
 
-		switch {
-		case j.state.Terminal():
+		v := j.Snapshot()
+		if v.State.Terminal() {
 			sum.Terminal++
-			m.noteRecovered(recoveryTerminal, j.state)
-			if j.state == JobDone && j.result != nil && m.cfg.Cache != nil {
-				m.cfg.Cache.Put(j.cacheKey, j.result)
+			m.recovered(j, v.State, recoveryTerminal)
+			for i, sv := range v.Shards {
+				if sv.State == corpus.ShardDone && sv.Result != nil && m.cfg.Cache != nil {
+					m.cfg.Cache.Put(KeyFor(j.Shard(i).Seq(), j.Algorithm(), j.Params()), sv.Result)
+				}
 			}
-		case j.attempts >= m.cfg.RetryBudget:
-			now := time.Now()
-			j.mu.Lock()
-			j.state = JobFailed
-			j.finishedAt = now
-			j.err = fmt.Errorf("crash recovery: retry budget exhausted after %d interrupted attempts", j.attempts)
-			errMsg := j.err.Error()
-			j.mu.Unlock()
-			j.cancel()
-			sum.Exhausted++
-			m.noteRecovered(recoveryExhausted, JobFailed)
-			m.cfg.Store.AppendOutcome(j.id, store.Outcome{
-				State: string(JobFailed), Error: errMsg, FinishedAt: now,
-			})
-			m.cfg.Logger.Warn("recovered job exceeds retry budget", "job", j.id, "attempts", j.attempts)
-		default:
-			j.mu.Lock()
-			j.attempts++
-			attempts := j.attempts
-			j.state = JobQueued
-			j.startedAt = time.Time{} // the re-execution restarts the run clock
-			j.levels = nil
-			j.mu.Unlock()
-			sum.Requeued++
-			m.noteRecovered(recoveryRequeued, JobQueued)
-			m.cfg.Store.AppendState(j.id, string(JobQueued), attempts, time.Now())
-			delay := retry.Backoff(m.cfg.RetryBackoff, maxRetryDelay, attempts)
-			m.scheduleRequeue(j, delay)
-			m.cfg.Logger.Info("requeueing interrupted job", "job", j.id,
-				"attempt", attempts, "backoff", delay)
+			continue
 		}
+		replayed := j.ReplayedShards()
+		sum.ShardsReplayed += replayed
+		if m.cfg.Metrics != nil && isCorpus(j) {
+			m.cfg.Metrics.CorpusShardsReplayed(replayed)
+		}
+		m.countOrphans(j, rec)
+		attempt, delay, ok := m.engine.Recover(j)
+		if !ok {
+			sum.Exhausted++
+			m.recovered(j, corpus.StateQueued, recoveryExhausted)
+			m.cfg.Logger.Warn("recovered job exceeds retry budget", "job", j.ID(), "attempts", attempt)
+			continue
+		}
+		sum.Requeued++
+		m.recovered(j, corpus.StateQueued, recoveryRequeued)
+		m.cfg.Store.AppendState(j.ID(), string(corpus.StateQueued), attempt, time.Now())
+		m.cfg.Logger.Info("requeueing interrupted job", "job", j.ID(), "attempt", attempt,
+			"backoff", delay, "shards_replayed", replayed, "shards", len(v.Shards))
 	}
 	return sum
 }
 
-// maxRetryDelay caps the backoff before re-executing a recovered job.
-// retry.Backoff doubles RetryBackoff per prior attempt up to it, then
-// jitters, so a restart with many interrupted jobs spreads their
-// re-executions out instead of retrying in lockstep.
-const maxRetryDelay = time.Minute
-
-// scheduleRequeue enqueues the job after the delay, retrying while the
-// queue is full and giving up silently once the manager shuts down (the
-// journal still records the job as queued, so the next boot retries it).
-func (m *Manager) scheduleRequeue(j *Job, delay time.Duration) {
-	time.AfterFunc(delay, func() {
-		m.mu.Lock()
-		if m.closed || j.State().Terminal() { // shut down, or cancelled while waiting
-			m.mu.Unlock()
-			return
+// countOrphans counts the journaled placements of a recovered job that
+// point at nodes outside the restarted coordinator's membership: their
+// shards never checkpointed and will re-mine on survivors, so the requeue
+// shows up in permine_cluster_shards_requeued_total. Membership (not
+// health) is the test — every peer is still Unknown this early in boot.
+func (m *Manager) countOrphans(j *corpus.Job, rec store.JobRecord) {
+	c := m.cfg.Cluster
+	if c == nil {
+		return
+	}
+	checkpointed := make(map[int]bool, len(rec.Shards))
+	for _, sh := range rec.Shards {
+		checkpointed[sh.Index] = true
+	}
+	for _, a := range rec.Assigns {
+		if a.Shard == store.WholeJob || checkpointed[a.Shard] || c.Member(a.Node) {
+			continue
 		}
-		select {
-		case m.queue <- func() { m.runJob(j) }:
-			m.mu.Unlock()
-		default:
-			m.mu.Unlock()
-			m.scheduleRequeue(j, delay)
-		}
-	})
+		c.NoteShardRequeued()
+		m.cfg.Logger.Warn("shard assigned to departed node; requeueing on survivors",
+			"job", j.ID(), "shard", a.Shard, "node", a.Node)
+	}
 }
 
-// noteRecovered forwards one recovery outcome to metrics.
-func (m *Manager) noteRecovered(outcome string, state JobState) {
+// recovered forwards one recovery outcome, and the recovered job's state,
+// to metrics (nil job: a record that produced none).
+func (m *Manager) recovered(j *corpus.Job, state corpus.State, outcome string) {
 	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.JobRecovered(state, outcome)
+		m.cfg.Metrics.JobRecovered(j != nil && isCorpus(j), state, outcome)
 	}
-}
-
-// idNumber extracts the numeric part of a "j-000042" job id (0 when the
-// id does not match), so Restore can keep new ids above recovered ones.
-func idNumber(id string) uint64 {
-	var n uint64
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0
-	}
-	return n
 }

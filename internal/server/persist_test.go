@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/server/store"
 	"permine/internal/server/store/storetest"
 )
@@ -40,7 +41,7 @@ func TestManagerPersistTerminal(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := waitTerminal(t, j)
-	if want.State != JobDone {
+	if want.State != corpus.StateDone {
 		t.Fatalf("job finished %s (%s)", want.State, want.Error)
 	}
 	w1.Close() // freeze the journal before the manager drains
@@ -57,8 +58,8 @@ func TestManagerPersistTerminal(t *testing.T) {
 	if !ok {
 		t.Fatalf("job %s not restored", j.ID())
 	}
-	v := got.Snapshot()
-	if v.State != JobDone || v.Result == nil {
+	v := jobView(got.Snapshot())
+	if v.State != corpus.StateDone || v.Result == nil {
 		t.Fatalf("restored state %s, result %v", v.State, v.Result != nil)
 	}
 	if len(v.Result.Patterns) != len(want.Result.Patterns) {
@@ -79,7 +80,7 @@ func TestManagerPersistTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2 := j2.Snapshot(); v2.State != JobDone || !v2.CacheHit {
+	if v2 := jobView(j2.Snapshot()); v2.State != corpus.StateDone || !v2.CacheHit {
 		t.Errorf("resubmit after restore: state %s cacheHit %v, want an instant cache hit", v2.State, v2.CacheHit)
 	}
 	// And the restored id space was respected: the new job got a fresh id.
@@ -97,7 +98,7 @@ func TestManagerCrashRequeue(t *testing.T) {
 	m1 := newTestManager(t, ManagerConfig{Workers: 1, Store: w1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
-	m1.OnLevel = func(j *Job, lm core.LevelMetrics) {
+	m1.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
 		select {
 		case running <- struct{}{}:
 		default:
@@ -152,7 +153,7 @@ func TestManagerCrashRequeue(t *testing.T) {
 			t.Fatalf("job %s not restored", id)
 		}
 		v := waitTerminal(t, j)
-		if v.State != JobDone || v.Result == nil {
+		if v.State != corpus.StateDone || v.Result == nil {
 			t.Fatalf("job %s re-executed to %s (%s)", id, v.State, v.Error)
 		}
 		if v.Attempts != 1 {
@@ -189,8 +190,8 @@ func TestManagerRetryBudgetExhausted(t *testing.T) {
 	if !ok {
 		t.Fatal("exhausted job not registered")
 	}
-	v := j.Snapshot()
-	if v.State != JobFailed || !strings.Contains(v.Error, "retry budget") {
+	v := jobView(j.Snapshot())
+	if v.State != corpus.StateFailed || !strings.Contains(v.Error, "retry budget") {
 		t.Fatalf("state %s error %q, want failed with a budget error", v.State, v.Error)
 	}
 	// The failure was journaled: a restart sees it as terminal.
@@ -247,11 +248,11 @@ func TestManagerRestoreRetiredJoinName(t *testing.T) {
 	if !ok {
 		t.Fatal("job not restored")
 	}
-	if v := waitTerminal(t, j); v.State != JobDone || v.Result == nil {
+	if v := waitTerminal(t, j); v.State != corpus.StateDone || v.Result == nil {
 		t.Fatalf("restored job finished %s (%s), want done", v.State, v.Error)
 	}
-	if j.params.Join != core.JoinAuto {
-		t.Errorf("restored join strategy = %v, want auto", j.params.Join)
+	if j.Params().Join != core.JoinAuto {
+		t.Errorf("restored join strategy = %v, want auto", j.Params().Join)
 	}
 }
 
@@ -275,7 +276,7 @@ func TestManagerDegradedStoreStillServes(t *testing.T) {
 		t.Fatalf("submit with a dead disk: %v", err)
 	}
 	v := waitTerminal(t, j)
-	if v.State != JobDone {
+	if v.State != corpus.StateDone {
 		t.Fatalf("job finished %s, want done despite the dead disk", v.State)
 	}
 	if st := w.Stats(); !st.Degraded {
@@ -335,7 +336,7 @@ func TestServerRestartHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&recovered); err != nil {
 		t.Fatal(err)
 	}
-	if recovered.State != JobDone || recovered.Result == nil {
+	if recovered.State != corpus.StateDone || recovered.Result == nil {
 		t.Fatalf("recovered job = %s (result %v), want done with result", recovered.State, recovered.Result != nil)
 	}
 

@@ -106,18 +106,14 @@ type Config struct {
 	// CompactBytes is the journal size that triggers journal compaction
 	// (default 4 MiB).
 	CompactBytes int64
-	// RetryBudget and RetryBackoff bound crash-recovery re-executions
-	// (see ManagerConfig).
+	// RetryBudget and RetryBackoff govern both shard retries after
+	// transient failures and crash-recovery re-executions; ShardTimeout is
+	// the per-attempt deadline of a corpus shard; ShardFault injects
+	// deterministic shard faults (tests). See ManagerConfig.
 	RetryBudget  int
 	RetryBackoff time.Duration
-	// ShardTimeout, ShardRetryBudget and ShardRetryBackoff configure the
-	// corpus engine's per-shard deadline and retry policy; ShardFault
-	// injects deterministic shard faults (tests and the -shard-fault
-	// debug knob). See ManagerConfig.
-	ShardTimeout      time.Duration
-	ShardRetryBudget  int
-	ShardRetryBackoff time.Duration
-	ShardFault        corpus.Injector
+	ShardTimeout time.Duration
+	ShardFault   corpus.Injector
 	// CorpusMaxInflight bounds concurrently mined shards per corpus job
 	// (0 = twice Workers).
 	CorpusMaxInflight int
@@ -294,8 +290,6 @@ func New(cfg Config) *Server {
 		RetryBudget:        cfg.RetryBudget,
 		RetryBackoff:       cfg.RetryBackoff,
 		ShardTimeout:       cfg.ShardTimeout,
-		ShardRetryBudget:   cfg.ShardRetryBudget,
-		ShardRetryBackoff:  cfg.ShardRetryBackoff,
 		CorpusMaxInflight:  cfg.CorpusMaxInflight,
 		ShardFault:         cfg.ShardFault,
 		Cluster:            clu,
@@ -339,15 +333,15 @@ func New(cfg Config) *Server {
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs", s.handleList)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
-	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
 	mux.HandleFunc("POST /v1/corpus", s.handleCorpusSubmit)
-	mux.HandleFunc("GET /v1/corpus", s.handleCorpusList)
-	mux.HandleFunc("GET /v1/corpus/{id}", s.handleCorpusGet)
-	mux.HandleFunc("GET /v1/corpus/{id}/events", s.handleCorpusEvents)
-	mux.HandleFunc("DELETE /v1/corpus/{id}", s.handleCorpusCancel)
+	mux.HandleFunc("GET /v1/jobs", s.handleList(kindJob, "jobs"))
+	mux.HandleFunc("GET /v1/corpus", s.handleList(kindCorpus, "corpus"))
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet(kindJob))
+	mux.HandleFunc("GET /v1/corpus/{id}", s.handleGet(kindCorpus))
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents(kindJob))
+	mux.HandleFunc("GET /v1/corpus/{id}/events", s.handleEvents(kindCorpus))
+	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel(kindJob))
+	mux.HandleFunc("DELETE /v1/corpus/{id}", s.handleCancel(kindCorpus))
 	mux.HandleFunc("POST /v1/query", s.handleQuery)
 	mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
 	mux.HandleFunc("GET /metrics", s.handlePrometheus)
@@ -738,6 +732,51 @@ func jobRequestFromQuery(r *http.Request, fasta string) (jobRequest, error) {
 	return req, nil
 }
 
+// submitArgs validates what both submit endpoints share: the algorithm
+// (default mppm), the mining parameters, and the timeout, clamped to
+// MaxTimeout.
+func (s *Server) submitArgs(algorithm string, pj paramsJSON, timeoutMS int64) (core.Algorithm, core.Params, time.Duration, error) {
+	if algorithm == "" {
+		algorithm = "mppm"
+	}
+	algo, err := core.ParseAlgorithm(strings.ToLower(algorithm))
+	if err != nil {
+		return algo, core.Params{}, 0, err
+	}
+	params, err := pj.toParams()
+	if err == nil {
+		_, err = params.Normalize()
+	}
+	if err != nil {
+		return algo, params, 0, fmt.Errorf("invalid params: %w", err)
+	}
+	timeout := time.Duration(timeoutMS) * time.Millisecond
+	if timeout < 0 {
+		return algo, params, 0, errors.New("timeout_ms must be >= 0")
+	}
+	if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
+		timeout = s.cfg.MaxTimeout
+	}
+	return algo, params, timeout, nil
+}
+
+// submitFailed answers a refused submit, reporting whether it was one:
+// backpressure (a full queue or governor shed) is 429 with a Retry-After
+// hint so clients can tell shed from drain, which stays 503.
+func (s *Server) submitFailed(w http.ResponseWriter, err error) bool {
+	switch {
+	case err == nil:
+		return false
+	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
+		s.rejectBusy(w, err)
+	case errors.Is(err, ErrShuttingDown):
+		apiError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		apiError(w, http.StatusBadRequest, "%v", err)
+	}
+	return true
+}
+
 // handleSubmit implements POST /v1/jobs.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeJobRequest(r)
@@ -748,10 +787,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if req.Algorithm == "" {
-		req.Algorithm = "mppm"
-	}
-	algo, err := core.ParseAlgorithm(strings.ToLower(req.Algorithm))
+	algo, params, timeout, err := s.submitArgs(req.Algorithm, req.Params, req.TimeoutMS)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -761,41 +797,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	params, err := req.Params.toParams()
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
-		return
-	}
-	if _, err := params.Normalize(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid params: %v", err)
-		return
-	}
-	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
-	if timeout < 0 {
-		apiError(w, http.StatusBadRequest, "timeout_ms must be >= 0")
-		return
-	}
-	if s.cfg.MaxTimeout > 0 && timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
 	job, err := s.mgr.Submit(r.Context(), subject, algo, params, timeout)
-	switch {
-	case errors.Is(err, ErrQueueFull), errors.Is(err, ErrOverloaded):
-		// Backpressure, not shutdown: 429 with a Retry-After hint so
-		// clients can tell shed from drain (which stays 503).
-		s.rejectBusy(w, err)
-		return
-	case errors.Is(err, ErrShuttingDown):
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		apiError(w, http.StatusBadRequest, "%v", err)
+	if s.submitFailed(w, err) {
 		return
 	}
 	// The response is the job as accepted, not its live state: a free
 	// worker may already be running (or have finished) a fresh job, and
 	// only a cache hit is answered 200 with its result inline.
-	view := job.accepted
+	view := jobView(job.Accepted())
 	status := http.StatusAccepted
 	if view.CacheHit {
 		status = http.StatusOK
@@ -803,33 +812,69 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, view)
 }
 
-// handleList implements GET /v1/jobs.
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.mgr.Jobs()})
+// view renders a job in its endpoint's view.
+func view(j *corpus.Job) any {
+	if isCorpus(j) {
+		return corpusViewOf(j)
+	}
+	return jobView(j.Snapshot())
 }
 
-// handleGet implements GET /v1/jobs/{id}.
-func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.mgr.Get(r.PathValue("id"))
-	if !ok {
-		apiError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
+// job resolves the request's job of the endpoint's kind, answering 404
+// in that endpoint's words for an unknown id or another endpoint's job.
+func (s *Server) job(w http.ResponseWriter, r *http.Request, kind string) (*corpus.Job, bool) {
+	id := r.PathValue("id")
+	j, ok := s.mgr.Get(id)
+	if !ok || j.Kind() != kind {
+		apiError(w, http.StatusNotFound, "%s %q not found", kind, id)
+		return nil, false
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
+	return j, true
 }
 
-// handleCancel implements DELETE /v1/jobs/{id}.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	job, err := s.mgr.Cancel(r.PathValue("id"))
-	switch {
-	case errors.Is(err, ErrJobNotFound):
-		apiError(w, http.StatusNotFound, "job %q not found", r.PathValue("id"))
-		return
-	case errors.Is(err, ErrJobFinished):
-		apiError(w, http.StatusConflict, "job %q already %s", job.ID(), job.State())
-		return
+// handleList implements GET /v1/jobs and GET /v1/corpus: the endpoint's
+// retained jobs, newest first, under key (corpus entries without shards
+// or result).
+func (s *Server) handleList(kind, key string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		views := []any{}
+		for _, j := range s.mgr.Jobs() {
+			switch {
+			case j.Kind() != kind:
+			case kind == kindCorpus:
+				v := corpusView(j.Snapshot())
+				v.Shards = nil
+				views = append(views, v)
+			default:
+				views = append(views, jobView(j.Snapshot()))
+			}
+		}
+		writeJSON(w, http.StatusOK, map[string]any{key: views})
 	}
-	writeJSON(w, http.StatusOK, job.Snapshot())
+}
+
+// handleGet implements GET /v1/jobs/{id} and GET /v1/corpus/{id}.
+func (s *Server) handleGet(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if j, ok := s.job(w, r, kind); ok {
+			writeJSON(w, http.StatusOK, view(j))
+		}
+	}
+}
+
+// handleCancel implements DELETE /v1/jobs/{id} and DELETE /v1/corpus/{id}.
+func (s *Server) handleCancel(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.job(w, r, kind)
+		if !ok {
+			return
+		}
+		if _, err := s.mgr.Cancel(j.ID()); errors.Is(err, ErrJobFinished) {
+			apiError(w, http.StatusConflict, "%s %q already %s", kind, j.ID(), j.State())
+			return
+		}
+		writeJSON(w, http.StatusOK, view(j))
+	}
 }
 
 // queryRequest is the JSON body of POST /v1/query: a synchronous support /
@@ -959,31 +1004,38 @@ func writeSSE(w io.Writer, ev Event) error {
 	return err
 }
 
-// handleEvents implements GET /v1/jobs/{id}/events: the job's per-level
-// progress as Server-Sent Events. Levels completed before the client
-// connected are replayed from the job snapshot, then live events stream
-// until the job ends (an "end" event closes the stream) or the client
-// disconnects.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	job, ok := s.mgr.Get(id)
-	if !ok {
-		apiError(w, http.StatusNotFound, "job %q not found", id)
-		return
+// handleEvents implements GET /v1/jobs/{id}/events and GET
+// /v1/corpus/{id}/events: a job's progress as Server-Sent Events — its
+// levels ("level") for a /v1/jobs job, its shard completions ("shard")
+// and retries ("retry") for a corpus — then "end" once terminal. Events
+// that happened before the client connected are replayed from the job's
+// snapshot. A daemon shutdown sends a final "shutdown" event instead.
+func (s *Server) handleEvents(kind string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		j, ok := s.job(w, r, kind)
+		if !ok {
+			return
+		}
+		s.streamEvents(w, r, j.ID(), func() []Event {
+			v := j.Snapshot()
+			var evs []Event
+			if isCorpus(j) {
+				for _, sv := range v.Shards {
+					if sv.State.Terminal() {
+						evs = append(evs, Event{Type: "shard", Job: v.ID, Seq: sv.Index + 1, Data: sv})
+					}
+				}
+			} else {
+				for i, lm := range v.Shards[0].Levels {
+					evs = append(evs, Event{Type: "level", Job: v.ID, Seq: i + 1, Data: lm})
+				}
+			}
+			if v.State.Terminal() {
+				evs = append(evs, endEvent(j, v, "end"))
+			}
+			return evs
+		})
 	}
-	s.streamEvents(w, r, id, func() []Event {
-		snap := job.Snapshot()
-		evs := make([]Event, 0, len(snap.Progress)+1)
-		for i, lm := range snap.Progress {
-			evs = append(evs, Event{Type: "level", Job: id, Seq: i + 1, Data: lm})
-		}
-		if snap.State.Terminal() {
-			end := snap
-			end.Result, end.Progress = nil, nil
-			evs = append(evs, Event{Type: "end", Job: id, Seq: len(snap.Progress), Data: end})
-		}
-		return evs
-	})
 }
 
 // streamEvents is the one replay-then-stream loop behind every SSE

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"permine/internal/core"
+	"permine/internal/corpus"
 	"permine/internal/mine"
 	"permine/internal/seq"
 )
@@ -94,7 +95,7 @@ func pollJob(t *testing.T, base, id string) map[string]any {
 		body := decode(t, resp.Body)
 		resp.Body.Close()
 		switch body["state"] {
-		case "done", "failed", "cancelled":
+		case "done", "failed", "cancelled", "resource_exhausted":
 			return body
 		}
 		time.Sleep(2 * time.Millisecond)
@@ -195,7 +196,7 @@ func TestCancelHTTP(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	levelHit := make(chan struct{}, 1)
 	release := make(chan struct{})
-	srv.Manager().OnLevel = func(j *Job, lm core.LevelMetrics) {
+	srv.Manager().OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
 		select {
 		case levelHit <- struct{}{}:
 		default:
@@ -249,8 +250,8 @@ func TestCancelHTTP(t *testing.T) {
 // TestClientTimeoutWithoutDefaultDeadline: a negative JobTimeout disables
 // only the default deadline, so a client's timeout_ms still bounds its
 // job and its corpus job. Every mining run is stretched past those
-// timeouts: the job must fail on its deadline and the corpus end partial,
-// not run to completion.
+// timeouts: the job and the corpus, no shard of which finishes in time,
+// must fail on their deadlines, not run to completion.
 func TestClientTimeoutWithoutDefaultDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, JobTimeout: -1, ShardDelay: 2 * time.Second})
 
@@ -274,8 +275,8 @@ func TestClientTimeoutWithoutDefaultDeadline(t *testing.T) {
 	}
 	sub = decode(t, resp.Body)
 	resp.Body.Close()
-	if final := pollCorpus(t, ts.URL, sub["id"].(string)); final["state"] != "partial" {
-		t.Errorf("corpus with timeout_ms 100 ended %v, want partial on its deadline", final["state"])
+	if final := pollCorpus(t, ts.URL, sub["id"].(string)); final["state"] != "failed" {
+		t.Errorf("corpus with timeout_ms 100 ended %v, want failed on its deadline", final["state"])
 	}
 }
 

@@ -57,7 +57,7 @@ type JobRecord struct {
 	Params    json.RawMessage `json:"params"`
 	TimeoutMS int64           `json:"timeout_ms"`
 
-	// State is the job lifecycle state (the server package's JobState as a
+	// State is the job lifecycle state (internal/corpus.State as a
 	// string). Attempts counts executions started, including crash-recovery
 	// re-executions.
 	State    string `json:"state"`

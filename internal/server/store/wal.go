@@ -39,8 +39,8 @@ const (
 	writeBackoff = 10 * time.Millisecond
 )
 
-// Event types. State strings inside events mirror the server package's
-// JobState values; the store only distinguishes terminal from not.
+// Event types. State strings inside events mirror internal/corpus.State
+// values; the store only distinguishes terminal from not.
 const (
 	evSubmit  = "submit"
 	evState   = "state"
@@ -69,10 +69,13 @@ type event struct {
 	Note     string          `json:"note,omitempty"`
 }
 
-// terminalState mirrors server.JobState.Terminal over the wire strings
-// ("partial" is the corpus job's degraded-but-complete terminal state).
+// terminalState mirrors corpus.State.Terminal over the wire strings.
 func terminalState(state string) bool {
-	return state == "done" || state == "failed" || state == "cancelled" || state == "partial"
+	switch state {
+	case "done", "failed", "cancelled", "partial", "resource_exhausted":
+		return true
+	}
+	return false
 }
 
 // Options configures a WAL. Zero values take the documented defaults.
@@ -204,10 +207,12 @@ func (w *WAL) replay() error {
 	return nil
 }
 
-// applyLocked folds one event into the jobs map. Out-of-order events from
-// narrow submit/execute races are tolerated: state changes for unknown or
-// already-terminal jobs are ignored, so a terminal outcome can never be
-// rolled back by a late "running" append.
+// applyLocked folds one event into the jobs map. Out-of-order events are
+// tolerated: events of a job with no submit record before them (older
+// releases could journal a job's first transition ahead of its submit)
+// and state changes for already-terminal jobs are ignored, so a terminal
+// outcome can never be rolled back by a late "running" append, nor an
+// orphan event folded into a later job that reuses its id.
 func (w *WAL) applyLocked(ev event) {
 	switch ev.Type {
 	case evSnapshot:

@@ -602,3 +602,29 @@ func TestWALPartialOutcomeTerminal(t *testing.T) {
 		t.Errorf("shard checkpoints = %d, want 2", len(rec.Shards))
 	}
 }
+
+// TestWALEventBeforeSubmitDropped: an event journaled for a job with no
+// submit record before it is dropped at replay, never held: after a
+// restart, a new job given the same id must not take the old outcome.
+func TestWALEventBeforeSubmitDropped(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, store.Options{Dir: dir})
+	w.AppendState("j-000001", "running", 1, time.Now())
+	w.AppendOutcome("j-000001", store.Outcome{State: "done", Result: []byte(`{"Patterns":[]}`), FinishedAt: time.Now()})
+	w.Close()
+
+	w2 := openWAL(t, store.Options{Dir: dir})
+	if recs := w2.Recovered(); len(recs) != 0 {
+		t.Fatalf("recovered %+v from events with no submit", recs)
+	}
+	rec := submitRec("j-000001")
+	rec.SeqData = "TTTTGGGG"
+	w2.AppendSubmit(rec)
+	w2.Close()
+
+	w3 := openWAL(t, store.Options{Dir: dir})
+	recs := w3.Recovered()
+	if len(recs) != 1 || recs[0].State != "queued" || recs[0].Attempts != 0 || recs[0].Result != nil || recs[0].SeqData != "TTTTGGGG" {
+		t.Fatalf("recovered %+v, want the new j-000001 queued with no result", recs)
+	}
+}
