@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/frame/ ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/seq/
+	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/frame/ ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/pool/ ./internal/seq/
 
 # The full pre-merge gate: build, vet, tests, the race detector over
 # the concurrent packages, a short fuzz pass over the PIL invariants,
@@ -37,8 +37,9 @@ bench:
 bench-baseline:
 	sh scripts/bench.sh
 
-# Compare benchmarks/latest.txt against the promoted baseline; skips when
-# no baseline exists. Threshold: BENCH_MAX_REGRESSION_PCT (default 5).
+# Compare benchmarks/latest.txt against the promoted baseline: ns/op
+# (BENCH_MAX_REGRESSION_PCT, default 5), B/op and allocs/op (bounds from
+# the baseline's spread; see the script); skips when no latest run exists.
 bench-check:
 	sh scripts/bench-check.sh
 

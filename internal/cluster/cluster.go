@@ -498,22 +498,25 @@ type ScrapeTarget struct {
 }
 
 // ScrapeTargets lists the peers worth scraping — everything not declared
-// dead, sorted by address. Suspect and unprobed peers are included on
-// purpose: a scrape that fails feeds the scrape-error counter and the
-// output degrades to the nodes that answered, which is exactly the
-// partial-on-peer-failure behaviour federation promises.
-func (c *Cluster) ScrapeTargets() []ScrapeTarget {
+// dead, sorted by address — and counts the dead peers it leaves out, so
+// federation can report them instead of dropping them silently. Suspect
+// and unprobed peers are included on purpose: a scrape that fails feeds
+// the scrape-error counter and the output degrades to the nodes that
+// answered, which is exactly the partial-on-peer-failure behaviour
+// federation promises.
+func (c *Cluster) ScrapeTargets() (targets []ScrapeTarget, dead int) {
 	c.mu.Lock()
-	targets := make([]ScrapeTarget, 0, len(c.peers))
+	targets = make([]ScrapeTarget, 0, len(c.peers))
 	for _, p := range c.peers {
 		if p.state == StateDead {
+			dead++
 			continue
 		}
 		targets = append(targets, ScrapeTarget{Addr: p.addr, Node: p.node})
 	}
 	c.mu.Unlock()
 	sort.Slice(targets, func(i, j int) bool { return targets[i].Addr < targets[j].Addr })
-	return targets
+	return targets, dead
 }
 
 // Scrape fetches one peer's raw /metrics exposition over the cluster

@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"permine/internal/combinat"
+	"permine/internal/pool"
 	"permine/internal/seq"
 )
 
@@ -59,11 +60,14 @@ func emSweepMerge(s *seq.Sequence, g combinat.Gap, m int) int64 {
 	size := uint64(s.Alphabet().Size())
 	window := g.M + 2 // columns p+1 .. p+M+1 plus the one being built
 
-	// cols[c][k] is cnt_(k+1) of the column currently mapped to slot c.
-	cols := make([][][]codeCount, window)
-	for c := range cols {
-		cols[c] = make([][]codeCount, m) // lengths 1..m stored; m+1 is folded into the max
-	}
+	sc := mergePool.Get()
+	defer mergePool.Put(sc)
+	// cols[c][k] is cnt_(k+1) of the column currently mapped to slot c;
+	// lengths 1..m are stored, m+1 is folded into the max.
+	sc.cols = fitColumns(sc.cols, window, m, int(size), g.W())
+	sc.heads = sliceFor(pool.Fit(sc.heads, g.W()), g.W())
+	sc.lists = sliceFor(pool.Fit(sc.lists, g.W()), g.W())
+	cols, heads, lists := sc.cols, sc.heads, sc.lists
 	slot := func(p int) int {
 		c := p % window
 		if c < 0 {
@@ -79,8 +83,6 @@ func emSweepMerge(s *seq.Sequence, g combinat.Gap, m int) int64 {
 		pow[k] = pow[k-1] * size
 	}
 
-	heads := make([]int, g.W())
-	lists := make([][]codeCount, g.W())
 	var best int64
 
 	// mergeInto merges cnt_k of the successor window of p, prepends
@@ -205,22 +207,14 @@ func emSlide(s *seq.Sequence, g combinat.Gap, m, lo, hi int) int64 {
 	size := uint32(s.Alphabet().Size())
 	window := g.M + 3 // columns p .. p+M+2
 
+	sc := slidePool.Get()
+	defer slidePool.Put(sc)
+	sc.fit(window, m, int(size), g.W())
 	// cols[q%window][k] is cnt_(k+1)(q); cnt_(m+1) is folded into the max.
-	cols := make([][][]cc32, window)
-	for c := range cols {
-		cols[c] = make([][]cc32, m)
-	}
-	none := make([][]cc32, m) // the column of a position at or beyond top
-
 	// lower[k] is V_(k+1) for the levels below m, which build the next
 	// level's column; V_m only feeds the maximum, so it is counts alone.
-	lower := make([]windowSum, m-1)
-	cells := 1
-	for k := range lower {
-		cells *= int(size)
-		lower[k].cells = make([]sumCell, cells)
-	}
-	vm := make([]int32, cells*int(size))
+	cols, lower, vm := sc.cols, sc.lower, sc.vm
+	none := make([][]cc32, m) // the column of a position at or beyond top
 
 	var best int32
 	for p := top - 1; p >= lo; p-- {
@@ -253,6 +247,113 @@ func emSlide(s *seq.Sequence, g combinat.Gap, m, lo, hi int) int64 {
 		}
 	}
 	return int64(best)
+}
+
+// slideScratch is one emSlide call's tables. A sweep fits the scratch it
+// takes to its own shape, so a pooled scratch serves sweeps of any gap,
+// order and alphabet and keeps about what its last sweep could use.
+type slideScratch struct {
+	cols  [][][]cc32
+	lower []windowSum
+	vm    []int32
+}
+
+// mergeScratch is one emSweepMerge call's tables, pooled like
+// slideScratch.
+type mergeScratch struct {
+	cols  [][][]codeCount
+	heads []int
+	lists [][]codeCount
+}
+
+var (
+	slidePool = pool.New(func(sc *slideScratch) {
+		for _, col := range sc.cols {
+			for _, l := range col {
+				pool.Fill(l, cc32{code: math.MaxUint32, n: -1})
+			}
+		}
+		for k := range sc.lower {
+			pool.Fill(sc.lower[k].cells, sumCell{n: -1, at: -1})
+			pool.Fill(sc.lower[k].nonzero, math.MaxUint32)
+		}
+		pool.Fill(sc.vm, -1)
+	})
+	mergePool = pool.New(func(sc *mergeScratch) {
+		for _, col := range sc.cols {
+			for _, l := range col {
+				pool.Fill(l, codeCount{code: math.MaxUint64, n: -1})
+			}
+		}
+		pool.Fill(sc.heads, -1)
+		pool.Fill(sc.lists, []codeCount{{code: math.MaxUint64, n: -1}})
+	})
+)
+
+// fit shapes sc for a sweep of order m over window columns, with an
+// alphabet of size symbols and a gap of width w: the columns as
+// fitColumns leaves them, the m−1 window sums below V_m empty, and V_m's
+// counts zero. A table more than four times larger than the sweep needs
+// (pool.Fit) is dropped, and so is every table of a level at or above m.
+func (sc *slideScratch) fit(window, m, size, w int) {
+	sc.cols = fitColumns(sc.cols, window, m, size, w)
+	sc.lower = resize(sc.lower, m-1)
+	cells := 1
+	for k := range sc.lower {
+		cells *= size
+		v := &sc.lower[k]
+		v.cells = zeroed(pool.Fit(v.cells, cells), cells)
+		v.nonzero = pool.Fit(v.nonzero, cells)[:0]
+	}
+	sc.vm = zeroed(pool.Fit(sc.vm, cells*size), cells*size)
+}
+
+// fitColumns returns cols cut or extended to window columns of m lists,
+// a list dropped when its capacity is more than four times the most
+// entries cnt_(k+1) can have (pool.Fit): one per code of k+1 characters
+// and at most one per offset sequence, W^k. The lists' contents are
+// arbitrary; the sweep truncates each before filling it.
+func fitColumns[T any](cols [][][]T, window, m, size, w int) [][][]T {
+	cols = resize(cols, window)
+	for c := range cols {
+		cols[c] = resize(cols[c], m)
+		for k := range cols[c] {
+			most := min(math.Pow(float64(size), float64(k+1)), math.Pow(float64(w), float64(k)), 1<<40)
+			cols[c][k] = pool.Fit(cols[c][k], int(most))
+		}
+	}
+	return cols
+}
+
+// resize returns s at length n: cut, with the cut tail cleared so it
+// keeps nothing alive, or extended with zero values.
+func resize[T any](s []T, n int) []T {
+	if n <= len(s) {
+		clear(s[n:])
+		return s[:n]
+	}
+	return append(s, make([]T, n-len(s))...)
+}
+
+// sliceFor resizes buf to length n, reusing its backing array when it is
+// large enough; the contents are whatever buf held.
+func sliceFor[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// zeroed is sliceFor with every element zero. Only a reused array is
+// cleared: a new one is zero already, and clearing it would touch pages a
+// sparse table never writes.
+func zeroed[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // windowSum is one level's V_k as a dense table over the k-character

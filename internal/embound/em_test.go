@@ -11,6 +11,7 @@ import (
 	"permine/internal/combinat"
 	"permine/internal/embound"
 	"permine/internal/gen"
+	"permine/internal/pool"
 	"permine/internal/seq"
 )
 
@@ -427,5 +428,107 @@ func TestEmProteinFallbackPaths(t *testing.T) {
 	}
 	if em < 1 || em > int64(math.Pow(float64(g.W()), 6)) {
 		t.Errorf("e_m=%d out of range", em)
+	}
+}
+
+// TestEmPoisonedPools reruns the sweep checks against K_r at every start
+// on pooled tables that were filled with junk when handed back, after
+// larger sweeps of other alphabets, gaps and orders filled the pools: a
+// sweep that read a pooled table before writing it would now disagree
+// with the DFS. Concurrent sweeps of mixed inputs then share the poisoned
+// pools; run it under -race.
+func TestEmPoisonedPools(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	big, err := gen.GenomeLike(6000, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := gen.ProteinRepeat(2000, 78)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := []struct {
+		s *seq.Sequence
+		g combinat.Gap
+		m int
+	}{
+		{big, combinat.Gap{N: 3, M: 10}, 6}, // dense sweep, wide window, 4 chunks
+		{prot, combinat.Gap{N: 0, M: 4}, 4}, // dense sweep over 20 symbols
+		{prot, combinat.Gap{N: 2, M: 5}, 6}, // list-merging sweep
+	}
+	// The cold answers, from fresh tables.
+	prev := pool.SetMode(pool.Cold)
+	defer pool.SetMode(prev)
+	want := make([]int64, len(warm))
+	for i, w := range warm {
+		if want[i], err = embound.Em(w.s, w.g, w.m); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	pool.SetMode(pool.Poison)
+	for _, w := range warm {
+		if _, _, err := embound.EmWorkers(w.s, w.g, w.m, 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	TestEmSweepMatchesDFS(t)
+	TestEmWorkersMatchesDFS(t)
+	TestEmProteinFallbackPaths(t)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		w, want := warm[i%len(warm)], want[i%len(warm)]
+		wg.Add(1)
+		go func(workers int) {
+			defer wg.Done()
+			for range 3 {
+				em, _, err := embound.EmWorkers(w.s, w.g, w.m, workers)
+				if err != nil || em != want {
+					t.Errorf("%s g=%v m=%d workers=%d: e_m=%d (err %v), want %d", w.s.Name(), w.g, w.m, workers, em, err, want)
+					return
+				}
+			}
+		}(1 + i%4)
+	}
+	wg.Wait()
+}
+
+// TestEmPooledTablesShrink: a large sweep's tables do not stay pinned by
+// the smaller sweeps that reuse its pooled scratch. A sweep of order 10
+// leaves megabytes of dense tables pooled; after small sweeps, with a
+// collection after each, the live heap is back near where it was before
+// the large sweep.
+func TestEmPooledTablesShrink(t *testing.T) {
+	s, err := gen.GenomeLike(4000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func() {
+		if _, _, err := embound.EmWorkers(s, combinat.Gap{N: 9, M: 12}, 4, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	small()
+	base := live()
+	if _, _, err := embound.EmWorkers(s, combinat.Gap{N: 0, M: 2}, 10, 1); err != nil {
+		t.Fatal(err)
+	}
+	large := live() - base
+	if large < 4<<20 {
+		t.Fatalf("the order-10 sweep left %d bytes pooled, want its tables (over 4 MiB)", large)
+	}
+	for range 3 {
+		small()
+		live()
+	}
+	if got := live() - base; got > large/4 {
+		t.Fatalf("after small sweeps the heap is %d bytes above its level before the large sweep, which added %d", got, large)
 	}
 }

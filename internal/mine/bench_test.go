@@ -9,6 +9,7 @@ import (
 	"permine/internal/core"
 	seqgen "permine/internal/gen"
 	"permine/internal/pil"
+	"permine/internal/pool"
 )
 
 // benchRunner builds an MPP runner with n = 10 over the realistic DNA
@@ -149,8 +150,23 @@ func BenchmarkSeed(b *testing.B) {
 
 // BenchmarkMineE2E measures a full MPPm mining run end to end. Each run
 // gets its own pil.MemTracker, and the mean of their high-water marks is
-// reported as pil-MB/op: the PIL memory a memory_budget must cover.
+// reported as pil-MB/op: the PIL memory a memory_budget must cover. Runs
+// after the first reuse the working set the previous one released, as
+// back-to-back mines in one process do; BenchmarkMineE2ECold is the first
+// mine of a process.
 func BenchmarkMineE2E(b *testing.B) {
+	benchMineE2E(b)
+}
+
+// BenchmarkMineE2ECold is BenchmarkMineE2E with the pools bypassed, so
+// every run allocates its whole working set, as a process that mines once
+// (cmd/mpp) does. It gates the cold path against slowing down.
+func BenchmarkMineE2ECold(b *testing.B) {
+	defer pool.SetMode(pool.SetMode(pool.Cold))
+	benchMineE2E(b)
+}
+
+func benchMineE2E(b *testing.B) {
 	s, err := seqgen.GenomeLike(2000, 7)
 	if err != nil {
 		b.Fatal(err)

@@ -3,12 +3,16 @@ package mine
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	"permine/internal/combinat"
 	"permine/internal/core"
 	seqgen "permine/internal/gen"
 	"permine/internal/pil"
+	"permine/internal/pool"
+	"permine/internal/seq"
 )
 
 // budgetParams is a workload big enough that a tight memory budget bites
@@ -489,5 +493,194 @@ func TestMemoryBudgetSharedTracker(t *testing.T) {
 	if root.Used() != p.Mem.Used() || root.High() != p.Mem.High() {
 		t.Fatalf("parent tracker diverged: root %d/%d vs child %d/%d",
 			root.Used(), root.High(), p.Mem.Used(), p.Mem.High())
+	}
+}
+
+// chargedRun is what a run charged its tracker, and where: Used after each
+// completed level (the Progress callback), then High and Used at the end.
+type chargedRun struct {
+	res        *core.Result
+	err        error
+	perLevel   []int64
+	high, used int64
+}
+
+// mineCharged runs MPPm on s with a fresh tracker and records its charges.
+func mineCharged(t *testing.T, s *seq.Sequence, p core.Params) chargedRun {
+	t.Helper()
+	var out chargedRun
+	p.Mem = pil.NewMemTracker(nil)
+	p.Progress = func(core.LevelMetrics) { out.perLevel = append(out.perLevel, p.Mem.Used()) }
+	out.res, out.err = MPPm(s, p)
+	out.high, out.used = p.Mem.High(), p.Mem.Used()
+	return out
+}
+
+// sameCharges fails t unless two runs mined the same patterns with the
+// same level counters and charged the same bytes at the same points.
+func sameCharges(t *testing.T, label string, got, want chargedRun) {
+	t.Helper()
+	if got.high != want.high || got.used != want.used {
+		t.Errorf("%s: High %d, Used %d; cold run High %d, Used %d", label, got.high, got.used, want.high, want.used)
+	}
+	if len(got.perLevel) != len(want.perLevel) {
+		t.Fatalf("%s: %d levels reported, cold run %d", label, len(got.perLevel), len(want.perLevel))
+	}
+	for i := range want.perLevel {
+		if got.perLevel[i] != want.perLevel[i] {
+			t.Errorf("%s: Used %d after level %d, cold run %d", label, got.perLevel[i], i, want.perLevel[i])
+		}
+	}
+	if (got.res == nil) != (want.res == nil) {
+		t.Fatalf("%s: result %v, cold run %v", label, got.res != nil, want.res != nil)
+	}
+	if want.res != nil {
+		samePatterns(t, label, got.res.Patterns, want.res.Patterns)
+		sameCounters(t, label, got.res.Levels, want.res.Levels)
+	}
+}
+
+// sameCounters fails t unless two runs' levels agree on every counter.
+func sameCounters(t *testing.T, label string, got, want []core.LevelMetrics) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d levels, cold run %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if a, b := untimed(got[i]), untimed(want[i]); a != b {
+			t.Errorf("%s level %d counters differ:\n got %+v\nwant %+v", label, b.Level, a, b)
+		}
+	}
+}
+
+// untimed is m with its timings zeroed, so that two runs' levels compare
+// by their counters alone.
+func untimed(m core.LevelMetrics) core.LevelMetrics {
+	m.Elapsed, m.GenElapsed, m.CountElapsed = 0, 0, 0
+	return m
+}
+
+// TestPooledRunsChargeAsCold: a run charges its tracker the same bytes at
+// the same points whatever the pools hold. One input is mined cold, with
+// the pools bypassed, then with warm pools after a larger mine and after a
+// smaller one: the patterns, every level counter, Used after each level
+// and the tracker's final High and Used must match the cold run. One
+// counting worker, so the arenas fill in the same order every run.
+func TestPooledRunsChargeAsCold(t *testing.T) {
+	s, err := seqgen.GenomeLike(3000, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger, err := seqgen.GenomeLike(12000, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smaller, err := seqgen.GenomeLike(400, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.Params{Gap: combinat.Gap{N: 9, M: 12}, MinSupport: 0.00003, EmOrder: 8, Workers: 1}
+
+	defer pool.SetMode(pool.SetMode(pool.Cold))
+	cold := mineCharged(t, s, p)
+	if cold.err != nil {
+		t.Fatal(cold.err)
+	}
+	pool.SetMode(pool.Warm)
+	wide := p
+	wide.Workers = 4
+	if _, err := MPPm(larger, wide); err != nil {
+		t.Fatal(err)
+	}
+	sameCharges(t, "after a larger mine", mineCharged(t, s, p), cold)
+	if _, err := MPPm(smaller, p); err != nil {
+		t.Fatal(err)
+	}
+	sameCharges(t, "after a smaller mine", mineCharged(t, s, p), cold)
+}
+
+// TestPooledBudgetStopAsCold: a memory budget stops a run with warm pools
+// at the level, and with the Used, a cold run stops at.
+func TestPooledBudgetStopAsCold(t *testing.T) {
+	s, err := seqgen.GenomeLike(20000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	larger, err := seqgen.GenomeLike(40000, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := budgetParams()
+	p.Workers = 1
+	p.MemoryBudget = 1 << 20
+
+	defer pool.SetMode(pool.SetMode(pool.Cold))
+	cold := mineCharged(t, s, p)
+	var coldErr *core.ResourceExhaustedError
+	if !errors.As(cold.err, &coldErr) {
+		t.Fatalf("cold run error = %v, want *core.ResourceExhaustedError", cold.err)
+	}
+	if len(cold.res.Levels) == 0 {
+		t.Fatal("the budget stopped the cold run before its first level")
+	}
+	pool.SetMode(pool.Warm)
+	if _, err := MPP(larger, budgetParams()); err != nil {
+		t.Fatal(err)
+	}
+	warm := mineCharged(t, s, p)
+	var warmErr *core.ResourceExhaustedError
+	if !errors.As(warm.err, &warmErr) {
+		t.Fatalf("warm run error = %v, want *core.ResourceExhaustedError", warm.err)
+	}
+	if warmErr.Level != coldErr.Level || warmErr.Used != coldErr.Used {
+		t.Errorf("warm run stopped at level %d with Used %d; cold run at level %d with Used %d",
+			warmErr.Level, warmErr.Used, coldErr.Level, coldErr.Used)
+	}
+	sameCharges(t, "budget stop after a larger mine", warm, cold)
+}
+
+// TestPooledScratchShrinks: a large mine's level scratch does not stay
+// pinned by the smaller mines that reuse it. The large mine's slabs
+// expire on their own once idle through two collections; its scratch,
+// taken again by every small mine, must be cut to what they use, so the
+// live heap soon returns near its level before the large mine.
+func TestPooledScratchShrinks(t *testing.T) {
+	smallSeq, err := seqgen.GenomeLike(1000, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	largeSeq, err := seqgen.GenomeLike(3000, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := func() {
+		p := core.Params{Gap: combinat.Gap{N: 9, M: 12}, MinSupport: 0.003, Workers: 1}
+		if _, err := MPP(smallSeq, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	live := func() int64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	small()
+	base := live()
+	// About 90,000 candidates at its largest level: megabytes of scratch.
+	p := core.Params{Gap: combinat.Gap{N: 0, M: 2}, MinSupport: 0.00003, Workers: 1}
+	if _, err := MPP(largeSeq, p); err != nil {
+		t.Fatal(err)
+	}
+	large := live() - base
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		small()
+		got := live() - base
+		if got < 1<<20 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the heap stays %d bytes above its level before the large mine, which added %d", got, large)
+		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 	"testing"
 
 	"permine/internal/combinat"
@@ -11,6 +13,7 @@ import (
 	"permine/internal/gen"
 	"permine/internal/mine"
 	"permine/internal/oracle"
+	"permine/internal/pool"
 	"permine/internal/seq"
 )
 
@@ -137,6 +140,122 @@ func TestDifferentialAllAlgorithms(t *testing.T) {
 	if compact == 0 {
 		t.Error("no auto MPP join read the compact table layout across the grid; the oracle never checked it")
 	}
+}
+
+// TestDifferentialPoisonedPools reruns the differential suite on pooled
+// memory filled with junk. Every arena slab, cumulative table, level
+// scratch and e_m table handed back to a pool is poisoned, and larger
+// mines of another alphabet and gap fill the pools first, so each mine of
+// the suite takes buffers holding junk of other shapes. A miner that read
+// pooled memory before writing it would disagree with the oracle, which
+// shares no memory with the miners; the end-to-end output check cannot
+// see such a bug, since its reference mine draws from the same pools.
+func TestDifferentialPoisonedPools(t *testing.T) {
+	defer pool.SetMode(pool.SetMode(pool.Poison))
+	fillPools(t)
+	TestDifferentialAllAlgorithms(t)
+	TestDifferentialStartLen1Strategies(t)
+}
+
+// fillPools mines a protein sequence with MPPm, whose e_m sweep merges
+// lists, and a DNA one with MPP under a wide gap on four workers, each
+// larger than the suite's inputs.
+func fillPools(t *testing.T) {
+	t.Helper()
+	prot, err := gen.ProteinRepeat(3000, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mine.MPPm(prot, core.Params{Gap: combinat.Gap{N: 2, M: 6}, MinSupport: 0.0005, EmOrder: 6, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+	dna, err := gen.GenomeLike(6000, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mine.MPP(dna, core.Params{Gap: combinat.Gap{N: 0, M: 7}, MinSupport: 0.0002, MaxLen: 6, Workers: 4}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestConcurrentMinesSharePools runs mines of mixed inputs, alphabets
+// (DNA and protein), gaps and algorithms at once on poisoned pools, each
+// several times and on two counting workers, and checks every result
+// against the same mine run cold, with the pools bypassed. Run it under
+// -race: the pools are the only memory the mines share.
+func TestConcurrentMinesSharePools(t *testing.T) {
+	dna, err := gen.GenomeLike(1500, 31)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uni, err := gen.Uniform(seq.DNA, "uniform", 600, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prot, err := gen.ProteinRepeat(1200, 33)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type job struct {
+		name string
+		run  func() (*core.Result, error)
+	}
+	jobs := []job{
+		{"MPPm dna [9,12]", func() (*core.Result, error) {
+			return mine.MPPm(dna, core.Params{Gap: combinat.Gap{N: 9, M: 12}, MinSupport: 0.00003, EmOrder: 8, Workers: 2})
+		}},
+		{"MPP uniform [1,3]", func() (*core.Result, error) {
+			return mine.MPP(uni, core.Params{Gap: combinat.Gap{N: 1, M: 3}, MinSupport: 0.002, MaxLen: 6, Workers: 2, Join: core.JoinCum})
+		}},
+		{"MPPm protein [0,2]", func() (*core.Result, error) {
+			return mine.MPPm(prot, core.Params{Gap: combinat.Gap{N: 0, M: 2}, MinSupport: 0.001, EmOrder: 4, Workers: 2})
+		}},
+		{"Enumerate uniform [2,4]", func() (*core.Result, error) {
+			return mine.Enumerate(uni, core.Params{Gap: combinat.Gap{N: 2, M: 4}, MinSupport: 0.01, Workers: 2, CandidateBudget: 100_000})
+		}},
+	}
+	defer pool.SetMode(pool.SetMode(pool.Cold))
+	want := make([]*core.Result, len(jobs))
+	for i, j := range jobs {
+		res, err := j.run()
+		if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+			t.Fatalf("%s: %v", j.name, err)
+		}
+		want[i] = res
+	}
+
+	pool.SetMode(pool.Poison)
+	var wg sync.WaitGroup
+	for g := 0; g < 2*len(jobs); g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < 3; k++ {
+				i := (g + k) % len(jobs)
+				res, err := jobs[i].run()
+				if err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+					t.Errorf("%s: %v", jobs[i].name, err)
+					return
+				}
+				if !sameResult(res, want[i]) {
+					t.Errorf("%s on shared pools differs from its cold run", jobs[i].name)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// sameResult reports whether two results hold the same patterns, n and
+// level counters (timings aside).
+func sameResult(a, b *core.Result) bool {
+	untimed := func(m core.LevelMetrics) core.LevelMetrics {
+		m.Elapsed, m.GenElapsed, m.CountElapsed = 0, 0, 0
+		return m
+	}
+	return a.N == b.N && slices.Equal(a.Patterns, b.Patterns) &&
+		slices.EqualFunc(a.Levels, b.Levels, func(x, y core.LevelMetrics) bool { return untimed(x) == untimed(y) })
 }
 
 // sameLevelCounters fails t unless two runs' levels agree on every

@@ -49,6 +49,7 @@ func Enumerate(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		return finishLevelRun(res, start, budgetStop(p.StartLen))
 	}
 	r := &runner{s: s, p: p, counter: counter, n: counter.L2(), res: res, exhaustive: true}
+	defer r.release()
 	r.run(r.seed())
 	return finishLevelRun(res, start, r.err)
 }

@@ -18,19 +18,26 @@ import (
 	"permine/internal/core"
 	"permine/internal/obs"
 	"permine/internal/pil"
+	"permine/internal/pool"
 	"permine/internal/seq"
 )
 
 // runner drives one level-wise mining pass shared by MPP, MPPm and
 // Enumerate.
 //
-// The level kernel is allocation-free in steady state: a pattern is keyed
+// The level kernel allocates nothing in steady state: a pattern is keyed
 // by its two parents in the previous level's hat (hatEntry), so candidate
 // generation is integer counting passes at every length; a level's
 // characters sit in one byte buffer, read only to emit patterns and call
 // the query hooks; and every join output is carved from per-worker
 // pil.Arena slabs recycled double-buffered across levels. The scratch
-// slices below are reused from level to level for the same reason.
+// buffers are reused from level to level for the same reason, and from
+// run to run: a run takes its scratch (with its workers' cumulative
+// tables) and its arenas' slabs from process-wide pools as it needs them,
+// and release hands them back once the run's last worker has stopped, so
+// a run allocates its working set only when no earlier run of the process
+// has left one. A list stays valid until its arena's Reset after next or
+// the run's release, whichever comes first.
 type runner struct {
 	s       *seq.Sequence
 	p       core.Params
@@ -45,8 +52,7 @@ type runner struct {
 	// Params.CandidateBudget stops the run between levels.
 	exhaustive bool
 
-	arenas  []pil.Arena   // two per worker: arenas[2*w+parity(level)]
-	joinScr []joinScratch // one per worker: cached suffix-run join state
+	arenas []pil.Arena // two per worker: arenas[2*w+parity(level)]
 
 	// mem accounts the run's retained PIL bytes against p.MemoryBudget:
 	// Params.Mem when the caller installed one (the server's per-job
@@ -54,17 +60,123 @@ type runner struct {
 	mem    *pil.MemTracker
 	ownMem pil.MemTracker
 
-	// Per-level scratch, reused across levels. hatBuf and chars are
-	// double-buffered by level parity: level i's entries and characters
-	// are read while level i+1's are written.
-	hatBuf [2][]hatEntry
-	chars  [2][]byte // level i's characters, i bytes per hat entry
-	cands  []candidate
-	joined []countedList
-	groups []groupRun
-	runs   []int32 // gen: hat indices by prefix key
-	uses   []int32 // gen: groups by suffix key
-	at     []int32 // gen: next group slot by suffix key
+	*scratch // from seed until release
+}
+
+// scratch is the level loop's working memory besides the arenas, reused
+// from level to level and, through scratchPool, from run to run. Every
+// buffer is written before it is read — gen and countCandidates size each
+// with sliceFor or truncate it and then fill it, and every cumulative
+// table is built before its joins — so what a pooled scratch held is
+// never looked at.
+type scratch struct {
+	// hatBuf and chars are double-buffered by level parity: level i's
+	// entries and characters are read while level i+1's are written.
+	hatBuf  [2][]hatEntry
+	chars   [2][]byte // level i's characters, i bytes per hat entry
+	cands   []candidate
+	joined  []countedList
+	groups  []groupRun
+	runs    []int32       // gen: hat indices by prefix key
+	uses    []int32       // gen: groups by suffix key
+	at      []int32       // gen: next group slot by suffix key
+	joinScr []joinScratch // one per worker: cached suffix-run join state
+
+	peak peaks // of the run holding the scratch
+}
+
+// peaks are the most entries a run has put in one hat, in one level's
+// candidate list and in one level's character buffer. They bound every
+// scratch buffer: a candidate list, and the joins counted from it, hold
+// a level's candidates; the hat and the character buffer a level's
+// patterns; and gen's groups and keys, and a worker's join state, at most
+// one entry per pattern of the level before.
+type peaks struct{ hat, cands, chars int }
+
+// scratchPool holds the scratch of finished runs.
+var scratchPool = pool.New((*scratch).poison)
+
+// takeScratch gives the run a scratch from the pool, its peaks at zero
+// and its workers' tables charging r.mem as new tables would.
+func (r *runner) takeScratch() {
+	sc := scratchPool.Get()
+	sc.peak = peaks{}
+	for w := range sc.joinScr {
+		for j := range sc.joinScr[w].tables {
+			sc.joinScr[w].tables[j].SetTracker(r.mem)
+		}
+	}
+	r.scratch = sc
+}
+
+// fit readies a finished run's scratch for the pool. It drops the run's
+// references to its lists and trackers, so a pooled scratch keeps no
+// slab or job alive, and cuts every buffer to within four times of the
+// run's peak that bounds it (pool.Fit), so a large run's buffers do not
+// stay pinned by the smaller runs that reuse the scratch.
+func (sc *scratch) fit() {
+	p := sc.peak
+	for i := range sc.hatBuf {
+		sc.hatBuf[i] = pool.Fit(sc.hatBuf[i], p.hat)
+		clear(sc.hatBuf[i][:cap(sc.hatBuf[i])])
+		sc.chars[i] = pool.Fit(sc.chars[i], p.chars)
+	}
+	sc.joined = pool.Fit(sc.joined, p.cands)
+	clear(sc.joined[:cap(sc.joined)])
+	sc.cands = pool.Fit(sc.cands, p.cands)
+	sc.groups = pool.Fit(sc.groups, p.hat)
+	sc.runs = pool.Fit(sc.runs, p.hat+1)
+	sc.uses = pool.Fit(sc.uses, p.hat)
+	sc.at = pool.Fit(sc.at, p.hat)
+	for w := range sc.joinScr {
+		js := &sc.joinScr[w]
+		js.kern = pool.Fit(js.kern, p.hat)
+		js.capped = pool.Fit(js.capped, p.hat)
+		js.tables = pool.Fit(js.tables, p.hat)
+		for j := range js.tables {
+			js.tables[j].Shrink()
+			js.tables[j].SetTracker(nil)
+		}
+	}
+}
+
+// poison fills every buffer of sc, up to its capacity, with junk.
+func (sc *scratch) poison() {
+	junk := pil.List{{X: math.MaxInt32, Y: -1}}
+	for i := range sc.hatBuf {
+		pool.Fill(sc.hatBuf[i], hatEntry{pre: -1, suf: -1, list: junk, sup: -1})
+		pool.Fill(sc.chars[i], 0xff)
+	}
+	pool.Fill(sc.cands, candidate{prefix: -1, suffix: -1})
+	pool.Fill(sc.joined, countedList{list: junk, sup: -1})
+	pool.Fill(sc.groups, groupRun{prefix: -1, start: -1, end: -1, uses: -1})
+	pool.Fill(sc.runs, -1)
+	pool.Fill(sc.uses, -1)
+	pool.Fill(sc.at, -1)
+	for w := range sc.joinScr {
+		js := &sc.joinScr[w]
+		pool.Fill(js.kern, 0xff)
+		pool.Fill(js.capped, true)
+		for j := range js.tables {
+			js.tables[j].Poison()
+		}
+	}
+}
+
+// release hands the run's working set back to the pools: the arenas'
+// slabs and the scratch, with its workers' cumulative tables. It is
+// called once the run's last worker has stopped — countCandidates
+// returns only after all have — on every way a run ends, and no list of
+// the run is read afterwards.
+func (r *runner) release() {
+	for i := range r.arenas {
+		r.arenas[i].Release()
+	}
+	if sc := r.scratch; sc != nil {
+		r.scratch = nil
+		sc.fit()
+		scratchPool.Put(sc)
+	}
 }
 
 // hatEntry is one counted pattern P of level i, and after collectLevel
@@ -325,6 +437,7 @@ func (r *runner) workers() int {
 func (r *runner) seed() []hatEntry {
 	r.arenas = make([]pil.Arena, 2*r.workers())
 	r.initMem()
+	r.takeScratch()
 	alpha := r.s.Alphabet()
 	hat, chars := r.hatBuf[1][:0], r.chars[1][:0]
 	// Level 1's lists go to an arena of its parity, which the count of
@@ -336,6 +449,7 @@ func (r *runner) seed() []hatEntry {
 		}
 	}
 	r.hatBuf[1], r.chars[1] = hat, chars
+	r.peak.hat, r.peak.chars = len(hat), len(chars)
 	ctx := r.p.Context()
 	for i := 2; i <= r.p.StartLen && len(hat) > 0; i++ {
 		if err := r.checkOverflow(i); err != nil {
@@ -642,13 +756,14 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (kern joinKern
 // never reported as results.
 func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, cut int64, st *levelStats) []hatEntry {
 	n := len(cands)
+	r.peak.cands = max(r.peak.cands, n)
 	r.joined = sliceFor(r.joined, n)
 	joined := r.joined
 	groups := r.groups
 	parity := level & 1
 	workers := r.workers()
-	if len(r.joinScr) < workers {
-		r.joinScr = make([]joinScratch, workers)
+	if n := workers - len(r.joinScr); n > 0 {
+		r.joinScr = append(r.joinScr, make([]joinScratch, n)...)
 	}
 	for w := 0; w < workers; w++ {
 		r.arenas[2*w+parity].Reset()
@@ -718,7 +833,11 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					for int32(len(sc.tables)) < width {
 						sc.tables = append(sc.tables, pil.CumTable{})
 						sc.tables[len(sc.tables)-1].SetTracker(mem)
+					}
+					for int32(len(sc.kern)) < width {
 						sc.kern = append(sc.kern, twoPointer)
+					}
+					for int32(len(sc.capped)) < width {
 						sc.capped = append(sc.capped, false)
 					}
 					for j := int32(0); j < width; j++ {
@@ -808,5 +927,6 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 		chars = append(chars, prev[(int(c.suffix)+1)*k-1])
 	}
 	r.hatBuf[level&1], r.chars[level&1] = out, chars
+	r.peak.hat, r.peak.chars = max(r.peak.hat, len(out)), max(r.peak.chars, len(chars))
 	return out
 }

@@ -44,6 +44,7 @@ func MPP(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		N:         n,
 	}
 	r := &runner{s: s, p: p, counter: counter, n: n, res: res}
+	defer r.release()
 	r.run(r.seed())
 	return finishLevelRun(res, start, r.err)
 }

@@ -49,6 +49,7 @@ func MPPm(s *seq.Sequence, params core.Params) (*core.Result, error) {
 		EmOrder:   p.EmOrder,
 	}
 	r := &runner{s: s, p: p, counter: counter, res: res}
+	defer r.release()
 	hat := r.seed()
 	r.n = estimateN(counter, p, hat, em)
 	res.N = r.n

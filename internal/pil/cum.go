@@ -1,10 +1,12 @@
 package pil
 
 import (
+	"math"
 	"math/bits"
 	"unsafe"
 
 	"permine/internal/combinat"
+	"permine/internal/pool"
 )
 
 // CumTable is a cumulative-support lookup over one PIL, the suffix of a
@@ -30,6 +32,10 @@ import (
 //
 // Callers pick the layout and gate on density and reuse (see
 // internal/mine); the builds themselves do not.
+//
+// A table can serve run after run (the miner's pooled scratch keeps its
+// workers' tables): SetTracker binds it to a run, Shrink cuts it when the
+// run ends, and every build writes the part of an array it reads.
 type CumTable struct {
 	base    int // X of the first entry
 	last    int // X of the last entry
@@ -42,7 +48,52 @@ type CumTable struct {
 	words []rankWord
 	ps    []int64
 
-	mem *MemTracker
+	// mem is charged for the arrays' growth past held, the lengths
+	// charged since SetTracker (per array: cum, words, ps), whatever
+	// capacity the arrays kept from earlier runs, so a reused table
+	// charges its run what a new one would.
+	mem  *MemTracker
+	held [3]int
+}
+
+// SetTracker binds the table to a run: its backing-array growth charges
+// go to m (nil tracks nothing), counted from zero as for a new table.
+// Each build charges the growth of an array past the length charged so
+// far, so rebuilds within that length charge nothing, and a table that
+// has held both layouts keeps both arrays, charged once.
+func (t *CumTable) SetTracker(m *MemTracker) { t.mem, t.held = m, [3]int{} }
+
+// Shrink drops each backing array more than four times longer than the
+// most the run since SetTracker used of it (pool.Fit), so a table kept
+// for later runs holds about what its last run needed. The table must be
+// built again before its next join.
+func (t *CumTable) Shrink() {
+	t.cum = pool.Fit(t.cum, t.held[0])
+	t.words = pool.Fit(t.words, t.held[1])
+	t.ps = pool.Fit(t.ps, t.held[2])
+}
+
+// Poison fills the table's arrays, to their capacity, with junk and its
+// bounds with values no build leaves: what the pools' Poison mode does to
+// a table handed back, so a join that read a stale table fails a test.
+func (t *CumTable) Poison() {
+	pool.Fill(t.cum, -1)
+	pool.Fill(t.words, rankWord{bits: math.MaxUint64, rank: -1})
+	pool.Fill(t.ps, -1)
+	t.base, t.last, t.compact = -1, -2, true
+}
+
+// grow returns buf resized to n, reallocated when its capacity is short,
+// and charges mem for the elements of size bytes past *held.
+func grow[T any](buf []T, n int, held *int, size int64, mem *MemTracker) []T {
+	if n > *held {
+		mem.Charge(size * int64(n-*held))
+		*held = n
+	}
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // rankWord is one word of the compact layout: the entries at 64 span
@@ -57,23 +108,13 @@ type rankWord struct {
 // padding included: the unit its growth charges are computed in.
 const rankWordBytes = int64(unsafe.Sizeof(rankWord{}))
 
-// SetTracker routes the table's backing-array growth charges to m (nil
-// stops tracking). Rebuilds that fit the retained arrays charge nothing;
-// a table that has held both layouts keeps both arrays, charged once.
-func (t *CumTable) SetTracker(m *MemTracker) { t.mem = m }
-
 // Build fills the table's dense layout from a non-empty PIL, reusing the
 // previous backing array when large enough.
 func (t *CumTable) Build(s List) {
 	t.base = int(s[0].X)
 	t.last = int(s[len(s)-1].X)
 	t.compact = false
-	n := t.last - t.base + 1
-	if cap(t.cum) < n {
-		t.mem.Charge(8 * int64(n-cap(t.cum)))
-		t.cum = make([]int64, n)
-	}
-	cum := t.cum[:n]
+	cum := grow(t.cum, t.last-t.base+1, &t.held[0], 8, t.mem)
 	clear(cum)
 	for _, e := range s {
 		cum[int(e.X)-t.base] = e.Y
@@ -92,12 +133,7 @@ func (t *CumTable) BuildCompact(s List) {
 	t.base = int(s[0].X)
 	t.last = int(s[len(s)-1].X)
 	t.compact = true
-	nw := (t.last-t.base)>>6 + 1
-	if cap(t.words) < nw {
-		t.mem.Charge(rankWordBytes * int64(nw-cap(t.words)))
-		t.words = make([]rankWord, nw)
-	}
-	words := t.words[:nw]
+	words := grow(t.words, (t.last-t.base)>>6+1, &t.held[1], rankWordBytes, t.mem)
 	clear(words)
 	for _, e := range s {
 		rel := int(e.X) - t.base
@@ -108,11 +144,7 @@ func (t *CumTable) BuildCompact(s List) {
 		words[i].rank = r
 		r += int32(bits.OnesCount64(words[i].bits))
 	}
-	if cap(t.ps) < len(s)+1 {
-		t.mem.Charge(8 * int64(len(s)+1-cap(t.ps)))
-		t.ps = make([]int64, len(s)+1)
-	}
-	ps := t.ps[:len(s)+1]
+	ps := grow(t.ps, len(s)+1, &t.held[2], 8, t.mem)
 	ps[0] = 0
 	for i, e := range s {
 		ps[i+1] = ps[i] + e.Y

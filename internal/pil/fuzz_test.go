@@ -6,6 +6,7 @@ import (
 
 	"permine/internal/combinat"
 	"permine/internal/pil"
+	"permine/internal/pool"
 )
 
 // decodeLists turns fuzzer bytes into two valid PILs plus a gap: 1-byte
@@ -65,13 +66,23 @@ func cutFrom(b byte, full int64) int64 {
 // the two-pointer kernel and both table layouts stop at the same entry.
 // The bound holds for any two lists, not only a pattern's parents, so
 // every decoded pair is a valid input.
+//
+// Every input runs on reused memory filled with junk: the arena is
+// released at the start of each input, so its slabs come back from the
+// pool poisoned, and one table serves every build of either layout and
+// is poisoned after each join, as the miner's pooled scratch leaves its
+// tables. A kernel that read reused memory before writing it would
+// disagree with the heap join.
 func FuzzJoin(f *testing.F) {
 	f.Add([]byte{4, 0, 3, 1, 1, 2, 1, 1, 2, 3, 1})
 	f.Add([]byte{0, 15, 15})
 	f.Add([]byte{255, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add([]byte{13, 2, 1, 0, 4, 1, 4, 0, 4, 7, 1, 0, 2, 1, 3, 6, 4, 0, 1})
+	defer pool.SetMode(pool.SetMode(pool.Poison))
 	var arena pil.Arena
+	var tab pil.CumTable
 	f.Fuzz(func(t *testing.T, data []byte) {
+		arena.Release()
 		prefix, suffix, g := decodeLists(data)
 		got, sup, n := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
 		if n != len(prefix) {
@@ -104,8 +115,9 @@ func FuzzJoin(f *testing.F) {
 		}
 		if len(suffix) > 0 {
 			for _, layout := range tableLayouts {
-				tab := layout.build(suffix)
-				viaCum, supCum, _ := pil.JoinCum(nil, prefix, tab, 0, g)
+				layout.build(&tab, suffix)
+				viaCum, supCum, _ := pil.JoinCum(nil, prefix, &tab, 0, g)
+				tab.Poison()
 				sameList(t, layout.name+" join", viaCum, got)
 				if supCum != sup {
 					t.Fatalf("%s join support %d, heap %d", layout.name, supCum, sup)
@@ -142,7 +154,9 @@ func FuzzJoin(f *testing.F) {
 			if len(sf) > 0 {
 				twoOut := out
 				for li, layout := range tableLayouts {
-					cOut, cSup, cN := pil.JoinCum(arenaFor(1+li), pr, layout.build(sf), cut, g)
+					layout.build(&tab, sf)
+					cOut, cSup, cN := pil.JoinCum(arenaFor(1+li), pr, &tab, cut, g)
+					tab.Poison()
 					checkCut(t, layout.name, pr, full, cut, cOut, cSup, cN)
 					if cN != jn || (cOut != nil) != (twoOut != nil) {
 						t.Fatalf("join %d, cut %d: %s joined %d entries (kept %v), twoptr %d (kept %v)",
@@ -164,14 +178,14 @@ func FuzzJoin(f *testing.F) {
 	})
 }
 
-// tableLayouts builds a fresh CumTable over a non-empty list in each of
-// its layouts, so FuzzJoin runs JoinCum on both.
+// tableLayouts builds a CumTable over a non-empty list in each of its
+// layouts, so FuzzJoin runs JoinCum on both.
 var tableLayouts = []struct {
 	name  string
-	build func(pil.List) *pil.CumTable
+	build func(*pil.CumTable, pil.List)
 }{
-	{"cum", func(s pil.List) *pil.CumTable { var t pil.CumTable; t.Build(s); return &t }},
-	{"compact", func(s pil.List) *pil.CumTable { var t pil.CumTable; t.BuildCompact(s); return &t }},
+	{"cum", (*pil.CumTable).Build},
+	{"compact", (*pil.CumTable).BuildCompact},
 }
 
 // checkCut checks one bounded join of pr against its unbounded result

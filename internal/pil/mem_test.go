@@ -84,6 +84,15 @@ func TestMemTrackerTables(t *testing.T) {
 	if tr.High() != tr.Used() {
 		t.Fatalf("High = %d, want %d", tr.High(), tr.Used())
 	}
+
+	// Bound to a later run, the table charges it what a new table would,
+	// whatever its arrays kept from the last one.
+	next := pil.NewMemTracker(nil)
+	ct.SetTracker(next)
+	ct.Build(list)
+	if next.Used() != dense {
+		t.Fatalf("reused table charged its next run %d, want %d as new", next.Used(), dense)
+	}
 }
 
 // TestMemTrackerChaining: charges propagate to parents, credits restore

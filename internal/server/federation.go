@@ -20,13 +20,16 @@ const clusterScrapeFanout = 4
 // deadline), merges the expositions with this node's own snapshot, and
 // stamps every sample with a node label. A peer that fails its scrape is
 // simply absent from the output — partial beats nothing during an incident
-// — and counts on permine_cluster_scrape_errors_total.
+// — and counts on permine_cluster_scrape_errors_total. The header line
+// counts the nodes merged, the peers scraped, the scrapes that failed and
+// the peers skipped as dead, so a lost peer always shows in it as an
+// error or as dead.
 func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	if s.clu == nil {
 		apiError(w, http.StatusNotFound, "not a coordinator: cluster metrics federation is served by the coordinator role")
 		return
 	}
-	targets := s.clu.ScrapeTargets()
+	targets, dead := s.clu.ScrapeTargets()
 	type scraped struct {
 		text []byte
 		err  error
@@ -76,8 +79,8 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	sources = append([]obs.FederatedSource{{Node: s.nodeID, Text: self.Bytes()}}, sources...)
 
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	fmt.Fprintf(w, "# permine cluster federation: nodes=%d scraped=%d errors=%d\n",
-		len(sources), len(sources)-1, errs)
+	fmt.Fprintf(w, "# permine cluster federation: nodes=%d scraped=%d errors=%d dead=%d\n",
+		len(sources), len(sources)-1, errs, dead)
 	if err := obs.WriteFederated(w, sources); err != nil {
 		s.cfg.Logger.Warn("writing federated metrics", "err", err)
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
@@ -175,8 +176,8 @@ func TestClusterDistributedTrace(t *testing.T) {
 // TestClusterFederatedMetrics pins GET /v1/cluster/metrics: one scrape
 // merges all three nodes' expositions under node labels, a peer whose
 // /metrics is unreachable degrades the output to partial (and bumps the
-// scrape-error counter) instead of failing the request, and the endpoint
-// is coordinator-only.
+// scrape-error counter) instead of failing the request, a dead peer is
+// skipped and counted in the header, and the endpoint is coordinator-only.
 func TestClusterFederatedMetrics(t *testing.T) {
 	corpustest.CheckLeaks(t)
 
@@ -209,7 +210,7 @@ func TestClusterFederatedMetrics(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("cluster metrics status = %d", status)
 	}
-	if !strings.Contains(text, "# permine cluster federation: nodes=3 scraped=2 errors=0") {
+	if !strings.Contains(text, "# permine cluster federation: nodes=3 scraped=2 errors=0 dead=0") {
 		t.Errorf("federation header wrong:\n%s", firstLine(text))
 	}
 	for _, node := range []string{aSrv.nodeID, bSrv.nodeID, cSrv.nodeID} {
@@ -231,7 +232,7 @@ func TestClusterFederatedMetrics(t *testing.T) {
 	if status != http.StatusOK {
 		t.Fatalf("partial cluster metrics status = %d, want 200", status)
 	}
-	if !strings.Contains(text, "# permine cluster federation: nodes=2 scraped=1 errors=1") {
+	if !strings.Contains(text, "# permine cluster federation: nodes=2 scraped=1 errors=1 dead=0") {
 		t.Errorf("partial federation header wrong:\n%s", firstLine(text))
 	}
 	if strings.Contains(text, `node="`+bSrv.nodeID+`"`) {
@@ -245,6 +246,28 @@ func TestClusterFederatedMetrics(t *testing.T) {
 	}
 	if got := aSrv.clu.Stats().ScrapeErrors; got != 1 {
 		t.Errorf("Stats().ScrapeErrors = %d, want 1", got)
+	}
+
+	// B stops answering anything, and the coordinator's failed calls
+	// declare it dead, as failed mine RPCs do when a peer is killed: it
+	// leaves the scrape targets, and the header reports it as dead rather
+	// than dropping it silently.
+	faults.Set(bTS.URL, "", clustertest.Fault{Kind: clustertest.Drop})
+	for i := 0; i < 100 && aSrv.clu.Stats().Peers[bTS.URL] != "dead"; i++ {
+		aSrv.clu.NoteRPCFailure(bTS.URL, errors.New("injected mine RPC failure"))
+	}
+	if st := aSrv.clu.Stats().Peers[bTS.URL]; st != "dead" {
+		t.Fatalf("peer B is %q after repeated RPC failures, want dead", st)
+	}
+	status, text = fetch()
+	if status != http.StatusOK {
+		t.Fatalf("cluster metrics status with a dead peer = %d, want 200", status)
+	}
+	if !strings.Contains(text, "# permine cluster federation: nodes=2 scraped=1 errors=0 dead=1") {
+		t.Errorf("dead-peer federation header wrong:\n%s", firstLine(text))
+	}
+	if strings.Contains(text, `node="`+bSrv.nodeID+`"`) {
+		t.Errorf("dead peer still present in merged exposition")
 	}
 
 	// Peers do not federate.

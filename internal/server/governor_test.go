@@ -371,3 +371,46 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 		t.Errorf("store never degraded: %+v", st)
 	}
 }
+
+// TestGovernorUncountsPooledMemory: a job's charges leave the governor
+// when the job ends, although its working set stays pooled for the next
+// mine. After a burst of concurrent jobs on pools a larger mine warmed,
+// the gauge is back at 0 and its high-water mark shows the jobs were
+// charged.
+func TestGovernorUncountsPooledMemory(t *testing.T) {
+	corpustest.CheckLeaks(t)
+	if _, err := mine.MPP(heavySeq(t), heavyParams()); err != nil {
+		t.Fatal(err)
+	}
+	m := newTestManager(t, ManagerConfig{Workers: 2})
+	p := miningParams()
+	p.Workers = 2
+	var jobs []*corpus.Job
+	for i := 0; i < 6; i++ {
+		algo := core.AlgoMPP
+		if i%2 == 1 {
+			algo = core.AlgoMPPm
+		}
+		j, err := m.Submit(context.Background(), genomeSeq(t, 3000, uint64(100+i)), algo, p, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if v := waitTerminal(t, j); v.State != corpus.StateDone {
+			t.Fatalf("job %s = %s (err %q), want done", v.ID, v.State, v.Error)
+		}
+	}
+	g := m.Governor()
+	deadline := time.Now().Add(5 * time.Second)
+	for g.Used() != 0 && time.Now().Before(deadline) {
+		time.Sleep(2 * time.Millisecond)
+	}
+	if g.Used() != 0 {
+		t.Fatalf("governor Used = %d after every job ended, want 0", g.Used())
+	}
+	if g.High() == 0 {
+		t.Fatal("governor High = 0: the jobs charged nothing")
+	}
+}

@@ -56,6 +56,9 @@ else
     # JoinStrategies counts a level of dense 20 kb lists, where auto takes
     # the dense cumulative table; JoinStrategiesSparse one of the genome
     # workload's long sparse lists, where it takes the compact layout.
+    # MineE2E reuses the working set each mine releases, as back-to-back
+    # mines in one process do; MineE2ECold bypasses the pools, as the one
+    # mine of a cmd/mpp process does, so a slower cold path is gated too.
     groups='
 BenchmarkPILJoin$       100000x .
 BenchmarkSupport$       1000x   .
@@ -67,6 +70,7 @@ BenchmarkMineLevel$     100x    ./internal/mine
 BenchmarkJoinStrategies$  200x  ./internal/mine
 BenchmarkJoinStrategiesSparse$ 5x ./internal/mine
 BenchmarkMineE2E$       5x      ./internal/mine
+BenchmarkMineE2ECold$   5x      ./internal/mine
 BenchmarkTopK$          5x      ./internal/query
 BenchmarkCacheFilter$   200x    ./internal/query
 '
