@@ -20,7 +20,7 @@ vet:
 	$(GO) vet ./...
 
 race:
-	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/frame/ ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/pool/ ./internal/seq/
+	$(GO) test -race ./internal/async/ ./internal/cluster/... ./internal/corpus/... ./internal/frame/ ./internal/mine/ ./internal/obs/ ./internal/server/... ./internal/pil/ ./internal/embound/ ./internal/pool/ ./internal/seq/ ./cmd/permined/
 
 # The full pre-merge gate: build, vet, tests, the race detector over
 # the concurrent packages, a short fuzz pass over the PIL invariants,

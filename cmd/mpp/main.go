@@ -48,7 +48,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		maxLen   = fs.Int("n", 0, "MPP estimate of the longest frequent pattern length (0 = worst case l1)")
 		emOrder  = fs.Int("m", 8, "MPPm e_m order")
 		workers  = fs.Int("workers", 1, "worker goroutines for candidate counting and the e_m sweep (at most 1024)")
-		join     = fs.String("join", "auto", "PIL join strategy: auto; twoptr (the two-pointer merge everywhere) and cum (a cumulative table everywhere, dense or compact layout) give identical results and are for debugging and benchmarks")
 		topK     = fs.Int("topk", 0, "mine only the K best patterns by support ratio (0 = all)")
 		motif    = fs.String("motif", "", "targeted mining: keep only patterns containing this character string")
 		verbose  = fs.Bool("v", false, "print per-level metrics")
@@ -96,10 +95,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		}
 	}
 
-	joinStrat, err := permine.ParseJoinStrategy(*join)
-	if err != nil {
-		return err
-	}
 	params := permine.Params{
 		Gap:        permine.Gap{N: *gapMin, M: *gapMax},
 		MinSupport: *support / 100,
@@ -108,7 +103,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		Workers:    *workers,
 		TopK:       *topK,
 		Motif:      *motif,
-		Join:       joinStrat,
 	}
 
 	if *query != "" {

@@ -66,6 +66,69 @@ func splitPeers(s string) []string {
 	return peers
 }
 
+// options are the parsed command line: the server settings, bound over
+// server.Defaults so an unset flag means what the setting's default
+// means, and the daemon's own process flags.
+type options struct {
+	cfg          server.Config
+	addr         string
+	drainTimeout time.Duration
+	pprofAddr    string
+	logJSON      bool
+	version      bool
+}
+
+func parseFlags(args []string) (options, error) {
+	o := options{cfg: server.Defaults()}
+	c := &o.cfg
+	fs := flag.NewFlagSet("permined", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&c.Workers, "workers", c.Workers, "concurrent mining workers")
+	fs.IntVar(&c.QueueDepth, "queue", c.QueueDepth, "job queue depth (submits beyond it are rejected with 429 + Retry-After)")
+	fs.IntVar(&c.CacheSize, "cache", c.CacheSize, "result cache size in entries (negative disables)")
+	fs.IntVar(&c.Retain, "retain", c.Retain, "finished jobs kept queryable")
+	fs.DurationVar(&c.JobTimeout, "job-timeout", c.JobTimeout, "default per-job deadline")
+	fs.DurationVar(&c.MaxTimeout, "max-timeout", c.MaxTimeout, "ceiling for client-supplied timeouts (0 = job-timeout; none when job-timeout is negative)")
+	fs.Int64Var(&c.MaxBodyBytes, "max-body-bytes", c.MaxBodyBytes, "request body size limit in bytes (oversized bodies get 413)")
+	fs.Int64Var(&c.MemBudget, "mem-budget", c.MemBudget, "default per-job mining memory budget in bytes (0 = unlimited); over-budget jobs end resource_exhausted with partial results")
+	fs.Int64Var(&c.MemGlobal, "mem-global", c.MemGlobal, "process-wide mining memory ceiling in bytes (0 = unlimited); nearing it browns out expensive job classes")
+	fs.IntVar(&c.BrownoutPct, "brownout-pct", c.BrownoutPct, "percent of -mem-global at which brownout shedding starts")
+	fs.StringVar(&c.DataDir, "data-dir", c.DataDir, "journal jobs here and recover them on restart (empty = in-memory only)")
+	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "journal size triggering compaction")
+	fs.IntVar(&c.RetryBudget, "retry-budget", c.RetryBudget, "attempts allowed per shard under transient failures, and re-executions per job after crashes")
+	fs.DurationVar(&c.RetryBackoff, "retry-backoff", c.RetryBackoff, "base delay before a shard retries or a recovered job re-runs (doubles per attempt, jittered)")
+	fs.DurationVar(&c.ShardTimeout, "shard-timeout", c.ShardTimeout, "per-attempt deadline of a corpus shard")
+	fs.IntVar(&c.CorpusMaxInflight, "corpus-max-inflight", c.CorpusMaxInflight, "corpus shards mined concurrently per job (0 = 2x workers)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
+	fs.StringVar(&c.ClusterRole, "cluster-role", c.ClusterRole, `cluster mode: "" standalone, "coordinator" places work on peers, "peer" serves forwarded work`)
+	fs.Func("cluster-peers", "comma-separated peer base `URLs` the coordinator heartbeats and forwards to", func(s string) error {
+		c.ClusterPeers = splitPeers(s)
+		return nil
+	})
+	fs.StringVar(&c.ClusterSelf, "cluster-self", c.ClusterSelf, "this node's advertised base URL (journaled on local placements)")
+	fs.DurationVar(&c.ClusterHeartbeat, "cluster-heartbeat", c.ClusterHeartbeat, "heartbeat probe interval (jittered)")
+	fs.IntVar(&c.ClusterSuspectAfter, "cluster-suspect-after", c.ClusterSuspectAfter, "consecutive probe failures before a peer is suspect")
+	fs.IntVar(&c.ClusterDeadAfter, "cluster-dead-after", c.ClusterDeadAfter, "consecutive probe failures before a peer is dead and leaves the ring")
+	fs.DurationVar(&c.ShardDelay, "shard-delay", c.ShardDelay, "debug: stretch every local mining run by this sleep")
+	fs.IntVar(&c.TraceSpans, "trace-spans", c.TraceSpans, "finished tracing spans kept for /v1/traces")
+	fs.Float64Var(&c.TraceSample, "trace-sample", c.TraceSample, "head-sampling rate for traces in [0,1]; sampled-out requests produce no spans")
+	sloMS := fs.Int64("slo-p99-ms", c.SLOTargetP99.Milliseconds(), "p99 request-latency objective in ms for the permine_slo_* counters")
+	fs.StringVar(&o.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
+	fs.BoolVar(&o.logJSON, "log-json", false, "emit JSON logs instead of text")
+	fs.BoolVar(&o.version, "version", false, "print version and exit")
+	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	c.SLOTargetP99 = time.Duration(*sloMS) * time.Millisecond
+	// Config reads TraceSample 0 as its default (sample everything); an
+	// explicit -trace-sample 0 means drop every trace, which Config spells
+	// negative.
+	if c.TraceSample == 0 {
+		c.TraceSample = -1
+	}
+	return o, nil
+}
+
 func main() {
 	if err := run(context.Background(), os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "permined:", err)
@@ -74,98 +137,26 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, stdout io.Writer) error {
-	fs := flag.NewFlagSet("permined", flag.ContinueOnError)
-	var (
-		addr         = fs.String("addr", ":8080", "listen address")
-		workers      = fs.Int("workers", 2, "concurrent mining workers")
-		queueDepth   = fs.Int("queue", 64, "job queue depth (submits beyond it are rejected with 429 + Retry-After)")
-		cacheSize    = fs.Int("cache", 128, "result cache size in entries (negative disables)")
-		cacheSubsume = fs.Bool("cache-subsumption", true, "serve jobs by filtering cached results mined at other thresholds")
-		retain       = fs.Int("retain", 1024, "finished jobs kept queryable")
-		jobTimeout   = fs.Duration("job-timeout", 5*time.Minute, "default per-job deadline")
-		maxTimeout   = fs.Duration("max-timeout", 0, "ceiling for client-supplied timeouts (0 = job-timeout; none when job-timeout is negative)")
-		syncLen      = fs.Int("max-sync-len", 1<<20, "longest sequence /v1/query accepts synchronously")
-		maxBody      = fs.Int64("max-body-bytes", 64<<20, "request body size limit in bytes (oversized bodies get 413)")
-		memBudget    = fs.Int64("mem-budget", 0, "default per-job mining memory budget in bytes (0 = unlimited); over-budget jobs end resource_exhausted with partial results")
-		memGlobal    = fs.Int64("mem-global", 0, "process-wide mining memory ceiling in bytes (0 = unlimited); nearing it browns out expensive job classes")
-		brownoutPct  = fs.Int("brownout-pct", 85, "percent of -mem-global at which brownout shedding starts")
-		dataDir      = fs.String("data-dir", "", "journal jobs here and recover them on restart (empty = in-memory only)")
-		compactBytes = fs.Int64("compact-bytes", 4<<20, "journal size triggering compaction")
-		retryBudget  = fs.Int("retry-budget", 3, "attempts allowed per shard under transient failures, and re-executions per job after crashes")
-		retryBackoff = fs.Duration("retry-backoff", 500*time.Millisecond, "base delay before a shard retries or a recovered job re-runs (doubles per attempt, jittered)")
-		shardTimeout = fs.Duration("shard-timeout", 2*time.Minute, "per-attempt deadline of a corpus shard")
-		maxInflight  = fs.Int("corpus-max-inflight", 0, "corpus shards mined concurrently per job (0 = 2x workers)")
-		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for running jobs")
-		clusterRole  = fs.String("cluster-role", "", `cluster mode: "" standalone, "coordinator" places work on peers, "peer" serves forwarded work`)
-		clusterPeers = fs.String("cluster-peers", "", "comma-separated peer base URLs the coordinator heartbeats and forwards to")
-		clusterSelf  = fs.String("cluster-self", "", "this node's advertised base URL (journaled on local placements)")
-		clusterHB    = fs.Duration("cluster-heartbeat", time.Second, "heartbeat probe interval (jittered)")
-		clusterSusp  = fs.Int("cluster-suspect-after", 2, "consecutive probe failures before a peer is suspect")
-		clusterDead  = fs.Int("cluster-dead-after", 4, "consecutive probe failures before a peer is dead and leaves the ring")
-		shardDelay   = fs.Duration("shard-delay", 0, "debug: stretch every local mining run by this sleep")
-		traceSpans   = fs.Int("trace-spans", 0, "finished tracing spans kept for /v1/traces (0 = default 4096)")
-		traceSample  = fs.Float64("trace-sample", 1, "head-sampling rate for traces in [0,1]; sampled-out requests produce no spans")
-		sloTargetMS  = fs.Int("slo-p99-ms", 250, "p99 request-latency objective in ms for the permine_slo_* counters")
-		pprofAddr    = fs.String("pprof-addr", "", "serve net/http/pprof on this separate address (empty = disabled)")
-		logJSON      = fs.Bool("log-json", false, "emit JSON logs instead of text")
-		version      = fs.Bool("version", false, "print version and exit")
-	)
-	if err := fs.Parse(args); err != nil {
+	o, err := parseFlags(args)
+	if err != nil {
 		return err
 	}
-	if *version {
+	if o.version {
 		fmt.Fprintf(stdout, "permined %s\n", permine.Version)
 		return nil
 	}
 
 	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
-	if *logJSON {
+	if o.logJSON {
 		handler = slog.NewJSONHandler(os.Stderr, nil)
 	}
 	logger := slog.New(handler)
-
-	// Config treats 0 as "default" (sample everything); an explicit
-	// -trace-sample 0 means drop every trace, which Config spells negative.
-	sampleRate := *traceSample
-	if sampleRate == 0 {
-		sampleRate = -1
-	}
-
-	srv := server.New(server.Config{
-		Version:             permine.Version,
-		Workers:             *workers,
-		QueueDepth:          *queueDepth,
-		CacheSize:           *cacheSize,
-		DisableSubsumption:  !*cacheSubsume,
-		Retain:              *retain,
-		JobTimeout:          *jobTimeout,
-		MaxTimeout:          *maxTimeout,
-		MaxSyncSeqLen:       *syncLen,
-		MaxBodyBytes:        *maxBody,
-		MemBudget:           *memBudget,
-		MemGlobal:           *memGlobal,
-		BrownoutPct:         *brownoutPct,
-		DataDir:             *dataDir,
-		CompactBytes:        *compactBytes,
-		RetryBudget:         *retryBudget,
-		RetryBackoff:        *retryBackoff,
-		ShardTimeout:        *shardTimeout,
-		CorpusMaxInflight:   *maxInflight,
-		TraceSpans:          *traceSpans,
-		TraceSample:         sampleRate,
-		SLOTargetP99:        time.Duration(*sloTargetMS) * time.Millisecond,
-		ClusterRole:         *clusterRole,
-		ClusterPeers:        splitPeers(*clusterPeers),
-		ClusterSelf:         *clusterSelf,
-		ClusterHeartbeat:    *clusterHB,
-		ClusterSuspectAfter: *clusterSusp,
-		ClusterDeadAfter:    *clusterDead,
-		ShardDelay:          *shardDelay,
-		Logger:              logger,
-	})
+	cfg := o.cfg
+	cfg.Version, cfg.Logger = permine.Version, logger
+	srv := server.New(cfg)
 
 	httpSrv := &http.Server{
-		Addr:              *addr,
+		Addr:              o.addr,
 		Handler:           srv.Handler(),
 		ReadHeaderTimeout: 10 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -178,14 +169,14 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	// port (and can be bound to localhost while the API is public). The
 	// handlers are registered on a private mux — importing net/http/pprof
 	// touches only http.DefaultServeMux, which the API server never uses.
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		pprofMux := http.NewServeMux()
 		pprofMux.HandleFunc("/debug/pprof/", pprof.Index)
 		pprofMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		pln, err := net.Listen("tcp", *pprofAddr)
+		pln, err := net.Listen("tcp", o.pprofAddr)
 		if err != nil {
 			return fmt.Errorf("pprof listener: %w", err)
 		}
@@ -199,12 +190,12 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 		}()
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", o.addr)
 	if err != nil {
 		return err
 	}
 	logger.Info("permined listening", "addr", ln.Addr().String(), "version", permine.Version,
-		"workers", *workers, "queue", *queueDepth, "cache", *cacheSize, "data_dir", *dataDir)
+		"workers", cfg.Workers, "queue", cfg.QueueDepth, "cache", cfg.CacheSize, "data_dir", cfg.DataDir)
 	fmt.Fprintf(stdout, "permined %s listening on %s\n", permine.Version, ln.Addr())
 
 	errc := make(chan error, 1)
@@ -216,8 +207,8 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	case <-ctx.Done():
 	}
 
-	logger.Info("shutting down", "drain_timeout", *drainTimeout)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	logger.Info("shutting down", "drain_timeout", o.drainTimeout)
+	drainCtx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
 	defer cancel()
 	// httpSrv.Shutdown closes the listener immediately but then waits for
 	// in-flight connections — including SSE streams, which only end once

@@ -4,9 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -15,6 +18,7 @@ import (
 	"time"
 
 	"permine"
+	"permine/internal/server"
 )
 
 func TestVersionFlag(t *testing.T) {
@@ -32,6 +36,53 @@ func TestBadFlag(t *testing.T) {
 	var out strings.Builder
 	if err := run(context.Background(), []string{"-no-such-flag"}, &out); err == nil {
 		t.Error("expected a flag parse error")
+	}
+}
+
+// TestFlagsDefault: with no flags the daemon's settings are the resolved
+// zero config, each flag bound over server.Defaults.
+func TestFlagsDefault(t *testing.T) {
+	o, err := parseFlags(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := server.Defaults(); !reflect.DeepEqual(o.cfg, want) {
+		t.Errorf("no flags give %+v, want %+v", o.cfg, want)
+	}
+	o, err = parseFlags([]string{"-workers", "8", "-job-timeout", "1m", "-slo-p99-ms", "40",
+		"-cluster-peers", " http://a:1/, ,http://b:2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := o.cfg
+	if c.Workers != 8 || c.JobTimeout != time.Minute || c.SLOTargetP99 != 40*time.Millisecond ||
+		!reflect.DeepEqual(c.ClusterPeers, []string{"http://a:1", "http://b:2"}) {
+		t.Errorf("flags bound to %+v", c)
+	}
+	// The derived settings still follow theirs.
+	if c.MaxTimeout != 0 || c.CorpusMaxInflight != 0 {
+		t.Errorf("max timeout %v and corpus inflight %d set by other flags, want both 0 (derived)", c.MaxTimeout, c.CorpusMaxInflight)
+	}
+}
+
+// TestTraceSampleZero: -trace-sample 0 drops every trace, where a zero
+// Config.TraceSample would sample them all.
+func TestTraceSampleZero(t *testing.T) {
+	for _, c := range []struct {
+		args  []string
+		spans bool
+	}{{nil, true}, {[]string{"-trace-sample", "0"}, false}} {
+		o, err := parseFlags(c.args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		srv := server.New(o.cfg)
+		srv.Handler().ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/healthz", nil))
+		if got := srv.Traces().Len() > 0; got != c.spans {
+			t.Errorf("%v: spans recorded = %v, want %v", c.args, got, c.spans)
+		}
+		srv.Shutdown(context.Background())
 	}
 }
 

@@ -6,14 +6,19 @@ import (
 	"fmt"
 	"net/http"
 	"sync"
+	"time"
 
 	"permine/internal/cluster"
 	"permine/internal/obs"
 )
 
 // clusterScrapeFanout bounds concurrent peer scrapes during federation, so
-// a large fleet cannot make one GET open a connection per peer at once.
-const clusterScrapeFanout = 4
+// a large fleet cannot make one GET open a connection per peer at once;
+// clusterScrapeTimeout bounds each scrape.
+const (
+	clusterScrapeFanout  = 4
+	clusterScrapeTimeout = 2 * time.Second
+)
 
 // handleClusterMetrics implements GET /v1/cluster/metrics on coordinators:
 // it scrapes every non-dead peer's /metrics (bounded fan-out, per-peer
@@ -43,7 +48,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.ClusterScrapeTimeout)
+			ctx, cancel := context.WithTimeout(r.Context(), clusterScrapeTimeout)
 			defer cancel()
 			text, err := s.clu.Scrape(ctx, tgt.Addr)
 			results[i] = scraped{text: text, err: err}

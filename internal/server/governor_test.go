@@ -75,7 +75,7 @@ func TestGovernorThresholds(t *testing.T) {
 // terminal state carrying the completed-levels partial result.
 func TestManagerResourceExhausted(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 1, MemBudget: 1 << 20})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, MemBudget: 1 << 20}})
 	j, err := m.Submit(context.Background(), heavySeq(t), core.AlgoMPP, heavyParams(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestBudgetAbortIsolatesConcurrentJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m := newTestManager(t, ManagerConfig{Workers: 2})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2}})
 	over := heavyParams()
 	over.MemoryBudget = 1 << 20
 	jOver, err := m.Submit(context.Background(), heavySeq(t), core.AlgoMPP, over, 0)
@@ -143,7 +143,7 @@ func TestGovernorAdmissionLadder(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	gov := NewGovernor(1<<20, 50)
 	mt := NewMetrics(func() int { return 0 })
-	m := newTestManager(t, ManagerConfig{Workers: 1, Governor: gov, Cache: NewCache(8), Metrics: mt})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Governor: gov, Cache: NewCache(8), Metrics: mt})
 	s := genomeSeq(t, 400, 7)
 
 	// Healthy: warm the cache.
@@ -241,7 +241,7 @@ func TestPersistResourceExhausted(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	dir := t.TempDir()
 	w1 := openTestWAL(t, dir)
-	m1 := newTestManager(t, ManagerConfig{Workers: 1, Store: w1, MemBudget: 1 << 20})
+	m1 := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, MemBudget: 1 << 20}, Store: w1})
 	j, err := m1.Submit(context.Background(), heavySeq(t), core.AlgoMPP, heavyParams(), 0)
 	if err != nil {
 		t.Fatal(err)
@@ -253,7 +253,7 @@ func TestPersistResourceExhausted(t *testing.T) {
 	w1.Close() // freeze the journal as a crash would
 
 	w2 := openTestWAL(t, dir)
-	m2 := newTestManager(t, ManagerConfig{Workers: 1, Store: w2, Cache: NewCache(8), MemBudget: 1 << 20})
+	m2 := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, MemBudget: 1 << 20}, Store: w2, Cache: NewCache(8)})
 	sum := m2.Restore(w2.Recovered())
 	if sum.Terminal != 1 || sum.Requeued != 0 {
 		t.Fatalf("restore summary = %+v, want 1 terminal", sum)
@@ -286,7 +286,7 @@ func TestPersistResourceExhausted(t *testing.T) {
 // exactly one terminal state and stays there. Run with -race.
 func TestRaceBudgetAbortVsCancel(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 2, MemBudget: 1 << 20})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2, MemBudget: 1 << 20}})
 	s := heavySeq(t)
 	for _, delay := range []time.Duration{0, 2 * time.Millisecond, 20 * time.Millisecond, 100 * time.Millisecond} {
 		j, err := m.Submit(context.Background(), s, core.AlgoMPP, heavyParams(), 0)
@@ -328,7 +328,7 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	m := newTestManager(t, ManagerConfig{Workers: 2, Store: w})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2}, Store: w})
 
 	const jobs = 8
 	seqs := make([]*seq.Sequence, jobs)
@@ -382,7 +382,7 @@ func TestGovernorUncountsPooledMemory(t *testing.T) {
 	if _, err := mine.MPP(heavySeq(t), heavyParams()); err != nil {
 		t.Fatal(err)
 	}
-	m := newTestManager(t, ManagerConfig{Workers: 2})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2}})
 	p := miningParams()
 	p.Workers = 2
 	var jobs []*corpus.Job

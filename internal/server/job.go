@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,33 +86,17 @@ var (
 	ErrJobFinished = errors.New("server: job already finished")
 )
 
-// ManagerConfig configures a job Manager. Zero values take the documented
-// defaults.
+// ManagerConfig configures a job Manager: its settings (resolved as New
+// resolves them) and its collaborators.
 type ManagerConfig struct {
-	// Workers is the number of concurrent mining workers (default 2).
-	Workers int
-	// QueueDepth bounds the number of shard attempts waiting for a worker
-	// (default 64); a submit whose first shard does not fit fails with
-	// ErrQueueFull.
-	QueueDepth int
-	// JobTimeout is the default deadline of a /v1/jobs job, counted from
-	// its first attempt (default 5m; negative disables the default).
-	JobTimeout time.Duration
-	// Retain bounds how many finished jobs stay queryable (default 1024);
-	// the oldest terminal jobs are evicted first.
-	Retain int
-	// Cache, when non-nil, answers submits whose key hits and stores
-	// done results.
+	Config
+	// Cache, when non-nil, answers submits whose key hits — or whose
+	// answer query.FromCached derives exactly from a cached full mine at
+	// another threshold — and stores done results.
 	Cache *Cache
 	// Governor enforces the process-wide memory ceiling and the brownout
-	// admission ladder (default: an unlimited governor that only tracks).
+	// admission ladder (default: one built from MemGlobal and BrownoutPct).
 	Governor *Governor
-	// MemBudget is the default per-job memory budget applied to submits
-	// that carry none (0 everywhere means unlimited).
-	MemBudget int64
-	// DisableSubsumption turns off cross-threshold cache derivation:
-	// with it set, only exact CacheKey hits are served from the cache.
-	DisableSubsumption bool
 	// Metrics, when non-nil, receives job-state transitions and mining
 	// latencies.
 	Metrics *Metrics
@@ -121,29 +104,9 @@ type ManagerConfig struct {
 	// the no-op in-memory store). Submit returns only after the accepted
 	// job is journaled, so an acknowledged job survives a crash.
 	Store store.Store
-	// RetryBudget bounds both a shard's executions under transient
-	// failures and a job's re-executions after crashes (default 3).
-	RetryBudget int
-	// RetryBackoff is the delay before a shard's first retry or a
-	// recovered job's first re-execution, doubling per attempt and
-	// jittered into [d/2, d) (default 500ms).
-	RetryBackoff time.Duration
-	// ShardTimeout is the per-attempt deadline of a /v1/corpus shard
-	// (default 2m; negative disables it).
-	ShardTimeout time.Duration
-	// CorpusMaxInflight bounds how many shards of one job occupy the
-	// worker pool at once (default 2×Workers).
-	CorpusMaxInflight int
-	// ShardFault, when non-nil, injects deterministic shard faults into
-	// every attempt (tests).
-	ShardFault corpus.Injector
 	// Cluster, when non-nil, places every shard across the peer ring by
 	// cache identity; nil keeps every run local.
 	Cluster *cluster.Cluster
-	// ShardDelay stretches every local mining run by a fixed sleep (the
-	// -shard-delay debug knob; cluster chaos tests use it to hold shards
-	// in flight long enough to kill the node under them).
-	ShardDelay time.Duration
 	// Tracer, when non-nil, links every job's submit→queue→run→persist
 	// spans (and, through the run context, internal/mine's per-level
 	// spans) into the submitting request's trace.
@@ -155,45 +118,6 @@ type ManagerConfig struct {
 	// Events, when non-nil, receives progress and terminal events for SSE
 	// streaming.
 	Events *Broadcaster
-	// Logger defaults to slog.Default().
-	Logger *slog.Logger
-}
-
-func (c ManagerConfig) withDefaults() ManagerConfig {
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 64
-	}
-	if c.JobTimeout == 0 {
-		c.JobTimeout = 5 * time.Minute
-	}
-	if c.Retain <= 0 {
-		c.Retain = 1024
-	}
-	if c.Store == nil {
-		c.Store = store.NewMemory()
-	}
-	if c.Governor == nil {
-		c.Governor = NewGovernor(0, 0)
-	}
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 500 * time.Millisecond
-	}
-	if c.ShardTimeout == 0 {
-		c.ShardTimeout = 2 * time.Minute
-	}
-	if c.CorpusMaxInflight <= 0 {
-		c.CorpusMaxInflight = 2 * c.Workers
-	}
-	if c.Logger == nil {
-		c.Logger = slog.Default()
-	}
-	return c
 }
 
 // Manager runs mining jobs asynchronously on a bounded worker pool with
@@ -226,7 +150,13 @@ type Manager struct {
 
 // NewManager starts a Manager and its worker pool.
 func NewManager(cfg ManagerConfig) *Manager {
-	cfg = cfg.withDefaults()
+	cfg.Config = cfg.Config.withDefaults()
+	if cfg.Store == nil {
+		cfg.Store = store.NewMemory()
+	}
+	if cfg.Governor == nil {
+		cfg.Governor = NewGovernor(cfg.MemGlobal, cfg.BrownoutPct)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		cfg:        cfg,
@@ -437,19 +367,15 @@ func (m *Manager) newJob(kind string, spec corpus.Spec) (*corpus.Job, error) {
 	return j, err
 }
 
-// lookup answers one shard from the result cache: an exact hit, or —
-// unless subsumption is off — a plain full mine cached at another
-// threshold that query.FromCached proves identical to a fresh run. A
-// derivation is stored under its exact key so the next identical query
-// hits without re-filtering.
+// lookup answers one shard from the result cache: an exact hit, or a
+// plain full mine cached at another threshold that query.FromCached
+// proves identical to a fresh run. A derivation is stored under its exact
+// key so the next identical query hits without re-filtering.
 func (m *Manager) lookup(s *seq.Sequence, algo core.Algorithm, p core.Params) (*core.Result, string, bool) {
 	if m.cfg.Cache == nil {
 		return nil, "", false
 	}
-	var derive func(*core.Result) (*core.Result, bool)
-	if !m.cfg.DisableSubsumption {
-		derive = func(cached *core.Result) (*core.Result, bool) { return query.FromCached(cached, p) }
-	}
+	derive := func(cached *core.Result) (*core.Result, bool) { return query.FromCached(cached, p) }
 	key := KeyFor(s, algo, p)
 	res, subsumed, ok := m.cfg.Cache.Lookup(key, derive)
 	if !ok || !subsumed {

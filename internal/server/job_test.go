@@ -68,7 +68,7 @@ func newTestManager(t *testing.T, cfg ManagerConfig) *Manager {
 // progress, and its result matches a direct library call.
 func TestManagerLifecycle(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 2})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2}})
 	s := genomeSeq(t, 400, 7)
 
 	j, err := m.Submit(context.Background(), s, core.AlgoMPPm, miningParams(), 0)
@@ -105,7 +105,7 @@ func TestManagerLifecycle(t *testing.T) {
 func TestManagerCacheHit(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	cache := NewCache(8)
-	m := newTestManager(t, ManagerConfig{Workers: 1, Cache: cache})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Cache: cache})
 	s := genomeSeq(t, 400, 7)
 
 	j1, err := m.Submit(context.Background(), s, core.AlgoMPPm, miningParams(), 0)
@@ -145,7 +145,7 @@ func TestManagerCacheHit(t *testing.T) {
 // result.
 func TestManagerCancelRunning(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 1})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}})
 	levelHit := make(chan struct{}, 1)
 	release := make(chan struct{})
 	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
@@ -195,7 +195,7 @@ func TestManagerCancelRunning(t *testing.T) {
 // submit is rejected.
 func TestManagerQueueFull(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 1, QueueDepth: 1})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, QueueDepth: 1}})
 	release := make(chan struct{})
 	started := make(chan struct{}, 1)
 	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
@@ -224,7 +224,7 @@ func TestManagerQueueFull(t *testing.T) {
 // and refuses later submits.
 func TestManagerShutdownCancelsWork(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := NewManager(ManagerConfig{Workers: 1, Logger: quietLogger()})
+	m := NewManager(ManagerConfig{Config: Config{Workers: 1, Logger: quietLogger()}})
 	s := genomeSeq(t, 500, 3)
 	var jobs []*corpus.Job
 	for i := 0; i < 4; i++ {
@@ -259,7 +259,7 @@ func TestManagerConcurrentLoad(t *testing.T) {
 	cache := NewCache(16)
 	metrics := NewMetrics(nil)
 	m := newTestManager(t, ManagerConfig{
-		Workers: 4, QueueDepth: 256, Cache: cache, Metrics: metrics,
+		Config: Config{Workers: 4, QueueDepth: 256}, Cache: cache, Metrics: metrics,
 	})
 	metrics.queueFn = m.QueueDepth
 
@@ -324,7 +324,7 @@ func TestManagerConcurrentLoad(t *testing.T) {
 // evicted, oldest first.
 func TestManagerRetention(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 1, Retain: 3})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, Retain: 3}})
 	s := genomeSeq(t, 200, 1)
 	var ids []string
 	for i := 0; i < 6; i++ {
@@ -353,7 +353,7 @@ func TestManagerRetention(t *testing.T) {
 // StartedAt is set, and the slot serves the next job.
 func TestManagerCancelQueued(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 1})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}})
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
 	m.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
@@ -417,7 +417,7 @@ func TestManagerCancelQueued(t *testing.T) {
 // must land terminal with a consistent snapshot either way.
 func TestManagerCancelRace(t *testing.T) {
 	corpustest.CheckLeaks(t)
-	m := newTestManager(t, ManagerConfig{Workers: 2, QueueDepth: 64})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2, QueueDepth: 64}})
 	s := genomeSeq(t, 300, 5)
 
 	const jobs = 40

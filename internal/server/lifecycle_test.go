@@ -318,7 +318,7 @@ func nilIfEmpty(s string) any {
 // memory-budget stop as its completed levels beside the typed error —
 // neither as a bare error that would fail the shard there.
 func TestMineForPeerBudgetOutcome(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{Workers: 1})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}})
 	p := miningParams()
 	p.CandidateBudget = 200
 	res, _, err := m.MineForPeer(context.Background(), genomeSeq(t, 300, 7), core.AlgoEnumerate, p, RemoteTrace{Job: "j-000042"})
@@ -438,7 +438,7 @@ func (s *firstRecordStore) AppendShard(id string, sh store.ShardRecord) {
 // an event of a job it does not know yet.
 func TestSubmitJournaledFirst(t *testing.T) {
 	st := &firstRecordStore{Store: store.NewMemory(), first: map[string]string{}}
-	m := newTestManager(t, ManagerConfig{Workers: 2, Store: st})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 2}, Store: st})
 	var jobs []*corpus.Job
 	for i := 0; i < 6; i++ {
 		j, err := m.Submit(context.Background(), genomeSeq(t, 200, uint64(20+i)), core.AlgoMPPm, miningParams(), 0)

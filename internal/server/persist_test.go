@@ -33,7 +33,7 @@ func openTestWAL(t *testing.T, dir string) *store.WAL {
 func TestManagerPersistTerminal(t *testing.T) {
 	dir := t.TempDir()
 	w1 := openTestWAL(t, dir)
-	m1 := newTestManager(t, ManagerConfig{Workers: 1, Store: w1})
+	m1 := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Store: w1})
 	s := genomeSeq(t, 400, 7)
 
 	j, err := m1.Submit(context.Background(), s, core.AlgoMPPm, miningParams(), 0)
@@ -48,7 +48,7 @@ func TestManagerPersistTerminal(t *testing.T) {
 
 	w2 := openTestWAL(t, dir)
 	cache := NewCache(8)
-	m2 := newTestManager(t, ManagerConfig{Workers: 1, Store: w2, Cache: cache})
+	m2 := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Store: w2, Cache: cache})
 	sum := m2.Restore(w2.Recovered())
 	if sum.Terminal != 1 || sum.Requeued != 0 || sum.Skipped != 0 {
 		t.Fatalf("restore summary = %+v", sum)
@@ -95,7 +95,7 @@ func TestManagerPersistTerminal(t *testing.T) {
 func TestManagerCrashRequeue(t *testing.T) {
 	dir := t.TempDir()
 	w1 := openTestWAL(t, dir)
-	m1 := newTestManager(t, ManagerConfig{Workers: 1, Store: w1})
+	m1 := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Store: w1})
 	gate := make(chan struct{})
 	running := make(chan struct{}, 1)
 	m1.OnLevel = func(j *corpus.Job, lm core.LevelMetrics) {
@@ -141,7 +141,7 @@ func TestManagerCrashRequeue(t *testing.T) {
 
 	metrics := NewMetrics(nil)
 	m2 := newTestManager(t, ManagerConfig{
-		Workers: 2, Store: w2, Metrics: metrics, RetryBackoff: time.Millisecond,
+		Config: Config{Workers: 2, RetryBackoff: time.Millisecond}, Store: w2, Metrics: metrics,
 	})
 	sum := m2.Restore(recs)
 	if sum.Requeued != 3 || sum.Terminal != 0 || sum.Exhausted != 0 {
@@ -181,7 +181,7 @@ func TestManagerRetryBudgetExhausted(t *testing.T) {
 		CreatedAt: time.Now(),
 	}
 	w.AppendSubmit(rec) // as a previous incarnation would have journaled it
-	m := newTestManager(t, ManagerConfig{Workers: 1, Store: w, RetryBudget: 3})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, RetryBudget: 3}, Store: w})
 	sum := m.Restore([]store.JobRecord{rec})
 	if sum.Exhausted != 1 || sum.Requeued != 0 {
 		t.Fatalf("restore summary = %+v", sum)
@@ -206,7 +206,7 @@ func TestManagerRetryBudgetExhausted(t *testing.T) {
 // TestManagerRestoreSkipsBadRecords: undecodable records are dropped with
 // a warning instead of poisoning the boot.
 func TestManagerRestoreSkipsBadRecords(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{Workers: 1})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}})
 	good, _ := json.Marshal(core.Params{Gap: miningParams().Gap, MinSupport: 0.5})
 	records := []store.JobRecord{
 		{ID: "j-000001", Algorithm: "no-such-algo", SeqAlphabet: "DNA", SeqSymbols: "ACGT",
@@ -231,7 +231,7 @@ func TestManagerRestoreSkipsBadRecords(t *testing.T) {
 // retired bitmap join ("Join":"bitap", as older binaries wrote them) is
 // restored and re-executed, not skipped.
 func TestManagerRestoreRetiredJoinName(t *testing.T) {
-	m := newTestManager(t, ManagerConfig{Workers: 1, RetryBackoff: time.Millisecond})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1, RetryBackoff: time.Millisecond}})
 	params, _ := json.Marshal(miningParams())
 	params = append(params[:len(params)-1], `,"Join":"bitap"}`...)
 	rec := store.JobRecord{
@@ -268,7 +268,7 @@ func TestManagerDegradedStoreStillServes(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	m := newTestManager(t, ManagerConfig{Workers: 1, Store: w})
+	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Store: w})
 
 	fs.FailFrom = fs.Ops() + 1 // disk dies before the first submit
 	j, err := m.Submit(context.Background(), genomeSeq(t, 400, 7), core.AlgoMPPm, miningParams(), 0)

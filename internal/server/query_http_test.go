@@ -147,29 +147,3 @@ func TestQueryJobValidation(t *testing.T) {
 		t.Errorf("negative top_k: status %d, want 400", resp.StatusCode)
 	}
 }
-
-// TestQuerySubsumptionDisabled checks the opt-out: with subsumption off,
-// a raised-threshold job re-mines instead of deriving.
-func TestQuerySubsumptionDisabled(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, DisableSubsumption: true})
-	s := genomeSeq(t, 300, 9)
-
-	resp := postJSON(t, ts.URL+"/v1/jobs", queryJobBody(t, s.Data(), 0.001, 0, ""))
-	sub := decode(t, resp.Body)
-	resp.Body.Close()
-	pollJob(t, ts.URL, sub["id"].(string))
-
-	resp = postJSON(t, ts.URL+"/v1/jobs", queryJobBody(t, s.Data(), 0.002, 0, ""))
-	sub = decode(t, resp.Body)
-	resp.Body.Close()
-	final := pollJob(t, ts.URL, sub["id"].(string))
-	if final["state"] != "done" {
-		t.Fatalf("state %v, want done", final["state"])
-	}
-	if final["cache_hit"] == true {
-		t.Error("with subsumption disabled the raised-threshold job must re-mine")
-	}
-	if st := srv.mgr.cfg.Cache.Stats(); st.SubsumptionHits != 0 {
-		t.Errorf("subsumption hits = %d, want 0", st.SubsumptionHits)
-	}
-}

@@ -59,26 +59,31 @@ import (
 	"permine/internal/server/store"
 )
 
-// Config configures a Server. Zero values take the documented defaults.
+// Config configures a Server. Zero values take the documented defaults:
+// withDefaults resolves every setting in this one place, and New hands
+// the resolved values to the job manager, the corpus engine, the
+// journal, the cluster, the governor and the span ring.
 type Config struct {
 	// Version is reported by /healthz (permine.Version in cmd/permined).
 	Version string
-	// Workers, QueueDepth, JobTimeout and Retain configure the job
-	// manager (see ManagerConfig).
-	Workers    int
+	// Workers is the number of concurrent mining workers (default 2).
+	Workers int
+	// QueueDepth bounds the shard attempts waiting for a worker (default
+	// 64); a submit whose first shard does not fit is refused with 429.
 	QueueDepth int
+	// JobTimeout is the default deadline of a /v1/jobs job, counted from
+	// its first attempt (default 5m; negative disables it).
 	JobTimeout time.Duration
-	Retain     int
 	// MaxTimeout clamps client-supplied per-job timeouts (default: the
 	// effective JobTimeout). When a negative JobTimeout disables the
 	// default deadline, client timeouts have no ceiling.
 	MaxTimeout time.Duration
+	// Retain bounds the finished jobs kept queryable, in memory and in the
+	// journal across compactions (default 1024); the oldest go first.
+	Retain int
 	// CacheSize bounds the result cache in entries (default 128;
 	// negative disables caching).
 	CacheSize int
-	// DisableSubsumption restricts the cache to exact-key hits,
-	// disabling cross-threshold derivation (see ManagerConfig).
-	DisableSubsumption bool
 	// MaxBodyBytes bounds request bodies via http.MaxBytesReader (default
 	// 64 MiB); oversized uploads get 413 instead of exhausting memory.
 	MaxBodyBytes int64
@@ -93,11 +98,9 @@ type Config struct {
 	MemGlobal int64
 	// BrownoutPct is the percentage of MemGlobal at which the governor
 	// starts shedding expensive job classes (corpus, enumerate) before
-	// cheap ones (default 85).
+	// cheap ones (default DefaultBrownoutPct; values outside 1..100 take
+	// it too).
 	BrownoutPct int
-	// MaxSyncSeqLen bounds the sequence length /v1/query accepts
-	// (default 1<<20); longer inputs must go through a job.
-	MaxSyncSeqLen int
 	// DataDir, when non-empty, enables the disk-backed job store: job
 	// transitions are journaled there and replayed on the next boot
 	// (interrupted jobs are re-executed). Empty keeps everything in
@@ -106,16 +109,21 @@ type Config struct {
 	// CompactBytes is the journal size that triggers journal compaction
 	// (default 4 MiB).
 	CompactBytes int64
-	// RetryBudget and RetryBackoff govern both shard retries after
-	// transient failures and crash-recovery re-executions; ShardTimeout is
-	// the per-attempt deadline of a corpus shard; ShardFault injects
-	// deterministic shard faults (tests). See ManagerConfig.
-	RetryBudget  int
+	// RetryBudget bounds both a shard's executions under transient
+	// failures and a job's re-executions after crashes (default 3).
+	RetryBudget int
+	// RetryBackoff is the delay before a shard's first retry or a
+	// recovered job's first re-execution, doubling per attempt and
+	// jittered into [d/2, d) (default 500ms).
 	RetryBackoff time.Duration
+	// ShardTimeout is the per-attempt deadline of a /v1/corpus shard
+	// (default 2m; negative disables it).
 	ShardTimeout time.Duration
-	ShardFault   corpus.Injector
-	// CorpusMaxInflight bounds concurrently mined shards per corpus job
-	// (0 = twice Workers).
+	// ShardFault, when non-nil, injects deterministic shard faults into
+	// every attempt (tests).
+	ShardFault corpus.Injector
+	// CorpusMaxInflight bounds how many shards of one job occupy the
+	// worker pool at once (default 2×Workers).
 	CorpusMaxInflight int
 	// TraceSpans bounds the in-memory span ring behind /v1/traces
 	// (default obs.DefaultRingSpans).
@@ -130,9 +138,6 @@ type Config struct {
 	// request counts toward permine_slo_requests_total, and those slower
 	// than the target also increment permine_slo_breaches_total.
 	SLOTargetP99 time.Duration
-	// ClusterScrapeTimeout bounds each peer scrape performed by
-	// GET /v1/cluster/metrics (default 2s).
-	ClusterScrapeTimeout time.Duration
 	// ClusterRole selects the node's cluster mode: "" runs standalone,
 	// "coordinator" places jobs and shards across ClusterPeers, "peer"
 	// only serves the cluster RPC endpoints (which every role exposes).
@@ -150,26 +155,39 @@ type Config struct {
 	// ClusterTransport overrides the peer HTTP client (tests inject
 	// clustertest.Faults here).
 	ClusterTransport cluster.Doer
-	// ShardDelay stretches every local mining run (the -shard-delay
-	// debug knob; see ManagerConfig).
+	// ShardDelay stretches every local mining run by a fixed sleep (the
+	// -shard-delay debug knob; cluster chaos tests use it to hold shards
+	// in flight long enough to kill the node under them).
 	ShardDelay time.Duration
 	// Logger receives structured request and job logs (default
 	// slog.Default()).
 	Logger *slog.Logger
 }
 
+// maxSyncSeqLen bounds the sequence length /v1/query accepts; longer
+// inputs must go through a job.
+const maxSyncSeqLen = 1 << 20
+
+// Defaults returns the settings a zero Config resolves to, except the
+// two that follow another setting: MaxTimeout (JobTimeout) and
+// CorpusMaxInflight (2×Workers) stay 0 so that they still follow it.
+// cmd/permined binds its flags over it.
+func Defaults() Config {
+	c := Config{}.withDefaults()
+	c.MaxTimeout, c.CorpusMaxInflight = 0, 0
+	return c
+}
+
+// withDefaults resolves every setting, the one place a default is
+// written: a zero value (or a non-positive one, where negative means
+// nothing else) takes its default, and the two derived settings follow
+// theirs.
 func (c Config) withDefaults() Config {
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
+	if c.Workers <= 0 {
+		c.Workers = 2
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 64 << 20
-	}
-	if c.MaxSyncSeqLen <= 0 {
-		c.MaxSyncSeqLen = 1 << 20
-	}
-	if c.Logger == nil {
-		c.Logger = slog.Default()
+	if c.QueueDepth <= 0 {
+		c.QueueDepth = 64
 	}
 	if c.JobTimeout == 0 {
 		c.JobTimeout = 5 * time.Minute
@@ -177,14 +195,53 @@ func (c Config) withDefaults() Config {
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = c.JobTimeout
 	}
+	if c.Retain <= 0 {
+		c.Retain = 1024
+	}
+	if c.CacheSize == 0 {
+		c.CacheSize = 128
+	}
+	if c.MaxBodyBytes <= 0 {
+		c.MaxBodyBytes = 64 << 20
+	}
+	if c.BrownoutPct <= 0 || c.BrownoutPct > 100 {
+		c.BrownoutPct = DefaultBrownoutPct
+	}
+	if c.CompactBytes <= 0 {
+		c.CompactBytes = 4 << 20
+	}
+	if c.RetryBudget <= 0 {
+		c.RetryBudget = 3
+	}
+	if c.RetryBackoff <= 0 {
+		c.RetryBackoff = 500 * time.Millisecond
+	}
+	if c.ShardTimeout == 0 {
+		c.ShardTimeout = 2 * time.Minute
+	}
+	if c.CorpusMaxInflight <= 0 {
+		c.CorpusMaxInflight = 2 * c.Workers
+	}
+	if c.TraceSpans <= 0 {
+		c.TraceSpans = obs.DefaultRingSpans
+	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
 	}
 	if c.SLOTargetP99 <= 0 {
 		c.SLOTargetP99 = 250 * time.Millisecond
 	}
-	if c.ClusterScrapeTimeout <= 0 {
-		c.ClusterScrapeTimeout = 2 * time.Second
+	if c.ClusterHeartbeat <= 0 {
+		c.ClusterHeartbeat = time.Second
+	}
+	if c.ClusterSuspectAfter <= 0 {
+		c.ClusterSuspectAfter = 2
+	}
+	if c.ClusterDeadAfter <= 0 {
+		c.ClusterDeadAfter = 4
+	}
+	if c.Logger == nil {
+		c.Logger = slog.Default()
 	}
 	return c
 }
@@ -277,27 +334,15 @@ func New(cfg Config) *Server {
 	}
 
 	mgr = NewManager(ManagerConfig{
-		Workers:            cfg.Workers,
-		QueueDepth:         cfg.QueueDepth,
-		JobTimeout:         cfg.JobTimeout,
-		Retain:             cfg.Retain,
-		Cache:              cache,
-		Governor:           governor,
-		MemBudget:          cfg.MemBudget,
-		DisableSubsumption: cfg.DisableSubsumption,
-		Metrics:            metrics,
-		Store:              st,
-		RetryBudget:        cfg.RetryBudget,
-		RetryBackoff:       cfg.RetryBackoff,
-		ShardTimeout:       cfg.ShardTimeout,
-		CorpusMaxInflight:  cfg.CorpusMaxInflight,
-		ShardFault:         cfg.ShardFault,
-		Cluster:            clu,
-		ShardDelay:         cfg.ShardDelay,
-		Tracer:             tracer,
-		SpanSink:           ring,
-		Events:             events,
-		Logger:             cfg.Logger,
+		Config:   cfg,
+		Cache:    cache,
+		Governor: governor,
+		Metrics:  metrics,
+		Store:    st,
+		Cluster:  clu,
+		Tracer:   tracer,
+		SpanSink: ring,
+		Events:   events,
 	})
 	metrics.queueFn = mgr.QueueDepth
 	metrics.storeFn = st.Stats
@@ -419,17 +464,17 @@ func (w *statusWriter) Flush() {
 // middleware: every request runs inside a root span whose trace id is the
 // (sanitised) X-Request-Id, generated when the client sent none, and
 // echoed back on the response.
-func (s *Server) logging(next http.Handler) http.Handler {
+func (s *Server) logging(mux *http.ServeMux) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w}
 		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-		route := routeLabel(r)
+		route := routeLabel(mux, r)
 		traceID := requestID(r.Header.Get("X-Request-Id"))
 		sw.Header().Set("X-Request-Id", traceID)
 		ctx, span := s.tracer.StartRoot(r.Context(), traceID, "http.request",
 			obs.KV("method", r.Method), obs.KV("path", r.URL.Path), obs.KV("route", route))
-		next.ServeHTTP(sw, r.WithContext(ctx))
+		mux.ServeHTTP(sw, r.WithContext(ctx))
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
@@ -469,36 +514,16 @@ func requestID(id string) string {
 	return id
 }
 
-// routeLabel normalises a request to its route pattern so metrics stay
-// bounded in cardinality: job and trace ids collapse to {id} placeholders
-// and unknown paths — scanners probing random URLs — collapse to "other"
+// routeLabel is the pattern the mux routes the request to, so metrics
+// stay bounded in cardinality: ids collapse into the pattern's {id}, a
+// HEAD counts under its GET route, and a request no route takes — a
+// scanner probing random URLs, a wrong method — counts as "other"
 // instead of minting one counter per probe.
-func routeLabel(r *http.Request) string {
-	path := r.URL.Path
-	switch {
-	case path == "/v1/jobs", path == "/v1/corpus", path == "/v1/query",
-		path == "/v1/metrics", path == "/metrics", path == "/v1/traces",
-		path == "/healthz", path == "/readyz",
-		path == "/v1/cluster/heartbeat", path == "/v1/cluster/mine",
-		path == "/v1/cluster/metrics":
-	case strings.HasPrefix(path, "/v1/jobs/"):
-		if strings.HasSuffix(path, "/events") {
-			path = "/v1/jobs/{id}/events"
-		} else {
-			path = "/v1/jobs/{id}"
-		}
-	case strings.HasPrefix(path, "/v1/corpus/"):
-		if strings.HasSuffix(path, "/events") {
-			path = "/v1/corpus/{id}/events"
-		} else {
-			path = "/v1/corpus/{id}"
-		}
-	case strings.HasPrefix(path, "/v1/traces/"):
-		path = "/v1/traces/{id}"
-	default:
-		return "other"
+func routeLabel(mux *http.ServeMux, r *http.Request) string {
+	if _, pattern := mux.Handler(r); pattern != "" {
+		return pattern
 	}
-	return r.Method + " " + path
+	return "other"
 }
 
 // rejectBusy writes the 429 rejection shared by queue-full and
@@ -551,16 +576,9 @@ type paramsJSON struct {
 	// patterns containing the motif.
 	TopK  int    `json:"top_k,omitempty"`
 	Motif string `json:"motif,omitempty"`
-	// Join pins the PIL join strategy ("auto", "twoptr", "cum"); empty
-	// means auto. Results are identical for every value.
-	Join string `json:"join,omitempty"`
 }
 
-func (p paramsJSON) toParams() (core.Params, error) {
-	join, err := core.ParseJoinStrategy(p.Join)
-	if err != nil {
-		return core.Params{}, err
-	}
+func (p paramsJSON) toParams() core.Params {
 	return core.Params{
 		Gap:             combinat.Gap{N: p.GapMin, M: p.GapMax},
 		MinSupport:      p.MinSupport,
@@ -572,8 +590,7 @@ func (p paramsJSON) toParams() (core.Params, error) {
 		MemoryBudget:    p.MemoryBudget,
 		TopK:            p.TopK,
 		Motif:           p.Motif,
-		Join:            join,
-	}, nil
+	}
 }
 
 // seqJSON is an inline sequence: data over a named alphabet ("dna",
@@ -700,7 +717,6 @@ func jobRequestFromQuery(r *http.Request, fasta string) (jobRequest, error) {
 	geti("workers", &req.Params.Workers)
 	geti("top_k", &req.Params.TopK)
 	req.Params.Motif = q.Get("motif")
-	req.Params.Join = q.Get("join")
 	if q.Has("min_support") {
 		if req.Params.MinSupport, err = strconv.ParseFloat(q.Get("min_support"), 64); err != nil {
 			return req, fmt.Errorf("query parameter min_support: %w", err)
@@ -743,11 +759,8 @@ func (s *Server) submitArgs(algorithm string, pj paramsJSON, timeoutMS int64) (c
 	if err != nil {
 		return algo, core.Params{}, 0, err
 	}
-	params, err := pj.toParams()
-	if err == nil {
-		_, err = params.Normalize()
-	}
-	if err != nil {
+	params := pj.toParams()
+	if _, err := params.Normalize(); err != nil {
 		return algo, params, 0, fmt.Errorf("invalid params: %w", err)
 	}
 	timeout := time.Duration(timeoutMS) * time.Millisecond
@@ -913,10 +926,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if subject.Len() > s.cfg.MaxSyncSeqLen {
+	if subject.Len() > maxSyncSeqLen {
 		apiError(w, http.StatusRequestEntityTooLarge,
 			"sequence length %d exceeds the synchronous limit %d; submit a job instead",
-			subject.Len(), s.cfg.MaxSyncSeqLen)
+			subject.Len(), maxSyncSeqLen)
 		return
 	}
 	gap := combinat.Gap{N: req.GapMin, M: req.GapMax}

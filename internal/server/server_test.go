@@ -297,6 +297,7 @@ func TestSubmitValidationHTTP(t *testing.T) {
 		{"bad symbols", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGZ"}}`},
 		{"both sequence and fasta", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01},"sequence":{"data":"ACGT"},"fasta":">x\nACGT"}`},
 		{"unknown field", `{"algorithm":"mpp","parms":{}}`},
+		{"join param", `{"algorithm":"mpp","params":{"gap_min":1,"gap_max":2,"min_support":0.01,"join":"twoptr"},"sequence":{"data":"ACGT"}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -369,8 +370,8 @@ func TestQueryHTTP(t *testing.T) {
 	}
 
 	// Over-long sequences are pushed to the async path.
-	_, tsSmall := newTestServer(t, Config{Workers: 1, MaxSyncSeqLen: 4})
-	respBig := postJSON(t, tsSmall.URL+"/v1/query", body)
+	body["sequence"] = map[string]any{"data": strings.Repeat("A", maxSyncSeqLen+1)}
+	respBig := postJSON(t, ts.URL+"/v1/query", body)
 	respBig.Body.Close()
 	if respBig.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Errorf("status = %d, want 413 for over-long synchronous input", respBig.StatusCode)
@@ -471,6 +472,67 @@ func TestDoneJobIsCachedHTTP(t *testing.T) {
 		if resp.StatusCode != http.StatusOK || hit["cache_hit"] != true {
 			t.Errorf("job %d: resubmit after done got status %d, cache_hit %v; want 200 and a hit",
 				i, resp.StatusCode, hit["cache_hit"])
+		}
+	}
+}
+
+// TestRouteLabels: a request is counted under the pattern the mux routes
+// it to — every registered route, a HEAD under its GET route — and a
+// request no route takes under "other"; the event streams stay out of the
+// duration histograms and the SLO counters.
+func TestRouteLabels(t *testing.T) {
+	s, _ := newTestServer(t, Config{Workers: 1})
+	cases := []struct{ method, path, want string }{
+		{"POST", "/v1/jobs", "POST /v1/jobs"},
+		{"POST", "/v1/corpus", "POST /v1/corpus"},
+		{"GET", "/v1/jobs", "GET /v1/jobs"},
+		{"GET", "/v1/corpus", "GET /v1/corpus"},
+		{"GET", "/v1/jobs/j-000001", "GET /v1/jobs/{id}"},
+		{"GET", "/v1/corpus/c-000001", "GET /v1/corpus/{id}"},
+		{"GET", "/v1/jobs/j-000001/events", "GET /v1/jobs/{id}/events"},
+		{"GET", "/v1/corpus/c-000001/events", "GET /v1/corpus/{id}/events"},
+		{"DELETE", "/v1/jobs/j-000001", "DELETE /v1/jobs/{id}"},
+		{"DELETE", "/v1/corpus/c-000001", "DELETE /v1/corpus/{id}"},
+		{"POST", "/v1/query", "POST /v1/query"},
+		{"GET", "/v1/metrics", "GET /v1/metrics"},
+		{"GET", "/metrics", "GET /metrics"},
+		{"GET", "/v1/traces", "GET /v1/traces"},
+		{"GET", "/v1/traces/t-1", "GET /v1/traces/{id}"},
+		{"GET", "/healthz", "GET /healthz"},
+		{"GET", "/readyz", "GET /readyz"},
+		{"POST", "/v1/cluster/heartbeat", "POST /v1/cluster/heartbeat"},
+		{"POST", "/v1/cluster/mine", "POST /v1/cluster/mine"},
+		{"GET", "/v1/cluster/metrics", "GET /v1/cluster/metrics"},
+		{"HEAD", "/healthz", "GET /healthz"},
+		{"PUT", "/healthz", "other"},
+		{"GET", "/v1/jobs/j-000001/nope", "other"},
+		{"GET", "/nope", "other"},
+	}
+	requests := func(snap MetricsSnapshot, route string) int64 {
+		var n int64
+		for k, v := range snap.Requests {
+			if strings.HasPrefix(k, route+" ") && len(k) == len(route)+4 {
+				n += v
+			}
+		}
+		return n
+	}
+	for _, c := range cases {
+		before := s.metrics.Snapshot(nil)
+		req := httptest.NewRequest(c.method, c.path, strings.NewReader(""))
+		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+		after := s.metrics.Snapshot(nil)
+		if got := requests(after, c.want) - requests(before, c.want); got != 1 {
+			t.Errorf("%s %s: %d requests counted under %q, want 1 (counted: %v)", c.method, c.path, got, c.want, after.Requests)
+		}
+		timed := after.RequestLatency[c.want].Count - before.RequestLatency[c.want].Count
+		slo := after.SLO.Requests - before.SLO.Requests
+		if strings.HasSuffix(c.want, "/events") {
+			if timed != 0 || slo != 0 {
+				t.Errorf("%s %s: stream timed %d times and counted %d toward the SLO, want 0 and 0", c.method, c.path, timed, slo)
+			}
+		} else if timed != 1 || slo != 1 {
+			t.Errorf("%s %s: timed %d times and counted %d toward the SLO, want 1 and 1", c.method, c.path, timed, slo)
 		}
 	}
 }

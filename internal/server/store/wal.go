@@ -86,8 +86,9 @@ type Options struct {
 	// this many bytes (default 4 MiB).
 	CompactBytes int64
 	// RetainTerminal bounds terminal job records kept across compactions
-	// (default 1024, matching the manager's retention default); the oldest
-	// terminal records are dropped first.
+	// (default 1024; the daemon passes its resolved server.Config.Retain,
+	// the bound its manager keeps in memory); the oldest terminal records
+	// are dropped first.
 	RetainTerminal int
 	// FS defaults to the real filesystem; tests inject faults here.
 	FS FS

@@ -46,7 +46,7 @@ import (
 	"permine/internal/combinat"
 	"permine/internal/core"
 	"permine/internal/embound"
-	"permine/internal/pil"
+	"permine/internal/pattern"
 	"permine/internal/query"
 	"permine/internal/seq"
 )
@@ -100,10 +100,6 @@ const (
 	JoinTwoPointer = core.JoinTwoPointer
 	JoinCum        = core.JoinCum
 )
-
-// ParseJoinStrategy maps a join strategy name ("auto", "twoptr", "cum")
-// to its JoinStrategy value.
-func ParseJoinStrategy(name string) (JoinStrategy, error) { return core.ParseJoinStrategy(name) }
 
 // Alphabet is a finite ordered symbol set.
 type Alphabet = seq.Alphabet
@@ -210,23 +206,19 @@ func EnumerateContext(ctx context.Context, s *Sequence, p Params) (*Result, erro
 
 // Support computes sup(P) of the shorthand pattern (e.g. "ATC") on s
 // under the gap requirement, using partial index lists; cost O(|P|·L).
-func Support(s *Sequence, pattern string, g Gap) (int64, error) {
+// It is SupportOf on the pattern with g between every pair of characters.
+func Support(s *Sequence, chars string, g Gap) (int64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	codes, err := s.Alphabet().Encode(pattern)
-	if err != nil {
-		return 0, err
-	}
-	if len(codes) == 0 {
+	if chars == "" {
 		return 0, nil
 	}
-	singles := pil.Singles(nil, s)
-	list := singles[codes[len(codes)-1]]
-	for i := len(codes) - 2; i >= 0; i-- {
-		list = pil.Join(singles[codes[i]], list, g)
+	p := &pattern.Pattern{Chars: chars, Gaps: make([]Gap, len(chars)-1)}
+	for i := range p.Gaps {
+		p.Gaps[i] = g
 	}
-	return list.Support(), nil
+	return pattern.Support(s, p)
 }
 
 // CountOffsets returns Nl: the exact number of distinct length-l offset
