@@ -94,7 +94,6 @@ func parseFlags(args []string) (options, error) {
 	fs.Int64Var(&c.MemGlobal, "mem-global", c.MemGlobal, "process-wide mining memory ceiling in bytes (0 = unlimited); nearing it browns out expensive job classes")
 	fs.IntVar(&c.BrownoutPct, "brownout-pct", c.BrownoutPct, "percent of -mem-global at which brownout shedding starts")
 	fs.StringVar(&c.DataDir, "data-dir", c.DataDir, "journal jobs here and recover them on restart (empty = in-memory only)")
-	fs.Int64Var(&c.CompactBytes, "compact-bytes", c.CompactBytes, "journal size triggering compaction")
 	fs.IntVar(&c.RetryBudget, "retry-budget", c.RetryBudget, "attempts allowed per shard under transient failures, and re-executions per job after crashes")
 	fs.DurationVar(&c.RetryBackoff, "retry-backoff", c.RetryBackoff, "base delay before a shard retries or a recovered job re-runs (doubles per attempt, jittered)")
 	fs.DurationVar(&c.ShardTimeout, "shard-timeout", c.ShardTimeout, "per-attempt deadline of a corpus shard")

@@ -33,9 +33,12 @@ func TestVersionFlag(t *testing.T) {
 }
 
 func TestBadFlag(t *testing.T) {
-	var out strings.Builder
-	if err := run(context.Background(), []string{"-no-such-flag"}, &out); err == nil {
-		t.Error("expected a flag parse error")
+	// -compact-bytes is gone: the journal compacts once it has doubled.
+	for _, args := range [][]string{{"-no-such-flag"}, {"-compact-bytes", "4194304"}} {
+		var out strings.Builder
+		if err := run(context.Background(), args, &out); err == nil {
+			t.Errorf("%v: expected a flag parse error", args)
+		}
 	}
 }
 

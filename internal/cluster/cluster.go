@@ -61,10 +61,10 @@ type Config struct {
 	// Heartbeat is the base probe interval and the deadline of one probe
 	// RPC; each probe waits a jittered interval in [3/4·Heartbeat,
 	// 5/4·Heartbeat) so a fleet of coordinators cannot synchronise into
-	// probe storms. Default 1s.
+	// probe storms. Required, positive.
 	Heartbeat time.Duration
 	// SuspectAfter / DeadAfter are the consecutive-failure thresholds for
-	// Alive→Suspect and →Dead. Defaults 2 and 4.
+	// Alive→Suspect and →Dead. Required, 0 < SuspectAfter <= DeadAfter.
 	SuspectAfter int
 	DeadAfter    int
 	// Transport issues the HTTP requests; nil uses http.DefaultTransport
@@ -83,18 +83,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = time.Second
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 4
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter
-	}
 	if c.Transport == nil {
 		c.Transport = &http.Client{}
 	}
@@ -142,8 +130,13 @@ type Cluster struct {
 	scrapeErrors    atomic.Uint64
 }
 
-// New builds a coordinator fleet view. Call Start to begin probing.
+// New builds a coordinator fleet view. Call Start to begin probing. The
+// heartbeat and both thresholds are required.
 func New(cfg Config) *Cluster {
+	if cfg.Heartbeat <= 0 || cfg.SuspectAfter <= 0 || cfg.DeadAfter < cfg.SuspectAfter {
+		panic(fmt.Sprintf("cluster: Config needs Heartbeat > 0 and 0 < SuspectAfter <= DeadAfter, got %v, %d, %d",
+			cfg.Heartbeat, cfg.SuspectAfter, cfg.DeadAfter))
+	}
 	cfg = cfg.withDefaults()
 	c := &Cluster{
 		cfg:    cfg,

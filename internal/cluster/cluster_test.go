@@ -85,6 +85,7 @@ func TestHealthStateMachine(t *testing.T) {
 			transitions = append(transitions, fmt.Sprintf("%s→%s", from, to))
 			tmu.Unlock()
 		},
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 
@@ -149,6 +150,7 @@ func TestUnknownPeerFirstFailureResolvesToSuspect(t *testing.T) {
 		Self:      "http://self:1",
 		Peers:     []string{peerAddr},
 		Transport: failDoer(),
+		Heartbeat: time.Second, SuspectAfter: 2, DeadAfter: 4,
 	})
 	defer c.Stop()
 
@@ -171,6 +173,7 @@ func TestRPCFailureFeedsHealth(t *testing.T) {
 		SuspectAfter: 1,
 		DeadAfter:    2,
 		Transport:    pongDoer(t, "n-c", 0),
+		Heartbeat:    time.Second,
 	})
 	defer c.Stop()
 	c.probe(peerAddr)
@@ -200,7 +203,7 @@ func alivePeers(t *testing.T, c *Cluster, addrs ...string) {
 
 func TestPlaceAffinity(t *testing.T) {
 	peers := []string{"http://peer-a:1", "http://peer-b:1"}
-	c := New(Config{Self: "http://self:1", Peers: peers, Transport: failDoer()})
+	c := New(Config{Self: "http://self:1", Peers: peers, Transport: failDoer(), Heartbeat: time.Second, SuspectAfter: 2, DeadAfter: 4})
 	defer c.Stop()
 	alivePeers(t, c, peers...)
 
@@ -236,6 +239,7 @@ func TestPlaceExcludesUnhealthyPeers(t *testing.T) {
 		Self: "http://self:1", Peers: peers,
 		SuspectAfter: 1, DeadAfter: 2,
 		Transport: failDoer(),
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	alivePeers(t, c, peers...)
@@ -255,6 +259,7 @@ func TestWorkStealing(t *testing.T) {
 		Self:      "http://self:1",
 		Peers:     peers,
 		Transport: failDoer(),
+		Heartbeat: time.Second, SuspectAfter: 2, DeadAfter: 4,
 	})
 	defer c.Stop()
 	alivePeers(t, c, peers...)
@@ -302,6 +307,7 @@ func TestMineRemoteDeadPeerFastFails(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 1, DeadAfter: 1,
 		Transport: failDoer(),
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteFailure(peerAddr, "heartbeat", errors.New("down")) // straight to dead
@@ -330,6 +336,7 @@ func TestMineRemoteRetriesTransportErrors(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 10, DeadAfter: 20,
 		Transport: doer,
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
@@ -362,6 +369,7 @@ func TestMineRemoteExhaustsRetryBudget(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 10, DeadAfter: 20,
 		Transport: doer,
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
@@ -390,6 +398,7 @@ func TestMineRemoteRemoteErrorIsNotTransport(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 1, DeadAfter: 1,
 		Transport: doer,
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
@@ -421,6 +430,7 @@ func TestMineRemoteBusyPeer(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 1, DeadAfter: 1,
 		Transport: doer,
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
@@ -439,7 +449,7 @@ func TestMineRemotePanicIsolation(t *testing.T) {
 	doer := doerFunc(func(r *http.Request) (*http.Response, error) {
 		panic("transport bug")
 	})
-	c := New(Config{Self: "http://self:1", Peers: []string{peerAddr}, Transport: doer})
+	c := New(Config{Self: "http://self:1", Peers: []string{peerAddr}, Transport: doer, Heartbeat: time.Second, SuspectAfter: 2, DeadAfter: 4})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
 
@@ -460,6 +470,7 @@ func TestMineRemoteAbortsWhenPeerDies(t *testing.T) {
 		Self: "http://self:1", Peers: []string{peerAddr},
 		SuspectAfter: 1, DeadAfter: 1,
 		Transport: hang,
+		Heartbeat: time.Second,
 	})
 	defer c.Stop()
 	c.noteSuccess(peerAddr, Pong{Node: "n-a"})
@@ -486,10 +497,11 @@ func TestMineRemoteAbortsWhenPeerDies(t *testing.T) {
 func TestStartStopNoLeaks(t *testing.T) {
 	defer corpustest.CheckLeaks(t)
 	c := New(Config{
-		Self:      "http://self:1",
-		Peers:     []string{"http://peer-a:1", "http://peer-b:1"},
-		Heartbeat: 10 * time.Millisecond,
-		Transport: failDoer(),
+		Self:         "http://self:1",
+		Peers:        []string{"http://peer-a:1", "http://peer-b:1"},
+		Heartbeat:    10 * time.Millisecond,
+		Transport:    failDoer(),
+		SuspectAfter: 2, DeadAfter: 4,
 	})
 	c.Start()
 	time.Sleep(50 * time.Millisecond) // let several probe rounds run
@@ -501,7 +513,7 @@ func TestStartStopNoLeaks(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	peers := []string{"http://peer-a:1", "http://peer-b:1"}
-	c := New(Config{Self: "http://self:1", Peers: peers, Transport: failDoer()})
+	c := New(Config{Self: "http://self:1", Peers: peers, Transport: failDoer(), Heartbeat: time.Second, SuspectAfter: 2, DeadAfter: 4})
 	defer c.Stop()
 	c.noteSuccess(peers[0], Pong{Node: "n-a"})
 	c.NoteForwardedJob()
@@ -523,5 +535,25 @@ func TestStatsShape(t *testing.T) {
 	}
 	if s.ForwardedJobs != 1 || s.ForwardedShards != 1 || s.ShardsStolen != 1 || s.ShardsRequeued != 1 {
 		t.Fatalf("counters = %+v", s)
+	}
+}
+
+// TestNewRejectsUnsetThresholds: New takes no default for its heartbeat
+// or thresholds, and refuses a dead-after below suspect-after.
+func TestNewRejectsUnsetThresholds(t *testing.T) {
+	for _, cfg := range []Config{
+		{SuspectAfter: 2, DeadAfter: 4},
+		{Heartbeat: time.Second, DeadAfter: 4},
+		{Heartbeat: time.Second, SuspectAfter: 2},
+		{Heartbeat: time.Second, SuspectAfter: 3, DeadAfter: 2},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New accepted %+v", cfg)
+				}
+			}()
+			New(cfg)
+		}()
 	}
 }

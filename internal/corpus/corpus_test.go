@@ -85,7 +85,7 @@ func runToEnd(t *testing.T, cfg corpus.Config, j *corpus.Job) {
 func TestAllShardsSucceed(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	j := newTestJob(t, 5)
-	runToEnd(t, corpus.Config{Run: fakeRun}, j)
+	runToEnd(t, corpus.Config{Run: fakeRun, RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4}, j)
 
 	if got := j.State(); got != corpus.StateDone {
 		t.Fatalf("state = %v, want done", got)
@@ -135,6 +135,7 @@ func TestShardPanicYieldsPartial(t *testing.T) {
 	j := newTestJob(t, 4)
 	runToEnd(t, corpus.Config{
 		Run: fakeRun, Fault: faults, RetryBudget: 3, RetryBackoff: time.Millisecond,
+		MaxInflight: 4,
 	}, j)
 
 	if got := j.State(); got != corpus.StatePartial {
@@ -189,6 +190,7 @@ func TestTransientRetrySucceeds(t *testing.T) {
 				mu.Unlock()
 			},
 		},
+		MaxInflight: 4,
 	}, j)
 
 	if got := j.State(); got != corpus.StateDone {
@@ -232,6 +234,7 @@ func TestHangHitsDeadlineThenRetries(t *testing.T) {
 	}
 	runToEnd(t, corpus.Config{
 		Run: fakeRun, Fault: faults, RetryBudget: 2, RetryBackoff: time.Millisecond,
+		MaxInflight: 4,
 	}, j)
 
 	if got := j.State(); got != corpus.StateDone {
@@ -251,7 +254,7 @@ func TestAllShardsFail(t *testing.T) {
 		faults.SetAttempts(sh, 2, corpus.FaultError)
 	}
 	j := newTestJob(t, 2)
-	runToEnd(t, corpus.Config{Run: fakeRun, Fault: faults, RetryBudget: 2, RetryBackoff: time.Millisecond}, j)
+	runToEnd(t, corpus.Config{Run: fakeRun, Fault: faults, RetryBudget: 2, RetryBackoff: time.Millisecond, MaxInflight: 4}, j)
 
 	if got := j.State(); got != corpus.StateFailed {
 		t.Fatalf("state = %v, want failed", got)
@@ -280,7 +283,8 @@ func TestCancelRevertsInflightShards(t *testing.T) {
 	end := make(chan struct{})
 	e := corpus.NewEngine(corpus.Config{
 		Run: run, MaxInflight: 2,
-		Hooks: corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
+		Hooks:       corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
+		RetryBudget: 3, RetryBackoff: 200 * time.Millisecond,
 	})
 	e.Start(j, func(corpus.View) {})
 	<-started
@@ -331,7 +335,8 @@ func TestExpireDegradesToPartial(t *testing.T) {
 	end := make(chan struct{})
 	e := corpus.NewEngine(corpus.Config{
 		Run: run, MaxInflight: 1,
-		Hooks: corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
+		Hooks:       corpus.Hooks{JobEnd: func(context.Context, *corpus.Job, corpus.View) { close(end) }},
+		RetryBudget: 3, RetryBackoff: 200 * time.Millisecond,
 	})
 	e.Start(j, func(corpus.View) {})
 	waitFor(t, func() bool { return j.Snapshot().ShardsDone == 1 }, "first shard done")
@@ -420,7 +425,7 @@ func TestResumeSkipsReplayedShards(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	// Fresh run for the reference merge and the "journaled" shard results.
 	ref := newTestJob(t, 4)
-	runToEnd(t, corpus.Config{Run: fakeRun}, ref)
+	runToEnd(t, corpus.Config{Run: fakeRun, RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4}, ref)
 	refJSON, _ := json.Marshal(ref.Merged())
 
 	// Restore shards 0 and 1 as journal checkpoints, then resume.
@@ -443,7 +448,7 @@ func TestResumeSkipsReplayedShards(t *testing.T) {
 		mu.Unlock()
 		return fakeRun(ctx, jb, s)
 	}
-	runToEnd(t, corpus.Config{Run: run}, j)
+	runToEnd(t, corpus.Config{Run: run, RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4}, j)
 
 	if j.State() != corpus.StateDone {
 		t.Fatalf("state = %v, want done", j.State())
@@ -479,7 +484,7 @@ func TestFullyReplayedJobFinalizesImmediately(t *testing.T) {
 		t.Error("runner called for a fully replayed job")
 		return nil, errors.New("unreachable")
 	}
-	runToEnd(t, corpus.Config{Run: run}, j)
+	runToEnd(t, corpus.Config{Run: run, RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4}, j)
 	if j.State() != corpus.StateDone {
 		t.Fatalf("state = %v, want done", j.State())
 	}
@@ -570,6 +575,7 @@ func TestJobEndFollowsShardEnds(t *testing.T) {
 				},
 				JobEnd: func(context.Context, *corpus.Job, corpus.View) { record("end") },
 			},
+			RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4,
 		}, j)
 		mu.Lock()
 		got := strings.Join(order, " ")
@@ -612,7 +618,7 @@ func TestOutcomeRule(t *testing.T) {
 			return tc.res, tc.err
 		}
 		j := newTestJob(t, 1)
-		runToEnd(t, corpus.Config{Run: run, RetryBackoff: time.Millisecond}, j)
+		runToEnd(t, corpus.Config{Run: run, RetryBackoff: time.Millisecond, RetryBudget: 3, MaxInflight: 4}, j)
 		v := j.Snapshot()
 		if v.State != tc.job || v.Note != note || calls.Load() != 1 {
 			t.Errorf("%s: job ended %s %q after %d attempts, want %s %q after 1", tc.name, v.State, v.Note, calls.Load(), tc.job, note)
@@ -645,6 +651,7 @@ func TestStartJournalsFirst(t *testing.T) {
 				ShardEnd: func(context.Context, *corpus.Job, *corpus.Shard) { record("shard") },
 				JobEnd:   func(context.Context, *corpus.Job, corpus.View) { record("end"); close(end) },
 			},
+			RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4,
 		})
 		j := newTestJob(t, 2)
 		e.Start(j, func(v corpus.View) {
@@ -659,10 +666,30 @@ func TestStartJournalsFirst(t *testing.T) {
 			t.Fatalf("run %d: journal order [%s], want the submit first and the end last", run, got)
 		}
 	}
-	refused := corpus.NewEngine(corpus.Config{Run: fakeRun, Enqueue: func(func()) bool { return false }})
+	refused := corpus.NewEngine(corpus.Config{Run: fakeRun, Enqueue: func(func()) bool { return false }, RetryBudget: 3, RetryBackoff: 200 * time.Millisecond, MaxInflight: 4})
 	j := newTestJob(t, 1)
 	if refused.Start(j, func(corpus.View) { t.Error("a refused start wrote its submit record") }) {
 		t.Fatal("Start on a full pool returned true")
 	}
 	refused.Interrupt(j)
+}
+
+// TestNewEngineRejectsUnsetPolicy: the engine takes no default for its
+// retry policy; a config that leaves one setting unset is refused as a
+// nil Runner is.
+func TestNewEngineRejectsUnsetPolicy(t *testing.T) {
+	for _, cfg := range []corpus.Config{
+		{Run: fakeRun, RetryBackoff: time.Millisecond, MaxInflight: 4},
+		{Run: fakeRun, RetryBudget: 3, MaxInflight: 4},
+		{Run: fakeRun, RetryBudget: 3, RetryBackoff: time.Millisecond},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewEngine accepted %+v", cfg)
+				}
+			}()
+			corpus.NewEngine(cfg)
+		}()
+	}
 }

@@ -41,21 +41,21 @@ type Hooks struct {
 	JobEnd func(ctx context.Context, j *Job, v View)
 }
 
-// Config configures an Engine. Zero values take the documented defaults.
+// Config configures an Engine. RetryBudget, RetryBackoff, MaxInflight and
+// Run are required.
 type Config struct {
 	// RetryBudget is the maximum number of executions per shard, the
-	// first attempt included, and of crash restarts per job (default 3).
-	// A shard whose budget is spent fails.
+	// first attempt included, and of crash restarts per job. A shard
+	// whose budget is spent fails.
 	RetryBudget int
 	// RetryBackoff is the base delay before a shard's first retry or a
-	// job's first crash restart, doubling per attempt (default 200ms);
+	// job's first crash restart, doubling per attempt up to maxBackoff;
 	// each delay is jittered into [d/2, d) so many failures do not retry
-	// in lockstep. MaxBackoff caps the un-jittered delay (default 30s).
+	// in lockstep.
 	RetryBackoff time.Duration
-	MaxBackoff   time.Duration
-	// MaxInflight bounds how many shards of one job are scheduled at once
-	// (default 4). A shard waiting out its backoff still holds its slot,
-	// so a job's claim on the worker pool stays bounded while it retries.
+	// MaxInflight bounds how many shards of one job are scheduled at once.
+	// A shard waiting out its backoff still holds its slot, so a job's
+	// claim on the worker pool stays bounded while it retries.
 	MaxInflight int
 
 	// Run mines one shard (required).
@@ -74,18 +74,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.RetryBudget <= 0 {
-		c.RetryBudget = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 200 * time.Millisecond
-	}
-	if c.MaxBackoff <= 0 {
-		c.MaxBackoff = 30 * time.Second
-	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = 4
-	}
 	if c.Enqueue == nil {
 		c.Enqueue = func(task func()) bool { go task(); return true }
 	}
@@ -95,9 +83,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// requeueDelay is how long a shard whose attempt the full pool refused
-// waits before offering it again.
-const requeueDelay = 25 * time.Millisecond
+const (
+	// requeueDelay is how long a shard whose attempt the full pool
+	// refused waits before offering it again.
+	requeueDelay = 25 * time.Millisecond
+	// maxBackoff caps the un-jittered retry and restart delay.
+	maxBackoff = 30 * time.Second
+)
 
 // Engine drives jobs shard by shard: it schedules pending shards onto the
 // configured worker pool up to MaxInflight per job, retries transient
@@ -111,10 +103,15 @@ type Engine struct {
 	cfg Config
 }
 
-// NewEngine builds an Engine. Run is required.
+// NewEngine builds an Engine. Run and the positive retry budget, backoff
+// and in-flight bound are required.
 func NewEngine(cfg Config) *Engine {
 	if cfg.Run == nil {
 		panic("corpus: Engine requires a Runner")
+	}
+	if cfg.RetryBudget <= 0 || cfg.RetryBackoff <= 0 || cfg.MaxInflight <= 0 {
+		panic(fmt.Sprintf("corpus: Engine requires a positive RetryBudget, RetryBackoff and MaxInflight, got %d, %v, %d",
+			cfg.RetryBudget, cfg.RetryBackoff, cfg.MaxInflight))
 	}
 	return &Engine{cfg: cfg.withDefaults()}
 }
@@ -171,7 +168,7 @@ func (e *Engine) Recover(j *Job) (attempt int, delay time.Duration, ok bool) {
 	}
 	j.attempts++
 	j.state, j.startedAt = StateQueued, time.Time{}
-	attempt, delay = j.attempts, retry.Backoff(e.cfg.RetryBackoff, e.cfg.MaxBackoff, j.attempts)
+	attempt, delay = j.attempts, retry.Backoff(e.cfg.RetryBackoff, maxBackoff, j.attempts)
 	j.mu.Unlock()
 	time.AfterFunc(delay, func() {
 		j.mu.Lock()
@@ -378,7 +375,7 @@ func (e *Engine) settle(ctx context.Context, j *Job, s *Shard, attempt int, res 
 		// Budget left: back off (jittered) and go again, keeping the
 		// in-flight slot so a job's claim on the pool stays bounded.
 		s.state, s.err = ShardRetrying, err
-		delay := retry.Backoff(e.cfg.RetryBackoff, e.cfg.MaxBackoff, attempt)
+		delay := retry.Backoff(e.cfg.RetryBackoff, maxBackoff, attempt)
 		j.mu.Unlock()
 		e.cfg.Logger.Warn("shard retrying",
 			"job", j.id, "shard", s.index, "attempt", attempt, "delay", delay, "err", err)

@@ -17,9 +17,9 @@ import (
 // [10,12] and ρs = 0.006%, and the frequent length-8 patterns are censused
 // by their C/G content.
 type CaseConfig struct {
-	// GenomeLen is the synthetic genome length (default 300 kb; the
-	// paper mined whole genomes of 0.6–1.8 Mb — scaled down for
-	// laptop-runtime, same fragment semantics).
+	// GenomeLen is the synthetic genome length (default 200 kb, at most
+	// 100 kb under Quick; the paper mined whole genomes of 0.6–1.8 Mb —
+	// scaled down for laptop-runtime, same fragment semantics).
 	GenomeLen int
 	// FragLen is the fragment size (paper: 100 kb).
 	FragLen int
@@ -27,7 +27,7 @@ type CaseConfig struct {
 	Gap combinat.Gap
 	// RhoPct is the support threshold in percent (paper: 0.006%).
 	RhoPct float64
-	// EmOrder is MPPm's m (default 8).
+	// EmOrder is MPPm's m (default 6).
 	EmOrder int
 	// Seed drives the genome generators.
 	Seed uint64

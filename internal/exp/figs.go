@@ -85,102 +85,81 @@ type SweepRow struct {
 	Patterns   int
 }
 
-// fig6Runs is how many times RunFig6 times each W; a row reports the
-// fastest run. Figure 6's claim compares wall times, and at quick scale
-// one MPPm takes about 0.1–0.2 s, close to a shared VM's noise.
-const fig6Runs = 3
+// sweep is one single-variable MPPm series: the swept values (and the
+// quick subset), how a value sets the config, and how many runs each
+// point's fastest time is taken over.
+type sweep struct {
+	name      string // fig and variable, for errors
+	xs, quick []int
+	set       func(c *Config, x int)
+	runs      int
+}
 
-// RunFig6 varies the gap flexibility W from 4 to 8 with N fixed at 9
-// (gap requirement [9, W+8]), MPPm with m = 8, ρs = 0.003%. The quick
-// sweep keeps both ends: at L = 500, W = 4 picks a larger n than W = 6
-// and counts more candidates, so the two run only about 20% apart.
-func RunFig6(c Config) ([]SweepRow, error) {
+// run mines each point of the sweep with MPPm.
+func (sw sweep) run(c Config) ([]SweepRow, error) {
 	c = c.withDefaults()
-	ws := []int{4, 5, 6, 7, 8}
+	xs := sw.xs
 	if c.Quick {
-		ws = []int{4, 6, 8}
+		xs = sw.quick
 	}
-	rows := make([]SweepRow, 0, len(ws))
-	for _, wFlex := range ws {
+	rows := make([]SweepRow, 0, len(xs))
+	for _, x := range xs {
 		cc := c
-		cc.Gap = combinat.Gap{N: c.Gap.N, M: c.Gap.N + wFlex - 1}
+		sw.set(&cc, x)
 		s, err := cc.subject()
 		if err != nil {
 			return nil, err
 		}
 		var res *core.Result
 		var elapsed time.Duration
-		for run := 0; run < fig6Runs; run++ {
+		for run := 0; run < sw.runs; run++ {
 			r, t, err := runMPPm(s, cc)
 			if err != nil {
-				return nil, fmt.Errorf("fig6 W=%d: %w", wFlex, err)
+				return nil, fmt.Errorf("%s=%d: %w", sw.name, x, err)
 			}
 			if run == 0 || t < elapsed {
 				res, elapsed = r, t
 			}
 		}
 		rows = append(rows, SweepRow{
-			X: wFlex, Seconds: elapsed.Seconds(), Candidates: totalCandidates(res),
+			X: x, Seconds: elapsed.Seconds(), Candidates: totalCandidates(res),
 			AutoN: res.N, Longest: res.Longest(), Patterns: len(res.Patterns),
 		})
 	}
 	return rows, nil
+}
+
+// RunFig6 varies the gap flexibility W from 4 to 8 with N fixed at 9
+// (gap requirement [9, W+8]), MPPm with m = 8, ρs = 0.003%. The quick
+// sweep keeps both ends: at L = 500, W = 4 picks a larger n than W = 6
+// and counts more candidates, so the two run only about 20% apart. Each
+// row reports the fastest of 3 runs: Figure 6's claim compares wall
+// times, and at quick scale one MPPm takes about 0.1–0.2 s, close to a
+// shared VM's noise.
+func RunFig6(c Config) ([]SweepRow, error) {
+	return sweep{
+		name: "fig6 W", xs: []int{4, 5, 6, 7, 8}, quick: []int{4, 6, 8}, runs: 3,
+		set: func(c *Config, w int) { c.Gap = combinat.Gap{N: c.Gap.N, M: c.Gap.N + w - 1} },
+	}.run(c)
 }
 
 // RunFig7 varies the minimum gap N from 8 to 12 with W fixed at 4 (gap
 // requirement [N, N+3]), MPPm with m = 8, ρs = 0.003%.
 func RunFig7(c Config) ([]SweepRow, error) {
-	c = c.withDefaults()
-	ns := []int{8, 9, 10, 11, 12}
-	if c.Quick {
-		ns = []int{8, 10, 12}
-	}
-	rows := make([]SweepRow, 0, len(ns))
-	for _, n := range ns {
-		cc := c
-		cc.Gap = combinat.Gap{N: n, M: n + 3}
-		s, err := cc.subject()
-		if err != nil {
-			return nil, err
-		}
-		res, elapsed, err := runMPPm(s, cc)
-		if err != nil {
-			return nil, fmt.Errorf("fig7 N=%d: %w", n, err)
-		}
-		rows = append(rows, SweepRow{
-			X: n, Seconds: elapsed.Seconds(), Candidates: totalCandidates(res),
-			AutoN: res.N, Longest: res.Longest(), Patterns: len(res.Patterns),
-		})
-	}
-	return rows, nil
+	return sweep{
+		name: "fig7 N", xs: []int{8, 9, 10, 11, 12}, quick: []int{8, 10, 12}, runs: 1,
+		set: func(c *Config, n int) { c.Gap = combinat.Gap{N: n, M: n + 3} },
+	}.run(c)
 }
 
 // RunFig8 varies the subject sequence length L from 1000 to 10000 (the
 // paper's scalability experiment; MPPm, m = 10 there, configurable here).
 func RunFig8(c Config) ([]SweepRow, error) {
-	c = c.withDefaults()
-	ls := []int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000}
-	if c.Quick {
-		ls = []int{1000, 3000, 5000}
-	}
-	rows := make([]SweepRow, 0, len(ls))
-	for _, L := range ls {
-		cc := c
-		cc.L = L
-		s, err := cc.subject()
-		if err != nil {
-			return nil, err
-		}
-		res, elapsed, err := runMPPm(s, cc)
-		if err != nil {
-			return nil, fmt.Errorf("fig8 L=%d: %w", L, err)
-		}
-		rows = append(rows, SweepRow{
-			X: L, Seconds: elapsed.Seconds(), Candidates: totalCandidates(res),
-			AutoN: res.N, Longest: res.Longest(), Patterns: len(res.Patterns),
-		})
-	}
-	return rows, nil
+	return sweep{
+		name: "fig8 L", xs: []int{1000, 2000, 3000, 4000, 5000, 6000, 7000, 8000, 9000, 10000},
+		quick: []int{1000, 3000, 5000}, runs: 1,
+		set: func(c *Config, l int) { c.L = l },
+	}.run(c)
 }
 
 // FprintSweep renders one of the Figure 6/7/8 series with the given axis

@@ -76,7 +76,7 @@ func Verify(cfg Config) ([]Claim, error) {
 		rows5[len(rows5)-1].Candidates, rows5[len(rows5)-1].N)
 
 	// Figure 6: runtime grows with the gap flexibility W (each W's
-	// fastest of fig6Runs timed runs).
+	// fastest of 3 timed runs).
 	rows6, err := RunFig6(cfg)
 	if err != nil {
 		return nil, err

@@ -36,15 +36,32 @@ var (
 // and one longer than limit, so a writer never produces a frame its reader
 // would reject.
 func Append(dst, payload []byte, limit int) ([]byte, error) {
+	return AppendParts(dst, limit, payload)
+}
+
+// AppendParts is Append for a payload that is the concatenation of parts,
+// so a caller need not join them into one buffer first.
+func AppendParts(dst []byte, limit int, parts ...[]byte) ([]byte, error) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
 	switch {
-	case len(payload) == 0:
+	case n == 0:
 		return dst, ErrEmpty
-	case len(payload) > limit:
+	case n > limit:
 		return dst, ErrTooLarge
 	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...), nil
+	var crc uint32
+	for _, p := range parts {
+		crc = crc32.Update(crc, crc32.IEEETable, p)
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(n))
+	dst = binary.LittleEndian.AppendUint32(dst, crc)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return dst, nil
 }
 
 // Read reads exactly one frame from r and returns its payload. A stream

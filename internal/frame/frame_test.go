@@ -48,6 +48,26 @@ func TestAppendRefuses(t *testing.T) {
 	if _, err := Append(nil, make([]byte, 4), 4); err != nil {
 		t.Fatalf("payload at the limit: %v", err)
 	}
+	if out, err := AppendParts(dst, testLimit, nil, []byte{}); !errors.Is(err, ErrEmpty) || !bytes.Equal(out, dst) {
+		t.Fatalf("empty parts: %q, %v; want dst unchanged and ErrEmpty", out, err)
+	}
+	if out, err := AppendParts(dst, 4, make([]byte, 2), make([]byte, 3)); !errors.Is(err, ErrTooLarge) || !bytes.Equal(out, dst) {
+		t.Fatalf("parts over limit: %q, %v; want dst unchanged and ErrTooLarge", out, err)
+	}
+}
+
+// TestAppendPartsJoins: a frame of parts is the frame of their
+// concatenation, empty parts included.
+func TestAppendPartsJoins(t *testing.T) {
+	payload := []byte(`{"t":"submit","job":{"id":"j-1","result":{"k":[1,2]}}}`)
+	want := mustAppend(t, []byte("prefix"), payload)
+	got, err := AppendParts([]byte("prefix"), testLimit, payload[:20], nil, payload[20:21], payload[21:])
+	if err != nil {
+		t.Fatalf("AppendParts: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("AppendParts = %q, want %q", got, want)
+	}
 }
 
 func TestReadRejectsCorruption(t *testing.T) {

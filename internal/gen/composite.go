@@ -45,27 +45,48 @@ func (p Plant) span() int {
 	return (chars-1)*(p.GapMax+1) + 1
 }
 
-// Composite builds a sequence from a weighted IID background, then applies
-// patches (re-drawn with their own weights), tracts (literal overwrites)
-// and plants (periodic motif overwrites), in that order. All randomness is
-// derived from seed; the construction is deterministic.
-func Composite(alpha *seq.Alphabet, name string, length int, background []float64,
-	patches []Patch, tracts []Tract, plants []Plant, seed uint64) (*seq.Sequence, error) {
-	if length <= 0 {
-		return nil, fmt.Errorf("gen: length %d must be positive", length)
+// CompositeSpec fully describes a synthetic sequence build.
+type CompositeSpec struct {
+	Alphabet   *seq.Alphabet
+	Name       string
+	Length     int
+	Background []float64
+	Patches    []Patch
+	Phased     []PhasedPatch
+	Tracts     []Tract
+	Plants     []Plant
+	Seed       uint64
+}
+
+// Build generates the sequence described by the spec: a weighted IID
+// background, then patches (re-drawn with their own weights), phased
+// patches, tracts (literal overwrites) and plants (periodic motif
+// overwrites), in that order; later layers overwrite earlier ones. All
+// randomness is derived from Seed; the construction is deterministic.
+func Build(spec CompositeSpec) (*seq.Sequence, error) {
+	alpha := spec.Alphabet
+	if alpha == nil {
+		alpha = seq.DNA
 	}
-	if len(background) != alpha.Size() {
-		return nil, fmt.Errorf("gen: %d background weights for alphabet of size %d", len(background), alpha.Size())
+	if spec.Length <= 0 {
+		return nil, fmt.Errorf("gen: length %d must be positive", spec.Length)
 	}
-	r := newRNG(seed)
-	cum := cumulative(background)
-	buf := make([]byte, length)
+	bg := spec.Background
+	if bg == nil {
+		bg = uniformWeights(alpha.Size())
+	}
+	if len(bg) != alpha.Size() {
+		return nil, fmt.Errorf("gen: %d background weights for alphabet of size %d", len(bg), alpha.Size())
+	}
+	r := newRNG(spec.Seed)
+	cum := cumulative(bg)
+	buf := make([]byte, spec.Length)
 	for i := range buf {
 		buf[i] = alpha.Symbol(r.pick(cum))
 	}
-	for pi, p := range patches {
-		if p.Start < 0 || p.Len < 0 || p.Start+p.Len > length {
-			return nil, fmt.Errorf("gen: patch %d [%d,%d) out of range for length %d", pi, p.Start, p.Start+p.Len, length)
+	for pi, p := range spec.Patches {
+		if p.Start < 0 || p.Len < 0 || p.Start+p.Len > spec.Length {
+			return nil, fmt.Errorf("gen: patch %d [%d,%d) out of range for length %d", pi, p.Start, p.Start+p.Len, spec.Length)
 		}
 		if len(p.Weights) != alpha.Size() {
 			return nil, fmt.Errorf("gen: patch %d has %d weights for alphabet of size %d", pi, len(p.Weights), alpha.Size())
@@ -75,21 +96,26 @@ func Composite(alpha *seq.Alphabet, name string, length int, background []float6
 			buf[i] = alpha.Symbol(r.pick(pc))
 		}
 	}
-	for ti, t := range tracts {
-		if t.Start < 0 || t.Start+len(t.Text) > length {
-			return nil, fmt.Errorf("gen: tract %d [%d,%d) out of range for length %d", ti, t.Start, t.Start+len(t.Text), length)
+	for pi, p := range spec.Phased {
+		if err := applyPhased(buf, alpha, cum, p, r); err != nil {
+			return nil, fmt.Errorf("gen: phased patch %d: %w", pi, err)
+		}
+	}
+	for ti, t := range spec.Tracts {
+		if t.Start < 0 || t.Start+len(t.Text) > spec.Length {
+			return nil, fmt.Errorf("gen: tract %d [%d,%d) out of range for length %d", ti, t.Start, t.Start+len(t.Text), spec.Length)
 		}
 		if err := alpha.Validate(t.Text); err != nil {
 			return nil, fmt.Errorf("gen: tract %d: %w", ti, err)
 		}
 		copy(buf[t.Start:], t.Text)
 	}
-	for pi, p := range plants {
+	for pi, p := range spec.Plants {
 		if err := applyPlant(buf, alpha, p, r); err != nil {
 			return nil, fmt.Errorf("gen: plant %d: %w", pi, err)
 		}
 	}
-	return seq.New(alpha, name, string(buf))
+	return seq.New(alpha, spec.Name, string(buf))
 }
 
 func applyPlant(buf []byte, alpha *seq.Alphabet, p Plant, r *rng) error {

@@ -1,6 +1,8 @@
 package gen_test
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -85,12 +87,15 @@ func TestMarkovTransitions(t *testing.T) {
 }
 
 func TestCompositeLayers(t *testing.T) {
-	s, err := gen.Composite(seq.DNA, "c", 100,
-		[]float64{1, 0, 0, 0}, // all A background
-		[]gen.Patch{{Start: 10, Len: 10, Weights: []float64{0, 1, 0, 0}}}, // C patch
-		[]gen.Tract{{Start: 30, Text: "GGGGG"}},
-		[]gen.Plant{{Start: 50, Motif: "TT", GapMin: 2, GapMax: 2}},
-		9)
+	s, err := gen.Build(gen.CompositeSpec{
+		Name:       "c",
+		Length:     100,
+		Background: []float64{1, 0, 0, 0},                                             // all A background
+		Patches:    []gen.Patch{{Start: 10, Len: 10, Weights: []float64{0, 1, 0, 0}}}, // C patch
+		Tracts:     []gen.Tract{{Start: 30, Text: "GGGGG"}},
+		Plants:     []gen.Plant{{Start: 50, Motif: "TT", GapMin: 2, GapMax: 2}},
+		Seed:       9,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +123,9 @@ func TestCompositeErrors(t *testing.T) {
 		plants  []gen.Plant
 	}{
 		{"patch out of range", []gen.Patch{{Start: 95, Len: 10, Weights: bg}}, nil, nil},
-		{"patch bad weights", []gen.Patch{{Start: 0, Len: 5, Weights: []float64{1}}}, nil, nil},
+		{"patch with 1 weight", []gen.Patch{{Start: 0, Len: 5, Weights: []float64{1}}}, nil, nil},
+		{"patch with 6 weights", []gen.Patch{{Start: 0, Len: 5, Weights: []float64{1, 1, 1, 1, 1, 1}}}, nil, nil},
+		{"patch without weights", []gen.Patch{{Start: 0, Len: 5}}, nil, nil},
 		{"tract out of range", nil, []gen.Tract{{Start: 98, Text: "ACGT"}}, nil},
 		{"tract bad symbols", nil, []gen.Tract{{Start: 0, Text: "XY"}}, nil},
 		{"plant empty motif", nil, nil, []gen.Plant{{Start: 0, Motif: ""}}},
@@ -127,14 +134,16 @@ func TestCompositeErrors(t *testing.T) {
 		{"plant bad motif", nil, nil, []gen.Plant{{Start: 0, Motif: "xz", GapMin: 1, GapMax: 2}}},
 	}
 	for _, c := range cases {
-		if _, err := gen.Composite(seq.DNA, "x", 100, bg, c.patches, c.tracts, c.plants, 1); err == nil {
+		spec := gen.CompositeSpec{Name: "x", Length: 100, Background: bg,
+			Patches: c.patches, Tracts: c.tracts, Plants: c.plants, Seed: 1}
+		if _, err := gen.Build(spec); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
-	if _, err := gen.Composite(seq.DNA, "x", 0, bg, nil, nil, nil, 1); err == nil {
+	if _, err := gen.Build(gen.CompositeSpec{Length: 0}); err == nil {
 		t.Error("length 0 accepted")
 	}
-	if _, err := gen.Composite(seq.DNA, "x", 10, []float64{1}, nil, nil, nil, 1); err == nil {
+	if _, err := gen.Build(gen.CompositeSpec{Length: 10, Background: []float64{1}}); err == nil {
 		t.Error("bad background accepted")
 	}
 }
@@ -210,12 +219,6 @@ func TestBuildPhasedErrors(t *testing.T) {
 			t.Errorf("bad phased patch %d accepted: %+v", i, p)
 		}
 	}
-	if _, err := gen.Build(gen.CompositeSpec{Length: 0}); err == nil {
-		t.Error("length 0 accepted")
-	}
-	if _, err := gen.Build(gen.CompositeSpec{Length: 10, Background: []float64{1}}); err == nil {
-		t.Error("bad background accepted")
-	}
 }
 
 func TestTandemRepeat(t *testing.T) {
@@ -257,5 +260,35 @@ func TestGenomeGenerators(t *testing.T) {
 	}
 	if _, err := gen.ProteinRepeat(50, 1); err == nil {
 		t.Error("tiny protein length accepted")
+	}
+}
+
+// TestGeneratorsStable pins the bytes of the high-level generators: they
+// are the benchmark's and the experiments' inputs, so a change to the
+// builder must leave them as they are.
+func TestGeneratorsStable(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		gen    func(int, uint64) (*seq.Sequence, error)
+		length int
+		seed   uint64
+		sha256 string
+	}{
+		{"GenomeLike", gen.GenomeLike, 1000, 7, "3eea2012b16161fd630693c0817f1e87df118ce51b339818d23a2ad28bd69093"},
+		{"GenomeLike", gen.GenomeLike, 100000, 3, "62d63cad286c13517fb1266c47fecabab8d48f81fb5e94594612c4ac884164ff"},
+		{"BacterialLike", gen.BacterialLike, 1000, 7, "12980ab5b1430ac5053b60ec96e4372432325ab2d1504a18d195039aecd1d08d"},
+		{"BacterialLike", gen.BacterialLike, 100000, 3, "5f7ea65d440a17c9bb3f9fccd39c74a9f4d2429334281d8630d6618aafa98b36"},
+		{"EukaryoteLike", gen.EukaryoteLike, 1000, 7, "6cd9ca67d0269f91b850a0259bd796cd3db1afda47eb4fa4beac1969db559a2b"},
+		{"EukaryoteLike", gen.EukaryoteLike, 100000, 3, "3efd6d5dfe4cfe12b8f6b89f403538c4dc402b64092b9460778c44d9798e05a9"},
+		{"ProteinRepeat", gen.ProteinRepeat, 1000, 7, "878f015d236e2fc79d3e4895103bcd961dd63a3ae36f6945a338acc8a4a2634c"},
+		{"ProteinRepeat", gen.ProteinRepeat, 100000, 3, "e70e7701696bfc808959b3d986c440cc819a8b3bfa28c20488c6508a4042123e"},
+	} {
+		s, err := c.gen(c.length, c.seed)
+		if err != nil {
+			t.Fatalf("%s(%d, %d): %v", c.name, c.length, c.seed, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(s.Data()))); got != c.sha256 {
+			t.Errorf("%s(%d, %d) = sha256 %s, want %s", c.name, c.length, c.seed, got, c.sha256)
+		}
 	}
 }

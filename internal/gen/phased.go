@@ -32,74 +32,6 @@ type PhasedPatch struct {
 	BaseWeights []float64
 }
 
-// CompositeSpec fully describes a synthetic sequence build.
-type CompositeSpec struct {
-	Alphabet   *seq.Alphabet
-	Name       string
-	Length     int
-	Background []float64
-	Patches    []Patch
-	Phased     []PhasedPatch
-	Tracts     []Tract
-	Plants     []Plant
-	Seed       uint64
-}
-
-// Build generates the sequence described by the spec. Application order is
-// background, patches, phased patches, tracts, plants; later layers
-// overwrite earlier ones. Deterministic in Seed.
-func Build(spec CompositeSpec) (*seq.Sequence, error) {
-	alpha := spec.Alphabet
-	if alpha == nil {
-		alpha = seq.DNA
-	}
-	if spec.Length <= 0 {
-		return nil, fmt.Errorf("gen: length %d must be positive", spec.Length)
-	}
-	bg := spec.Background
-	if bg == nil {
-		bg = uniformWeights(alpha.Size())
-	}
-	if len(bg) != alpha.Size() {
-		return nil, fmt.Errorf("gen: %d background weights for alphabet of size %d", len(bg), alpha.Size())
-	}
-	r := newRNG(spec.Seed)
-	cum := cumulative(bg)
-	buf := make([]byte, spec.Length)
-	for i := range buf {
-		buf[i] = alpha.Symbol(r.pick(cum))
-	}
-	for pi, p := range spec.Patches {
-		if p.Start < 0 || p.Len < 0 || p.Start+p.Len > spec.Length {
-			return nil, fmt.Errorf("gen: patch %d out of range", pi)
-		}
-		pc := cumulative(p.Weights)
-		for i := p.Start; i < p.Start+p.Len; i++ {
-			buf[i] = alpha.Symbol(r.pick(pc))
-		}
-	}
-	for pi, p := range spec.Phased {
-		if err := applyPhased(buf, alpha, cum, p, r); err != nil {
-			return nil, fmt.Errorf("gen: phased patch %d: %w", pi, err)
-		}
-	}
-	for ti, t := range spec.Tracts {
-		if t.Start < 0 || t.Start+len(t.Text) > spec.Length {
-			return nil, fmt.Errorf("gen: tract %d out of range", ti)
-		}
-		if err := alpha.Validate(t.Text); err != nil {
-			return nil, fmt.Errorf("gen: tract %d: %w", ti, err)
-		}
-		copy(buf[t.Start:], t.Text)
-	}
-	for pi, p := range spec.Plants {
-		if err := applyPlant(buf, alpha, p, r); err != nil {
-			return nil, fmt.Errorf("gen: plant %d: %w", pi, err)
-		}
-	}
-	return seq.New(alpha, spec.Name, string(buf))
-}
-
 func applyPhased(buf []byte, alpha *seq.Alphabet, bgCum []float64, p PhasedPatch, r *rng) error {
 	if p.Period <= 0 {
 		return fmt.Errorf("gen: period %d must be positive", p.Period)

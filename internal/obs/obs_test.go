@@ -154,6 +154,12 @@ func TestRingBoundedEviction(t *testing.T) {
 	if r.Trace("t-03") != nil {
 		t.Error("evicted trace still queryable")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("NewRing(0) built a ring")
+		}
+	}()
+	NewRing(0)
 }
 
 func TestRingTraceQueryAndSummaries(t *testing.T) {

@@ -1,13 +1,11 @@
 package obs
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"time"
 )
-
-// DefaultRingSpans is the Ring capacity used when none is configured.
-const DefaultRingSpans = 4096
 
 // Ring is a bounded in-memory exporter: the newest finished spans are
 // kept in a circular buffer and queryable by trace id. It backs the
@@ -20,11 +18,11 @@ type Ring struct {
 	full bool
 }
 
-// NewRing builds a Ring holding at most capacity finished spans
-// (capacity <= 0 uses DefaultRingSpans).
+// NewRing builds a Ring holding at most capacity finished spans; capacity
+// must be positive.
 func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
-		capacity = DefaultRingSpans
+		panic(fmt.Sprintf("obs: ring capacity %d must be positive", capacity))
 	}
 	return &Ring{buf: make([]SpanData, capacity)}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"fmt"
 
 	"permine/internal/core"
 	"permine/internal/pil"
@@ -13,11 +14,6 @@ import (
 // 429 with a Retry-After hint, never 503, so shed is distinguishable from
 // shutdown.
 var ErrOverloaded = errors.New("server: memory governor shedding load")
-
-// DefaultBrownoutPct is the fraction of the global memory ceiling (in
-// percent) at which the governor enters brownout and starts shedding
-// expensive job classes.
-const DefaultBrownoutPct = 85
 
 // Governor is the process-wide memory high-water mark shared across
 // workers. Every running mining unit (job, forwarded peer run, corpus
@@ -42,14 +38,12 @@ type Governor struct {
 }
 
 // NewGovernor builds a governor with the given global byte ceiling
-// (0 = unlimited, track only) and brownout threshold in percent of the
-// ceiling (0 = DefaultBrownoutPct).
+// (0 = unlimited, track only; not negative) and brownout threshold in
+// percent of the ceiling (1..100).
 func NewGovernor(limit int64, brownoutPct int) *Governor {
-	if limit < 0 {
-		limit = 0
-	}
-	if brownoutPct <= 0 || brownoutPct > 100 {
-		brownoutPct = DefaultBrownoutPct
+	if limit < 0 || brownoutPct < 1 || brownoutPct > 100 {
+		panic(fmt.Sprintf("server: governor needs a limit >= 0 and a brownout percent in 1..100, got %d and %d",
+			limit, brownoutPct))
 	}
 	return &Governor{
 		global:      pil.NewMemTracker(nil),

@@ -59,7 +59,7 @@ func TestGovernorThresholds(t *testing.T) {
 		t.Fatal("release did not clear the pressure")
 	}
 
-	u := NewGovernor(0, 0) // unlimited: accounting without shedding
+	u := NewGovernor(0, 85) // unlimited: accounting without shedding
 	tu := u.Acquire()
 	tu.Charge(1 << 30)
 	if u.Brownout() || u.Saturated() || u.Pressure() != 0 {
@@ -67,6 +67,18 @@ func TestGovernorThresholds(t *testing.T) {
 	}
 	if u.Used() != 1<<30 {
 		t.Fatalf("unlimited governor lost the accounting: used %d", u.Used())
+	}
+
+	// Unset or out-of-range settings are refused, not defaulted.
+	for _, c := range [][2]int{{-1, 85}, {0, 0}, {0, 101}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewGovernor(%d, %d) built a governor", c[0], c[1])
+				}
+			}()
+			NewGovernor(int64(c[0]), c[1])
+		}()
 	}
 }
 
@@ -322,7 +334,7 @@ func TestRaceSubmitsVsStoreDegrade(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	fs := &storetest.FaultFS{}
 	w, err := store.Open(store.Options{
-		Dir: t.TempDir(), FS: fs, Logger: quietLogger(),
+		Dir: t.TempDir(), FS: fs, RetainTerminal: 1024, Logger: quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -173,7 +173,7 @@ func TestRestoreOlderJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := map[string]store.JobRecord{}
-	w, err := store.Open(store.Options{Dir: dir, Logger: quietLogger()})
+	w, err := store.Open(store.Options{Dir: dir, RetainTerminal: 1024, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}

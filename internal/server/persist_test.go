@@ -19,7 +19,7 @@ import (
 
 func openTestWAL(t *testing.T, dir string) *store.WAL {
 	t.Helper()
-	w, err := store.Open(store.Options{Dir: dir, Logger: quietLogger()})
+	w, err := store.Open(store.Options{Dir: dir, RetainTerminal: 1024, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestManagerRestoreRetiredJoinName(t *testing.T) {
 func TestManagerDegradedStoreStillServes(t *testing.T) {
 	fs := &storetest.FaultFS{}
 	w, err := store.Open(store.Options{
-		Dir: t.TempDir(), FS: fs, Logger: quietLogger(),
+		Dir: t.TempDir(), FS: fs, RetainTerminal: 1024, Logger: quietLogger(),
 	})
 	if err != nil {
 		t.Fatal(err)

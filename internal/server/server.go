@@ -93,22 +93,19 @@ type Config struct {
 	// state with its completed levels as a partial result.
 	MemBudget int64
 	// MemGlobal is the process-wide mining-memory ceiling in bytes shared
-	// across workers (0 = unlimited, accounting only). Nearing it triggers
-	// brownout; reaching it sheds all new mining with 429 + Retry-After.
+	// across workers (0, or negative, = unlimited, accounting only).
+	// Nearing it triggers brownout; reaching it sheds all new mining with
+	// 429 + Retry-After.
 	MemGlobal int64
 	// BrownoutPct is the percentage of MemGlobal at which the governor
 	// starts shedding expensive job classes (corpus, enumerate) before
-	// cheap ones (default DefaultBrownoutPct; values outside 1..100 take
-	// it too).
+	// cheap ones (default 85; values outside 1..100 take it too).
 	BrownoutPct int
 	// DataDir, when non-empty, enables the disk-backed job store: job
 	// transitions are journaled there and replayed on the next boot
 	// (interrupted jobs are re-executed). Empty keeps everything in
 	// memory.
 	DataDir string
-	// CompactBytes is the journal size that triggers journal compaction
-	// (default 4 MiB).
-	CompactBytes int64
 	// RetryBudget bounds both a shard's executions under transient
 	// failures and a job's re-executions after crashes (default 3).
 	RetryBudget int
@@ -126,7 +123,7 @@ type Config struct {
 	// worker pool at once (default 2×Workers).
 	CorpusMaxInflight int
 	// TraceSpans bounds the in-memory span ring behind /v1/traces
-	// (default obs.DefaultRingSpans).
+	// (default 4096).
 	TraceSpans int
 	// TraceSample is the head-sampling rate for traces in (0,1]: the
 	// decision is made once per trace at root-span creation, and
@@ -148,7 +145,8 @@ type Config struct {
 	ClusterPeers []string
 	ClusterSelf  string
 	// ClusterHeartbeat, ClusterSuspectAfter and ClusterDeadAfter tune
-	// the health checker (see cluster.Config; defaults 1s / 2 / 4).
+	// the health checker (see cluster.Config; defaults 1s / 2 / 4, and a
+	// ClusterDeadAfter below ClusterSuspectAfter is raised to it).
 	ClusterHeartbeat    time.Duration
 	ClusterSuspectAfter int
 	ClusterDeadAfter    int
@@ -204,11 +202,11 @@ func (c Config) withDefaults() Config {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 64 << 20
 	}
-	if c.BrownoutPct <= 0 || c.BrownoutPct > 100 {
-		c.BrownoutPct = DefaultBrownoutPct
+	if c.MemGlobal < 0 {
+		c.MemGlobal = 0
 	}
-	if c.CompactBytes <= 0 {
-		c.CompactBytes = 4 << 20
+	if c.BrownoutPct <= 0 || c.BrownoutPct > 100 {
+		c.BrownoutPct = 85
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 3
@@ -223,7 +221,7 @@ func (c Config) withDefaults() Config {
 		c.CorpusMaxInflight = 2 * c.Workers
 	}
 	if c.TraceSpans <= 0 {
-		c.TraceSpans = obs.DefaultRingSpans
+		c.TraceSpans = 4096
 	}
 	if c.TraceSample == 0 {
 		c.TraceSample = 1
@@ -239,6 +237,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClusterDeadAfter <= 0 {
 		c.ClusterDeadAfter = 4
+	}
+	if c.ClusterDeadAfter < c.ClusterSuspectAfter {
+		c.ClusterDeadAfter = c.ClusterSuspectAfter
 	}
 	if c.Logger == nil {
 		c.Logger = slog.Default()
@@ -296,7 +297,6 @@ func New(cfg Config) *Server {
 	if cfg.DataDir != "" {
 		wal, err := store.Open(store.Options{
 			Dir:            cfg.DataDir,
-			CompactBytes:   cfg.CompactBytes,
 			RetainTerminal: cfg.Retain,
 			Logger:         cfg.Logger,
 		})

@@ -16,7 +16,7 @@ import (
 // with shows in their behaviour.
 func TestResolvedSettings(t *testing.T) {
 	s, _ := newTestServer(t, Config{})
-	for i := 0; i < obs.DefaultRingSpans+10; i++ {
+	for i := 0; i < 4096+10; i++ {
 		s.ring.ExportSpan(obs.SpanData{})
 	}
 	c := s.cfg
@@ -31,7 +31,6 @@ func TestResolvedSettings(t *testing.T) {
 		"body":          c.MaxBodyBytes,
 		"sync len":      maxSyncSeqLen,
 		"brownout":      int(s.governor.brownoutPct),
-		"compact":       c.CompactBytes,
 		"retry budget":  c.RetryBudget,
 		"retry backoff": c.RetryBackoff,
 		"shard timeout": c.ShardTimeout,
@@ -55,7 +54,6 @@ func TestResolvedSettings(t *testing.T) {
 		"body":          int64(64 << 20),
 		"sync len":      1 << 20,
 		"brownout":      85,
-		"compact":       int64(4 << 20),
 		"retry budget":  3,
 		"retry backoff": 500 * time.Millisecond,
 		"shard timeout": 2 * time.Minute,
@@ -80,6 +78,16 @@ func TestResolvedSettings(t *testing.T) {
 	// flags, resolves as the zero Config does.
 	if d, z := Defaults().withDefaults(), (Config{}).withDefaults(); !reflect.DeepEqual(d, z) {
 		t.Errorf("Defaults resolves to %+v, the zero Config to %+v", d, z)
+	}
+
+	// Settings the cluster and the governor would otherwise have to
+	// correct: a dead-after below suspect-after is raised to it, and a
+	// negative memory ceiling means none.
+	if got := (Config{ClusterSuspectAfter: 3, ClusterDeadAfter: 2}).withDefaults().ClusterDeadAfter; got != 3 {
+		t.Errorf("suspect-after 3, dead-after 2: dead-after resolves to %d, want 3", got)
+	}
+	if got := (Config{MemGlobal: -1}).withDefaults().MemGlobal; got != 0 {
+		t.Errorf("MemGlobal -1 resolves to %d, want 0 (unlimited)", got)
 	}
 
 	// Derived values.

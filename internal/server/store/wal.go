@@ -37,6 +37,18 @@ const (
 	// the store degrades to memory-only.
 	writeRetries = 3
 	writeBackoff = 10 * time.Millisecond
+
+	// The journal is compacted once it reaches max(minCompactBytes,
+	// compactFactor × its compacted size), where the compacted size is what
+	// the last compaction wrote or, after Open, what a compaction of the
+	// replayed fold would write (Open compacts at once a journal already
+	// past that); a failed attempt waits for compactFactor × the size it
+	// failed at. The bytes appended in between are then at least what the
+	// last rewrite left, so the rewrites total at most about twice the
+	// bytes appended, and disk use and the bytes replayed at boot stay
+	// within the trigger however often the daemon restarts.
+	compactFactor   = 2
+	minCompactBytes = 4 << 20
 )
 
 // Event types. State strings inside events mirror internal/corpus.State
@@ -78,17 +90,15 @@ func terminalState(state string) bool {
 	return false
 }
 
-// Options configures a WAL. Zero values take the documented defaults.
+// Options configures a WAL.
 type Options struct {
 	// Dir is the data directory holding the journal (required).
 	Dir string
-	// CompactBytes triggers compaction once the journal exceeds
-	// this many bytes (default 4 MiB).
-	CompactBytes int64
-	// RetainTerminal bounds terminal job records kept across compactions
-	// (default 1024; the daemon passes its resolved server.Config.Retain,
-	// the bound its manager keeps in memory); the oldest terminal records
-	// are dropped first.
+	// RetainTerminal bounds the terminal job records the WAL keeps
+	// (required; the daemon passes its resolved server.Config.Retain, the
+	// bound its manager keeps in memory). Each time a job ends, in an
+	// append or at replay, the oldest terminal records beyond it are
+	// dropped.
 	RetainTerminal int
 	// FS defaults to the real filesystem; tests inject faults here.
 	FS FS
@@ -97,12 +107,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.CompactBytes <= 0 {
-		o.CompactBytes = 4 << 20
-	}
-	if o.RetainTerminal <= 0 {
-		o.RetainTerminal = 1024
-	}
 	if o.FS == nil {
 		o.FS = OSFS
 	}
@@ -121,12 +125,14 @@ type WAL struct {
 	mu             sync.Mutex
 	f              File  // nil once closed or degraded
 	size           int64 // bytes of valid, synced journal
-	nextCompact    int64
+	floor          int64 // minCompactBytes, lowered by tests
+	nextCompact    int64 // journal size that triggers compaction
 	degraded       bool
 	degradedReason string
 
-	jobs  map[string]*JobRecord // folded journal state
-	order []string              // submit order of jobs keys
+	jobs     map[string]*JobRecord // folded journal state
+	order    []string              // submit order of jobs keys
+	terminal int                   // terminal records in jobs
 
 	recovered []JobRecord // snapshot taken at Open, before any appends
 
@@ -136,12 +142,22 @@ type WAL struct {
 
 // Open replays (and, if needed, repairs) the journal in dir and returns a
 // ready WAL positioned for appends. A corrupt or torn tail is truncated at
-// the last valid record; only an unusable directory or unreadable journal
-// file is an error — callers are expected to fall back to NewDegraded.
+// the last valid record; only an unset Dir or RetainTerminal, an unusable
+// directory or an unreadable journal file is an error — callers are
+// expected to fall back to NewDegraded.
 func Open(opts Options) (*WAL, error) {
+	return open(opts, minCompactBytes)
+}
+
+// open is Open with the compaction floor as a parameter, so tests reach
+// the compaction rule with small journals.
+func open(opts Options, floor int64) (*WAL, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("store: Options.Dir is required")
+	}
+	if opts.RetainTerminal <= 0 {
+		return nil, fmt.Errorf("store: Options.RetainTerminal must be positive, got %d", opts.RetainTerminal)
 	}
 	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: creating data dir: %w", err)
@@ -154,16 +170,26 @@ func Open(opts Options) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	w := &WAL{opts: opts, f: f, jobs: make(map[string]*JobRecord)}
+	w := &WAL{opts: opts, f: f, floor: floor, jobs: make(map[string]*JobRecord)}
 	if err := w.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	w.nextCompact = w.size + opts.CompactBytes
-	w.recovered = w.snapshotLocked()
 	if w.truncatedBytes > 0 {
 		opts.Logger.Warn("journal tail truncated at last valid record",
 			"dir", opts.Dir, "dropped_bytes", w.truncatedBytes, "records", w.replayed)
+	}
+	w.recovered = w.snapshotLocked()
+	// The replayed journal may hold the appends of many runs since its
+	// last compaction, so the next one is scheduled from what a compaction
+	// would write now, not from the journal's size.
+	base := w.size
+	if n, err := compactedSize(w.recovered); err == nil {
+		base = n
+	}
+	w.scheduleCompactLocked(base)
+	if w.size >= w.nextCompact {
+		w.compactLocked()
 	}
 	return w, nil
 }
@@ -187,7 +213,7 @@ func (w *WAL) replay() error {
 		if err := json.Unmarshal(payload, &ev); err != nil {
 			break
 		}
-		w.applyLocked(ev)
+		w.foldLocked(ev)
 		good += frame.HeaderSize + int64(len(payload))
 		w.replayed++
 	}
@@ -208,6 +234,14 @@ func (w *WAL) replay() error {
 	return nil
 }
 
+// foldLocked applies one event, then drops the oldest terminal records
+// beyond RetainTerminal, so the fold never holds more than a compaction
+// keeps.
+func (w *WAL) foldLocked(ev event) {
+	w.applyLocked(ev)
+	w.pruneLocked()
+}
+
 // applyLocked folds one event into the jobs map. Out-of-order events are
 // tolerated: events of a job with no submit record before them (older
 // releases could journal a job's first transition ahead of its submit)
@@ -219,30 +253,23 @@ func (w *WAL) applyLocked(ev event) {
 	case evSnapshot:
 		w.jobs = make(map[string]*JobRecord, len(ev.Jobs))
 		w.order = w.order[:0]
+		w.terminal = 0
 		for i := range ev.Jobs {
-			rec := ev.Jobs[i]
-			if _, ok := w.jobs[rec.ID]; ok {
-				continue
-			}
-			w.jobs[rec.ID] = &rec
-			w.order = append(w.order, rec.ID)
+			w.insertLocked(ev.Jobs[i])
 		}
 	case evSubmit:
-		if ev.Job == nil {
-			return
+		if ev.Job != nil {
+			w.insertLocked(*ev.Job)
 		}
-		rec := *ev.Job
-		if _, ok := w.jobs[rec.ID]; ok {
-			return
-		}
-		w.jobs[rec.ID] = &rec
-		w.order = append(w.order, rec.ID)
 	case evState:
 		rec, ok := w.jobs[ev.ID]
 		if !ok || terminalState(rec.State) {
 			return
 		}
 		rec.State = ev.State
+		if terminalState(rec.State) {
+			w.terminal++
+		}
 		if ev.Attempts > 0 {
 			rec.Attempts = ev.Attempts
 		}
@@ -255,6 +282,9 @@ func (w *WAL) applyLocked(ev event) {
 			return
 		}
 		rec.State = ev.State
+		if terminalState(rec.State) {
+			w.terminal++
+		}
 		rec.FinishedAt = ev.At
 		rec.Result = ev.Result
 		rec.Error = ev.Error
@@ -296,6 +326,18 @@ func (w *WAL) applyLocked(ev event) {
 		sort.Slice(rec.Assigns, func(i, j int) bool {
 			return rec.Assigns[i].Shard < rec.Assigns[j].Shard
 		})
+	}
+}
+
+// insertLocked adds a record to the fold unless its id is already there.
+func (w *WAL) insertLocked(rec JobRecord) {
+	if _, ok := w.jobs[rec.ID]; ok {
+		return
+	}
+	w.jobs[rec.ID] = &rec
+	w.order = append(w.order, rec.ID)
+	if terminalState(rec.State) {
+		w.terminal++
 	}
 }
 
@@ -363,7 +405,7 @@ func (w *WAL) AppendAssign(id string, a AssignRecord) {
 // persistent write failure degrades the store instead of surfacing an
 // error (memory state stays authoritative for the running process).
 func (w *WAL) appendLocked(ev event) {
-	w.applyLocked(ev)
+	w.foldLocked(ev)
 	if w.f == nil {
 		return // closed or degraded: memory-only
 	}
@@ -456,45 +498,103 @@ func (w *WAL) degradeLocked(cause error) {
 		"dir", w.opts.Dir, "cause", cause)
 }
 
-// compactLocked rewrites the journal as one submit frame per retained
-// record (tmp file + atomic rename, one write and one fsync), pruning the
-// oldest terminal records beyond RetainTerminal. A record carries its whole
-// folded state, so replay restores it through the submit case, and no frame
-// is larger than the biggest record. On failure (including a record that
-// outgrew maxRecordBytes) the current journal, which still replays, keeps
-// growing and the next attempt is pushed a full CompactBytes out.
+// scheduleCompactLocked sets the journal size of the next compaction from
+// base, the journal's compacted size or the size a compaction failed at.
+func (w *WAL) scheduleCompactLocked(base int64) {
+	w.nextCompact = max(w.floor, compactFactor*base)
+}
+
+// appendRecord appends to dst the one frame a compacted journal holds for
+// rec: a submit event carrying its whole folded state. The result goes in
+// as it is, as the job object's last member, not through encoding/json,
+// which re-validates every byte of a json.RawMessage it marshals (about
+// 85 MB/s) and so made each compaction cost in proportion to the results
+// it rewrites. Every result in the fold has been through encoding/json
+// already: the journal encoded its outcome frame or replay decoded it, and
+// a store whose encode failed is degraded and never compacts.
+func appendRecord(dst []byte, rec *JobRecord) ([]byte, error) {
+	r := *rec
+	r.Result = nil
+	head, err := json.Marshal(event{Type: evSubmit, At: rec.CreatedAt, Job: &r})
+	if err != nil {
+		return dst, fmt.Errorf("marshalling record of job %s: %w", rec.ID, err)
+	}
+	parts := [][]byte{head}
+	if len(rec.Result) > 0 {
+		// head ends with the closing braces of the job and the event.
+		end := len(head) - 2
+		parts = [][]byte{head[:end], []byte(`,"result":`), rec.Result, head[end:]}
+	}
+	if dst, err = frame.AppendParts(dst, maxRecordBytes, parts...); err != nil {
+		return dst, fmt.Errorf("journaling record of job %s (%d-byte result): %w", rec.ID, len(rec.Result), err)
+	}
+	return dst, nil
+}
+
+// compactedSize returns the bytes a compaction of recs writes, or the
+// error that would fail it.
+func compactedSize(recs []JobRecord) (int64, error) {
+	var n int64
+	var buf []byte
+	for i := range recs {
+		var err error
+		if buf, err = appendRecord(buf[:0], &recs[i]); err != nil {
+			return 0, err
+		}
+		n += int64(len(buf))
+	}
+	return n, nil
+}
+
+// writeFoldLocked writes one frame per record of the fold to f, through
+// one frame buffer that is reused, and returns the bytes written.
+func (w *WAL) writeFoldLocked(f io.Writer) (int64, error) {
+	bw := bufio.NewWriterSize(f, 64<<10)
+	var n int64
+	var buf []byte
+	for _, rec := range w.snapshotLocked() {
+		var err error
+		if buf, err = appendRecord(buf[:0], &rec); err != nil {
+			return n, err
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return n, err
+		}
+		n += int64(len(buf))
+	}
+	return n, bw.Flush()
+}
+
+// compactLocked rewrites the journal as one submit frame per record of the
+// (already pruned) fold: tmp file + atomic rename, written through a
+// buffer and synced once. A record carries its whole folded state, so
+// replay restores it through the submit case, and no frame is larger than
+// the biggest record. On failure (including a record that outgrew
+// maxRecordBytes) the current journal, which still replays, keeps
+// growing, and the next attempt waits until it has doubled.
 func (w *WAL) compactLocked() {
-	w.pruneLocked()
 	tmpPath := filepath.Join(w.opts.Dir, tmpName)
 	journalPath := filepath.Join(w.opts.Dir, journalName)
-	var buf []byte
+	var size int64
 	err := func() error {
-		for _, rec := range w.snapshotLocked() {
-			var err error
-			if buf, err = appendEvent(buf, event{Type: evSubmit, At: rec.CreatedAt, Job: &rec}); err != nil {
-				return err
-			}
-		}
 		tmp, err := w.opts.FS.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 		if err != nil {
 			return err
 		}
-		if _, err := tmp.Write(buf); err != nil {
-			tmp.Close()
-			return err
+		if size, err = w.writeFoldLocked(tmp); err == nil {
+			err = tmp.Sync()
 		}
-		if err := tmp.Sync(); err != nil {
-			tmp.Close()
-			return err
+		if cerr := tmp.Close(); err == nil {
+			err = cerr
 		}
-		if err := tmp.Close(); err != nil {
+		if err != nil {
 			return err
 		}
 		return w.opts.FS.Rename(tmpPath, journalPath)
 	}()
 	if err != nil {
 		w.writeErrors++
-		w.nextCompact = w.size + w.opts.CompactBytes
+		w.scheduleCompactLocked(w.size)
 		w.opts.Logger.Warn("journal compaction failed; continuing on the uncompacted journal",
 			"dir", w.opts.Dir, "err", err)
 		_ = w.opts.FS.Remove(tmpPath)
@@ -509,46 +609,42 @@ func (w *WAL) compactLocked() {
 		w.degradeLocked(fmt.Errorf("reopening compacted journal: %w", err))
 		return
 	}
-	if _, err := f.Seek(int64(len(buf)), io.SeekStart); err != nil {
+	if _, err := f.Seek(size, io.SeekStart); err != nil {
 		w.f = nil
 		f.Close()
 		w.degradeLocked(fmt.Errorf("seeking compacted journal: %w", err))
 		return
 	}
 	w.f = f
-	w.size = int64(len(buf))
-	w.nextCompact = w.size + w.opts.CompactBytes
+	w.size = size
+	w.scheduleCompactLocked(w.size)
 	w.compactions++
 	w.opts.Logger.Info("journal compacted", "dir", w.opts.Dir,
 		"bytes", w.size, "jobs", len(w.jobs))
 }
 
 // pruneLocked drops the oldest terminal records beyond RetainTerminal.
-// Non-terminal records are always kept: they are the recovery set.
+// Non-terminal records are always kept: they are the recovery set. It
+// walks only the records older than the last one it drops, so folding a
+// job's end costs O(1) beyond the non-terminal records ahead of it.
 func (w *WAL) pruneLocked() {
-	terminal := 0
-	for _, rec := range w.jobs {
-		if terminalState(rec.State) {
-			terminal++
-		}
-	}
-	if terminal <= w.opts.RetainTerminal {
+	if w.terminal <= w.opts.RetainTerminal {
 		return
 	}
-	kept := w.order[:0]
-	for _, id := range w.order {
-		rec, ok := w.jobs[id]
-		if !ok {
+	var kept []string // non-terminal ids walked past, oldest first
+	i := 0
+	for ; i < len(w.order) && w.terminal > w.opts.RetainTerminal; i++ {
+		id := w.order[i]
+		if !terminalState(w.jobs[id].State) {
+			kept = append(kept, id)
 			continue
 		}
-		if terminal > w.opts.RetainTerminal && terminalState(rec.State) {
-			delete(w.jobs, id)
-			terminal--
-			continue
-		}
-		kept = append(kept, id)
+		delete(w.jobs, id)
+		w.terminal--
 	}
-	w.order = kept
+	// The kept ids move up to just ahead of the unwalked rest.
+	i -= copy(w.order[i-len(kept):i], kept)
+	w.order = w.order[i:]
 }
 
 // Stats implements Store.

@@ -1,12 +1,15 @@
 package store_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,6 +17,10 @@ import (
 	"permine/internal/server/store"
 	"permine/internal/server/store/storetest"
 )
+
+// retainAll is a RetainTerminal bound above every job count these tests
+// write.
+const retainAll = 1 << 20
 
 func quietLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -30,6 +37,47 @@ func openWAL(t *testing.T, opts store.Options) *store.WAL {
 	}
 	t.Cleanup(func() { w.Close() })
 	return w
+}
+
+// openFloorWAL opens a WAL whose compaction floor is floor bytes.
+func openFloorWAL(t *testing.T, opts store.Options, floor int64) *store.WAL {
+	t.Helper()
+	opts.Logger = quietLogger()
+	w, err := store.OpenFloor(opts, floor)
+	if err != nil {
+		t.Fatalf("OpenFloor(%s): %v", opts.Dir, err)
+	}
+	t.Cleanup(func() { w.Close() })
+	return w
+}
+
+// copyJournal copies dir's journal into a fresh directory, so it can be
+// replayed while the WAL that writes it stays open.
+func copyJournal(t *testing.T, dir string) string {
+	t.Helper()
+	raw, err := os.ReadFile(journalPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := t.TempDir()
+	if err := os.WriteFile(journalPath(cp), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return cp
+}
+
+// sameRecords compares two record sets by their journal encoding.
+func sameRecords(t *testing.T, got, want []store.JobRecord) bool {
+	t.Helper()
+	g, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(g) == string(w)
 }
 
 func submitRec(id string) store.JobRecord {
@@ -53,7 +101,7 @@ func journalPath(dir string) string { return filepath.Join(dir, "journal.wal") }
 // reopen with the folded record intact.
 func TestWALRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	if got := w.Recovered(); len(got) != 0 {
 		t.Fatalf("fresh journal recovered %d records", len(got))
 	}
@@ -76,7 +124,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(recs))
@@ -104,7 +152,7 @@ func TestWALRoundTrip(t *testing.T) {
 // submit/execute race documented in the manager).
 func TestWALOutOfOrderEvents(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendState("j-000009", "running", 0, time.Now()) // unknown id: ignored
 	w.AppendOutcome("j-000009", store.Outcome{State: "done"})
 	w.AppendSubmit(submitRec("j-000001"))
@@ -112,7 +160,7 @@ func TestWALOutOfOrderEvents(t *testing.T) {
 	w.AppendState("j-000001", "running", 0, time.Now()) // after terminal: ignored
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(recs))
@@ -127,7 +175,7 @@ func TestWALOutOfOrderEvents(t *testing.T) {
 // accepts new appends.
 func TestWALTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 	w.AppendSubmit(submitRec("j-000002"))
 	w.Close()
@@ -143,7 +191,7 @@ func TestWALTruncatedTail(t *testing.T) {
 	}
 	f.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(recs))
@@ -156,7 +204,7 @@ func TestWALTruncatedTail(t *testing.T) {
 	// The repaired journal keeps working: append, reopen, observe.
 	w2.AppendSubmit(submitRec("j-000003"))
 	w2.Close()
-	w3 := openWAL(t, store.Options{Dir: dir})
+	w3 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	if recs := w3.Recovered(); len(recs) != 3 {
 		t.Errorf("after repair + append: recovered %d records, want 3", len(recs))
 	}
@@ -167,7 +215,7 @@ func TestWALTruncatedTail(t *testing.T) {
 // damage is recovered.
 func TestWALBitFlip(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 	sizeAfterFirst := w.Stats().JournalBytes
 	w.AppendSubmit(submitRec("j-000002"))
@@ -183,7 +231,7 @@ func TestWALBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 1 || recs[0].ID != "j-000001" {
 		t.Fatalf("recovered %v, want exactly the record before the damage", recs)
@@ -193,11 +241,12 @@ func TestWALBitFlip(t *testing.T) {
 	}
 }
 
-// TestWALCompaction: once the journal crosses CompactBytes it is rewritten
-// as a snapshot, shrinking the file while preserving the folded state.
+// TestWALCompaction: once the journal reaches its compaction size it is
+// rewritten as one frame per record, shrinking the file while preserving
+// the folded state.
 func TestWALCompaction(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir, CompactBytes: 2048})
+	w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll}, 2048)
 	for i := 0; i < 40; i++ {
 		id := jobID(i)
 		w.AppendSubmit(submitRec(id))
@@ -205,14 +254,14 @@ func TestWALCompaction(t *testing.T) {
 	}
 	st := w.Stats()
 	if st.Compactions == 0 {
-		t.Fatalf("no compaction after 80 appends over a 2 KiB threshold: %+v", st)
+		t.Fatalf("no compaction after 80 appends over a 2 KiB floor: %+v", st)
 	}
 	if st.Degraded {
 		t.Fatalf("degraded during compaction: %+v", st)
 	}
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir, CompactBytes: 1 << 20})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 40 {
 		t.Fatalf("recovered %d records after compaction, want 40", len(recs))
@@ -224,80 +273,326 @@ func TestWALCompaction(t *testing.T) {
 	}
 }
 
-// TestWALRetention: compaction drops the oldest terminal records beyond
-// RetainTerminal but always keeps non-terminal ones — they are the
-// recovery set.
+// TestWALCompactionDoubling: n equal appends that the journal all retains
+// compact once each time the journal has doubled, O(log n) times, and
+// their rewrites total at most twice the bytes appended. (A fixed
+// interval compacted every floor bytes, rewriting the whole journal each
+// time: O(n) compactions and O(n²) bytes.)
+func TestWALCompactionDoubling(t *testing.T) {
+	const floor, n = 4 << 10, 200
+	w := openFloorWAL(t, store.Options{Dir: t.TempDir(), RetainTerminal: retainAll}, floor)
+	var appended, rewritten int64
+	for i := 0; i < n; i++ {
+		before := w.Stats()
+		rec := submitRec(jobID(i))
+		rec.State, rec.Result = "done", json.RawMessage(`{"Patterns":null}`)
+		w.AppendSubmit(rec)
+		st := w.Stats()
+		if st.Compactions == before.Compactions {
+			appended += st.JournalBytes - before.JournalBytes
+			continue
+		}
+		// Every record is retained whole, so the compacted journal is the
+		// one before it plus this append.
+		appended = st.JournalBytes
+		rewritten += st.JournalBytes
+	}
+	st := w.Stats()
+	if st.Degraded || st.Compactions == 0 {
+		t.Fatalf("stats after %d appends: %+v", n, st)
+	}
+	maxCompactions := int64(math.Log2(float64(appended)/floor)) + 1
+	if st.Compactions > maxCompactions {
+		t.Errorf("%d compactions for %d appended bytes over a %d-byte floor, want <= %d",
+			st.Compactions, appended, floor, maxCompactions)
+	}
+	if rewritten > 2*appended {
+		t.Errorf("compactions rewrote %d bytes for %d appended, want <= twice", rewritten, appended)
+	}
+}
+
+// TestWALReopenedJournalCompacts: a journal reopened run after run, each
+// run appending less than the journal holds, is after every reopen at most
+// max(floor, twice what its fold compacts to): Open schedules the next
+// compaction from the size a compaction would write, not from the
+// replayed journal, and compacts at once a journal already past that.
+// (Scheduled from the replayed journal's size, each restart pushed the
+// trigger ahead of the journal, which then never compacted again.)
+func TestWALReopenedJournalCompacts(t *testing.T) {
+	dir := t.TempDir()
+	const floor, retain, runs = 1 << 10, 4, 12
+	result := json.RawMessage(`{"Patterns":"` + strings.Repeat("A", 400) + `"}`)
+	reopen := func(run, retain int) *store.WAL {
+		t.Helper()
+		w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retain}, floor)
+		compacted, err := store.CompactedSize(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if size := w.Stats().JournalBytes; size > max(floor, 2*compacted) {
+			t.Fatalf("run %d: reopened journal holds %d bytes, want <= max(%d, 2 × %d compacted)",
+				run, size, floor, compacted)
+		}
+		return w
+	}
+	var want []store.JobRecord
+	for run, next := 0, 0; run < runs; run++ {
+		w := reopen(run, retain)
+		if got := w.Recovered(); !sameRecords(t, got, want) {
+			t.Fatalf("run %d: recovered %d records, want the %d folded", run, len(got), len(want))
+		}
+		// Two jobs a run: once retention is full, less than the journal holds.
+		for k := 0; k < 2; k++ {
+			id := jobID(next)
+			next++
+			w.AppendSubmit(submitRec(id))
+			w.AppendOutcome(id, store.Outcome{State: "done", Result: result, FinishedAt: time.Now().UTC()})
+		}
+		want = store.Fold(w)
+		w.Close()
+	}
+
+	// A lower bound shrinks the fold below half the journal: Open compacts.
+	w := reopen(runs, 1)
+	st := w.Stats()
+	if st.Compactions != 1 || st.Degraded {
+		t.Fatalf("reopen with a bound of 1: stats = %+v, want one compaction at Open", st)
+	}
+	if got, want := w.Recovered(), want[len(want)-1:]; !sameRecords(t, got, want) {
+		t.Fatalf("reopen with a bound of 1 recovered %+v, want %+v", got, want)
+	}
+	w.Close()
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: 1})
+	if rst := w2.Stats(); rst.ReplayedRecords != 1 || rst.JournalBytes != st.JournalBytes {
+		t.Fatalf("replay after the compaction at Open: stats = %+v, want 1 record in %d bytes", rst, st.JournalBytes)
+	}
+}
+
+// TestWALFailedCompactionRetried: a compaction that fails leaves the
+// journal growing and is retried under the same rule, once the journal
+// has doubled from the size it failed at; the attempt that succeeds keeps
+// every record.
+func TestWALFailedCompactionRetried(t *testing.T) {
+	dir := t.TempDir()
+	// A non-empty directory where compaction writes its temporary file
+	// fails every attempt; Open cannot remove it either.
+	blocker := filepath.Join(dir, "journal.wal.tmp")
+	if err := os.MkdirAll(filepath.Join(blocker, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const floor = 2 << 10
+	w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll}, floor)
+	// The journal sizes before and after each append that attempted a
+	// compaction. (Frames differ by a byte or two with their timestamps.)
+	var attempts [][2]int64
+	appendJob := func(i int) store.Stats {
+		before := w.Stats()
+		w.AppendSubmit(submitRec(jobID(i)))
+		st := w.Stats()
+		if st.WriteErrors > before.WriteErrors {
+			attempts = append(attempts, [2]int64{before.JournalBytes, st.JournalBytes})
+		}
+		return st
+	}
+	i := 0
+	for ; len(attempts) < 4; i++ {
+		if st := appendJob(i); st.Compactions != 0 || st.Degraded {
+			t.Fatalf("append %d past a blocked compaction: %+v", i, st)
+		}
+	}
+	trigger := int64(floor)
+	for k, at := range attempts {
+		if at[0] >= trigger || at[1] < trigger {
+			t.Errorf("attempt %d by the append from %d to %d bytes, want the first append at or past %d",
+				k, at[0], at[1], trigger)
+		}
+		trigger = 2 * at[1]
+	}
+
+	if err := os.RemoveAll(blocker); err != nil {
+		t.Fatal(err)
+	}
+	for ; w.Stats().Compactions == 0; i++ {
+		if size := w.Stats().JournalBytes; size >= trigger {
+			t.Fatalf("no compaction at %d bytes, past the retry at %d", size, trigger)
+		}
+		appendJob(i)
+	}
+	want := store.Fold(w)
+	if len(want) != i {
+		t.Fatalf("fold holds %d records after %d submits", len(want), i)
+	}
+	w2 := openWAL(t, store.Options{Dir: copyJournal(t, dir), RetainTerminal: retainAll})
+	if got := w2.Recovered(); !sameRecords(t, got, want) {
+		t.Errorf("replay after the retried compaction restored %d records, want the %d folded", len(got), len(want))
+	}
+}
+
+// TestWALRetention: the fold drops the oldest terminal records beyond
+// RetainTerminal each time a job ends, in an append or at replay, but
+// always keeps non-terminal ones — they are the recovery set — so a
+// compaction writes out the fold as it is.
 func TestWALRetention(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir, CompactBytes: 1024, RetainTerminal: 3})
+	const retain = 3
+	w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retain}, 1024)
+	// checkRetained: the queued j-000001 and, of the terminal records,
+	// only the newest ones up to newest, at most limit of them.
+	checkRetained := func(when string, recs []store.JobRecord, newest, limit int) {
+		t.Helper()
+		var terminal []string
+		queued := 0
+		for _, rec := range recs {
+			switch rec.State {
+			case "queued":
+				queued++
+				if rec.ID != "j-000001" {
+					t.Errorf("%s: unexpected queued record %s", when, rec.ID)
+				}
+			case "done":
+				terminal = append(terminal, rec.ID)
+			}
+		}
+		if queued != 1 {
+			t.Errorf("%s: non-terminal records kept = %d, want 1", when, queued)
+		}
+		if len(terminal) > limit {
+			t.Errorf("%s: terminal records kept = %v, want <= %d", when, terminal, limit)
+		}
+		for k, id := range terminal {
+			if want := jobID(newest - len(terminal) + 1 + k); id != want {
+				t.Errorf("%s: terminal records kept = %v, want the newest, ending at %s", when, terminal, jobID(newest))
+				break
+			}
+		}
+	}
 	w.AppendSubmit(submitRec("j-000001")) // stays queued: must survive
-	for i := 2; i <= 30; i++ {
-		id := jobID(i - 1)
+	for i := 1; i < 30; i++ {
+		id := jobID(i)
 		w.AppendSubmit(submitRec(id))
 		w.AppendOutcome(id, store.Outcome{State: "done", FinishedAt: time.Now()})
+		checkRetained("after "+id+" ended", store.Fold(w), i, retain)
 	}
 	if st := w.Stats(); st.Compactions == 0 {
 		t.Fatalf("expected a compaction: %+v", st)
 	}
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
-	recs := w2.Recovered()
-	var queued, done int
-	for _, rec := range recs {
-		switch rec.State {
-		case "queued":
-			queued++
-			if rec.ID != "j-000001" {
-				t.Errorf("unexpected queued record %s", rec.ID)
-			}
-		case "done":
-			done++
-		}
-	}
-	if queued != 1 {
-		t.Errorf("non-terminal records kept = %d, want 1", queued)
-	}
-	if done > 3 {
-		t.Errorf("terminal records kept = %d, want <= 3", done)
-	}
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retain})
+	checkRetained("after replay", w2.Recovered(), 29, retain)
+	w2.Close()
+	// The journal's uncompacted tail holds more than one terminal record;
+	// replay prunes as it folds.
+	w3 := openWAL(t, store.Options{Dir: dir, RetainTerminal: 1})
+	checkRetained("after replay with a bound of 1", w3.Recovered(), 29, 1)
 }
 
 // TestWALCompactionFramePerRecord: compaction writes one frame per
-// retained record, so replay folds N records from N frames and no frame
-// grows with the number of jobs retained. (A single snapshot frame holding
-// every record passed the replay size limit once enough large results were
-// retained, and replay then dropped the whole journal.)
+// retained record, so a replay right after any compaction folds N records
+// from N frames and restores every retained record as the WAL held it,
+// and no frame grows with the number of jobs retained. (A single snapshot
+// frame holding every record passed the replay size limit once enough
+// large results were retained, and replay then dropped the whole journal.)
 func TestWALCompactionFramePerRecord(t *testing.T) {
 	dir := t.TempDir()
-	// CompactBytes 1 compacts after every append, so the journal on disk
-	// is always in compacted form.
-	w := openWAL(t, store.Options{Dir: dir, CompactBytes: 1})
-	const n = 12
-	for i := 0; i < n; i++ {
+	const retain = 8
+	// A 1-byte floor compacts each time the journal has doubled.
+	w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retain}, 1)
+	var compactions int64
+	for i := 0; i < 24; i++ {
+		id := jobID(i)
+		for _, appendEvent := range []func(){
+			func() { w.AppendSubmit(submitRec(id)) },
+			func() { w.AppendState(id, "running", 1, time.Now().UTC()) },
+			func() {
+				w.AppendOutcome(id, store.Outcome{
+					State: "done", Result: json.RawMessage(`{"Patterns":null}`), FinishedAt: time.Now().UTC(),
+				})
+			},
+		} {
+			appendEvent()
+			st := w.Stats()
+			if st.Compactions == compactions {
+				continue
+			}
+			compactions = st.Compactions
+			want := store.Fold(w)
+			w2 := openWAL(t, store.Options{Dir: copyJournal(t, dir), RetainTerminal: retain})
+			if rst := w2.Stats(); rst.ReplayedRecords != int64(len(want)) || rst.TruncatedBytes != 0 {
+				t.Fatalf("compaction %d: replay stats = %+v, want %d records from %d frames",
+					compactions, rst, len(want), len(want))
+			}
+			if got := w2.Recovered(); !sameRecords(t, got, want) {
+				t.Fatalf("compaction %d: replay restored %+v, want %+v", compactions, got, want)
+			}
+			w2.Close()
+		}
+	}
+	if st := w.Stats(); st.Compactions < 3 || st.Degraded {
+		t.Fatalf("stats after 72 appends = %+v, want a few compactions", st)
+	}
+	want := store.Fold(w)
+	w.Close()
+	w3 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retain})
+	if got := w3.Recovered(); !sameRecords(t, got, want) {
+		t.Fatalf("replay of the final journal restored %+v, want %+v", got, want)
+	}
+}
+
+// TestWALCompactionKeepsResults: a compaction copies each record's result
+// into its frame without re-encoding it, and a replay of the compacted
+// journal restores every record with its result byte for byte, whatever
+// the result holds.
+func TestWALCompactionKeepsResults(t *testing.T) {
+	dir := t.TempDir()
+	var results []json.RawMessage
+	for _, v := range []any{
+		nil,
+		map[string]any{"Patterns": nil},
+		map[string]any{"p": "A<g(9,12)>&T", "u": "é \t", "q": `"\`, "n": []any{1, 2.5e-3, map[string]any{"k": []int{}}}},
+		[]string{},
+	} {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, b)
+	}
+	w := openFloorWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll}, 1)
+	for i, res := range results {
 		id := jobID(i)
 		w.AppendSubmit(submitRec(id))
-		w.AppendOutcome(id, store.Outcome{
-			State: "done", Result: json.RawMessage(`{"Patterns":null}`), FinishedAt: time.Now(),
-		})
+		w.AppendOutcome(id, store.Outcome{State: "done", Result: res, FinishedAt: time.Now().UTC()})
 	}
-	if st := w.Stats(); st.Compactions != 2*n || st.Degraded {
-		t.Fatalf("stats after %d appends = %+v, want %d compactions", 2*n, st, 2*n)
+	w.AppendSubmit(submitRec(jobID(len(results)))) // stays queued, without a result
+	// Append until a compaction has rewritten every outcome.
+	for n, i := w.Stats().Compactions, 0; w.Stats().Compactions == n; i++ {
+		if i == 10000 {
+			t.Fatalf("no compaction in %d appends: %+v", i, w.Stats())
+		}
+		w.AppendState(jobID(len(results)), "queued", 0, time.Time{})
 	}
+	if st := w.Stats(); st.Degraded {
+		t.Fatalf("degraded: %+v", st)
+	}
+	want := store.Fold(w)
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
-	if st := w2.Stats(); st.ReplayedRecords != n || st.TruncatedBytes != 0 {
-		t.Fatalf("replay stats = %+v, want %d records from %d frames", st, n, n)
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
+	got := w2.Recovered()
+	if st := w2.Stats(); st.ReplayedRecords != int64(len(want)) || st.TruncatedBytes != 0 {
+		t.Fatalf("replay stats = %+v, want %d records from %d frames", st, len(want), len(want))
 	}
-	recs := w2.Recovered()
-	if len(recs) != n {
-		t.Fatalf("recovered %d records, want %d", len(recs), n)
+	if !sameRecords(t, got, want) {
+		t.Fatalf("replay restored %+v, want %+v", got, want)
 	}
-	for i, rec := range recs {
-		if rec.ID != jobID(i) || rec.State != "done" || string(rec.Result) != `{"Patterns":null}` {
-			t.Fatalf("record %d = %s/%s/%s", i, rec.ID, rec.State, rec.Result)
+	for i, res := range results {
+		if !bytes.Equal(got[i].Result, res) {
+			t.Errorf("record %d: result %s after compaction, want %s", i, got[i].Result, res)
 		}
+	}
+	if q := got[len(results)]; q.State != "queued" || q.Result != nil {
+		t.Errorf("queued record = %+v, want queued without a result", q)
 	}
 }
 
@@ -322,7 +617,7 @@ func TestWALReplaysLegacySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w.Recovered()
 	if len(recs) != 2 || recs[0].ID != "j-000001" || recs[0].State != "done" ||
 		string(recs[0].Result) != `{"Patterns":null}` || recs[1].ID != "j-000002" || recs[1].State != "queued" {
@@ -334,7 +629,7 @@ func TestWALReplaysLegacySnapshot(t *testing.T) {
 	w.AppendState("j-000002", "running", 1, time.Now())
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	if recs := w2.Recovered(); len(recs) != 2 || recs[1].State != "running" || recs[1].Attempts != 1 {
 		t.Fatalf("after an append on the legacy journal: %+v", recs)
 	}
@@ -348,7 +643,7 @@ func jobID(i int) string { return fmt.Sprintf("j-%06d", i+1) }
 func TestWALRetryExhaustion(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{FailOps: map[int64]bool{}}
-	w := openWAL(t, store.Options{Dir: dir, FS: fs})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 
 	// Fail every Write of the next append; the interleaved Truncate/Seek
@@ -370,7 +665,7 @@ func TestWALRetryExhaustion(t *testing.T) {
 func TestWALTransientWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{FailOps: map[int64]bool{2: true}} // first append's Write
-	w := openWAL(t, store.Options{Dir: dir, FS: fs})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 	st := w.Stats()
 	if st.Degraded {
@@ -381,7 +676,7 @@ func TestWALTransientWriteFailure(t *testing.T) {
 	}
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	if recs := w2.Recovered(); len(recs) != 1 {
 		t.Errorf("recovered %d records after transient failure, want 1", len(recs))
 	}
@@ -393,7 +688,7 @@ func TestWALTransientWriteFailure(t *testing.T) {
 func TestWALPersistentFailureDegrades(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{}
-	w := openWAL(t, store.Options{Dir: dir, FS: fs})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 
 	fs.FailFrom = fs.Ops() + 1 // every write-class op fails from here on
@@ -412,7 +707,7 @@ func TestWALPersistentFailureDegrades(t *testing.T) {
 	}
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir}) // healthy filesystem again
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll}) // healthy filesystem again
 	recs := w2.Recovered()
 	if len(recs) != 1 || recs[0].ID != "j-000001" {
 		t.Fatalf("recovered %v, want only the pre-failure record", recs)
@@ -425,7 +720,7 @@ func TestWALPersistentFailureDegrades(t *testing.T) {
 func TestWALShortWriteTornTail(t *testing.T) {
 	dir := t.TempDir()
 	fs := &storetest.FaultFS{}
-	w := openWAL(t, store.Options{Dir: dir, FS: fs})
+	w := openWAL(t, store.Options{Dir: dir, FS: fs, RetainTerminal: retainAll})
 	w.AppendSubmit(submitRec("j-000001"))
 
 	fs.ShortWriteOps = map[int64]bool{fs.Ops() + 1: true} // next Write torn
@@ -436,7 +731,7 @@ func TestWALShortWriteTornTail(t *testing.T) {
 	}
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 1 || recs[0].ID != "j-000001" {
 		t.Fatalf("recovered %v, want only the record before the torn write", recs)
@@ -454,8 +749,11 @@ func TestWALOpenFailure(t *testing.T) {
 	if err := os.WriteFile(blocked, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Open(store.Options{Dir: blocked, Logger: quietLogger()}); err == nil {
+	if _, err := store.Open(store.Options{Dir: blocked, RetainTerminal: retainAll, Logger: quietLogger()}); err == nil {
 		t.Fatal("Open on a file path succeeded")
+	}
+	if _, err := store.Open(store.Options{Dir: dir, Logger: quietLogger()}); err == nil {
+		t.Fatal("Open without a RetainTerminal bound succeeded")
 	}
 	deg := store.NewDegraded(io.ErrClosedPipe)
 	if st := deg.Stats(); !st.Degraded || st.Backend != "memory" {
@@ -477,7 +775,7 @@ func corpusRec(id string, n int) store.JobRecord {
 // first terminal outcome per shard winning.
 func TestWALShardCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendSubmit(corpusRec("c-000001", 3))
 	at := time.Now().UTC()
 	w.AppendShard("c-000001", store.ShardRecord{
@@ -496,7 +794,7 @@ func TestWALShardCheckpoints(t *testing.T) {
 	w.AppendShard("c-999999", store.ShardRecord{Index: 0, State: "done", FinishedAt: at})
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(recs))
@@ -527,7 +825,7 @@ func TestWALShardCheckpoints(t *testing.T) {
 // departed node's shards.
 func TestWALAssignEvents(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendSubmit(corpusRec("c-000001", 3))
 	at := time.Now().UTC()
 	w.AppendAssign("c-000001", store.AssignRecord{Shard: 2, Node: "http://b:1", At: at})
@@ -544,7 +842,7 @@ func TestWALAssignEvents(t *testing.T) {
 	w.AppendAssign("j-000001", store.AssignRecord{Shard: store.WholeJob, Node: "http://d:1", At: at})
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 2 {
 		t.Fatalf("recovered %d records, want 2", len(recs))
@@ -573,7 +871,7 @@ func TestWALAssignEvents(t *testing.T) {
 // replay next to the shard checkpoints.
 func TestWALPartialOutcomeTerminal(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendSubmit(corpusRec("c-000001", 2))
 	at := time.Now().UTC()
 	w.AppendShard("c-000001", store.ShardRecord{Index: 0, State: "done",
@@ -586,7 +884,7 @@ func TestWALPartialOutcomeTerminal(t *testing.T) {
 	w.AppendState("c-000001", "running", 1, time.Now()) // after terminal: ignored
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w2.Recovered()
 	if len(recs) != 1 {
 		t.Fatalf("recovered %d records, want 1", len(recs))
@@ -608,12 +906,12 @@ func TestWALPartialOutcomeTerminal(t *testing.T) {
 // restart, a new job given the same id must not take the old outcome.
 func TestWALEventBeforeSubmitDropped(t *testing.T) {
 	dir := t.TempDir()
-	w := openWAL(t, store.Options{Dir: dir})
+	w := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	w.AppendState("j-000001", "running", 1, time.Now())
 	w.AppendOutcome("j-000001", store.Outcome{State: "done", Result: []byte(`{"Patterns":[]}`), FinishedAt: time.Now()})
 	w.Close()
 
-	w2 := openWAL(t, store.Options{Dir: dir})
+	w2 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	if recs := w2.Recovered(); len(recs) != 0 {
 		t.Fatalf("recovered %+v from events with no submit", recs)
 	}
@@ -622,7 +920,7 @@ func TestWALEventBeforeSubmitDropped(t *testing.T) {
 	w2.AppendSubmit(rec)
 	w2.Close()
 
-	w3 := openWAL(t, store.Options{Dir: dir})
+	w3 := openWAL(t, store.Options{Dir: dir, RetainTerminal: retainAll})
 	recs := w3.Recovered()
 	if len(recs) != 1 || recs[0].State != "queued" || recs[0].Attempts != 0 || recs[0].Result != nil || recs[0].SeqData != "TTTTGGGG" {
 		t.Fatalf("recovered %+v, want the new j-000001 queued with no result", recs)

@@ -120,10 +120,14 @@ func TestLongest(t *testing.T) {
 
 // TestFindPlantedRepeat: the generator's tandem tracts are recovered.
 func TestFindPlantedRepeat(t *testing.T) {
-	s, err := gen.Composite(seq.DNA, "p", 500,
-		[]float64{0.25, 0.25, 0.25, 0.25}, nil,
-		[]gen.Tract{{Start: 100, Text: gen.TandemRepeat("ACGT", 10)}},
-		nil, 99)
+	s, err := gen.Build(gen.CompositeSpec{
+		Alphabet:   seq.DNA,
+		Name:       "p",
+		Length:     500,
+		Background: []float64{0.25, 0.25, 0.25, 0.25},
+		Tracts:     []gen.Tract{{Start: 100, Text: gen.TandemRepeat("ACGT", 10)}},
+		Seed:       99,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
