@@ -53,14 +53,16 @@ overload-check:
 	sh scripts/overload-check.sh
 
 # Short fuzz pass over the PIL list invariants (Join window semantics,
-# arena/heap join equivalence) and the frame codec that WAL replay and
-# the cluster wire protocol share. Go allows one -fuzz target per
-# invocation, hence the separate runs.
+# arena/heap join equivalence), the frame codec that WAL replay and
+# the cluster wire protocol share, and the cache's derivations (an answer
+# derived from a cached mine at another threshold equals a fresh mine).
+# Go allows one -fuzz target per invocation, hence the separate runs.
 FUZZTIME ?= 5s
 fuzz-short:
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoin$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/pil/ -run '^$$' -fuzz 'FuzzJoinOracle$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/frame/ -run '^$$' -fuzz 'FuzzRead$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/query/ -run '^$$' -fuzz 'FuzzSubsumptionFilter$$' -fuzztime $(FUZZTIME)
 
 # The end-to-end benchmark is a module of its own (benchmarks/e2e), so
 # the root's `go test ./...` skips it. Its tests build the harness against

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"permine"
+	"permine/internal/seq"
 )
 
 func main() {
@@ -65,7 +66,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return nil
 	}
 
-	alpha, err := pickAlphabet(*alphabet)
+	alpha, err := seq.ParseAlphabet(*alphabet)
 	if err != nil {
 		return err
 	}
@@ -233,15 +234,4 @@ func mineOne(ctx context.Context, s *permine.Sequence, algo string, p permine.Pa
 		return nil, err
 	}
 	return permine.Mine(ctx, a, s, p)
-}
-
-func pickAlphabet(name string) (*permine.Alphabet, error) {
-	switch strings.ToLower(name) {
-	case "dna":
-		return permine.DNA, nil
-	case "protein":
-		return permine.Protein, nil
-	default:
-		return permine.NewAlphabet("custom", name)
-	}
 }

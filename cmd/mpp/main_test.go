@@ -82,17 +82,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestPickAlphabet(t *testing.T) {
-	a, err := pickAlphabet("protein")
-	if err != nil || a.Size() != 20 {
-		t.Errorf("protein alphabet: %v %v", a, err)
-	}
-	c, err := pickAlphabet("xyz")
-	if err != nil || c.Size() != 3 {
-		t.Errorf("custom alphabet: %v %v", c, err)
-	}
-}
-
 func TestRunQueryMode(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-demo", "-demolen", "200", "-pattern", "A..T"}, strings.NewReader(""), &out)

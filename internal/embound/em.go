@@ -17,10 +17,6 @@ import (
 	"permine/internal/seq"
 )
 
-// maxArrayCodes caps the size of the dense multiplicity table; larger code
-// spaces fall back to a map.
-const maxArrayCodes = 1 << 24
-
 // Em computes e_m = max over all start offsets r of Kr(s, g, m, r), on
 // the calling goroutine. m must be >= 1. For |Σ|^m <= 2^24 (DNA up to
 // m = 12) and W^m < 2^31 the cost is O(L · Σ_k |cnt_k|), independent of
@@ -53,10 +49,7 @@ func EmWorkers(s *seq.Sequence, g combinat.Gap, m, workers int) (em int64, chunk
 		// repetitive data.
 		em, chunks = emSweep(s, g, m, workers)
 	} else {
-		k, err := newKounter(s, g, m)
-		if err != nil {
-			return 0, 0, err
-		}
+		k := newKounter(s, g, m)
 		for r := 0; r < s.Len(); r++ {
 			if kr := k.kr(r); kr > em {
 				em = kr
@@ -87,45 +80,25 @@ func Kr(s *seq.Sequence, g combinat.Gap, m, r int) (int64, error) {
 	if err := g.Validate(); err != nil {
 		return 0, err
 	}
-	k, err := newKounter(s, g, m)
-	if err != nil {
-		return 0, err
-	}
-	return k.kr(r), nil
+	return newKounter(s, g, m).kr(r), nil
 }
 
-// kounter carries the scratch state for K_r computation: either a dense
-// epoch-stamped table over all |Σ|^(m+1) packed pattern codes, or a map
-// keyed by the pattern's characters when the code space is too large (a
-// packed code would wrap past 2^64 and merge patterns).
+// kounter carries the scratch state of the per-offset K_r walk: a depth-
+// first walk over every length-(m+1) offset sequence from r, counting the
+// patterns they spell in a table keyed by the pattern's characters, so any
+// alphabet and order work (a packed code would wrap past 2^64 and merge
+// patterns).
 type kounter struct {
 	s     *seq.Sequence
 	g     combinat.Gap
 	m     int
-	size  uint64 // alphabet size
-	dense []denseCell
-	epoch uint32
 	table map[string]int64
-	chars []byte // walkMap's pattern so far
+	chars []byte // walk's pattern so far
 	best  int64
 }
 
-type denseCell struct {
-	epoch uint32
-	n     int64
-}
-
-func newKounter(s *seq.Sequence, g combinat.Gap, m int) (*kounter, error) {
-	k := &kounter{s: s, g: g, m: m, size: uint64(s.Alphabet().Size())}
-	codes := float64(k.size)
-	space := math.Pow(codes, float64(m+1))
-	if space <= maxArrayCodes {
-		k.dense = make([]denseCell, int(space))
-	} else {
-		k.table = make(map[string]int64)
-		k.chars = make([]byte, m+1)
-	}
-	return k, nil
+func newKounter(s *seq.Sequence, g combinat.Gap, m int) *kounter {
+	return &kounter{s: s, g: g, m: m, table: make(map[string]int64), chars: make([]byte, m+1)}
 }
 
 func (k *kounter) kr(r int) int64 {
@@ -133,41 +106,12 @@ func (k *kounter) kr(r int) int64 {
 		return 0
 	}
 	k.best = 0
-	if k.dense != nil {
-		k.epoch++
-		k.walkDense(r, 0, uint64(0))
-	} else {
-		clear(k.table)
-		k.walkMap(r, 0)
-	}
+	clear(k.table)
+	k.walk(r, 0)
 	return k.best
 }
 
-func (k *kounter) walkDense(pos, depth int, key uint64) {
-	key = key*k.size + uint64(k.s.Code(pos))
-	if depth == k.m {
-		cell := &k.dense[key]
-		if cell.epoch != k.epoch {
-			cell.epoch = k.epoch
-			cell.n = 0
-		}
-		cell.n++
-		if cell.n > k.best {
-			k.best = cell.n
-		}
-		return
-	}
-	lo := pos + k.g.N + 1
-	hi := pos + k.g.M + 1
-	if hi >= k.s.Len() {
-		hi = k.s.Len() - 1
-	}
-	for next := lo; next <= hi; next++ {
-		k.walkDense(next, depth+1, key)
-	}
-}
-
-func (k *kounter) walkMap(pos, depth int) {
+func (k *kounter) walk(pos, depth int) {
 	k.chars[depth] = k.s.At(pos)
 	if depth == k.m {
 		key := string(k.chars)
@@ -183,7 +127,7 @@ func (k *kounter) walkMap(pos, depth int) {
 		hi = k.s.Len() - 1
 	}
 	for next := lo; next <= hi; next++ {
-		k.walkMap(next, depth+1)
+		k.walk(next, depth+1)
 	}
 }
 

@@ -408,17 +408,15 @@ func TestEmWorkersConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestEmProteinFallbackPaths exercises the large-code-space paths: the
-// merge-based sweep (|Σ|^m beyond the dense table) and, for Kr, the map
-// fallback — both against each other and the DFS.
+// TestEmProteinFallbackPaths exercises the large-code-space path, the
+// merge-based sweep (|Σ|^m beyond the dense table), against the DFS.
 func TestEmProteinFallbackPaths(t *testing.T) {
 	s, err := gen.ProteinRepeat(250, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g := combinat.Gap{N: 1, M: 2}
-	// m = 6: 20^6 = 6.4e7 > 1<<24, so Em uses emSweepMerge and Kr's
-	// kounter uses the map table.
+	// m = 6: 20^6 = 6.4e7 > 1<<24, so Em uses emSweepMerge.
 	em, err := embound.Em(s, g, 6)
 	if err != nil {
 		t.Fatal(err)

@@ -53,9 +53,9 @@ func runLevelBench(b *testing.B, r *runner, hat []hatEntry, k int) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var st levelStats
+		var lm core.LevelMetrics
 		cands := r.gen(hat)
-		counted := r.countCandidates(ctx, k+1, hat, cands, cut, &st)
+		counted := r.countCandidates(ctx, k+1, hat, cands, cut, &lm)
 		if r.err != nil {
 			b.Fatal(r.err)
 		}
@@ -94,16 +94,16 @@ func benchPrunedFixture(b *testing.B, length, k int, g combinat.Gap, rho float64
 	b.Helper()
 	r := benchRunner(b, length, core.Params{Gap: g, MinSupport: rho, Join: join})
 	i := r.p.StartLen
-	hat := r.collectLevel(i, sigmaPow(r.s.Alphabet().Size(), i), r.seed(), r.thresholds(i), levelStats{})
+	hat := r.collectLevel(i, sigmaPow(r.s.Alphabet().Size(), i), r.seed(), r.thresholds(i), core.LevelMetrics{})
 	for ; i < k; i++ {
-		var st levelStats
+		var lm core.LevelMetrics
 		th := r.thresholds(i + 1)
 		cands := r.gen(hat)
-		counted := r.countCandidates(context.Background(), i+1, hat, cands, th.cut, &st)
+		counted := r.countCandidates(context.Background(), i+1, hat, cands, th.cut, &lm)
 		if r.err != nil {
 			b.Fatal(r.err)
 		}
-		hat = r.collectLevel(i+1, int64(len(cands)), counted, th, st)
+		hat = r.collectLevel(i+1, int64(len(cands)), counted, th, lm)
 	}
 	return r, hat
 }

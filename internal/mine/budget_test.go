@@ -217,14 +217,14 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 	}
 	r := &runner{s: s, p: np, counter: counter, n: want.N, res: &core.Result{Algorithm: core.AlgoMPPm}}
 	i := np.StartLen
-	hat := r.collectLevel(i, 64, r.seed(), r.thresholds(i), levelStats{})
+	hat := r.collectLevel(i, 64, r.seed(), r.thresholds(i), core.LevelMetrics{})
 	var abandoned int64
 	for len(hat) > 0 && counter.Nl(i+1).Sign() != 0 {
 		next := i + 1
 		th := r.thresholds(next)
-		var st levelStats
+		var lm core.LevelMetrics
 		cands := r.gen(hat)
-		counted := r.countCandidates(context.Background(), next, hat, cands, th.cut, &st)
+		counted := r.countCandidates(context.Background(), next, hat, cands, th.cut, &lm)
 		if r.err != nil {
 			t.Fatal(r.err)
 		}
@@ -254,12 +254,12 @@ func TestAbandonedJoinsMissTheCut(t *testing.T) {
 					next, c, fullSup, th.cut, got.list != nil)
 			}
 		}
-		if stopped != st.abandoned || entries != st.entries {
-			t.Fatalf("level %d: %d joins stopped and %d entries read, levelStats counts %d and %d",
-				next, stopped, entries, st.abandoned, st.entries)
+		if stopped != lm.Abandoned || entries != lm.PILEntries {
+			t.Fatalf("level %d: %d joins stopped and %d entries read, the level metrics count %d and %d",
+				next, stopped, entries, lm.Abandoned, lm.PILEntries)
 		}
 		abandoned += stopped
-		hat = r.collectLevel(next, int64(len(cands)), counted, th, st)
+		hat = r.collectLevel(next, int64(len(cands)), counted, th, lm)
 		i = next
 	}
 	if abandoned == 0 {

@@ -279,20 +279,6 @@ func (r *runner) lambda(i int) float64 {
 	return r.counter.Lambda(r.n, r.n-i)
 }
 
-// levelStats accumulates the physical counting work of one level, feeding
-// the telemetry fields of core.LevelMetrics.
-type levelStats struct {
-	joins     int64 // PIL merge joins performed
-	entries   int64 // prefix entries those joins visited plus their suffix lengths
-	abandoned int64 // joins stopped by the L̂ bound, support unknown
-	twoPtr    int64 // joins executed by each strategy; sum == joins
-	cum       int64 // of either table layout
-	compact   int64 // the cum joins on the compact layout
-	cumFalls  int64 // joins whose dense-table choice was capped by maxCumSpan
-	gen       time.Duration
-	count     time.Duration
-}
-
 // annotateLevelSpan attaches one level's metrics to its tracing span so a
 // trace of a mining job carries the paper's Table 3 live.
 func annotateLevelSpan(span *obs.Span, lm core.LevelMetrics) {
@@ -337,7 +323,7 @@ func (r *runner) run(hat []hatEntry) {
 	work := candCount
 
 	_, seedSpan := obs.Start(ctx, "mine.level")
-	hat = r.collectLevel(i, candCount, hat, r.thresholds(i), levelStats{})
+	hat = r.collectLevel(i, candCount, hat, r.thresholds(i), core.LevelMetrics{})
 	annotateLevelSpan(seedSpan, r.res.Levels[len(r.res.Levels)-1])
 	seedSpan.End()
 
@@ -369,12 +355,12 @@ func (r *runner) run(hat []hatEntry) {
 		lctx, span := obs.Start(ctx, "mine.level")
 		levelStart := time.Now()
 		th := r.thresholds(next)
-		var st levelStats
+		var lm core.LevelMetrics
 		cands := r.gen(hat)
-		st.gen = time.Since(levelStart)
+		lm.GenElapsed = time.Since(levelStart)
 		countStart := time.Now()
-		counted := r.countCandidates(lctx, next, hat, cands, th.cut, &st)
-		st.count = time.Since(countStart)
+		counted := r.countCandidates(lctx, next, hat, cands, th.cut, &lm)
+		lm.CountElapsed = time.Since(countStart)
 		if r.err != nil {
 			span.SetAttr("level", next)
 			span.RecordError(r.err)
@@ -385,7 +371,7 @@ func (r *runner) run(hat []hatEntry) {
 		if r.exhaustive {
 			charge = sigmaPow(alpha.Size(), next)
 		}
-		kept := r.collectLevel(next, charge, counted, th, st)
+		kept := r.collectLevel(next, charge, counted, th, lm)
 		// collectLevel timed only itself; the level spans gen, count and collect.
 		r.res.Levels[len(r.res.Levels)-1].Elapsed = time.Since(levelStart)
 		annotateLevelSpan(span, r.res.Levels[len(r.res.Levels)-1])
@@ -456,8 +442,8 @@ func (r *runner) seed() []hatEntry {
 			r.err = err
 			return nil
 		}
-		var st levelStats
-		hat = r.countCandidates(ctx, i, hat, r.gen(hat), 0, &st)
+		var lm core.LevelMetrics
+		hat = r.countCandidates(ctx, i, hat, r.gen(hat), 0, &lm)
 	}
 	return hat
 }
@@ -496,11 +482,13 @@ func (r *runner) thresholds(i int) levelThresholds {
 }
 
 // collectLevel applies the Li / L̂i thresholds th to the counted entries
-// of level i, records metrics and frequent patterns, and returns L̂i
-// (compacted in place, with the level's characters) for candidate
-// generation. entries holds the candidates whose joins finished with a
-// non-zero support, in pattern order; the rest of candidates are the
-// level's zero-support and abandoned joins (st.abandoned). An entry below
+// of level i, completes the level's metrics lm (which hold its join
+// counters and gen and count times) and records them with the frequent
+// patterns, and returns L̂i (compacted in place, with the level's
+// characters) for candidate generation. entries holds the candidates
+// whose joins finished with a non-zero support, in pattern order; the
+// rest of candidates are the level's zero-support and abandoned joins
+// (lm.Abandoned). An entry below
 // th.cut carries a nil list (its join committed nothing); only its
 // support is read.
 //
@@ -509,7 +497,7 @@ func (r *runner) thresholds(i int) levelThresholds {
 // drops hat entries whose descendants are known useless (counted in
 // PrunedByLambda). A pattern's characters become a string only when it
 // is emitted or offered to KeepCandidate.
-func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th levelThresholds, st levelStats) []hatEntry {
+func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th levelThresholds, lm core.LevelMetrics) []hatEntry {
 	start := time.Now()
 	hooks := r.p.Hooks
 	chars := r.chars[i&1]
@@ -548,29 +536,18 @@ func (r *runner) collectLevel(i int, candidates int64, entries []hatEntry, th le
 		}
 	}
 	r.chars[i&1] = chars[:len(kept)*i]
-	zero := candidates - int64(len(entries)) - st.abandoned
+	zero := candidates - int64(len(entries)) - lm.Abandoned
 	if zero < 0 {
 		zero = 0 // analytic candidate counts can saturate below the entry count
 	}
-	lm := core.LevelMetrics{
-		Level:            i,
-		Candidates:       candidates,
-		Frequent:         frequent,
-		Kept:             int64(len(kept)),
-		PrunedByLambda:   int64(len(entries)) - int64(len(kept)),
-		ZeroSupport:      zero,
-		Abandoned:        st.abandoned,
-		PILJoins:         st.joins,
-		PILEntries:       st.entries,
-		JoinTwoPointer:   st.twoPtr,
-		JoinCum:          st.cum,
-		CumCompact:       st.compact,
-		CumSpanFallbacks: st.cumFalls,
-		Lambda:           th.lam,
-		Elapsed:          time.Since(start),
-		GenElapsed:       st.gen,
-		CountElapsed:     st.count,
-	}
+	lm.Level = i
+	lm.Candidates = candidates
+	lm.Frequent = frequent
+	lm.Kept = int64(len(kept))
+	lm.PrunedByLambda = int64(len(entries)) - int64(len(kept))
+	lm.ZeroSupport = zero
+	lm.Lambda = th.lam
+	lm.Elapsed = time.Since(start)
 	r.res.Levels = append(r.res.Levels, lm)
 	r.p.ReportLevel(lm)
 	return kept
@@ -741,7 +718,7 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (kern joinKern
 // cut, the level's L̂ cut: a join commits its output only when its
 // support reaches cut, so each arena holds just the lists of L̂ (gen
 // never joins the others), and a join stops as soon as its support
-// provably stays below cut. A stopped join is counted in st.abandoned and
+// provably stays below cut. A stopped join is counted in lm.Abandoned and
 // yields no entry, since its support is unknown; it could not have been
 // kept, nor frequent (λ ≤ 1). Workers carry pprof labels
 // (permine_phase/permine_level) so CPU profiles taken via -pprof-addr
@@ -754,7 +731,7 @@ func joinChoice(forced core.JoinStrategy, s pil.List, uses int32) (kern joinKern
 // (in every worker); on cancellation counting stops early, r.err is set
 // to a typed core.CancelledError and nil is returned — partial counts are
 // never reported as results.
-func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, cut int64, st *levelStats) []hatEntry {
+func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry, cands []candidate, cut int64, lm *core.LevelMetrics) []hatEntry {
 	n := len(cands)
 	r.peak.cands = max(r.peak.cands, n)
 	r.joined = sliceFor(r.joined, n)
@@ -783,22 +760,22 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 
 	var stop, memHit atomic.Bool
 	var nextIdx atomic.Int64
-	var joins, entries, abandoned atomic.Int64
-	var twoPtrJoins, cumJoins, compactJoins, cumFalls atomic.Int64
+	var mu sync.Mutex // guards lm's join counters
 	work := func(w int) {
 		arena := &r.arenas[2*w+parity]
 		sc := &r.joinScr[w]
 		curLo, curW := int32(-1), int32(-1)
-		var nJoins, nEntries, nAbandoned int64
-		var nTwoPtr, nCum, nCompact, nFalls int64
+		var c core.LevelMetrics // this worker's join counters, added to lm as it stops
 		defer func() {
-			joins.Add(nJoins)
-			entries.Add(nEntries)
-			abandoned.Add(nAbandoned)
-			twoPtrJoins.Add(nTwoPtr)
-			cumJoins.Add(nCum)
-			compactJoins.Add(nCompact)
-			cumFalls.Add(nFalls)
+			mu.Lock()
+			defer mu.Unlock()
+			lm.PILJoins += c.PILJoins
+			lm.PILEntries += c.PILEntries
+			lm.Abandoned += c.Abandoned
+			lm.JoinTwoPointer += c.JoinTwoPointer
+			lm.JoinCum += c.JoinCum
+			lm.CumCompact += c.CumCompact
+			lm.CumSpanFallbacks += c.CumSpanFallbacks
 		}()
 		for {
 			if stop.Load() {
@@ -860,24 +837,24 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 					j := idx - g.start
 					if sc.kern[j] == twoPointer {
 						list, sup, visited = pil.JoinInto(arena, prefix, suffix.list, suffix.sup, cut, gap)
-						nTwoPtr++
+						c.JoinTwoPointer++
 					} else {
 						list, sup, visited = pil.JoinCum(arena, prefix, &sc.tables[j], cut, gap)
-						nCum++
+						c.JoinCum++
 						if sc.kern[j] == compactCum {
-							nCompact++
+							c.CumCompact++
 						}
 					}
 					if sc.capped[j] {
-						nFalls++
+						c.CumSpanFallbacks++
 					}
 					if visited < len(prefix) {
-						nAbandoned++
+						c.Abandoned++
 						sup = -1 // stopped: unknown, and below cut
 					}
 					joined[idx] = countedList{list: list, sup: sup}
-					nJoins++
-					nEntries += int64(visited + len(suffix.list))
+					c.PILJoins++
+					c.PILEntries += int64(visited + len(suffix.list))
 				}
 			}
 		}
@@ -896,13 +873,6 @@ func (r *runner) countCandidates(ctx context.Context, level int, hat []hatEntry,
 		}
 		wg.Wait()
 	}
-	st.joins += joins.Load()
-	st.entries += entries.Load()
-	st.abandoned += abandoned.Load()
-	st.twoPtr += twoPtrJoins.Load()
-	st.cum += cumJoins.Load()
-	st.compact += compactJoins.Load()
-	st.cumFalls += cumFalls.Load()
 	if err := ctx.Err(); err != nil {
 		r.err = r.cancelled(level, err)
 		return nil

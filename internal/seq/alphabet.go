@@ -8,6 +8,7 @@ package seq
 
 import (
 	"fmt"
+	"strings"
 )
 
 // Alphabet is a finite, ordered set of single-byte symbols. The order of
@@ -55,6 +56,20 @@ func NewAlphabet(name, symbols string) (*Alphabet, error) {
 		a.bits++
 	}
 	return a, nil
+}
+
+// ParseAlphabet reads an alphabet name, in any case: "dna" or empty is
+// DNA, "protein" is Protein, and anything else is a custom alphabet of
+// the given symbols.
+func ParseAlphabet(name string) (*Alphabet, error) {
+	switch strings.ToLower(name) {
+	case "", "dna":
+		return DNA, nil
+	case "protein":
+		return Protein, nil
+	default:
+		return NewAlphabet("custom", name)
+	}
 }
 
 // MustAlphabet is like NewAlphabet but panics on error. It is intended for

@@ -55,6 +55,33 @@ func TestAlphabetErrors(t *testing.T) {
 	seq.MustAlphabet("bad", "X")
 }
 
+// TestParseAlphabet: the two named alphabets are read in any case, an
+// empty name is DNA, and any other name is a custom alphabet of exactly
+// the given symbols, case kept, checked as NewAlphabet checks them.
+func TestParseAlphabet(t *testing.T) {
+	for _, name := range []string{"", "dna", "DNA", "Dna"} {
+		if a, err := seq.ParseAlphabet(name); err != nil || a != seq.DNA {
+			t.Errorf("ParseAlphabet(%q) = %v, %v; want DNA", name, a, err)
+		}
+	}
+	for _, name := range []string{"protein", "PROTEIN", "Protein"} {
+		if a, err := seq.ParseAlphabet(name); err != nil || a != seq.Protein {
+			t.Errorf("ParseAlphabet(%q) = %v, %v; want Protein", name, a, err)
+		}
+	}
+	for _, name := range []string{"xyz", "xYz", "01"} {
+		a, err := seq.ParseAlphabet(name)
+		if err != nil || a.Name() != "custom" || string(a.Symbols()) != name {
+			t.Errorf("ParseAlphabet(%q) = %v, %v; want a custom alphabet of its symbols", name, a, err)
+		}
+	}
+	for _, name := range []string{"x", "xyx"} {
+		if a, err := seq.ParseAlphabet(name); err == nil {
+			t.Errorf("ParseAlphabet(%q) = %v, want an error", name, a)
+		}
+	}
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	f := func(raw []byte) bool {
 		if len(raw) == 0 {

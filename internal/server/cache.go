@@ -81,16 +81,14 @@ func KeyFor(s *seq.Sequence, algo core.Algorithm, p core.Params) CacheKey {
 // never mutate a returned Result).
 type Cache struct {
 	mu      sync.Mutex
-	max     int
 	order   *list.List // front = most recently used; values are *cacheEntry
 	entries map[CacheKey]*list.Element
 	// full indexes the plain full-mine entries of each identity by their
 	// ρs floor; it is the subsumption probe set.
-	full      map[CacheIdentity]map[float64]*list.Element
-	hits      int64
-	subHits   int64
-	misses    int64
-	evictions int64
+	full map[CacheIdentity]map[float64]*list.Element
+	// stats holds the capacity and the counters; Stats adds the size and
+	// the hit ratio.
+	stats CacheStats
 }
 
 type cacheEntry struct {
@@ -102,10 +100,10 @@ type cacheEntry struct {
 // disables caching: every Get misses and Put is a no-op).
 func NewCache(max int) *Cache {
 	return &Cache{
-		max:     max,
 		order:   list.New(),
 		entries: make(map[CacheKey]*list.Element),
 		full:    make(map[CacheIdentity]map[float64]*list.Element),
+		stats:   CacheStats{Capacity: max},
 	}
 }
 
@@ -134,7 +132,7 @@ func (c *Cache) Lookup(k CacheKey, derive func(cached *core.Result) (*core.Resul
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, found := c.entries[k]; found {
-		c.hits++
+		c.stats.Hits++
 		c.order.MoveToFront(el)
 		return el.Value.(*cacheEntry).res, false, true
 	}
@@ -158,14 +156,14 @@ func (c *Cache) Lookup(k CacheKey, derive func(cached *core.Result) (*core.Resul
 			for _, rho := range ordered {
 				el := floors[rho]
 				if out, valid := derive(el.Value.(*cacheEntry).res); valid {
-					c.subHits++
+					c.stats.SubsumptionHits++
 					c.order.MoveToFront(el)
 					return out, true, true
 				}
 			}
 		}
 	}
-	c.misses++
+	c.stats.Misses++
 	return nil, false, false
 }
 
@@ -180,7 +178,7 @@ func (c *Cache) Put(k CacheKey, res *core.Result) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.max <= 0 {
+	if c.stats.Capacity <= 0 {
 		return
 	}
 	if el, ok := c.entries[k]; ok {
@@ -198,7 +196,7 @@ func (c *Cache) Put(k CacheKey, res *core.Result) {
 		}
 		floors[k.MinSupport] = el
 	}
-	for c.order.Len() > c.max {
+	for c.order.Len() > c.stats.Capacity {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
 		ok := oldest.Value.(*cacheEntry).key
@@ -211,7 +209,7 @@ func (c *Cache) Put(k CacheKey, res *core.Result) {
 				}
 			}
 		}
-		c.evictions++
+		c.stats.Evictions++
 	}
 }
 
@@ -231,14 +229,8 @@ type CacheStats struct {
 func (c *Cache) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := CacheStats{
-		Size:            c.order.Len(),
-		Capacity:        c.max,
-		Hits:            c.hits,
-		SubsumptionHits: c.subHits,
-		Misses:          c.misses,
-		Evictions:       c.evictions,
-	}
+	s := c.stats
+	s.Size = c.order.Len()
 	if total := s.Hits + s.SubsumptionHits + s.Misses; total > 0 {
 		s.HitRatio = float64(s.Hits+s.SubsumptionHits) / float64(total)
 	}

@@ -642,7 +642,7 @@ func TestClusterMetricsCountEachMineOnce(t *testing.T) {
 	// counts sums join and latency counts over the given servers.
 	counts := func(srvs ...*Server) (joins, observations int64) {
 		for _, srv := range srvs {
-			snap := srv.metrics.Snapshot(nil)
+			snap := srv.metrics.Snapshot()
 			for _, n := range snap.JoinStrategies {
 				joins += n
 			}

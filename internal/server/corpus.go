@@ -105,7 +105,7 @@ func (s *Server) handleCorpusSubmit(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusBadRequest, "missing fasta: a corpus is a multi-FASTA payload")
 		return
 	}
-	alpha, err := resolveAlphabet(req.Alphabet)
+	alpha, err := seq.ParseAlphabet(req.Alphabet)
 	if err != nil {
 		apiError(w, http.StatusBadRequest, "%v", err)
 		return

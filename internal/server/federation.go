@@ -77,7 +77,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	// Snapshot self after the peer scrapes so the scrape-error counter in
 	// the merged output already reflects this very request.
 	var self bytes.Buffer
-	if err := writePrometheus(&self, s.metrics.Snapshot(s.cache)); err != nil {
+	if err := writePrometheus(&self, s.snapshot()); err != nil {
 		apiError(w, http.StatusInternalServerError, "rendering local metrics: %v", err)
 		return
 	}

@@ -134,9 +134,7 @@ func (m *Manager) admit(class string) error {
 	default:
 		return nil
 	}
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.JobShed(class)
-	}
+	m.cfg.Metrics.JobShed(class)
 	m.cfg.Logger.Warn("memory governor shedding submit",
 		"class", class, "used", g.Used(), "limit", g.Limit(), "pressure", g.Pressure())
 	return ErrOverloaded

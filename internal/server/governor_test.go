@@ -154,7 +154,7 @@ func TestBudgetAbortIsolatesConcurrentJobs(t *testing.T) {
 func TestGovernorAdmissionLadder(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	gov := NewGovernor(1<<20, 50)
-	mt := NewMetrics(func() int { return 0 })
+	mt := NewMetrics(0)
 	m := newTestManager(t, ManagerConfig{Config: Config{Workers: 1}, Governor: gov, Cache: NewCache(8), Metrics: mt})
 	s := genomeSeq(t, 400, 7)
 
@@ -198,7 +198,7 @@ func TestGovernorAdmissionLadder(t *testing.T) {
 		t.Fatalf("cached submit while saturated: state %s cacheHit %v", v.State, v.CacheHit)
 	}
 
-	snap := mt.Snapshot(nil)
+	snap := mt.Snapshot()
 	if snap.Shed["corpus"] != 1 || snap.Shed["enumerate"] != 1 || snap.Shed["job"] != 1 {
 		t.Errorf("shed counters = %v, want corpus/enumerate/job each 1", snap.Shed)
 	}

@@ -97,8 +97,8 @@ type ManagerConfig struct {
 	// Governor enforces the process-wide memory ceiling and the brownout
 	// admission ladder (default: one built from MemGlobal and BrownoutPct).
 	Governor *Governor
-	// Metrics, when non-nil, receives job-state transitions and mining
-	// latencies.
+	// Metrics receives job-state transitions, mining latencies and the
+	// other counts the manager makes (default: an empty registry).
 	Metrics *Metrics
 	// Store durably journals job transitions for crash recovery (default:
 	// the no-op in-memory store). Submit returns only after the accepted
@@ -156,6 +156,9 @@ func NewManager(cfg ManagerConfig) *Manager {
 	}
 	if cfg.Governor == nil {
 		cfg.Governor = NewGovernor(cfg.MemGlobal, cfg.BrownoutPct)
+	}
+	if cfg.Metrics == nil {
+		cfg.Metrics = NewMetrics(cfg.SLOTargetP99)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
@@ -532,20 +535,17 @@ func (m *Manager) mineLocal(ctx context.Context, algo core.Algorithm, s *seq.Seq
 	tracker := m.cfg.Governor.Acquire()
 	defer m.cfg.Governor.Release(tracker)
 	p.Ctx, p.Mem = ctx, tracker
-	metrics := m.cfg.Metrics
-	if metrics != nil {
-		progress := p.Progress
-		p.Progress = func(lm core.LevelMetrics) {
-			metrics.ObserveLevel(lm)
-			if progress != nil {
-				progress(lm)
-			}
+	progress := p.Progress
+	p.Progress = func(lm core.LevelMetrics) {
+		m.cfg.Metrics.ObserveLevel(lm)
+		if progress != nil {
+			progress(lm)
 		}
 	}
 	start := time.Now()
 	res, err := query.Mine(algo, s, p)
-	if metrics != nil && !errors.Is(err, context.Canceled) {
-		metrics.ObserveMining(algo.String(), time.Since(start))
+	if !errors.Is(err, context.Canceled) {
+		m.cfg.Metrics.ObserveMining(algo.String(), time.Since(start))
 	}
 	return res, err
 }
@@ -559,7 +559,7 @@ func (m *Manager) onStart(j *corpus.Job) {
 // onShardRetry surfaces one scheduled retry: streamed as a "retry" SSE
 // event, and for a corpus shard counted (with its backoff) in metrics.
 func (m *Manager) onShardRetry(j *corpus.Job, s *corpus.Shard, attempt int, err error, delay time.Duration) {
-	if isCorpus(j) && m.cfg.Metrics != nil {
+	if isCorpus(j) {
 		m.cfg.Metrics.CorpusRetry(delay)
 	}
 	m.cfg.Events.Publish(Event{Type: "retry", Job: j.ID(), Seq: s.Index() + 1, Data: map[string]any{
@@ -581,9 +581,7 @@ func (m *Manager) onShardEnd(_ context.Context, j *corpus.Job, s *corpus.Shard) 
 	}
 	sv := s.View()
 	m.cfg.Store.AppendShard(j.ID(), checkpoint(sv))
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.CorpusShard(string(sv.State))
-	}
+	m.cfg.Metrics.CorpusShard(string(sv.State))
 	m.cfg.Events.Publish(Event{Type: "shard", Job: j.ID(), Seq: s.Index() + 1, Data: sv})
 }
 
@@ -649,9 +647,7 @@ func resultJSON(j *corpus.Job, v corpus.View) json.RawMessage {
 
 // transition forwards a state change to the job's metric family.
 func (m *Manager) transition(j *corpus.Job, from, to corpus.State) {
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.JobTransition(isCorpus(j), from, to)
-	}
+	m.cfg.Metrics.JobTransition(isCorpus(j), from, to)
 }
 
 // Shutdown stops accepting jobs, drains the queued and running ones, and

@@ -257,11 +257,10 @@ func TestManagerShutdownCancelsWork(t *testing.T) {
 func TestManagerConcurrentLoad(t *testing.T) {
 	corpustest.CheckLeaks(t)
 	cache := NewCache(16)
-	metrics := NewMetrics(nil)
+	metrics := NewMetrics(0)
 	m := newTestManager(t, ManagerConfig{
 		Config: Config{Workers: 4, QueueDepth: 256}, Cache: cache, Metrics: metrics,
 	})
-	metrics.queueFn = m.QueueDepth
 
 	const clients = 8
 	const perClient = 6
@@ -296,7 +295,9 @@ func TestManagerConcurrentLoad(t *testing.T) {
 				default:
 					jobView(j.Snapshot())
 					m.Jobs()
-					metrics.Snapshot(cache)
+					m.QueueDepth()
+					cache.Stats()
+					metrics.Snapshot()
 				}
 			}
 		}(c)
@@ -307,7 +308,7 @@ func TestManagerConcurrentLoad(t *testing.T) {
 	for _, j := range m.Jobs() {
 		waitTerminal(t, j)
 	}
-	snap := metrics.Snapshot(cache)
+	snap := metrics.Snapshot()
 	var terminal int64
 	for _, s := range []string{"done", "failed", "cancelled"} {
 		terminal += snap.JobsFinished[s]

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -81,65 +82,45 @@ func (h *Histogram) view() HistogramView {
 	return v
 }
 
-// Metrics aggregates service-wide counters: jobs by state, queue depth,
-// request counts by route and status class, and per-algorithm mining
-// latency histograms. All methods are safe for concurrent use.
+// Metrics is the registry of the counters the server's own paths count:
+// jobs and corpora by state and finished, requests by route and status
+// class, recovery, join strategies, shedding, corpus shard outcomes,
+// retries, backoff and replays, and the SLO target and counts. Each is
+// kept in the MetricsSnapshot section it is served as; the latency
+// histograms are rendered at snapshot time, and Server.snapshot adds the
+// sections other components own. All methods are safe for concurrent use.
 type Metrics struct {
-	mu        sync.Mutex
-	started   time.Time
-	jobStates map[string]int64 // current number of jobs in each state
-	finished  map[string]int64 // cumulative terminal transitions
-	requests  map[string]int64 // "route status-class", e.g. "POST /v1/jobs 2xx"
-	recovery  map[string]int64 // boot-time crash-recovery outcomes
-	joins     map[string]int64 // PIL joins executed, by strategy name
-	latency   map[string]*Histogram
-	reqDur    map[string]*Histogram // per-route request duration (non-streaming)
-	queueFn   func() int
-
-	// Rolling SLO accounting: every non-streaming request counts, requests
-	// slower than sloTarget also count as breaches. The target is fixed at
-	// construction (-slo-p99-ms), so breach ratio over any scrape interval
-	// is directly comparable across nodes.
-	sloTarget   float64 // seconds
-	sloRequests int64
-	sloBreaches int64
-	storeFn     func() store.Stats
-	sseFn       func() SSEStats
-	clusterFn   func() cluster.Stats // nil when the node is not a coordinator
-
-	// Governor shedding: submits rejected by the brownout ladder, keyed by
-	// admission class; governorFn snapshots the live memory gauges.
-	shed       map[string]int64
-	governorFn func() GovernorStats
-
-	// Corpus-engine counters: jobs by state, terminal transitions, shard
-	// outcomes, retries with their cumulative backoff, and shards replayed
-	// from journal checkpoints instead of re-mined after a restart.
-	corpusStates   map[string]int64
-	corpusFinished map[string]int64
-	corpusShards   map[string]int64 // "done" / "failed"
-	corpusRetries  int64
-	corpusBackoff  float64 // summed scheduled backoff, seconds
-	corpusReplayed int64
+	mu      sync.Mutex
+	started time.Time
+	counts  MetricsSnapshot
+	latency map[string]*Histogram
+	reqDur  map[string]*Histogram // per-route request duration (non-streaming)
 }
 
-// NewMetrics builds an empty registry; queueFn (optional) reports live
-// queue depth for snapshots.
-func NewMetrics(queueFn func() int) *Metrics {
+// NewMetrics builds an empty registry whose SLO counters measure against
+// sloTarget: every non-streaming request counts, and those slower than
+// the target also count as breaches. The target is fixed here
+// (-slo-p99-ms), so the breach ratio over any scrape interval is directly
+// comparable across nodes.
+func NewMetrics(sloTarget time.Duration) *Metrics {
 	return &Metrics{
-		started:        time.Now(),
-		jobStates:      make(map[string]int64),
-		finished:       make(map[string]int64),
-		requests:       make(map[string]int64),
-		recovery:       make(map[string]int64),
-		joins:          make(map[string]int64),
-		latency:        make(map[string]*Histogram),
-		reqDur:         make(map[string]*Histogram),
-		corpusStates:   make(map[string]int64),
-		corpusFinished: make(map[string]int64),
-		corpusShards:   make(map[string]int64),
-		shed:           make(map[string]int64),
-		queueFn:        queueFn,
+		started: time.Now(),
+		counts: MetricsSnapshot{
+			Jobs:           make(map[string]int64),
+			JobsFinished:   make(map[string]int64),
+			Requests:       make(map[string]int64),
+			Recovery:       make(map[string]int64),
+			JoinStrategies: make(map[string]int64),
+			Shed:           make(map[string]int64),
+			Corpus: CorpusMetrics{
+				Jobs:     make(map[string]int64),
+				Finished: make(map[string]int64),
+				Shards:   make(map[string]int64),
+			},
+			SLO: SLOStats{TargetP99Seconds: sloTarget.Seconds()},
+		},
+		latency: make(map[string]*Histogram),
+		reqDur:  make(map[string]*Histogram),
 	}
 }
 
@@ -151,9 +132,9 @@ func NewMetrics(queueFn func() int) *Metrics {
 func (m *Metrics) JobTransition(inCorpus bool, from, to corpus.State) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	states, finished := m.jobStates, m.finished
+	states, finished := m.counts.Jobs, m.counts.JobsFinished
 	if inCorpus {
-		states, finished = m.corpusStates, m.corpusFinished
+		states, finished = m.counts.Corpus.Jobs, m.counts.Corpus.Finished
 		from, to = corpusState(from), corpusState(to)
 	}
 	if from == to {
@@ -173,7 +154,7 @@ func (m *Metrics) JobTransition(inCorpus bool, from, to corpus.State) {
 func (m *Metrics) JobShed(class string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.shed[class]++
+	m.counts.Shed[class]++
 }
 
 // JobRecovered notes one job reconstructed from the journal at boot: its
@@ -187,11 +168,11 @@ func (m *Metrics) JobRecovered(inCorpus bool, state corpus.State, outcome string
 	switch {
 	case state == "":
 	case inCorpus:
-		m.corpusStates[string(corpusState(state))]++
+		m.counts.Corpus.Jobs[string(corpusState(state))]++
 	default:
-		m.jobStates[string(state)]++
+		m.counts.Jobs[string(state)]++
 	}
-	m.recovery[outcome]++
+	m.counts.Recovery[outcome]++
 }
 
 // CorpusShard counts one corpus shard reaching a terminal outcome
@@ -199,7 +180,7 @@ func (m *Metrics) JobRecovered(inCorpus bool, state corpus.State, outcome string
 func (m *Metrics) CorpusShard(outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.corpusShards[outcome]++
+	m.counts.Corpus.Shards[outcome]++
 }
 
 // CorpusRetry counts one scheduled corpus shard retry and accumulates its
@@ -207,8 +188,8 @@ func (m *Metrics) CorpusShard(outcome string) {
 func (m *Metrics) CorpusRetry(backoff time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.corpusRetries++
-	m.corpusBackoff += backoff.Seconds()
+	m.counts.Corpus.Retries++
+	m.counts.Corpus.BackoffSeconds += backoff.Seconds()
 }
 
 // CorpusShardsReplayed counts shards restored complete from journal
@@ -216,7 +197,7 @@ func (m *Metrics) CorpusRetry(backoff time.Duration) {
 func (m *Metrics) CorpusShardsReplayed(n int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.corpusReplayed += int64(n)
+	m.counts.Corpus.ShardsReplayed += int64(n)
 }
 
 // ObserveLevel accumulates one mining level's per-strategy PIL join
@@ -226,10 +207,10 @@ func (m *Metrics) ObserveLevel(lm core.LevelMetrics) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if lm.JoinTwoPointer > 0 {
-		m.joins[core.JoinTwoPointer.String()] += lm.JoinTwoPointer
+		m.counts.JoinStrategies[core.JoinTwoPointer.String()] += lm.JoinTwoPointer
 	}
 	if lm.JoinCum > 0 {
-		m.joins[core.JoinCum.String()] += lm.JoinCum
+		m.counts.JoinStrategies[core.JoinCum.String()] += lm.JoinCum
 	}
 }
 
@@ -244,12 +225,6 @@ func (m *Metrics) ObserveMining(algorithm string, d time.Duration) {
 		m.latency[algorithm] = h
 	}
 	h.observe(d.Seconds())
-}
-
-// SetSLOTarget fixes the latency objective the SLO counters measure
-// against. Call before the registry is shared between goroutines.
-func (m *Metrics) SetSLOTarget(target time.Duration) {
-	m.sloTarget = target.Seconds()
 }
 
 // ObserveRequest records one finished HTTP request: the count by route
@@ -268,7 +243,7 @@ func (m *Metrics) ObserveRequest(route string, status int, d time.Duration) {
 	case status >= 300:
 		class = "3xx"
 	}
-	m.requests[route+" "+class]++
+	m.counts.Requests[route+" "+class]++
 	if strings.HasSuffix(route, "/events") {
 		return
 	}
@@ -279,9 +254,10 @@ func (m *Metrics) ObserveRequest(route string, status int, d time.Duration) {
 	}
 	secs := d.Seconds()
 	h.observe(secs)
-	m.sloRequests++
-	if m.sloTarget > 0 && secs > m.sloTarget {
-		m.sloBreaches++
+	slo := &m.counts.SLO
+	slo.Requests++
+	if slo.TargetP99Seconds > 0 && secs > slo.TargetP99Seconds {
+		slo.Breaches++
 	}
 }
 
@@ -338,94 +314,33 @@ type MetricsSnapshot struct {
 	Cluster *cluster.Stats `json:"cluster,omitempty"`
 }
 
-// Snapshot renders every counter; cache may be nil.
-func (m *Metrics) Snapshot(cache *Cache) MetricsSnapshot {
+// Snapshot copies the sections counted here and renders the latency
+// histograms; the other components' sections stay zero (Server.snapshot
+// fills them).
+func (m *Metrics) Snapshot() MetricsSnapshot {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	snap := MetricsSnapshot{
-		UptimeSeconds:  time.Since(m.started).Seconds(),
-		Jobs:           make(map[string]int64, len(m.jobStates)),
-		JobsFinished:   make(map[string]int64, len(m.finished)),
-		Requests:       make(map[string]int64, len(m.requests)),
-		Latency:        make(map[string]HistogramView, len(m.latency)),
-		RequestLatency: make(map[string]HistogramView, len(m.reqDur)),
-		SLO: SLOStats{
-			TargetP99Seconds: m.sloTarget,
-			Requests:         m.sloRequests,
-			Breaches:         m.sloBreaches,
-		},
-		Corpus: CorpusMetrics{
-			Jobs:           make(map[string]int64, len(m.corpusStates)),
-			Finished:       make(map[string]int64, len(m.corpusFinished)),
-			Shards:         make(map[string]int64, len(m.corpusShards)),
-			Retries:        m.corpusRetries,
-			BackoffSeconds: m.corpusBackoff,
-			ShardsReplayed: m.corpusReplayed,
-		},
-	}
-	for k, v := range m.jobStates {
-		snap.Jobs[k] = v
-	}
-	for k, v := range m.finished {
-		snap.JobsFinished[k] = v
-	}
-	for k, v := range m.corpusStates {
-		snap.Corpus.Jobs[k] = v
-	}
-	for k, v := range m.corpusFinished {
-		snap.Corpus.Finished[k] = v
-	}
-	for k, v := range m.corpusShards {
-		snap.Corpus.Shards[k] = v
-	}
-	for k, v := range m.requests {
-		snap.Requests[k] = v
-	}
-	for k, h := range m.latency {
-		snap.Latency[k] = h.view()
-	}
-	for k, h := range m.reqDur {
-		snap.RequestLatency[k] = h.view()
-	}
-	if len(m.recovery) > 0 {
-		snap.Recovery = make(map[string]int64, len(m.recovery))
-		for k, v := range m.recovery {
-			snap.Recovery[k] = v
-		}
-	}
-	if len(m.joins) > 0 {
-		snap.JoinStrategies = make(map[string]int64, len(m.joins))
-		for k, v := range m.joins {
-			snap.JoinStrategies[k] = v
-		}
-	}
-	if m.queueFn != nil {
-		snap.QueueDepth = m.queueFn()
-	}
-	if m.storeFn != nil {
-		snap.Store = m.storeFn()
-	} else {
-		snap.Store = store.Stats{Backend: "memory"}
-	}
-	if m.sseFn != nil {
-		snap.SSE = m.sseFn()
-	}
-	if m.governorFn != nil {
-		gs := m.governorFn()
-		snap.Governor = &gs
-	}
-	if len(m.shed) > 0 {
-		snap.Shed = make(map[string]int64, len(m.shed))
-		for k, v := range m.shed {
-			snap.Shed[k] = v
-		}
-	}
-	if m.clusterFn != nil {
-		cs := m.clusterFn()
-		snap.Cluster = &cs
-	}
-	if cache != nil {
-		snap.Cache = cache.Stats()
-	}
+	snap := m.counts
+	snap.UptimeSeconds = time.Since(m.started).Seconds()
+	snap.Jobs = maps.Clone(snap.Jobs)
+	snap.JobsFinished = maps.Clone(snap.JobsFinished)
+	snap.Requests = maps.Clone(snap.Requests)
+	snap.Recovery = maps.Clone(snap.Recovery)
+	snap.JoinStrategies = maps.Clone(snap.JoinStrategies)
+	snap.Shed = maps.Clone(snap.Shed)
+	snap.Corpus.Jobs = maps.Clone(snap.Corpus.Jobs)
+	snap.Corpus.Finished = maps.Clone(snap.Corpus.Finished)
+	snap.Corpus.Shards = maps.Clone(snap.Corpus.Shards)
+	snap.Latency = views(m.latency)
+	snap.RequestLatency = views(m.reqDur)
 	return snap
+}
+
+// views renders each histogram of hs.
+func views(hs map[string]*Histogram) map[string]HistogramView {
+	out := make(map[string]HistogramView, len(hs))
+	for k, h := range hs {
+		out[k] = h.view()
+	}
+	return out
 }

@@ -11,7 +11,7 @@ import (
 // TestHistogramZeroObservations: a histogram that never saw a sample
 // renders a complete, all-zero view — no NaN mean, full bucket list.
 func TestHistogramZeroObservations(t *testing.T) {
-	m := NewMetrics(nil)
+	m := NewMetrics(0)
 	m.ObserveMining("mppm", time.Millisecond) // materialise one histogram...
 	h := newHistogram()                       // ...but inspect an untouched one
 	v := h.view()
@@ -35,9 +35,9 @@ func TestHistogramZeroObservations(t *testing.T) {
 // TestHistogramOverflowBucket: samples beyond the largest bound land in the
 // implicit +Inf bucket and still count toward sum/mean.
 func TestHistogramOverflowBucket(t *testing.T) {
-	m := NewMetrics(nil)
+	m := NewMetrics(0)
 	m.ObserveMining("mppm", 600*time.Second) // > 300s, the largest bound
-	v := m.Snapshot(nil).Latency["mppm"]
+	v := m.Snapshot().Latency["mppm"]
 	if v.Count != 1 || v.SumSeconds != 600 || v.MeanSeconds != 600 {
 		t.Fatalf("view = %+v, want one 600s sample", v)
 	}
@@ -71,7 +71,7 @@ func TestHistogramBoundaryValue(t *testing.T) {
 // TestMetricsConcurrent: hammer every mutating method while snapshotting;
 // the race detector and the final totals are the assertions.
 func TestMetricsConcurrent(t *testing.T) {
-	m := NewMetrics(func() int { return 1 })
+	m := NewMetrics(0)
 	const perWorker = 200
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -94,14 +94,14 @@ func TestMetricsConcurrent(t *testing.T) {
 			case <-done:
 				return
 			default:
-				m.Snapshot(nil)
+				m.Snapshot()
 			}
 		}
 	}()
 	wg.Wait()
 	close(done)
 
-	snap := m.Snapshot(nil)
+	snap := m.Snapshot()
 	const total = 4 * perWorker
 	if got := snap.Latency["mppm"].Count; got != total {
 		t.Errorf("latency count = %d, want %d", got, total)
@@ -130,14 +130,13 @@ func TestMetricsConcurrent(t *testing.T) {
 // and streaming routes are excluded entirely (an SSE connection's
 // "latency" is its lifetime).
 func TestObserveRequestSLO(t *testing.T) {
-	m := NewMetrics(nil)
-	m.SetSLOTarget(50 * time.Millisecond)
+	m := NewMetrics(50 * time.Millisecond)
 	m.ObserveRequest("POST /v1/jobs", 202, 10*time.Millisecond)
 	m.ObserveRequest("POST /v1/jobs", 202, 80*time.Millisecond)
 	m.ObserveRequest("GET /v1/jobs/{id}", 200, 40*time.Millisecond)
 	m.ObserveRequest("GET /v1/jobs/{id}/events", 200, time.Hour)
 
-	snap := m.Snapshot(nil)
+	snap := m.Snapshot()
 	if snap.SLO.TargetP99Seconds != 0.05 {
 		t.Errorf("SLO target = %v, want 0.05", snap.SLO.TargetP99Seconds)
 	}

@@ -247,7 +247,7 @@ func (m *Manager) Restore(records []store.JobRecord) RestoreSummary {
 		}
 		replayed := j.ReplayedShards()
 		sum.ShardsReplayed += replayed
-		if m.cfg.Metrics != nil && isCorpus(j) {
+		if isCorpus(j) {
 			m.cfg.Metrics.CorpusShardsReplayed(replayed)
 		}
 		m.countOrphans(j, rec)
@@ -294,7 +294,5 @@ func (m *Manager) countOrphans(j *corpus.Job, rec store.JobRecord) {
 // recovered forwards one recovery outcome, and the recovered job's state,
 // to metrics (nil job: a record that produced none).
 func (m *Manager) recovered(j *corpus.Job, state corpus.State, outcome string) {
-	if m.cfg.Metrics != nil {
-		m.cfg.Metrics.JobRecovered(j != nil && isCorpus(j), state, outcome)
-	}
+	m.cfg.Metrics.JobRecovered(j != nil && isCorpus(j), state, outcome)
 }

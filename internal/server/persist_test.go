@@ -139,7 +139,7 @@ func TestManagerCrashRequeue(t *testing.T) {
 		t.Fatalf("recovered states = %v, want 1 running + 2 queued", states)
 	}
 
-	metrics := NewMetrics(nil)
+	metrics := NewMetrics(0)
 	m2 := newTestManager(t, ManagerConfig{
 		Config: Config{Workers: 2, RetryBackoff: time.Millisecond}, Store: w2, Metrics: metrics,
 	})
@@ -160,7 +160,7 @@ func TestManagerCrashRequeue(t *testing.T) {
 			t.Errorf("job %s attempts = %d, want 1", id, v.Attempts)
 		}
 	}
-	snap := metrics.Snapshot(nil)
+	snap := metrics.Snapshot()
 	if snap.Recovery["requeued"] != 3 {
 		t.Errorf("recovery metrics = %v, want requeued=3", snap.Recovery)
 	}

@@ -282,9 +282,7 @@ func New(cfg Config) *Server {
 	nodeID := newNodeID()
 	cache := NewCache(cfg.CacheSize)
 	governor := NewGovernor(cfg.MemGlobal, cfg.BrownoutPct)
-	metrics := NewMetrics(nil)
-	metrics.SetSLOTarget(cfg.SLOTargetP99)
-	metrics.governorFn = governor.Stats
+	metrics := NewMetrics(cfg.SLOTargetP99)
 	ring := obs.NewRing(cfg.TraceSpans)
 	tracer := obs.NewTracer(ring, &obs.SlogExporter{Logger: cfg.Logger, Level: slog.LevelDebug})
 	// Every span this node creates carries its identity, so a federated
@@ -344,12 +342,6 @@ func New(cfg Config) *Server {
 		SpanSink: ring,
 		Events:   events,
 	})
-	metrics.queueFn = mgr.QueueDepth
-	metrics.storeFn = st.Stats
-	metrics.sseFn = events.Stats
-	if clu != nil {
-		metrics.clusterFn = clu.Stats
-	}
 	if recs := st.Recovered(); len(recs) > 0 {
 		sum := mgr.Restore(recs)
 		cfg.Logger.Info("restored jobs from journal", "data_dir", cfg.DataDir,
@@ -615,18 +607,6 @@ type jobRequest struct {
 	fastaAlphabet string
 }
 
-// resolveAlphabet maps an alphabet name to a *seq.Alphabet; empty means DNA.
-func resolveAlphabet(name string) (*seq.Alphabet, error) {
-	switch strings.ToLower(name) {
-	case "", "dna":
-		return seq.DNA, nil
-	case "protein":
-		return seq.Protein, nil
-	default:
-		return seq.NewAlphabet("custom", name)
-	}
-}
-
 // sequenceFrom materialises the subject sequence of a request: inline
 // data, or the first record of a FASTA payload.
 func sequenceFrom(inline *seqJSON, fasta, alphabet string) (*seq.Sequence, error) {
@@ -642,7 +622,7 @@ func sequenceFrom(inline *seqJSON, fasta, alphabet string) (*seq.Sequence, error
 		if alphaName == "" {
 			alphaName = alphabet
 		}
-		alpha, err := resolveAlphabet(alphaName)
+		alpha, err := seq.ParseAlphabet(alphaName)
 		if err != nil {
 			return nil, err
 		}
@@ -651,7 +631,7 @@ func sequenceFrom(inline *seqJSON, fasta, alphabet string) (*seq.Sequence, error
 		}
 		return seq.New(alpha, name, inline.Data)
 	case fasta != "":
-		alpha, err := resolveAlphabet(alphabet)
+		alpha, err := seq.ParseAlphabet(alphabet)
 		if err != nil {
 			return nil, err
 		}
@@ -965,16 +945,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// snapshot is the one place the served metrics are assembled: the
+// registry's own sections, then the sections the queue, cache, store, SSE
+// broadcaster, governor and (on coordinators) cluster own.
+func (s *Server) snapshot() MetricsSnapshot {
+	snap := s.metrics.Snapshot()
+	snap.QueueDepth = s.mgr.QueueDepth()
+	snap.Cache = s.cache.Stats()
+	snap.Store = s.st.Stats()
+	snap.SSE = s.events.Stats()
+	gs := s.governor.Stats()
+	snap.Governor = &gs
+	if s.clu != nil {
+		cs := s.clu.Stats()
+		snap.Cluster = &cs
+	}
+	return snap
+}
+
 // handleMetrics implements GET /v1/metrics (JSON).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.metrics.Snapshot(s.cache))
+	writeJSON(w, http.StatusOK, s.snapshot())
 }
 
 // handlePrometheus implements GET /metrics: the same snapshot in
 // Prometheus text exposition format for scrapers.
 func (s *Server) handlePrometheus(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := writePrometheus(w, s.metrics.Snapshot(s.cache)); err != nil {
+	if err := writePrometheus(w, s.snapshot()); err != nil {
 		s.cfg.Logger.Warn("writing /metrics", "err", err)
 	}
 }

@@ -106,9 +106,10 @@ func pollJob(t *testing.T, base, id string) map[string]any {
 
 // TestJobLifecycleHTTP drives the full acceptance path over HTTP: submit,
 // observe running/progress, fetch a result identical to the direct
-// library call, hit the cache on resubmit, and see it all in /v1/metrics.
+// library call, hit the cache on resubmit, derive its top-K from the
+// cache, and see it all in /v1/metrics on a daemon with a journal.
 func TestJobLifecycleHTTP(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	_, ts := newTestServer(t, Config{Workers: 2, DataDir: t.TempDir()})
 	s := genomeSeq(t, 400, 7)
 
 	// Submit.
@@ -171,21 +172,58 @@ func TestJobLifecycleHTTP(t *testing.T) {
 		t.Error("cached result JSON differs from the first run's")
 	}
 
-	// Metrics reflect the hit and the finished job.
-	resp3 := doRequest(t, http.MethodGet, ts.URL+"/v1/metrics")
-	metrics := decode(t, resp3.Body)
+	// Top-K at the cached threshold: derived from the cached mine.
+	topK := jobBody(t, "mppm", s.Data())
+	topK["params"].(map[string]any)["top_k"] = 3
+	resp3 := postJSON(t, ts.URL+"/v1/jobs", topK)
+	derived := decode(t, resp3.Body)
 	resp3.Body.Close()
-	cache, _ := metrics["cache"].(map[string]any)
-	if cache["hits"].(float64) < 1 {
-		t.Errorf("metrics cache.hits = %v, want >= 1", cache["hits"])
+	if resp3.StatusCode != http.StatusOK || derived["cache_hit"] != true {
+		t.Fatalf("top-K resubmit: status %d cache_hit %v, want 200/true", resp3.StatusCode, derived["cache_hit"])
 	}
-	finished, _ := metrics["jobs_finished_total"].(map[string]any)
-	if finished["done"].(float64) < 2 {
-		t.Errorf("metrics jobs_finished_total.done = %v, want >= 2", finished["done"])
+
+	// Metrics reflect the hits and the finished jobs. The e2e harness
+	// decodes this body into MetricsSnapshot and reads the store, cache
+	// and governor fields checked here: a section left out of the
+	// snapshot would decode as zero without an error.
+	resp4 := doRequest(t, http.MethodGet, ts.URL+"/v1/metrics")
+	body, err := io.ReadAll(resp4.Body)
+	resp4.Body.Close()
+	if err != nil {
+		t.Fatal(err)
 	}
-	latency, _ := metrics["mining_latency_seconds"].(map[string]any)
-	if latency["MPPm"] == nil {
-		t.Errorf("metrics lack an MPPm latency histogram: %v", latency)
+	var snap MetricsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Governor == nil {
+		t.Fatal("metrics lack the governor section")
+	}
+	for name, v := range map[string]int64{
+		"store.fsyncs":           snap.Store.Fsyncs,
+		"cache.hits":             snap.Cache.Hits,
+		"cache.subsumption_hits": snap.Cache.SubsumptionHits,
+		"cache.misses":           snap.Cache.Misses,
+		"governor.high_bytes":    snap.Governor.HighBytes,
+	} {
+		if v <= 0 {
+			t.Errorf("metrics %s = %d, want > 0", name, v)
+		}
+	}
+	var raw struct {
+		Store map[string]any `json:"store"`
+	}
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := raw.Store["compactions"]; !ok {
+		t.Errorf("metrics store section lacks compactions: %v", raw.Store)
+	}
+	if snap.JobsFinished["done"] < 3 {
+		t.Errorf("metrics jobs_finished_total.done = %d, want >= 3", snap.JobsFinished["done"])
+	}
+	if _, ok := snap.Latency["MPPm"]; !ok {
+		t.Errorf("metrics lack an MPPm latency histogram: %v", snap.Latency)
 	}
 }
 
@@ -518,10 +556,10 @@ func TestRouteLabels(t *testing.T) {
 		return n
 	}
 	for _, c := range cases {
-		before := s.metrics.Snapshot(nil)
+		before := s.metrics.Snapshot()
 		req := httptest.NewRequest(c.method, c.path, strings.NewReader(""))
 		s.Handler().ServeHTTP(httptest.NewRecorder(), req)
-		after := s.metrics.Snapshot(nil)
+		after := s.metrics.Snapshot()
 		if got := requests(after, c.want) - requests(before, c.want); got != 1 {
 			t.Errorf("%s %s: %d requests counted under %q, want 1 (counted: %v)", c.method, c.path, got, c.want, after.Requests)
 		}

@@ -122,22 +122,19 @@ func (o Options) withDefaults() Options {
 type WAL struct {
 	opts Options
 
-	mu             sync.Mutex
-	f              File  // nil once closed or degraded
-	size           int64 // bytes of valid, synced journal
-	floor          int64 // minCompactBytes, lowered by tests
-	nextCompact    int64 // journal size that triggers compaction
-	degraded       bool
-	degradedReason string
+	mu          sync.Mutex
+	f           File  // nil once closed or degraded
+	floor       int64 // minCompactBytes, lowered by tests
+	nextCompact int64 // journal size that triggers compaction
+	// stats is what Stats returns; JournalBytes is the valid, synced
+	// journal's size.
+	stats Stats
 
 	jobs     map[string]*JobRecord // folded journal state
 	order    []string              // submit order of jobs keys
 	terminal int                   // terminal records in jobs
 
 	recovered []JobRecord // snapshot taken at Open, before any appends
-
-	appends, fsyncs, writeErrors, writeRetries, compactions int64
-	replayed, truncatedBytes                                int64
 }
 
 // Open replays (and, if needed, repairs) the journal in dir and returns a
@@ -170,25 +167,25 @@ func open(opts Options, floor int64) (*WAL, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: opening journal: %w", err)
 	}
-	w := &WAL{opts: opts, f: f, floor: floor, jobs: make(map[string]*JobRecord)}
+	w := &WAL{opts: opts, f: f, floor: floor, stats: Stats{Backend: "wal"}, jobs: make(map[string]*JobRecord)}
 	if err := w.replay(); err != nil {
 		f.Close()
 		return nil, err
 	}
-	if w.truncatedBytes > 0 {
+	if w.stats.TruncatedBytes > 0 {
 		opts.Logger.Warn("journal tail truncated at last valid record",
-			"dir", opts.Dir, "dropped_bytes", w.truncatedBytes, "records", w.replayed)
+			"dir", opts.Dir, "dropped_bytes", w.stats.TruncatedBytes, "records", w.stats.ReplayedRecords)
 	}
 	w.recovered = w.snapshotLocked()
 	// The replayed journal may hold the appends of many runs since its
 	// last compaction, so the next one is scheduled from what a compaction
 	// would write now, not from the journal's size.
-	base := w.size
+	base := w.stats.JournalBytes
 	if n, err := compactedSize(w.recovered); err == nil {
 		base = n
 	}
 	w.scheduleCompactLocked(base)
-	if w.size >= w.nextCompact {
+	if w.stats.JournalBytes >= w.nextCompact {
 		w.compactLocked()
 	}
 	return w, nil
@@ -215,14 +212,14 @@ func (w *WAL) replay() error {
 		}
 		w.foldLocked(ev)
 		good += frame.HeaderSize + int64(len(payload))
-		w.replayed++
+		w.stats.ReplayedRecords++
 	}
 	end, err := w.f.Seek(0, io.SeekEnd)
 	if err != nil {
 		return fmt.Errorf("store: sizing journal: %w", err)
 	}
 	if end > good {
-		w.truncatedBytes = end - good
+		w.stats.TruncatedBytes = end - good
 		if err := w.f.Truncate(good); err != nil {
 			return fmt.Errorf("store: truncating corrupt journal tail: %w", err)
 		}
@@ -230,7 +227,7 @@ func (w *WAL) replay() error {
 	if _, err := w.f.Seek(good, io.SeekStart); err != nil {
 		return fmt.Errorf("store: seeking journal end: %w", err)
 	}
-	w.size = good
+	w.stats.JournalBytes = good
 	return nil
 }
 
@@ -424,7 +421,7 @@ func (w *WAL) appendLocked(ev event) {
 		if err == nil {
 			break
 		}
-		w.writeErrors++
+		w.stats.WriteErrors++
 		// Rewind any partial write so a retry cannot interleave torn bytes
 		// with a fresh frame; if even that fails the journal is unusable.
 		if terr := w.rewindLocked(); terr != nil {
@@ -435,12 +432,12 @@ func (w *WAL) appendLocked(ev event) {
 			w.degradeLocked(fmt.Errorf("append failed after %d retries: %w", writeRetries, err))
 			return
 		}
-		w.writeRetries++
+		w.stats.WriteRetries++
 		time.Sleep(retry.Backoff(writeBackoff, time.Second, attempt))
 	}
-	w.size += int64(len(buf))
-	w.appends++
-	if w.size >= w.nextCompact {
+	w.stats.JournalBytes += int64(len(buf))
+	w.stats.Appends++
+	if w.stats.JournalBytes >= w.nextCompact {
 		w.compactLocked()
 	}
 }
@@ -467,17 +464,17 @@ func (w *WAL) writeFrameLocked(b []byte) error {
 	if err := w.f.Sync(); err != nil {
 		return err
 	}
-	w.fsyncs++
+	w.stats.Fsyncs++
 	return nil
 }
 
 // rewindLocked discards any partially written bytes past the last synced
 // frame.
 func (w *WAL) rewindLocked() error {
-	if err := w.f.Truncate(w.size); err != nil {
+	if err := w.f.Truncate(w.stats.JournalBytes); err != nil {
 		return err
 	}
-	_, err := w.f.Seek(w.size, io.SeekStart)
+	_, err := w.f.Seek(w.stats.JournalBytes, io.SeekStart)
 	return err
 }
 
@@ -485,11 +482,11 @@ func (w *WAL) rewindLocked() error {
 // is dropped and every later append is a cheap no-op. The condition is
 // surfaced via Stats (and from there /healthz, /v1/metrics) and the log.
 func (w *WAL) degradeLocked(cause error) {
-	if w.degraded {
+	if w.stats.Degraded {
 		return
 	}
-	w.degraded = true
-	w.degradedReason = cause.Error()
+	w.stats.Degraded = true
+	w.stats.DegradedReason = cause.Error()
 	if w.f != nil {
 		w.f.Close()
 		w.f = nil
@@ -593,8 +590,8 @@ func (w *WAL) compactLocked() {
 		return w.opts.FS.Rename(tmpPath, journalPath)
 	}()
 	if err != nil {
-		w.writeErrors++
-		w.scheduleCompactLocked(w.size)
+		w.stats.WriteErrors++
+		w.scheduleCompactLocked(w.stats.JournalBytes)
 		w.opts.Logger.Warn("journal compaction failed; continuing on the uncompacted journal",
 			"dir", w.opts.Dir, "err", err)
 		_ = w.opts.FS.Remove(tmpPath)
@@ -616,11 +613,11 @@ func (w *WAL) compactLocked() {
 		return
 	}
 	w.f = f
-	w.size = size
-	w.scheduleCompactLocked(w.size)
-	w.compactions++
+	w.stats.JournalBytes = size
+	w.scheduleCompactLocked(w.stats.JournalBytes)
+	w.stats.Compactions++
 	w.opts.Logger.Info("journal compacted", "dir", w.opts.Dir,
-		"bytes", w.size, "jobs", len(w.jobs))
+		"bytes", w.stats.JournalBytes, "jobs", len(w.jobs))
 }
 
 // pruneLocked drops the oldest terminal records beyond RetainTerminal.
@@ -651,19 +648,7 @@ func (w *WAL) pruneLocked() {
 func (w *WAL) Stats() Stats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Stats{
-		Backend:         "wal",
-		Degraded:        w.degraded,
-		DegradedReason:  w.degradedReason,
-		JournalBytes:    w.size,
-		Appends:         w.appends,
-		Fsyncs:          w.fsyncs,
-		WriteErrors:     w.writeErrors,
-		WriteRetries:    w.writeRetries,
-		Compactions:     w.compactions,
-		ReplayedRecords: w.replayed,
-		TruncatedBytes:  w.truncatedBytes,
-	}
+	return w.stats
 }
 
 // Close implements Store. Appends after Close are silent no-ops (the
