@@ -38,8 +38,9 @@ bench-baseline:
 	sh scripts/bench.sh
 
 # Compare benchmarks/latest.txt against the promoted baseline: ns/op
-# (BENCH_MAX_REGRESSION_PCT, default 5), B/op and allocs/op (bounds from
-# the baseline's spread; see the script); skips when no latest run exists.
+# (BENCH_MAX_REGRESSION_PCT, default 5), B/op, allocs/op and pil-MB/op
+# (bounds from the baseline's spread; see the script); skips when no
+# latest run exists.
 bench-check:
 	sh scripts/bench-check.sh
 

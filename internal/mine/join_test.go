@@ -18,7 +18,7 @@ func TestJoinChoice(t *testing.T) {
 	spread := func(n, span int) pil.List {
 		l := make(pil.List, n)
 		for i := range l {
-			l[i] = pil.Entry{X: int32(i * (span - 1) / max(n-1, 1)), Y: 1}
+			l[i] = pil.NewEntry(int32(i*(span-1)/max(n-1, 1)), 1)
 		}
 		return l
 	}

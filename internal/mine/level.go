@@ -142,7 +142,7 @@ func (sc *scratch) fit() {
 
 // poison fills every buffer of sc, up to its capacity, with junk.
 func (sc *scratch) poison() {
-	junk := pil.List{{X: math.MaxInt32, Y: -1}}
+	junk := pil.List{pil.NewEntry(math.MaxInt32, -1)}
 	for i := range sc.hatBuf {
 		pool.Fill(sc.hatBuf[i], hatEntry{pre: -1, suf: -1, list: junk, sup: -1})
 		pool.Fill(sc.chars[i], 0xff)

@@ -562,6 +562,50 @@ func TestEnumerateOverflowGuard(t *testing.T) {
 	}
 }
 
+// TestCountsPast32Bits mines lists whose counts need more than 32 bits,
+// so a join that lost a count's high word would show. In 200 A's under
+// gap [9,24] (W = 16) every offset sequence matches A^l, so sup(A^l) is
+// exactly Nl, which internal/combinat computes without sharing code with
+// the joins. At ρs = 0.5 MPP reports A^3 to A^20; A^14 peaks at
+// 1,472,733,568,618,680, summed over at most L entries, so one of them
+// holds more than sup/L > 2^32. Every join strategy must reproduce each
+// Nl on one worker and on two.
+func TestCountsPast32Bits(t *testing.T) {
+	const length = 200
+	s, err := seq.NewDNA("polyA", strings.Repeat("A", length))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := combinat.Gap{N: 9, M: 24}
+	counter, err := combinat.NewCounter(length, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, join := range []core.JoinStrategy{core.JoinAuto, core.JoinTwoPointer, core.JoinCum} {
+		for _, workers := range []int{1, 2} {
+			label := fmt.Sprintf("%v/workers=%d", join, workers)
+			res, err := mine.MPP(s, core.Params{Gap: g, MinSupport: 0.5, Join: join, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(res.Patterns) != 18 {
+				t.Errorf("%s: %d patterns, want A^3 to A^20", label, len(res.Patterns))
+			}
+			var peak int64
+			for l := 3; l <= 20; l++ {
+				p, ok := res.Pattern(strings.Repeat("A", l))
+				if want := counter.Nl(l); !ok || !want.IsInt64() || p.Support != want.Int64() {
+					t.Errorf("%s: sup(A^%d) = %d (reported %v), want N%d = %v", label, l, p.Support, ok, l, want)
+				}
+				peak = max(peak, p.Support)
+			}
+			if peak != 1_472_733_568_618_680 || peak/length <= 1<<32 {
+				t.Errorf("%s: largest support %d; the fixture no longer holds counts past 2^32", label, peak)
+			}
+		}
+	}
+}
+
 // TestRunDeterminism: repeated runs on the same input are bit-identical
 // (patterns, supports, level counts).
 func TestRunDeterminism(t *testing.T) {

@@ -42,8 +42,8 @@ type Arena struct {
 // run's charges do not depend on what earlier runs left pooled.
 func (a *Arena) SetTracker(t *MemTracker) { a.mem = t }
 
-// arenaSlabEntries is the default slab size (entries). At 16 bytes per
-// Entry a slab is 512 KiB: big enough that realistic levels reuse a
+// arenaSlabEntries is the default slab size (entries). At 12 bytes per
+// Entry a slab is 384 KiB: big enough that realistic levels reuse a
 // handful of slabs, small enough that a worker's arena pair stays cheap.
 // Only slabs of this size are pooled; a larger one, made for a single
 // oversized reservation, is left to the collector.
@@ -51,7 +51,7 @@ const arenaSlabEntries = 32 << 10
 
 // slabPool holds default-size slabs released by finished runs.
 var slabPool = pool.New(func(s *[arenaSlabEntries]Entry) {
-	pool.Fill(s[:], Entry{X: math.MaxInt32, Y: -1})
+	pool.Fill(s[:], NewEntry(math.MaxInt32, -1))
 })
 
 // Reserve returns a List with length 0 and capacity at least n, carved

@@ -20,7 +20,7 @@ func TestArenaReserveCommit(t *testing.T) {
 				t.Fatalf("Reserve(10): len=%d cap=%d", len(l), cap(l))
 			}
 			for j := 0; j < 5; j++ {
-				l = append(l, pil.Entry{X: int32(100*i + j), Y: int64(i + 1)})
+				l = append(l, pil.NewEntry(int32(100*i+j), int64(i+1)))
 			}
 			a.Commit(len(l))
 			lists = append(lists, l)
@@ -29,7 +29,7 @@ func TestArenaReserveCommit(t *testing.T) {
 		// i.e. no Reserve handed out overlapping memory.
 		for i, l := range lists {
 			for j, e := range l {
-				if e.X != int32(100*i+j) || e.Y != int64(i+1) {
+				if e.X != int32(100*i+j) || e.Y() != int64(i+1) {
 					t.Fatalf("round %d: list %d entry %d corrupted: %+v", round, i, j, e)
 				}
 			}
@@ -58,12 +58,12 @@ func TestArenaLargeReserve(t *testing.T) {
 	if cap(big) < 100_000 {
 		t.Fatalf("cap(big) = %d", cap(big))
 	}
-	big = append(big, pil.Entry{X: 1, Y: 1})
+	big = append(big, pil.NewEntry(1, 1))
 	a.Commit(len(big))
 	small := a.Reserve(4)
-	small = append(small, pil.Entry{X: 2, Y: 2})
+	small = append(small, pil.NewEntry(2, 2))
 	a.Commit(len(small))
-	if big[0].Y != 1 || small[0].Y != 2 {
+	if big[0].Y() != 1 || small[0].Y() != 2 {
 		t.Fatalf("lists overlap: big[0]=%+v small[0]=%+v", big[0], small[0])
 	}
 }
@@ -75,8 +75,8 @@ func TestJoinIntoArenaZeroAlloc(t *testing.T) {
 	prefix := make(pil.List, 0, 512)
 	suffix := make(pil.List, 0, 512)
 	for i := 0; i < 512; i++ {
-		prefix = append(prefix, pil.Entry{X: int32(2 * i), Y: 3})
-		suffix = append(suffix, pil.Entry{X: int32(2*i + 1), Y: 2})
+		prefix = append(prefix, pil.NewEntry(int32(2*i), 3))
+		suffix = append(suffix, pil.NewEntry(int32(2*i+1), 2))
 	}
 	var a pil.Arena
 	pil.JoinInto(&a, prefix, suffix, 0, 0, g) // warm the slabs
@@ -97,8 +97,8 @@ func TestJoinIntoArenaZeroAlloc(t *testing.T) {
 // TestJoinIntoSupportMatches: the support returned by JoinInto equals the
 // emitted list's sum for assorted windows.
 func TestJoinIntoSupportMatches(t *testing.T) {
-	prefix := pil.List{{X: 0, Y: 2}, {X: 3, Y: 1}, {X: 7, Y: 5}}
-	suffix := pil.List{{X: 1, Y: 1}, {X: 4, Y: 3}, {X: 8, Y: 2}, {X: 12, Y: 4}}
+	prefix := pil.List{pil.NewEntry(0, 2), pil.NewEntry(3, 1), pil.NewEntry(7, 5)}
+	suffix := pil.List{pil.NewEntry(1, 1), pil.NewEntry(4, 3), pil.NewEntry(8, 2), pil.NewEntry(12, 4)}
 	for _, g := range []combinat.Gap{{N: 0, M: 0}, {N: 0, M: 3}, {N: 2, M: 6}, {N: 5, M: 20}} {
 		list, sup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)
 		if err := list.Validate(); err != nil {
@@ -117,8 +117,8 @@ func TestJoinIntoSupportMatches(t *testing.T) {
 // both layouts of JoinCum keeps the window valid.
 func TestJoinTailOverflow(t *testing.T) {
 	const lastX = math.MaxInt32 - 1 // X = L-1 of a maximal sequence
-	prefix := pil.List{{X: lastX, Y: 1}}
-	suffix := pil.List{{X: lastX + 1, Y: 7}}
+	prefix := pil.List{pil.NewEntry(lastX, 1)}
+	suffix := pil.List{pil.NewEntry(lastX+1, 7)}
 	var dense, compact pil.CumTable
 	dense.Build(suffix)
 	compact.BuildCompact(suffix)
@@ -140,7 +140,7 @@ func TestJoinTailOverflow(t *testing.T) {
 	gTight := combinat.Gap{N: 2, M: math.MaxInt32}
 	for _, k := range kernels {
 		list, sup, _ := k.join(g, 0)
-		if sup != 7 || len(list) != 1 || list[0] != (pil.Entry{X: lastX, Y: 7}) {
+		if sup != 7 || len(list) != 1 || list[0] != pil.NewEntry(lastX, 7) {
 			t.Fatalf("%s near tail with huge M = %v (sup %d), want [{%d 7}]", k.name, list, sup, lastX)
 		}
 		// The same shape with the suffix just outside the window must
@@ -162,8 +162,8 @@ func TestJoinTailOverflow(t *testing.T) {
 // [0,1], so W = 2 and prefix entry x reads suffix X in [x+1, x+2].
 func TestJoinStopsAtBound(t *testing.T) {
 	g := combinat.Gap{N: 0, M: 1}
-	prefix := pil.List{{X: 0, Y: 1}, {X: 10, Y: 1}, {X: 20, Y: 1}, {X: 30, Y: 1}}
-	suffix := pil.List{{X: 1, Y: 3}, {X: 12, Y: 1}, {X: 21, Y: 1}, {X: 31, Y: 1}}
+	prefix := pil.List{pil.NewEntry(0, 1), pil.NewEntry(10, 1), pil.NewEntry(20, 1), pil.NewEntry(30, 1)}
+	suffix := pil.List{pil.NewEntry(1, 3), pil.NewEntry(12, 1), pil.NewEntry(21, 1), pil.NewEntry(31, 1)}
 	sufSup := suffix.Support() // 6; the full join is 3+1+1+1 = 6
 	var dense, compact pil.CumTable
 	dense.Build(suffix)

@@ -117,7 +117,7 @@ func (t *CumTable) Build(s List) {
 	cum := grow(t.cum, t.last-t.base+1, &t.held[0], 8, t.mem)
 	clear(cum)
 	for _, e := range s {
-		cum[int(e.X)-t.base] = e.Y
+		cum[int(e.X)-t.base] = e.Y()
 	}
 	var acc int64
 	for i := range cum {
@@ -147,7 +147,7 @@ func (t *CumTable) BuildCompact(s List) {
 	ps := grow(t.ps, len(s)+1, &t.held[2], 8, t.mem)
 	ps[0] = 0
 	for i, e := range s {
-		ps[i+1] = ps[i] + e.Y
+		ps[i+1] = ps[i] + e.Y()
 	}
 	t.words, t.ps = words, ps
 }
@@ -202,7 +202,7 @@ func JoinCum(a *Arena, prefix List, t *CumTable, cut int64, g combinat.Gap) (Lis
 				return nil, sup, k
 			}
 			if y > 0 {
-				out = append(out, Entry{X: prefix[k].X, Y: y})
+				out = append(out, NewEntry(prefix[k].X, y))
 				sup += y
 				limit = (cut - sup - 1) / width
 			}
@@ -226,7 +226,7 @@ func JoinCum(a *Arena, prefix List, t *CumTable, cut int64, g combinat.Gap) (Lis
 			window -= cum[lo]
 		}
 		if window > 0 {
-			out = append(out, Entry{X: e.X, Y: window})
+			out = append(out, NewEntry(e.X, window))
 			sup += window
 		}
 	}
@@ -274,7 +274,7 @@ func joinCompact(a *Arena, prefix List, t *CumTable, cut int64, g combinat.Gap) 
 			}
 			if hi > lo {
 				y := ps[hi] - ps[lo]
-				out = append(out, Entry{X: prefix[k].X, Y: y})
+				out = append(out, NewEntry(prefix[k].X, y))
 				sup += y
 				limit = (cut - sup - 1) / width
 			}
@@ -297,7 +297,7 @@ func joinCompact(a *Arena, prefix List, t *CumTable, cut int64, g combinat.Gap) 
 		}
 		if hi > lo {
 			y := ps[hi] - ps[lo]
-			out = append(out, Entry{X: e.X, Y: y})
+			out = append(out, NewEntry(e.X, y))
 			sup += y
 		}
 	}

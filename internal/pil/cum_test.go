@@ -20,7 +20,7 @@ func randList(rng *uint64, n, maxStride, maxY int) pil.List {
 	x := int32(0)
 	for i := 0; i < n; i++ {
 		x += 1 + int32(next()%uint64(maxStride))
-		out = append(out, pil.Entry{X: x, Y: 1 + int64(next()%uint64(maxY))})
+		out = append(out, pil.NewEntry(x, 1+int64(next()%uint64(maxY))))
 	}
 	return out
 }
@@ -87,21 +87,21 @@ func TestJoinCompactRankEdges(t *testing.T) {
 	var tab pil.CumTable
 	var prefixAll pil.List
 	for x := int32(0); x < 300; x++ {
-		prefixAll = append(prefixAll, pil.Entry{X: x, Y: 1 + int64(x%3)})
+		prefixAll = append(prefixAll, pil.NewEntry(x, 1+int64(x%3)))
 	}
 	cases := []struct {
 		name   string
 		suffix pil.List
 		g      combinat.Gap
 	}{
-		{"bit 63 and bit 0", pil.List{{X: 100, Y: 2}, {X: 163, Y: 3}, {X: 164, Y: 5}, {X: 227, Y: 7}, {X: 228, Y: 1}}, combinat.Gap{N: 0, M: 0}},
-		{"bit 63, wide window", pil.List{{X: 100, Y: 2}, {X: 163, Y: 3}, {X: 164, Y: 5}, {X: 227, Y: 7}, {X: 228, Y: 1}}, combinat.Gap{N: 2, M: 70}},
-		{"span a multiple of 64", pil.List{{X: 64, Y: 4}, {X: 100, Y: 1}, {X: 127, Y: 6}, {X: 191, Y: 2}}, combinat.Gap{N: 0, M: 1}},
-		{"span of exactly 64", pil.List{{X: 10, Y: 4}, {X: 73, Y: 6}}, combinat.Gap{N: 1, M: 3}},
-		{"one entry", pil.List{{X: 150, Y: 9}}, combinat.Gap{N: 3, M: 5}},
-		{"one entry at 0", pil.List{{X: 0, Y: 9}}, combinat.Gap{N: 0, M: 2}},
-		{"windows before and after", pil.List{{X: 280, Y: 1}, {X: 290, Y: 2}}, combinat.Gap{N: 0, M: 4}},
-		{"windows past the list", pil.List{{X: 5, Y: 3}, {X: 6, Y: 1}}, combinat.Gap{N: 20, M: 40}},
+		{"bit 63 and bit 0", pil.List{pil.NewEntry(100, 2), pil.NewEntry(163, 3), pil.NewEntry(164, 5), pil.NewEntry(227, 7), pil.NewEntry(228, 1)}, combinat.Gap{N: 0, M: 0}},
+		{"bit 63, wide window", pil.List{pil.NewEntry(100, 2), pil.NewEntry(163, 3), pil.NewEntry(164, 5), pil.NewEntry(227, 7), pil.NewEntry(228, 1)}, combinat.Gap{N: 2, M: 70}},
+		{"span a multiple of 64", pil.List{pil.NewEntry(64, 4), pil.NewEntry(100, 1), pil.NewEntry(127, 6), pil.NewEntry(191, 2)}, combinat.Gap{N: 0, M: 1}},
+		{"span of exactly 64", pil.List{pil.NewEntry(10, 4), pil.NewEntry(73, 6)}, combinat.Gap{N: 1, M: 3}},
+		{"one entry", pil.List{pil.NewEntry(150, 9)}, combinat.Gap{N: 3, M: 5}},
+		{"one entry at 0", pil.List{pil.NewEntry(0, 9)}, combinat.Gap{N: 0, M: 2}},
+		{"windows before and after", pil.List{pil.NewEntry(280, 1), pil.NewEntry(290, 2)}, combinat.Gap{N: 0, M: 4}},
+		{"windows past the list", pil.List{pil.NewEntry(5, 3), pil.NewEntry(6, 1)}, combinat.Gap{N: 20, M: 40}},
 	}
 	for _, tc := range cases {
 		for _, prefix := range []pil.List{prefixAll, prefixAll[140:160], prefixAll[:1], prefixAll[299:]} {
@@ -133,10 +133,10 @@ func TestJoinCompactRankEdges(t *testing.T) {
 // TestJoinCumWindowPastList exercises the early-exit edges: windows that
 // end before the suffix list starts and windows that begin past its end.
 func TestJoinCumWindowPastList(t *testing.T) {
-	suffix := pil.List{{X: 100, Y: 2}, {X: 101, Y: 3}}
+	suffix := pil.List{pil.NewEntry(100, 2), pil.NewEntry(101, 3)}
 	var tab pil.CumTable
 	tab.Build(suffix)
-	prefix := pil.List{{X: 0, Y: 1}, {X: 99, Y: 1}, {X: 100, Y: 1}, {X: 500, Y: 1}}
+	prefix := pil.List{pil.NewEntry(0, 1), pil.NewEntry(99, 1), pil.NewEntry(100, 1), pil.NewEntry(500, 1)}
 	g := combinat.Gap{N: 0, M: 1}
 	got, sup, _ := pil.JoinCum(nil, prefix, &tab, 0, g)
 	want, wantSup, _ := pil.JoinInto(nil, prefix, suffix, 0, 0, g)

@@ -12,7 +12,9 @@ import (
 // decodeLists turns fuzzer bytes into two valid PILs plus a gap: 1-byte
 // split, 2 gap bytes, then (xDelta, y) byte pairs. Deltas keep X strictly
 // increasing and Y positive, so every decoded input satisfies the List
-// invariants and the fuzz targets check Join preserves them.
+// invariants and the fuzz targets check Join preserves them. A y byte's
+// top bit shifts its count of 1–5 left by 32, so counts use both halves
+// of an Entry's count while sums stay far below 2^63.
 func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 	if len(data) < 3 {
 		return nil, nil, combinat.Gap{}
@@ -26,7 +28,11 @@ func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 		x := int32(-1)
 		for i := 0; i+1 < len(raw); i += 2 {
 			x += 1 + int32(raw[i]%8)
-			out = append(out, pil.Entry{X: x, Y: 1 + int64(raw[i+1]%5)})
+			y := 1 + int64(raw[i+1]%5)
+			if raw[i+1]&0x80 != 0 {
+				y <<= 32
+			}
+			out = append(out, pil.NewEntry(x, y))
 		}
 		return out
 	}
@@ -35,6 +41,9 @@ func decodeLists(data []byte) (a, b pil.List, g combinat.Gap) {
 	}
 	return build(rows[:split]), build(rows[split:]), g
 }
+
+// highCounts is a seed input whose lists mix counts below and above 2^32.
+var highCounts = []byte{6, 1, 4, 0, 0x84, 1, 2, 2, 0x80, 0, 0x83, 1, 1, 3, 0x82, 1, 4}
 
 // cutFrom picks a join's support cut from one fuzz byte: 0, 1, the
 // join's full support, one above it, or a fraction of it.
@@ -78,6 +87,7 @@ func FuzzJoin(f *testing.F) {
 	f.Add([]byte{0, 15, 15})
 	f.Add([]byte{255, 1, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9})
 	f.Add([]byte{13, 2, 1, 0, 4, 1, 4, 0, 4, 7, 1, 0, 2, 1, 3, 6, 4, 0, 1})
+	f.Add(highCounts)
 	defer pool.SetMode(pool.SetMode(pool.Poison))
 	var arena pil.Arena
 	var tab pil.CumTable
@@ -96,15 +106,15 @@ func FuzzJoin(f *testing.F) {
 		}
 		prefixX := map[int32]int64{}
 		for _, e := range prefix {
-			prefixX[e.X] = e.Y
+			prefixX[e.X] = e.Y()
 		}
 		sufTotal := suffix.Support()
 		for _, e := range got {
 			if _, ok := prefixX[e.X]; !ok {
 				t.Fatalf("emitted X %d not in prefix", e.X)
 			}
-			if e.Y > sufTotal {
-				t.Fatalf("x=%d count %d exceeds suffix total %d", e.X, e.Y, sufTotal)
+			if e.Y() > sufTotal {
+				t.Fatalf("x=%d count %d exceeds suffix total %d", e.X, e.Y(), sufTotal)
 			}
 		}
 		arena.Reset()
@@ -231,6 +241,7 @@ func FuzzJoinOracle(f *testing.F) {
 	seed := make([]byte, 19)
 	binary.LittleEndian.PutUint64(seed, 0x0102030405060708)
 	f.Add(seed)
+	f.Add(highCounts)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prefix, suffix, g := decodeLists(data)
 		got := pil.Join(prefix, suffix, g)
@@ -239,7 +250,7 @@ func FuzzJoinOracle(f *testing.F) {
 			for _, s := range suffix {
 				gap := int(s.X) - int(p.X) - 1
 				if gap >= g.N && gap <= g.M {
-					want[p.X] += s.Y
+					want[p.X] += s.Y()
 				}
 			}
 		}
@@ -247,8 +258,8 @@ func FuzzJoinOracle(f *testing.F) {
 			t.Fatalf("join has %d entries, reference %d", len(got), len(want))
 		}
 		for _, e := range got {
-			if want[e.X] != e.Y {
-				t.Fatalf("x=%d: y=%d, reference %d", e.X, e.Y, want[e.X])
+			if want[e.X] != e.Y() {
+				t.Fatalf("x=%d: y=%d, reference %d", e.X, e.Y(), want[e.X])
 			}
 		}
 	})

@@ -50,7 +50,7 @@ func TestMemTrackerArenaCharges(t *testing.T) {
 // compact layout is 16 bytes per 64 span positions plus 8 per entry and
 // one more for the prefix sums' leading zero.
 func TestMemTrackerTables(t *testing.T) {
-	list := pil.List{{X: 0, Y: 1}, {X: 999, Y: 3}}
+	list := pil.List{pil.NewEntry(0, 1), pil.NewEntry(999, 3)}
 
 	tr := pil.NewMemTracker(nil)
 	var ct pil.CumTable
@@ -71,13 +71,13 @@ func TestMemTrackerTables(t *testing.T) {
 		t.Fatalf("compact build charge: Used = %d, want %d", tr.Used(), want)
 	}
 	ct.BuildCompact(list)
-	ct.BuildCompact(pil.List{{X: 5, Y: 2}})
+	ct.BuildCompact(pil.List{pil.NewEntry(5, 2)})
 	ct.Build(list)
 	if want := dense + compact; tr.Used() != want {
 		t.Fatalf("rebuilds within capacity recharged: Used = %d, want %d", tr.Used(), want)
 	}
 	// Growth charges only the increment: 1025 positions are 17 words.
-	ct.BuildCompact(pil.List{{X: 0, Y: 1}, {X: 500, Y: 1}, {X: 1024, Y: 1}})
+	ct.BuildCompact(pil.List{pil.NewEntry(0, 1), pil.NewEntry(500, 1), pil.NewEntry(1024, 1)})
 	if want := dense + compact + 16 + 8; tr.Used() != want {
 		t.Fatalf("compact growth charge: Used = %d, want %d", tr.Used(), want)
 	}

@@ -11,7 +11,9 @@
 //     single merge pass, so supports of candidate patterns never require
 //     re-scanning the sequence.
 //
-// Positions x are 0-based (the paper is 1-based).
+// Positions x are 0-based (the paper is 1-based). A pair is a 12-byte
+// Entry, and a mine's lists, in arena slabs, hold almost all of its
+// memory.
 package pil
 
 import (
@@ -22,10 +24,25 @@ import (
 )
 
 // Entry is one (x, y) pair of a PIL: y offset sequences begin at position x.
+// The count is stored as two 32-bit halves, so an entry is 12 bytes: an
+// int64 field would align the struct to 8 bytes and pad it to 16, a
+// quarter of every arena slab. NewEntry writes the halves and Y reads
+// them back, which the compiler does with one 64-bit load.
 type Entry struct {
-	X int32
-	Y int64
+	X        int32
+	yLo, yHi uint32
 }
+
+// NewEntry returns the entry (x, y).
+func NewEntry(x int32, y int64) Entry {
+	return Entry{X: x, yLo: uint32(y), yHi: uint32(uint64(y) >> 32)}
+}
+
+// Y returns the entry's count y.
+func (e Entry) Y() int64 { return int64(uint64(e.yLo) | uint64(e.yHi)<<32) }
+
+// String formats the entry as (x, y).
+func (e Entry) String() string { return fmt.Sprintf("(%d, %d)", e.X, e.Y()) }
 
 // List is a PIL: entries sorted by strictly increasing X with Y > 0.
 type List []Entry
@@ -34,7 +51,7 @@ type List []Entry
 func (p List) Support() int64 {
 	var s int64
 	for _, e := range p {
-		s += e.Y
+		s += e.Y()
 	}
 	return s
 }
@@ -43,8 +60,8 @@ func (p List) Support() int64 {
 // It is used by tests and the fuzzing harness.
 func (p List) Validate() error {
 	for i, e := range p {
-		if e.Y <= 0 {
-			return fmt.Errorf("pil: entry %d has non-positive count %d", i, e.Y)
+		if e.Y() <= 0 {
+			return fmt.Errorf("pil: entry %d has non-positive count %d", i, e.Y())
 		}
 		if i > 0 && p[i-1].X >= e.X {
 			return fmt.Errorf("pil: entries %d,%d out of order (%d >= %d)", i-1, i, p[i-1].X, e.X)
@@ -116,18 +133,18 @@ func JoinInto(a *Arena, prefix, suffix List, sufSup, cut int64, g combinat.Gap) 
 			e := prefix[k]
 			minX, maxX := int(e.X)+g.N+1, int(e.X)+g.M+1
 			for hi < len(suffix) && int(suffix[hi].X) <= maxX {
-				in += suffix[hi].Y
+				in += suffix[hi].Y()
 				hi++
 			}
 			for lo < hi && int(suffix[lo].X) < minX {
-				passed += suffix[lo].Y
+				passed += suffix[lo].Y()
 				lo++
 			}
 			if sufSup-passed <= limit {
 				return nil, sup, k
 			}
 			if y := in - passed; y > 0 {
-				out = append(out, Entry{X: e.X, Y: y})
+				out = append(out, NewEntry(e.X, y))
 				sup += y
 				limit = (cut - sup - 1) / width
 			}
@@ -137,15 +154,15 @@ func JoinInto(a *Arena, prefix, suffix List, sufSup, cut int64, g combinat.Gap) 
 	for _, e := range prefix[k:] {
 		minX, maxX := int(e.X)+g.N+1, int(e.X)+g.M+1
 		for hi < len(suffix) && int(suffix[hi].X) <= maxX {
-			window += suffix[hi].Y
+			window += suffix[hi].Y()
 			hi++
 		}
 		for lo < hi && int(suffix[lo].X) < minX {
-			window -= suffix[lo].Y
+			window -= suffix[lo].Y()
 			lo++
 		}
 		if window > 0 {
-			out = append(out, Entry{X: e.X, Y: window})
+			out = append(out, NewEntry(e.X, window))
 			sup += window
 		}
 	}
@@ -180,7 +197,7 @@ func FromPairs(pairs map[int32]int64) List {
 	out := make(List, 0, len(pairs))
 	for x, y := range pairs {
 		if y > 0 {
-			out = append(out, Entry{X: x, Y: y})
+			out = append(out, NewEntry(x, y))
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].X < out[j].X })

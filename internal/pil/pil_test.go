@@ -1,6 +1,8 @@
 package pil_test
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -55,7 +57,7 @@ func TestPaperPILExample(t *testing.T) {
 	}
 	asMap := map[int32]int64{}
 	for _, e := range joined {
-		asMap[e.X] = e.Y
+		asMap[e.X] = e.Y()
 	}
 	for x, y := range want {
 		if asMap[x] != y {
@@ -125,18 +127,38 @@ func TestSupportEmptyAndMissing(t *testing.T) {
 }
 
 func TestListValidate(t *testing.T) {
-	good := pil.List{{X: 0, Y: 2}, {X: 3, Y: 1}}
+	good := pil.List{pil.NewEntry(0, 2), pil.NewEntry(3, 1)}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid list rejected: %v", err)
 	}
-	if err := (pil.List{{X: 0, Y: 0}}).Validate(); err == nil {
+	if err := (pil.List{pil.NewEntry(0, 0)}).Validate(); err == nil {
 		t.Error("zero count accepted")
 	}
-	if err := (pil.List{{X: 5, Y: 1}, {X: 5, Y: 1}}).Validate(); err == nil {
+	if err := (pil.List{pil.NewEntry(5, 1), pil.NewEntry(5, 1)}).Validate(); err == nil {
 		t.Error("duplicate X accepted")
 	}
-	if err := (pil.List{{X: 5, Y: 1}, {X: 2, Y: 1}}).Validate(); err == nil {
+	if err := (pil.List{pil.NewEntry(5, 1), pil.NewEntry(2, 1)}).Validate(); err == nil {
 		t.Error("unsorted list accepted")
+	}
+}
+
+// TestEntryCount checks that an entry reads back the count it was made
+// with on both sides of each 32-bit half, including the junk count pools
+// fill slabs with, and that an entry stays 12 bytes: a field that brought
+// the int64 alignment back would pad it to 16 and cost every arena slab a
+// quarter.
+func TestEntryCount(t *testing.T) {
+	if pil.EntryBytes != 12 {
+		t.Errorf("EntryBytes = %d, want 12", pil.EntryBytes)
+	}
+	for _, y := range []int64{1, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1 << 62, math.MaxInt64, -1} {
+		e := pil.NewEntry(math.MaxInt32, y)
+		if e.X != math.MaxInt32 || e.Y() != y {
+			t.Errorf("NewEntry(%d, %d) reads back (%d, %d)", int32(math.MaxInt32), y, e.X, e.Y())
+		}
+	}
+	if got := fmt.Sprint(pil.List{pil.NewEntry(3, 1<<32+1)}); got != "[(3, 4294967297)]" {
+		t.Errorf("a list prints as %s", got)
 	}
 }
 
@@ -175,8 +197,8 @@ func TestScanKAgainstOracle(t *testing.T) {
 					t.Fatalf("g=%v %s: %d entries, oracle %d", g, pat, len(list), len(want))
 				}
 				for _, e := range list {
-					if want[e.X] != e.Y {
-						t.Errorf("g=%v %s x=%d: y=%d oracle=%d", g, pat, e.X, e.Y, want[e.X])
+					if want[e.X] != e.Y() {
+						t.Errorf("g=%v %s x=%d: y=%d oracle=%d", g, pat, e.X, e.Y(), want[e.X])
 					}
 				}
 			}
@@ -230,7 +252,7 @@ func TestJoinProperty(t *testing.T) {
 			return false
 		}
 		for _, e := range joined {
-			if want[e.X] != e.Y {
+			if want[e.X] != e.Y() {
 				return false
 			}
 		}
@@ -243,7 +265,7 @@ func TestJoinProperty(t *testing.T) {
 
 func TestJoinEmpty(t *testing.T) {
 	g := combinat.Gap{N: 1, M: 2}
-	nonEmpty := pil.List{{X: 0, Y: 1}}
+	nonEmpty := pil.List{pil.NewEntry(0, 1)}
 	if got := pil.Join(nil, nonEmpty, g); got != nil {
 		t.Errorf("Join(nil, x) = %v, want nil", got)
 	}

@@ -28,7 +28,7 @@ func Singles(a *Arena, s *seq.Sequence) []List {
 		}
 	}
 	for i, code := range s.Codes() {
-		out[code] = append(out[code], Entry{X: int32(i), Y: 1})
+		out[code] = append(out[code], NewEntry(int32(i), 1))
 	}
 	return out
 }
@@ -80,9 +80,9 @@ func ScanKPacked(s *seq.Sequence, g combinat.Gap, k int) ([]CodeList, error) {
 		}
 		l := lists[code]
 		if n := len(l); n > 0 && l[n-1].X == x {
-			l[n-1].Y++
+			l[n-1] = NewEntry(x, l[n-1].Y()+1)
 		} else {
-			lists[code] = append(l, Entry{X: x, Y: 1})
+			lists[code] = append(l, NewEntry(x, 1))
 		}
 	}
 	for ; int(x)+combinat.MinSpan(k, g) <= len(codes); x++ {

@@ -70,8 +70,8 @@ func TestScanKLargeScratch(t *testing.T) {
 			t.Fatalf("%s: %d entries, oracle %d", pat, len(list), len(want))
 		}
 		for _, e := range list {
-			if want[e.X] != e.Y {
-				t.Errorf("%s x=%d: y=%d oracle=%d", pat, e.X, e.Y, want[e.X])
+			if want[e.X] != e.Y() {
+				t.Errorf("%s x=%d: y=%d oracle=%d", pat, e.X, e.Y(), want[e.X])
 			}
 		}
 	}

@@ -4,7 +4,8 @@
 #
 #   - ns/op above BENCH_MAX_REGRESSION_PCT (default 5) over the baseline,
 #     fastest run against fastest run;
-#   - B/op or allocs/op above a bound set from the baseline's own spread.
+#   - B/op, allocs/op or pil-MB/op above a bound set from the baseline's
+#     own spread.
 #     Under bench.sh's fixed iteration counts a benchmark's allocations
 #     repeat closely from run to run (allocs/op within a few, B/op within
 #     about 2%), so a rise beyond that spread is a change to the code, not
@@ -12,7 +13,11 @@
 #     larger of its spread (largest minus smallest) and a floor:
 #     ALLOC_FLOOR allocs, BYTES_FLOOR_PCT percent of the bytes, or a
 #     benchmark's own floor from OWN_FLOORS. The latest run's smallest
-#     value must not pass it.
+#     value must not pass it. pil-MB/op, the PIL memory high-water the
+#     end-to-end mining benchmarks report, is gated the same way with a
+#     floor of PIL_MB_FLOOR: work stealing moves it by about one arena
+#     slab, and an entry layout that grew back by a quarter moves it by
+#     several megabytes.
 #
 # A missing latest run is a skip, not a failure, so fresh checkouts pass
 # `make check` without a mandatory benchmark run. A missing baseline is an
@@ -31,6 +36,8 @@ MAX_PCT="${BENCH_MAX_REGRESSION_PCT:-5}"
 # benchmark's allocations may rise when its baseline runs agree closely.
 ALLOC_FLOOR=3
 BYTES_FLOOR_PCT=2
+# One default arena slab (32,768 12-byte entries, 384 KiB), in MB.
+PIL_MB_FLOOR=0.394
 
 # A benchmark whose allocations move from run to run needs a floor as
 # wide as its moves, since three baseline runs can miss them. Work
@@ -77,7 +84,7 @@ for f in benchmarks/baseline.txt benchmarks/latest.txt; do
 done
 
 awk -v max_pct="$MAX_PCT" -v alloc_floor="$ALLOC_FLOOR" -v bytes_pct="$BYTES_FLOOR_PCT" \
-    -v own_floors="$OWN_FLOORS" '
+    -v pil_mb_floor="$PIL_MB_FLOOR" -v own_floors="$OWN_FLOORS" '
     # Benchmark lines look like:
     #   BenchmarkPILJoin  43352  2668 ns/op  [x unit ...]  1234 B/op  5 allocs/op
     # Strip -cpu suffixes so baselines move across machines; with -count>1
@@ -94,6 +101,7 @@ awk -v max_pct="$MAX_PCT" -v alloc_floor="$ALLOC_FLOOR" -v bytes_pct="$BYTES_FLO
             if ($i == "ns/op") keep(tbl, name SUBSEP "ns", $(i-1))
             else if ($i == "B/op") keep(tbl, name SUBSEP "B", $(i-1))
             else if ($i == "allocs/op") keep(tbl, name SUBSEP "allocs", $(i-1))
+            else if ($i == "pil-MB/op") keep(tbl, name SUBSEP "pilMB", $(i-1))
         }
     }
     BEGIN {
@@ -111,7 +119,7 @@ awk -v max_pct="$MAX_PCT" -v alloc_floor="$ALLOC_FLOOR" -v bytes_pct="$BYTES_FLO
         if (k in own) floor = own[k]
         bound = hi + (hi - lo > floor ? hi - lo : floor)
         if (got > bound) {
-            printf "bench-check: %-40s %12.0f -> %12.0f %-9s bound %.0f  REGRESSION\n", \
+            printf "bench-check: %-40s %12.10g -> %12.10g %-9s bound %.10g  REGRESSION\n", \
                 name, hi, got, unit, bound
             return 1
         }
@@ -140,6 +148,7 @@ awk -v max_pct="$MAX_PCT" -v alloc_floor="$ALLOC_FLOOR" -v bytes_pct="$BYTES_FLO
             }
             if (allocCheck(name, "allocs", "allocs/op", alloc_floor)) status = 1
             if (allocCheck(name, "B", "B/op", base[name, "B", "hi"] * bytes_pct / 100)) status = 1
+            if (allocCheck(name, "pilMB", "pil-MB/op", pil_mb_floor)) status = 1
         }
         for (name in basenames) if (!(name in latestnames))
             printf "bench-check: %-40s dropped from latest run\n", name
